@@ -1,0 +1,325 @@
+"""Scenario configuration: flat key-value files, validation, defaults.
+
+The file format is one ``key = value`` pair per line, ``#`` comments, keys
+named exactly after the :class:`ScenarioConfig` fields.  Rates accept a
+fractional literal (``1/30``) since polling rates are naturally expressed
+that way.  Defaults reproduce the shipped LTE-failover case study.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import logging
+from dataclasses import dataclass, field, fields
+from pathlib import Path
+
+from .errors import ParseError, ValidationError
+from .simtime import ticks_from_seconds
+from .messages import MessageClass, NodeKind
+
+logger = logging.getLogger(__name__)
+
+QOS_MODES = ("fifo", "wfq", "wfq-ra")
+ARRIVAL_MODELS = ("periodic", "poisson")
+DER_ROUTES = ("lte", "dmr")
+
+
+@dataclass
+class ScenarioConfig:
+    """Every tunable of a scenario run.  All fields are file-loadable."""
+
+    # Clock and horizon
+    tau_s: float = 0.01
+    duration_s: float = 1600.0
+    seed: int = 1
+    metrics_interval_s: float = 25.0
+
+    # Traffic model
+    lambda_m_hz: float = 1.0 / 30.0
+    lambda_c_hz: float = 2.0 / 600.0
+    control_burst_size: int = 2
+    monitor_ders: bool = True
+    arrival_model: str = "periodic"
+    der_control_via: str = "lte"
+
+    # Payloads (bytes)
+    payload_poll_request_bytes: int = 64
+    payload_control_command_bytes: int = 184
+    payload_hva_lv_bytes: int = 500
+    payload_substation_bytes: int = 5000
+    payload_der_bytes: int = 224
+    payload_switch_ack_bytes: int = 100
+
+    # Delay limits per class (seconds)
+    delay_limit_monitoring_s: float = 30.0
+    delay_limit_control_s: float = 10.0
+
+    # Links
+    lte_bs_count: int = 2
+    lte_bs_capacity_bps: int = 50_000
+    dmr_capacity_bps: int = 1_920
+    access_latency_lte_s: float = 0.020
+    access_latency_dmr_s: float = 0.050
+
+    # QoS
+    qos: str = "fifo"
+    wfq_weight_monitoring: float = 0.1
+    wfq_weight_control: float = 0.9
+    alpha_e: float = 0.3
+
+    # Failure injection (None disables)
+    lte_fail_at_s: float | None = None
+    lte_restore_at_s: float | None = None
+
+    # Transport overhead
+    header_bytes: int = 40
+    mss_bytes: int = 1460
+    ack_bytes: int = 40
+
+    # Topology
+    region_side_km: float = 15.0
+    count_hva_lv: int = 332
+    count_switch: int = 26
+    count_substation: int = 1
+    count_pv_plant: int = 1
+    count_wind_farm: int = 1
+
+    # ------------------------------------------------------------- derived
+
+    @property
+    def tau_ticks(self) -> int:
+        return ticks_from_seconds(self.tau_s, key="tau_s")
+
+    @property
+    def duration_ticks(self) -> int:
+        return ticks_from_seconds(self.duration_s, key="duration_s")
+
+    @property
+    def interval_ticks(self) -> int:
+        return ticks_from_seconds(self.metrics_interval_s, key="metrics_interval_s")
+
+    @property
+    def n_slots(self) -> int:
+        tau = self.tau_ticks
+        return -(-self.duration_ticks // tau)
+
+    def delay_limit_ticks(self, msg_class: MessageClass) -> int:
+        if msg_class is MessageClass.MONITORING:
+            return ticks_from_seconds(self.delay_limit_monitoring_s)
+        return ticks_from_seconds(self.delay_limit_control_s)
+
+    def response_payload_bytes(self, kind: NodeKind) -> int:
+        table = {
+            NodeKind.HVA_LV: self.payload_hva_lv_bytes,
+            NodeKind.SUBSTATION: self.payload_substation_bytes,
+            NodeKind.PV_PLANT: self.payload_der_bytes,
+            NodeKind.WIND_FARM: self.payload_der_bytes,
+            NodeKind.SWITCH: self.payload_switch_ack_bytes,
+        }
+        return table[kind]
+
+    def monitored_counts(self) -> dict[NodeKind, int]:
+        counts = {NodeKind.HVA_LV: self.count_hva_lv, NodeKind.SUBSTATION: self.count_substation}
+        if self.monitor_ders:
+            counts[NodeKind.PV_PLANT] = self.count_pv_plant
+            counts[NodeKind.WIND_FARM] = self.count_wind_farm
+        return counts
+
+    def derive_seed(self, label: str) -> int:
+        """A per-purpose RNG seed, stable across processes and platforms."""
+        digest = hashlib.sha256(f"{self.seed}:{label}".encode()).digest()
+        return int.from_bytes(digest[:8], "big")
+
+    # ---------------------------------------------------------- validation
+
+    def validate(self) -> None:
+        def positive(key: str, value) -> None:
+            if value is None or value <= 0:
+                raise ValidationError(key, "must be positive")
+
+        positive("tau_s", self.tau_s)
+        if self.duration_s < 0:
+            raise ValidationError("duration_s", "must be non-negative")
+        positive("metrics_interval_s", self.metrics_interval_s)
+        positive("lambda_m_hz", self.lambda_m_hz)
+        positive("lambda_c_hz", self.lambda_c_hz)
+        positive("control_burst_size", self.control_burst_size)
+        positive("lte_bs_capacity_bps", self.lte_bs_capacity_bps)
+        positive("dmr_capacity_bps", self.dmr_capacity_bps)
+        positive("wfq_weight_monitoring", self.wfq_weight_monitoring)
+        positive("wfq_weight_control", self.wfq_weight_control)
+        positive("mss_bytes", self.mss_bytes)
+        positive("region_side_km", self.region_side_km)
+        positive("delay_limit_monitoring_s", self.delay_limit_monitoring_s)
+        positive("delay_limit_control_s", self.delay_limit_control_s)
+        for key in ("payload_poll_request_bytes", "payload_control_command_bytes",
+                    "payload_hva_lv_bytes", "payload_substation_bytes",
+                    "payload_der_bytes", "payload_switch_ack_bytes"):
+            positive(key, getattr(self, key))
+        for key in ("header_bytes", "ack_bytes", "lte_bs_count", "count_hva_lv",
+                    "count_switch", "count_substation", "count_pv_plant",
+                    "count_wind_farm"):
+            if getattr(self, key) < 0:
+                raise ValidationError(key, "must be non-negative")
+        for key in ("access_latency_lte_s", "access_latency_dmr_s"):
+            if getattr(self, key) < 0:
+                raise ValidationError(key, "must be non-negative")
+        if not 0 <= self.alpha_e < 1:
+            raise ValidationError("alpha_e", "must lie in [0, 1)")
+        if self.qos not in QOS_MODES:
+            raise ValidationError("qos", f"must be one of {QOS_MODES}")
+        if self.arrival_model not in ARRIVAL_MODELS:
+            raise ValidationError("arrival_model", f"must be one of {ARRIVAL_MODELS}")
+        if self.der_control_via not in DER_ROUTES:
+            raise ValidationError("der_control_via", f"must be one of {DER_ROUTES}")
+        for key in ("lte_fail_at_s", "lte_restore_at_s"):
+            value = getattr(self, key)
+            if value is not None and value < 0:
+                raise ValidationError(key, "must be non-negative")
+
+        # Times must sit on the tick grid, and the reporting window on the
+        # slot grid, or interval bookkeeping would drift.
+        try:
+            tau = self.tau_ticks
+        except ValueError as exc:
+            raise ValidationError("tau_s", str(exc)) from exc
+        for key in ("duration_s", "metrics_interval_s"):
+            try:
+                ticks_from_seconds(getattr(self, key), key=key)
+            except ValueError as exc:
+                raise ValidationError(key, str(exc)) from exc
+        if self.interval_ticks % tau != 0:
+            raise ValidationError("metrics_interval_s", "must be a multiple of tau_s")
+
+    def warnings(self) -> list[str]:
+        """Sanity notes about the configured traffic volume.
+
+        The failover study only makes sense when the steady monitoring load
+        fits the combined LTE reserve but exceeds the DMR capacity; warn when
+        a configuration breaks that premise.
+        """
+        out = []
+        offered = offered_monitoring_bps(self)
+        lte_total = self.lte_bs_count * self.lte_bs_capacity_bps
+        if offered > lte_total > 0:
+            out.append(
+                f"monitoring load {offered:.0f} bps exceeds total LTE reserve "
+                f"{lte_total} bps; the network is overloaded before any failure"
+            )
+        if offered <= self.dmr_capacity_bps:
+            out.append(
+                f"monitoring load {offered:.0f} bps fits the DMR capacity "
+                f"{self.dmr_capacity_bps} bps; a failover will not overload it"
+            )
+        return out
+
+
+def exchange_wire_bits(cfg: ScenarioConfig, response_payload: int) -> int:
+    """Bits on the wire for one full poll exchange with a given response size.
+
+    Counts the request and response segments with per-segment headers plus
+    one acknowledgement frame per data segment, both directions.
+    """
+    total_bytes = 0
+    for payload in (cfg.payload_poll_request_bytes, response_payload):
+        segments = -(-payload // cfg.mss_bytes)
+        total_bytes += payload + segments * cfg.header_bytes + segments * cfg.ack_bytes
+    return total_bytes * 8
+
+
+def offered_monitoring_bps(cfg: ScenarioConfig) -> float:
+    """Steady-state monitoring load including transport overhead."""
+    total = 0.0
+    for kind, count in cfg.monitored_counts().items():
+        total += count * cfg.lambda_m_hz * exchange_wire_bits(cfg, cfg.response_payload_bytes(kind))
+    return total
+
+
+# ----------------------------------------------------------------- parsing
+
+_BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False}
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return _BOOL_VALUES[text.lower()]
+    except KeyError:
+        raise ValueError(f"expected true/false, got {text!r}")
+
+
+def _parse_float(text: str) -> float:
+    if "/" in text:
+        num, den = text.split("/", 1)
+        return float(num) / float(den)
+    return float(text)
+
+
+def _parse_optional_float(text: str) -> float | None:
+    if text.lower() in ("none", ""):
+        return None
+    return _parse_float(text)
+
+
+_PARSERS = {}
+for f in fields(ScenarioConfig):
+    if f.name in ("lte_fail_at_s", "lte_restore_at_s"):
+        _PARSERS[f.name] = _parse_optional_float
+    elif f.type in ("int",):
+        _PARSERS[f.name] = int
+    elif f.type in ("float",):
+        _PARSERS[f.name] = _parse_float
+    elif f.type in ("bool",):
+        _PARSERS[f.name] = _parse_bool
+    else:
+        _PARSERS[f.name] = str
+
+
+def loads_config(text: str) -> ScenarioConfig:
+    """Parse scenario text into a validated :class:`ScenarioConfig`."""
+    values = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(f"line {lineno}: expected 'key = value', got {raw!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in _PARSERS:
+            raise ValidationError(key, "unknown configuration key")
+        try:
+            values[key] = _PARSERS[key](value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"line {lineno}: bad value for {key}: {exc}") from exc
+    cfg = ScenarioConfig(**values)
+    cfg.validate()
+    for note in cfg.warnings():
+        logger.warning("%s", note)
+    return cfg
+
+
+def load_config(path: str | Path) -> ScenarioConfig:
+    path = Path(path)
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    return loads_config(text)
+
+
+def serialize_config(cfg: ScenarioConfig) -> str:
+    """Render a config as scenario text; round-trips through loads_config."""
+    lines = []
+    for f in fields(ScenarioConfig):
+        value = getattr(cfg, f.name)
+        if value is None:
+            text = "none"
+        elif isinstance(value, bool):
+            text = "true" if value else "false"
+        elif isinstance(value, float):
+            text = repr(value)
+        else:
+            text = str(value)
+        lines.append(f"{f.name} = {text}")
+    return "\n".join(lines) + "\n"

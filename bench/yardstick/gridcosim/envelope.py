@@ -1,0 +1,99 @@
+"""Wire protocol between federates and the coordinator.
+
+Frames are newline-delimited JSON objects with exactly the fields
+``{"t": <type>, "slot": <int>, "body": <object>}``.  All times on the wire
+are integer ticks; no floats ever cross a federate boundary, so both
+transports observe bit-identical state.
+"""
+
+from __future__ import annotations
+
+import enum
+import json
+from dataclasses import dataclass, field
+
+from .errors import DecodeError
+from .messages import SimMessage
+
+
+class EnvelopeType(enum.Enum):
+    JOIN = "JOIN"
+    JOIN_ACK = "JOIN_ACK"
+    GRANT = "GRANT"
+    PUBLISH = "PUBLISH"
+    DELIVER = "DELIVER"
+    ACK_SLOT = "ACK_SLOT"
+    DONE = "DONE"
+    ERROR = "ERROR"
+
+
+@dataclass(slots=True)
+class FederateEnvelope:
+    type: EnvelopeType
+    slot: int
+    body: dict = field(default_factory=dict)
+
+
+def encode_envelope(env: FederateEnvelope) -> bytes:
+    frame = {"t": env.type.value, "slot": env.slot, "body": env.body}
+    return json.dumps(frame, separators=(",", ":")).encode() + b"\n"
+
+
+def decode_envelope(frame: bytes, offset: int = 0) -> FederateEnvelope:
+    """Decode one frame; ``offset`` is reported in errors for stream context."""
+    try:
+        data = json.loads(frame)
+    except json.JSONDecodeError as exc:
+        raise DecodeError(f"invalid JSON: {exc.msg}", offset + exc.pos) from exc
+    if not isinstance(data, dict):
+        raise DecodeError("frame is not an object", offset)
+    missing = {"t", "slot", "body"} - data.keys()
+    if missing or set(data.keys()) != {"t", "slot", "body"}:
+        raise DecodeError(f"frame fields must be exactly t/slot/body, got {sorted(data)}", offset)
+    try:
+        env_type = EnvelopeType(data["t"])
+    except ValueError:
+        raise DecodeError(f"unknown envelope type {data['t']!r}", offset)
+    slot = data["slot"]
+    if not isinstance(slot, int) or isinstance(slot, bool):
+        raise DecodeError("slot must be an integer", offset)
+    body = data["body"]
+    if not isinstance(body, dict):
+        raise DecodeError("body must be an object", offset)
+    return FederateEnvelope(env_type, slot, body)
+
+
+# Convenience constructors for the envelopes the protocol actually sends.
+
+def join(name: str) -> FederateEnvelope:
+    return FederateEnvelope(EnvelopeType.JOIN, 0, {"name": name})
+
+
+def join_ack(fid: int) -> FederateEnvelope:
+    return FederateEnvelope(EnvelopeType.JOIN_ACK, 0, {"fid": fid})
+
+
+def grant(slot: int, end_ticks: int) -> FederateEnvelope:
+    return FederateEnvelope(EnvelopeType.GRANT, slot, {"end_ticks": end_ticks})
+
+
+def publish(slot: int, to_name: str, at_tick: int, msg: SimMessage) -> FederateEnvelope:
+    return FederateEnvelope(
+        EnvelopeType.PUBLISH, slot, {"to": to_name, "at": at_tick, "msg": msg.to_wire()}
+    )
+
+
+def deliver(slot: int, msg: SimMessage) -> FederateEnvelope:
+    return FederateEnvelope(EnvelopeType.DELIVER, slot, {"msg": msg.to_wire()})
+
+
+def ack_slot(slot: int) -> FederateEnvelope:
+    return FederateEnvelope(EnvelopeType.ACK_SLOT, slot)
+
+
+def done(slot: int) -> FederateEnvelope:
+    return FederateEnvelope(EnvelopeType.DONE, slot)
+
+
+def error(slot: int, code: str, detail: str) -> FederateEnvelope:
+    return FederateEnvelope(EnvelopeType.ERROR, slot, {"code": code, "detail": detail})

@@ -1,0 +1,61 @@
+"""Exception types shared across the simulator."""
+
+
+class GridCoSimError(Exception):
+    """Base class for all simulator errors."""
+
+
+class ParseError(GridCoSimError):
+    """A scenario file or wire frame could not be parsed."""
+
+
+class ValidationError(GridCoSimError):
+    """A configuration invariant was violated.
+
+    ``key`` names the offending configuration field.
+    """
+
+    def __init__(self, key: str, detail: str = ""):
+        self.key = key
+        self.detail = detail
+        super().__init__(f"{key}: {detail}" if detail else key)
+
+
+class DecodeError(ParseError):
+    """A wire frame failed to decode; ``offset`` is the byte position."""
+
+    def __init__(self, message: str, offset: int = 0):
+        self.offset = offset
+        super().__init__(f"{message} (byte {offset})")
+
+
+class FederationStarted(GridCoSimError):
+    """Registration attempted after the federation already started."""
+
+
+class DuplicateName(GridCoSimError):
+    """A federate name was registered twice."""
+
+
+class ProtocolViolation(GridCoSimError):
+    """A federate broke the timeslot protocol contract."""
+
+
+class FederateTimeout(GridCoSimError):
+    """A federate failed to acknowledge a granted slot in time."""
+
+
+class NoRoute(GridCoSimError):
+    """No usable link exists for a message (all technologies down)."""
+
+
+class EmptyDistribution(GridCoSimError):
+    """A statistic was requested over an empty sample."""
+
+
+class UnknownCorrelation(GridCoSimError):
+    """A response arrived without a matching open request."""
+
+
+class UsageError(GridCoSimError):
+    """Invalid command-line usage."""

@@ -1,0 +1,277 @@
+"""Application federate: polling, control commands, reliability accounting.
+
+The management system polls every monitored endpoint on a fixed period with
+a seeded random phase, and sends a burst of commands to randomly chosen
+switches once per control period.  Each request opens an exchange; the
+response closes it and fixes the application-side round-trip delay.  An
+exchange that is still unanswered one delay limit after its interval ends
+scores zero.
+
+On receiving a rate-update notification the polling schedule is rebuilt:
+the new period applies to every monitored node, with nodes spread evenly
+across the period so the adapted load stays smooth.
+"""
+
+from __future__ import annotations
+
+import heapq
+import logging
+import random
+from collections import defaultdict
+
+from .config import ScenarioConfig
+from .messages import (
+    ExchangeRecord,
+    MessageClass,
+    MessageKind,
+    NodeDescriptor,
+    NodeKind,
+    SimMessage,
+)
+from .metrics import IntervalMetrics, interval_metrics
+from .simtime import TICKS_PER_SECOND
+from .topology import monitored_nodes
+
+logger = logging.getLogger(__name__)
+
+_CLASSES = (MessageClass.MONITORING, MessageClass.CONTROL)
+
+
+class ITFederate:
+    """The information-system perspective of the federation."""
+
+    name = "it"
+    peer_name = "comm"
+
+    def __init__(self, cfg: ScenarioConfig, nodes: list[NodeDescriptor]):
+        self.cfg = cfg
+        self._tau = cfg.tau_ticks
+        self._duration = cfg.duration_ticks
+        self._interval_ticks = cfg.interval_ticks
+        self._limit_ticks = {cls: cfg.delay_limit_ticks(cls) for cls in _CLASSES}
+
+        self._dms_id = next(n.id for n in nodes if n.kind is NodeKind.DMS)
+        self._kind_by_id = {n.id: n.kind for n in nodes}
+        self.monitored = monitored_nodes(nodes, cfg)
+        self._switch_ids = [n.id for n in nodes if n.kind is NodeKind.SWITCH]
+
+        self._next_id = 2  # even ids; the network federate uses odd ones
+        self.poll_period_ticks = max(1, round(TICKS_PER_SECOND / cfg.lambda_m_hz))
+        self._poisson = cfg.arrival_model == "poisson"
+        self._arrival_rng = random.Random(cfg.derive_seed("poll-arrivals"))
+
+        # (due_tick, node order, node id); order index keeps ties deterministic.
+        self._poll_heap: list[tuple[int, int, int]] = []
+        phase_rng = random.Random(cfg.derive_seed("poll-phase"))
+        for order, node in enumerate(self.monitored):
+            if self._poisson:
+                due = self._poisson_gap()
+            else:
+                due = phase_rng.randrange(self.poll_period_ticks)
+            self._poll_heap.append((due, order, node.id))
+        heapq.heapify(self._poll_heap)
+
+        self._control_rng = random.Random(cfg.derive_seed("control-targets"))
+        self._control_period = max(1, round(cfg.control_burst_size / cfg.lambda_c_hz * TICKS_PER_SECOND))
+        self._next_control = self._control_period if self._switch_ids else 1 << 62
+
+        self._open: dict[int, ExchangeRecord] = {}
+        self._interval_records: dict[tuple[int, MessageClass], list[ExchangeRecord]] = defaultdict(list)
+        self._reliability: dict[tuple[int, MessageClass], IntervalMetrics | None] = {}
+        self._next_finalize = {cls: 0 for cls in _CLASSES}
+        self._next_deadline = min(
+            self._interval_ticks + self._limit_ticks[cls] for cls in _CLASSES
+        )
+        # Completed message legs: (class, kind, d_it_ticks, d_comm_ticks, delivered_comm_tick).
+        self.comm_legs: list[tuple[MessageClass, MessageKind, int, int, int]] = []
+        self.exchange_rows: list[tuple[ExchangeRecord, int | None]] = []
+        self.unknown_correlation = 0
+        self.rate_updates_applied = 0
+
+    # ------------------------------------------------------------- traffic
+
+    def _poisson_gap(self) -> int:
+        return max(1, round(self._arrival_rng.expovariate(1.0) * self.poll_period_ticks))
+
+    def _alloc_id(self) -> int:
+        mid = self._next_id
+        self._next_id += 2
+        return mid
+
+    def generate_slot_traffic(self, slot: int) -> list[SimMessage]:
+        """Requests and commands falling due inside the granted slot."""
+        slot_end = (slot + 1) * self._tau
+        out: list[SimMessage] = []
+        heap = self._poll_heap
+        while heap and heap[0][0] < slot_end:
+            due, order, node_id = heapq.heappop(heap)
+            req = SimMessage(
+                id=self._alloc_id(),
+                msg_class=MessageClass.MONITORING,
+                kind=MessageKind.REQUEST,
+                src=self._dms_id,
+                dst=node_id,
+                payload_bytes=self.cfg.payload_poll_request_bytes,
+                created_tick=due,
+            )
+            self._open_exchange(req, node_id)
+            out.append(req)
+            gap = self._poisson_gap() if self._poisson else self.poll_period_ticks
+            heapq.heappush(heap, (due + gap, order, node_id))
+        while self._next_control < slot_end:
+            due = self._next_control
+            burst = min(self.cfg.control_burst_size, len(self._switch_ids))
+            for switch_id in self._control_rng.sample(self._switch_ids, burst):
+                cmd = SimMessage(
+                    id=self._alloc_id(),
+                    msg_class=MessageClass.CONTROL,
+                    kind=MessageKind.CONTROL_COMMAND,
+                    src=self._dms_id,
+                    dst=switch_id,
+                    payload_bytes=self.cfg.payload_control_command_bytes,
+                    created_tick=due,
+                )
+                self._open_exchange(cmd, switch_id)
+                out.append(cmd)
+            self._next_control += self._control_period
+        return out
+
+    def _open_exchange(self, request: SimMessage, node_id: int) -> None:
+        interval = request.created_tick // self._interval_ticks
+        record = ExchangeRecord(request=request, node=node_id,
+                                msg_class=request.msg_class, interval=interval)
+        self._open[request.id] = record
+        self._interval_records[(interval, request.msg_class)].append(record)
+
+    # ------------------------------------------------------------ delivery
+
+    def on_deliver(self, msg: SimMessage, now_tick: int) -> list[SimMessage]:
+        """Handle a message reaching its application endpoint; maybe reply."""
+        msg.delivered_it_tick = now_tick
+        if msg.kind is MessageKind.RATE_UPDATE:
+            if msg.poll_period_ticks:
+                self._apply_rate_update(msg.poll_period_ticks, now_tick)
+            return []
+        self._record_leg(msg)
+        if msg.dst == self._dms_id:
+            record = self._open.pop(msg.correlation_id, None)
+            if record is None:
+                self.unknown_correlation += 1
+                logger.warning("response %d has no open request %s", msg.id, msg.correlation_id)
+                return []
+            record.response = msg
+            return []
+        # Request or command arriving at a node: refresh the stored request
+        # instance (it now carries the network timestamps) and answer.
+        record = self._open.get(msg.id)
+        if record is not None:
+            record.request = msg
+        reply_kind = (
+            MessageKind.RESPONSE if msg.kind is MessageKind.REQUEST else MessageKind.CONTROL_ACK
+        )
+        reply = SimMessage(
+            id=self._alloc_id(),
+            msg_class=msg.msg_class,
+            kind=reply_kind,
+            src=msg.dst,
+            dst=msg.src,
+            payload_bytes=self.cfg.response_payload_bytes(self._kind_by_id[msg.dst]),
+            created_tick=now_tick,
+            correlation_id=msg.id,
+        )
+        return [reply]
+
+    def _record_leg(self, msg: SimMessage) -> None:
+        d_it = msg.d_it_ticks
+        d_comm = msg.d_comm_ticks
+        if d_it is None or d_comm is None:
+            return
+        self.comm_legs.append((msg.msg_class, msg.kind, d_it, d_comm, msg.delivered_comm_tick))
+
+    def _apply_rate_update(self, period_ticks: int, now_tick: int) -> None:
+        """Rebuild the polling schedule at the adapted period.
+
+        Nodes are restarted evenly spread over the new period rather than
+        keeping their old phases, which would replay the old burst pattern.
+        """
+        self.poll_period_ticks = period_ticks
+        self.rate_updates_applied += 1
+        n = len(self.monitored)
+        heap = []
+        for order, node in enumerate(self.monitored):
+            if self._poisson:
+                due = now_tick + self._poisson_gap()
+            else:
+                due = now_tick + ((order + 1) * period_ticks) // n
+            heap.append((due, order, node.id))
+        heapq.heapify(heap)
+        self._poll_heap = heap
+
+    # ------------------------------------------------------------ stepping
+
+    def step(self, slot: int, slot_end_tick: int, inbox: list[SimMessage]) -> tuple[list[tuple[int, SimMessage]], bool]:
+        now = slot * self._tau
+        out: list[tuple[int, SimMessage]] = []
+        for msg in inbox:
+            for reply in self.on_deliver(msg, now):
+                out.append((reply.created_tick, reply))
+        if (self._poll_heap and self._poll_heap[0][0] < slot_end_tick) or self._next_control < slot_end_tick:
+            for msg in self.generate_slot_traffic(slot):
+                out.append((msg.created_tick, msg))
+        if now >= self._next_deadline:
+            self._finalize_due(now)
+        return out, slot_end_tick >= self._duration
+
+    # ----------------------------------------------------------- reporting
+
+    def _finalize_due(self, now_tick: int) -> None:
+        for cls in _CLASSES:
+            limit = self._limit_ticks[cls]
+            while now_tick >= (self._next_finalize[cls] + 1) * self._interval_ticks + limit:
+                self._finalize_interval(self._next_finalize[cls], cls, end_tick=None)
+                self._next_finalize[cls] += 1
+        self._next_deadline = min(
+            (self._next_finalize[cls] + 1) * self._interval_ticks + self._limit_ticks[cls]
+            for cls in _CLASSES
+        )
+
+    def _finalize_interval(self, interval: int, cls: MessageClass, end_tick: int | None) -> None:
+        records = self._interval_records.pop((interval, cls), [])
+        limit = self._limit_ticks[cls]
+        scored: list[ExchangeRecord] = []
+        for rec in records:
+            if end_tick is not None and not rec.answered and rec.request.created_tick + limit > end_tick:
+                # The run ended before this exchange could either succeed or
+                # exhaust its limit; its outcome is unknowable.
+                self.exchange_rows.append((rec, None))
+                continue
+            scored.append(rec)
+            self.exchange_rows.append((rec, 1 if rec.meets_limit(limit) else 0))
+        by_node: dict[int, list[ExchangeRecord]] = defaultdict(list)
+        for rec in scored:
+            by_node[rec.node].append(rec)
+        limit_s = limit / TICKS_PER_SECOND
+        self._reliability[(interval, cls)] = interval_metrics(interval, cls, by_node, limit_s)
+
+    def snapshot_reliability(self, interval: int) -> dict[MessageClass, IntervalMetrics | None]:
+        """Finalized per-class metrics for one interval; raises if still open."""
+        for cls in _CLASSES:
+            if interval >= self._next_finalize[cls]:
+                raise ValueError(f"interval {interval} is not complete for {cls.value}")
+        return {cls: self._reliability.get((interval, cls)) for cls in _CLASSES}
+
+    def finalize_run(self, end_tick: int) -> None:
+        """Close every remaining interval using run-end knowledge."""
+        n_intervals = -(-end_tick // self._interval_ticks) if end_tick else 0
+        for cls in _CLASSES:
+            for interval in range(self._next_finalize[cls], n_intervals):
+                self._finalize_interval(interval, cls, end_tick=end_tick)
+            self._next_finalize[cls] = max(self._next_finalize[cls], n_intervals)
+
+    def reliability_series(self) -> list[IntervalMetrics]:
+        series = [m for m in self._reliability.values() if m is not None]
+        series.sort(key=lambda m: (m.interval, m.msg_class.value))
+        return series
+
+    def open_exchange_count(self) -> int:
+        return len(self._open)

@@ -1,0 +1,200 @@
+"""Capacity-limited links with pluggable queueing disciplines.
+
+A link is a single shared-capacity server: data segments and their
+acknowledgements, both directions, drain the same bit budget.  Per-frame
+service time is the wire size divided by capacity, rounded up to the next
+clock tick so that accounted throughput can never exceed capacity.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from dataclasses import dataclass
+
+from .messages import MessageClass
+from .simtime import TICKS_PER_SECOND
+
+LTE = "lte"
+DMR = "dmr"
+
+
+@dataclass(slots=True)
+class TransportFrame:
+    """One wire frame: a data segment of a message, or an acknowledgement."""
+
+    msg_id: int
+    seg_index: int
+    bytes_on_wire: int
+    is_ack: bool
+    msg_class: MessageClass
+    seq: int = 0
+    vfinish: float = 0.0
+
+
+def segment_sizes(payload_bytes: int, mss_bytes: int, header_bytes: int) -> list[int]:
+    """Wire sizes of the data segments carrying ``payload_bytes``."""
+    sizes = []
+    remaining = payload_bytes
+    while remaining > 0:
+        chunk = min(mss_bytes, remaining)
+        sizes.append(chunk + header_bytes)
+        remaining -= chunk
+    return sizes
+
+
+class FifoQueue:
+    """Single queue shared by both classes."""
+
+    def __init__(self):
+        self._frames: deque[TransportFrame] = deque()
+        self._bytes = {MessageClass.MONITORING: 0, MessageClass.CONTROL: 0}
+
+    def push(self, frame: TransportFrame) -> None:
+        self._frames.append(frame)
+        self._bytes[frame.msg_class] += frame.bytes_on_wire
+
+    def pop(self) -> TransportFrame | None:
+        if not self._frames:
+            return None
+        frame = self._frames.popleft()
+        self._bytes[frame.msg_class] -= frame.bytes_on_wire
+        return frame
+
+    def drain(self) -> list[TransportFrame]:
+        frames = list(self._frames)
+        self._frames.clear()
+        self._bytes = {MessageClass.MONITORING: 0, MessageClass.CONTROL: 0}
+        return frames
+
+    def queued_bytes(self, msg_class: MessageClass) -> int:
+        return self._bytes[msg_class]
+
+    def __len__(self) -> int:
+        return len(self._frames)
+
+
+class WfqQueue:
+    """Weighted fair queueing over the two traffic classes.
+
+    Self-clocked fair queueing: each class keeps a virtual finish time
+    advanced by bits/weight on enqueue, anchored to the virtual time of the
+    frame last put in service; dequeue picks the head with the smallest
+    virtual finish.  Within a class, order stays first-in first-out, and any
+    positive weights keep both classes starvation-free.  With both classes
+    continuously backlogged the long-run service shares converge to the
+    weight proportions.
+    """
+
+    def __init__(self, weights: dict[MessageClass, float]):
+        for cls, w in weights.items():
+            if w <= 0:
+                raise ValueError(f"weight for {cls.value} must be positive")
+        self._weights = dict(weights)
+        self._queues: dict[MessageClass, deque[TransportFrame]] = {
+            MessageClass.MONITORING: deque(),
+            MessageClass.CONTROL: deque(),
+        }
+        self._finish = {MessageClass.MONITORING: 0.0, MessageClass.CONTROL: 0.0}
+        self._bytes = {MessageClass.MONITORING: 0, MessageClass.CONTROL: 0}
+        self._vtime = 0.0
+
+    def push(self, frame: TransportFrame) -> None:
+        cls = frame.msg_class
+        start = self._finish[cls]
+        if start < self._vtime:
+            start = self._vtime
+        finish = start + frame.bytes_on_wire * 8 / self._weights[cls]
+        self._finish[cls] = finish
+        frame.vfinish = finish
+        self._queues[cls].append(frame)
+        self._bytes[cls] += frame.bytes_on_wire
+
+    def pop(self) -> TransportFrame | None:
+        best_cls = None
+        best_key = None
+        for cls, queue in self._queues.items():
+            if not queue:
+                continue
+            head = queue[0]
+            key = (head.vfinish, head.seq)
+            if best_key is None or key < best_key:
+                best_key = key
+                best_cls = cls
+        if best_cls is None:
+            return None
+        frame = self._queues[best_cls].popleft()
+        self._bytes[best_cls] -= frame.bytes_on_wire
+        self._vtime = frame.vfinish
+        return frame
+
+    def drain(self) -> list[TransportFrame]:
+        frames = list(self._queues[MessageClass.MONITORING]) + list(self._queues[MessageClass.CONTROL])
+        for queue in self._queues.values():
+            queue.clear()
+        self._bytes = {MessageClass.MONITORING: 0, MessageClass.CONTROL: 0}
+        return frames
+
+    def queued_bytes(self, msg_class: MessageClass) -> int:
+        return self._bytes[msg_class]
+
+    def __len__(self) -> int:
+        return sum(len(q) for q in self._queues.values())
+
+
+@dataclass
+class LinkModel:
+    """A capacity-limited channel with one work-conserving server."""
+
+    id: str
+    technology: str
+    capacity_bps: int
+    latency_ticks: int
+    queue: FifoQueue | WfqQueue
+    up: bool = True
+    busy_frame: TransportFrame | None = None
+    busy_until: int = 0
+    bits_served: int = 0
+    busy_ticks: int = 0
+
+    def service_ticks(self, bytes_on_wire: int) -> int:
+        # Ceil keeps per-link accounted throughput at or below capacity.
+        bits = bytes_on_wire * 8
+        return -(-bits * TICKS_PER_SECOND // self.capacity_bps)
+
+    def enqueue(self, frame: TransportFrame, now_tick: int) -> tuple[int, TransportFrame] | None:
+        """Queue a frame; if the server is idle, start service.
+
+        Returns (completion_tick, frame) when a service was started.
+        """
+        self.queue.push(frame)
+        if self.busy_frame is None:
+            return self.start_next(now_tick)
+        return None
+
+    def start_next(self, now_tick: int) -> tuple[int, TransportFrame] | None:
+        frame = self.queue.pop()
+        if frame is None:
+            return None
+        end = now_tick + self.service_ticks(frame.bytes_on_wire)
+        self.busy_frame = frame
+        self.busy_until = end
+        return end, frame
+
+    def complete(self, frame: TransportFrame) -> None:
+        """Book the end of the current service; caller then calls start_next."""
+        assert self.busy_frame is frame
+        self.busy_frame = None
+        self.bits_served += frame.bytes_on_wire * 8
+        self.busy_ticks += self.service_ticks(frame.bytes_on_wire)
+
+    def fail(self) -> list[TransportFrame]:
+        """Take the link down; queued and in-service frames are lost."""
+        self.up = False
+        lost = self.queue.drain()
+        if self.busy_frame is not None:
+            lost.append(self.busy_frame)
+            self.busy_frame = None
+        return lost
+
+    def restore(self) -> None:
+        self.up = True

@@ -1,0 +1,398 @@
+"""Communication federate: routing, queueing, transport overhead, failures.
+
+Control traffic rides the dedicated DMR access point; monitoring traffic
+rides the nearest live LTE base station and falls back to DMR when every
+base station is down.  Messages are segmented with per-segment headers, each
+data segment is followed by a reverse-direction acknowledgement on the same
+link, and a message counts as delivered when its last segment's
+acknowledgement has come back.
+
+With the rate-adapting discipline, a global LTE failure additionally emits
+an application-layer notification telling the management system the polling
+period that fits the remaining DMR budget.
+"""
+
+from __future__ import annotations
+
+import heapq
+import logging
+import math
+from dataclasses import dataclass
+
+from .config import ScenarioConfig, exchange_wire_bits, offered_monitoring_bps
+from .errors import ValidationError
+from .links import DMR, LTE, FifoQueue, LinkModel, TransportFrame, WfqQueue, segment_sizes
+from .messages import (
+    DER_KINDS,
+    MessageClass,
+    MessageKind,
+    NodeDescriptor,
+    NodeKind,
+    SimMessage,
+)
+from .simtime import TICKS_PER_SECOND, ticks_from_seconds
+from .topology import monitored_nodes
+
+logger = logging.getLogger(__name__)
+
+# Event priorities: state changes happen before service completions, which
+# happen before new frame arrivals, which happen before message hand-off.
+_PRIO_LINK_STATE = 0
+_PRIO_COMPLETION = 1
+_PRIO_ARRIVAL = 2
+_PRIO_DELIVERY = 3
+
+
+def rate_adaptation_rate(
+    cfg: ScenarioConfig, n_monitored: int, exchange_bits: int, *, literal: bool = False
+) -> float:
+    """Per-node monitoring rate that fits the DMR budget after failover.
+
+    The default reading keeps the total offered monitoring load at or below
+    (1 - alpha_e) * dmr_capacity.  ``literal`` evaluates the unreduced form
+    of the update rule for comparison; as a ratio of two loads it does not
+    lower the rate and exists only to demonstrate that.
+    """
+    if exchange_bits <= 0:
+        raise ValidationError("exchange_bits", "must be positive")
+    if n_monitored <= 0:
+        raise ValidationError("n_monitored", "must be positive")
+    usable_bps = (1.0 - cfg.alpha_e) * cfg.dmr_capacity_bps
+    if literal:
+        total_traffic_bps = offered_monitoring_bps(cfg)
+        return (1.0 / n_monitored) * (total_traffic_bps / usable_bps)
+    return usable_bps / (n_monitored * exchange_bits)
+
+
+@dataclass(slots=True)
+class _Transfer:
+    msg: SimMessage
+    link: LinkModel
+    n_segs: int
+    dead: bool = False
+    completed: bool = False
+
+
+class NetFederate:
+    """The communication perspective of the federation."""
+
+    name = "comm"
+    peer_name = "it"
+
+    def __init__(self, cfg: ScenarioConfig, nodes: list[NodeDescriptor], *, eq5_literal: bool = False):
+        self.cfg = cfg
+        self._tau = cfg.tau_ticks
+        self._duration = cfg.duration_ticks
+        self._interval_ticks = cfg.interval_ticks
+        self._eq5_literal = eq5_literal
+
+        self._kind_by_id = {n.id: n.kind for n in nodes}
+        self._dms_id = next(n.id for n in nodes if n.kind is NodeKind.DMS)
+        dmr_nodes = [n for n in nodes if n.kind is NodeKind.DMR_AP]
+        if len(dmr_nodes) != 1:
+            raise ValidationError("topology", "exactly one DMR access point required")
+        self._dmr_ap_id = dmr_nodes[0].id
+        self._monitored = monitored_nodes(nodes, cfg)
+
+        self.links = self._build_links(cfg, nodes)
+        self._lte_links = [l for l in self.links if l.technology == LTE]
+        self._dmr_link = next(l for l in self.links if l.technology == DMR)
+        self._bs_order = self._nearest_station_order(nodes)
+
+        self._events: list[tuple[int, int, int, int, object]] = []
+        self._eseq = 0
+        self._fseq = 0
+        self._next_msg_id = 1  # odd ids; the application federate uses even ones
+        self._transfers: dict[int, _Transfer] = {}
+        self._out: list[tuple[int, SimMessage]] = []
+        self._ra_sent = False
+        self.adapted_period_ticks: int | None = None
+
+        zero = {MessageClass.MONITORING: 0, MessageClass.CONTROL: 0}
+        self.received = dict(zero)
+        self.delivered = dict(zero)
+        self.lost_failure = dict(zero)
+        self.dropped_noroute = dict(zero)
+
+        # Per (interval, link id) accounting and queue-depth samples.
+        self.offered_bits: dict[tuple[int, str], int] = {}
+        self.served_bits: dict[tuple[int, str], int] = {}
+        self.busy_ticks: dict[tuple[int, str], int] = {}
+        self.queue_samples: dict[tuple[int, str], tuple[int, int]] = {}
+
+        if cfg.lte_fail_at_s is not None:
+            self.inject_failure("fail", ticks_from_seconds(cfg.lte_fail_at_s, key="lte_fail_at_s"))
+        if cfg.lte_restore_at_s is not None:
+            self.inject_failure("restore", ticks_from_seconds(cfg.lte_restore_at_s, key="lte_restore_at_s"))
+
+    # --------------------------------------------------------------- setup
+
+    def _build_links(self, cfg: ScenarioConfig, nodes: list[NodeDescriptor]) -> list[LinkModel]:
+        def make_queue():
+            if cfg.qos == "fifo":
+                return FifoQueue()
+            return WfqQueue({
+                MessageClass.MONITORING: cfg.wfq_weight_monitoring,
+                MessageClass.CONTROL: cfg.wfq_weight_control,
+            })
+
+        lte_latency = ticks_from_seconds(cfg.access_latency_lte_s, key="access_latency_lte_s")
+        dmr_latency = ticks_from_seconds(cfg.access_latency_dmr_s, key="access_latency_dmr_s")
+        links = [
+            LinkModel(f"lte-{i}", LTE, cfg.lte_bs_capacity_bps, lte_latency, make_queue())
+            for i in range(cfg.lte_bs_count)
+        ]
+        links.append(LinkModel("dmr", DMR, cfg.dmr_capacity_bps, dmr_latency, make_queue()))
+        return links
+
+    def _nearest_station_order(self, nodes: list[NodeDescriptor]) -> dict[int, list[int]]:
+        stations = [n for n in nodes if n.kind is NodeKind.LTE_BS]
+        order: dict[int, list[int]] = {}
+        for node in nodes:
+            ranked = sorted(
+                range(len(stations)),
+                key=lambda i: ((stations[i].x_km - node.x_km) ** 2 + (stations[i].y_km - node.y_km) ** 2, i),
+            )
+            order[node.id] = ranked
+        return order
+
+    # ------------------------------------------------------------- routing
+
+    def route(self, msg: SimMessage, now_tick: int) -> LinkModel | None:
+        """Pick the link carrying this message, or None when nothing is up."""
+        endpoint = msg.dst if msg.dst != self._dms_id else msg.src
+        kind = self._kind_by_id[endpoint]
+        control_route = msg.msg_class is MessageClass.CONTROL and not (
+            kind in DER_KINDS and self.cfg.der_control_via == "lte"
+        )
+        if control_route:
+            if self._dmr_link.up:
+                return self._dmr_link
+            return self._nearest_up_lte(endpoint)
+        lte = self._nearest_up_lte(endpoint)
+        if lte is not None:
+            return lte
+        if self._dmr_link.up:
+            return self._dmr_link
+        return None
+
+    def _nearest_up_lte(self, node_id: int) -> LinkModel | None:
+        for index in self._bs_order[node_id]:
+            link = self._lte_links[index]
+            if link.up:
+                return link
+        return None
+
+    # ---------------------------------------------------------- federation
+
+    def step(self, slot: int, slot_end_tick: int, inbox: list[SimMessage]) -> tuple[list[tuple[int, SimMessage]], bool]:
+        now = slot * self._tau
+        self._out = []
+        events = self._events
+
+        # Link state changes scheduled exactly at the slot boundary take
+        # effect before this slot's arrivals are routed.
+        while events and events[0][0] == now and events[0][1] == _PRIO_LINK_STATE:
+            self._dispatch(heapq.heappop(events))
+        for msg in inbox:
+            self._ingress(msg, now)
+        while events and events[0][0] < slot_end_tick:
+            self._dispatch(heapq.heappop(events))
+
+        if slot_end_tick % self._interval_ticks == 0:
+            self._sample_queues(slot_end_tick // self._interval_ticks - 1)
+        out = self._out
+        self._out = []
+        return out, slot_end_tick >= self._duration
+
+    def _push_event(self, tick: int, prio: int, kind: str, payload) -> None:
+        self._eseq += 1
+        heapq.heappush(self._events, (tick, prio, self._eseq, kind, payload))
+
+    def inject_failure(self, kind: str, at_tick: int) -> None:
+        """Schedule a link state change: 'fail' downs every LTE base station
+        (in-flight frames are lost), 'restore' brings them back up.  Events
+        beyond the simulated horizon never fire.
+        """
+        if kind not in ("fail", "restore"):
+            raise ValueError(f"unknown link event {kind!r}")
+        if at_tick < 0:
+            raise ValueError("event time cannot be negative")
+        self._push_event(at_tick, _PRIO_LINK_STATE, kind, None)
+
+    def _dispatch(self, event) -> None:
+        tick, _prio, _seq, kind, payload = event
+        if kind == "complete":
+            self._on_completion(tick, payload)
+        elif kind == "ack_arrival":
+            self._on_ack_arrival(tick, payload)
+        elif kind == "delivery":
+            self._on_delivery(tick, payload)
+        elif kind == "fail":
+            self._on_lte_failure(tick)
+        elif kind == "restore":
+            for link in self._lte_links:
+                link.restore()
+
+    # ------------------------------------------------------------- ingress
+
+    def _ingress(self, msg: SimMessage, now_tick: int) -> None:
+        msg.sent_comm_tick = now_tick
+        cls = msg.msg_class
+        self.received[cls] += 1
+        link = self.route(msg, now_tick)
+        if link is None:
+            self.dropped_noroute[cls] += 1
+            logger.warning("no route for message %d (%s)", msg.id, cls.value)
+            return
+        sizes = segment_sizes(msg.payload_bytes, self.cfg.mss_bytes, self.cfg.header_bytes)
+        self._transfers[msg.id] = _Transfer(msg, link, len(sizes))
+        for seg_index, size in enumerate(sizes):
+            self._enqueue_frame(link, TransportFrame(msg.id, seg_index, size, False, cls, self._next_fseq()), now_tick)
+
+    def _next_fseq(self) -> int:
+        self._fseq += 1
+        return self._fseq
+
+    def _enqueue_frame(self, link: LinkModel, frame: TransportFrame, now_tick: int) -> None:
+        key = (now_tick // self._interval_ticks, link.id)
+        self.offered_bits[key] = self.offered_bits.get(key, 0) + frame.bytes_on_wire * 8
+        started = link.enqueue(frame, now_tick)
+        if started is not None:
+            end, active = started
+            self._push_event(end, _PRIO_COMPLETION, "complete", (link, active))
+
+    # -------------------------------------------------------------- events
+
+    def _on_completion(self, tick: int, payload) -> None:
+        link, frame = payload
+        if link.busy_frame is not frame:
+            return  # stale event from before a failure cleared the link
+        start_tick = tick - link.service_ticks(frame.bytes_on_wire)
+        link.complete(frame)
+        self._account_service(link, frame, start_tick, tick)
+        transfer = self._transfers.get(frame.msg_id)
+        if transfer is not None and not transfer.dead:
+            if not frame.is_ack:
+                # Segment reaches the receiver after the access latency; the
+                # acknowledgement then re-enters the same link.
+                self._push_event(tick + link.latency_ticks, _PRIO_ARRIVAL, "ack_arrival",
+                                 (link, transfer, frame.seg_index))
+            elif frame.seg_index == transfer.n_segs - 1:
+                transfer.completed = True
+                self._push_event(tick + link.latency_ticks, _PRIO_DELIVERY, "delivery", transfer)
+        nxt = link.start_next(tick)
+        if nxt is not None:
+            end, active = nxt
+            self._push_event(end, _PRIO_COMPLETION, "complete", (link, active))
+
+    def _account_service(self, link: LinkModel, frame: TransportFrame, start: int, end: int) -> None:
+        self.served_bits[(end // self._interval_ticks, link.id)] = (
+            self.served_bits.get((end // self._interval_ticks, link.id), 0) + frame.bytes_on_wire * 8
+        )
+        # Busy time split across reporting intervals, for utilization checks.
+        w = self._interval_ticks
+        i = start // w
+        while i <= (end - 1) // w:
+            lo = max(start, i * w)
+            hi = min(end, (i + 1) * w)
+            key = (i, link.id)
+            self.busy_ticks[key] = self.busy_ticks.get(key, 0) + (hi - lo)
+            i += 1
+
+    def _on_ack_arrival(self, tick: int, payload) -> None:
+        link, transfer, seg_index = payload
+        if transfer.dead:
+            return
+        if not link.up:
+            # The acknowledgement came back to a link that has since failed.
+            transfer.dead = True
+            self.lost_failure[transfer.msg.msg_class] += 1
+            return
+        frame = TransportFrame(transfer.msg.id, seg_index, self.cfg.ack_bytes, True,
+                               transfer.msg.msg_class, self._next_fseq())
+        self._enqueue_frame(link, frame, tick)
+
+    def _on_delivery(self, tick: int, transfer: _Transfer) -> None:
+        msg = transfer.msg
+        msg.delivered_comm_tick = tick
+        self.delivered[msg.msg_class] += 1
+        self._transfers.pop(msg.id, None)
+        self._out.append((tick, msg))
+
+    def _on_lte_failure(self, tick: int) -> None:
+        for link in self._lte_links:
+            for frame in link.fail():
+                transfer = self._transfers.get(frame.msg_id)
+                if transfer is not None and not transfer.dead and not transfer.completed:
+                    transfer.dead = True
+                    self.lost_failure[transfer.msg.msg_class] += 1
+        if self.cfg.qos == "wfq-ra" and not self._ra_sent:
+            self._ra_sent = True
+            self._out.append((tick, self._rate_update_message(tick)))
+
+    # ----------------------------------------------------- rate adaptation
+
+    def failover_exchange_bits(self) -> int:
+        """Budget unit for the adapted rate: the largest monitored exchange.
+
+        Sizing on the maximum keeps the offered load under the budget over
+        any measurement window, not merely on long-run average.
+        """
+        kinds = {n.kind for n in self._monitored}
+        return max(
+            exchange_wire_bits(self.cfg, self.cfg.response_payload_bytes(kind)) for kind in kinds
+        )
+
+    def _rate_update_message(self, tick: int) -> SimMessage:
+        rate_hz = rate_adaptation_rate(
+            self.cfg, len(self._monitored), self.failover_exchange_bits(),
+            literal=self._eq5_literal,
+        )
+        # Round the period up: a longer period can only lower the offered load.
+        period_ticks = max(1, math.ceil(TICKS_PER_SECOND / rate_hz))
+        self.adapted_period_ticks = period_ticks
+        msg_id = self._next_msg_id
+        self._next_msg_id += 2
+        return SimMessage(
+            id=msg_id,
+            msg_class=MessageClass.CONTROL,
+            kind=MessageKind.RATE_UPDATE,
+            src=self._dmr_ap_id,
+            dst=self._dms_id,
+            payload_bytes=self.cfg.ack_bytes,
+            created_tick=tick,
+            poll_period_ticks=period_ticks,
+        )
+
+    # ------------------------------------------------------------- reports
+
+    def _sample_queues(self, interval: int) -> None:
+        for link in self.links:
+            self.queue_samples[(interval, link.id)] = (
+                link.queue.queued_bytes(MessageClass.MONITORING),
+                link.queue.queued_bytes(MessageClass.CONTROL),
+            )
+
+    def in_flight_at_end(self) -> dict[MessageClass, int]:
+        # Delivered transfers were popped and dead ones were counted as lost,
+        # so whatever remains alive in the table is still in flight.
+        counts = {MessageClass.MONITORING: 0, MessageClass.CONTROL: 0}
+        for transfer in self._transfers.values():
+            if not transfer.dead:
+                counts[transfer.msg.msg_class] += 1
+        return counts
+
+    def conservation(self) -> dict[MessageClass, dict[str, int]]:
+        """Flow balance per class: in = delivered + lost + dropped + queued."""
+        in_flight = self.in_flight_at_end()
+        return {
+            cls: {
+                "received": self.received[cls],
+                "delivered": self.delivered[cls],
+                "lost_failure": self.lost_failure[cls],
+                "dropped_noroute": self.dropped_noroute[cls],
+                "in_flight_at_end": in_flight[cls],
+            }
+            for cls in (MessageClass.MONITORING, MessageClass.CONTROL)
+        }

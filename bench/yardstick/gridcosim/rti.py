@@ -1,0 +1,219 @@
+"""Lock-step timeslot coordinator for a federation of simulators.
+
+Time is discretized into half-open slots [s*tau, (s+1)*tau).  Each slot the
+coordinator grants every federate the slot window, collects the messages
+they emit inside it, and hands every queued message to its destination at
+the synchronization point, i.e. at the slot end.  A message published at
+tick t in slot s is therefore seen by its destination at (s+1)*tau, which
+bounds the added latency to (0, tau].
+
+Simultaneous messages are totally ordered by (timestamp, message id); the
+tie-break makes the delivered trace deterministic and transport-independent.
+"""
+
+from __future__ import annotations
+
+import enum
+import hashlib
+import time
+from dataclasses import dataclass, field
+from typing import Protocol
+
+from .errors import DuplicateName, FederationStarted, ProtocolViolation
+from .messages import SimMessage
+
+
+class FederateStatus(enum.Enum):
+    JOINED = "joined"
+    GRANTED = "granted"
+    ADVANCING = "advancing"
+    DONE = "done"
+
+
+class FederateEndpoint(Protocol):
+    """Transport-side handle the coordinator drives once per slot.
+
+    ``begin_step`` hands over the inbox and the grant; ``finish_step``
+    blocks until the federate acknowledged the slot and returns
+    (outbox, done, wallclock_s) where outbox items are
+    (at_tick, to_name, message).
+    """
+
+    def begin_step(self, slot: int, slot_end_tick: int, inbox: list[SimMessage]) -> None: ...
+
+    def finish_step(self) -> tuple[list[tuple[int, str, SimMessage]], bool, float]: ...
+
+    def close(self) -> None: ...
+
+
+@dataclass
+class _FederateHandle:
+    fid: int
+    name: str
+    status: FederateStatus = FederateStatus.JOINED
+    endpoint: FederateEndpoint | None = None
+    wallclock_s: float = 0.0
+
+
+@dataclass(slots=True)
+class SyncReport:
+    """Outcome of one synchronization point."""
+
+    slot: int
+    messages_delivered: int
+    per_federate_wallclock: dict[int, float]
+
+
+@dataclass
+class FederationResult:
+    """Aggregate outcome of a federation run."""
+
+    slots_run: int = 0
+    messages_published: int = 0
+    messages_delivered: int = 0
+    wallclock_s: float = 0.0
+    per_federate_wallclock_s: dict[int, float] = field(default_factory=dict)
+    federate_names: dict[int, str] = field(default_factory=dict)
+    trace_digest: str = ""
+    trace: list[tuple[int, int, int, int]] | None = None
+
+
+class Rti:
+    """The runtime coordinator owning federation state.
+
+    Single-threaded by design: federates may compute concurrently between
+    grant and acknowledgment, but all state crossing the slot barrier flows
+    through publish/deliver on this object.
+    """
+
+    def __init__(self, tau_ticks: int, *, record_trace: bool = False):
+        if tau_ticks <= 0:
+            raise ValueError("tau_ticks must be positive")
+        self.tau_ticks = tau_ticks
+        self.current_slot = 0
+        self._started = False
+        self._handles: list[_FederateHandle] = []
+        self._by_name: dict[str, int] = {}
+        self._pending: dict[int, list[tuple[int, int, SimMessage]]] = {}
+        self._inboxes: dict[int, list[SimMessage]] = {}
+        self._seen_ids: set[tuple[int, int]] = set()
+        self.published_total = 0
+        self.delivered_total = 0
+        self._digest = hashlib.sha256()
+        self._trace: list[tuple[int, int, int, int]] | None = [] if record_trace else None
+
+    # ------------------------------------------------------------ lifecycle
+
+    def register_federate(self, name: str) -> int:
+        if self._started:
+            raise FederationStarted("cannot register after the federation started")
+        if name in self._by_name:
+            raise DuplicateName(name)
+        fid = len(self._handles)
+        self._handles.append(_FederateHandle(fid, name))
+        self._by_name[name] = fid
+        self._pending[fid] = []
+        self._inboxes[fid] = []
+        return fid
+
+    def attach_endpoint(self, fid: int, endpoint: FederateEndpoint) -> None:
+        self._handles[fid].endpoint = endpoint
+
+    @property
+    def federate_names(self) -> dict[int, str]:
+        return {h.fid: h.name for h in self._handles}
+
+    def all_done(self) -> bool:
+        return all(h.status is FederateStatus.DONE for h in self._handles)
+
+    # -------------------------------------------------------------- publish
+
+    def publish(self, fid: int, msg: SimMessage, at_tick: int, to_name: str) -> None:
+        """Queue a message for end-of-slot delivery.
+
+        ``at_tick`` must lie inside the publishing federate's granted slot.
+        """
+        slot_start = self.current_slot * self.tau_ticks
+        slot_end = slot_start + self.tau_ticks
+        if not slot_start <= at_tick < slot_end:
+            raise ProtocolViolation(
+                f"federate {fid} published at tick {at_tick} outside granted "
+                f"slot [{slot_start}, {slot_end})"
+            )
+        to_fid = self._by_name.get(to_name)
+        if to_fid is None:
+            raise ProtocolViolation(f"unknown destination federate {to_name!r}")
+        # The same application message may cross the barrier once per hop
+        # (request out, delivery notification back), but a single federate
+        # republishing an id indicates a bookkeeping bug.
+        key = (fid, msg.id)
+        if key in self._seen_ids:
+            raise ProtocolViolation(f"federate {fid} republished message id {msg.id}")
+        self._seen_ids.add(key)
+        self._pending[to_fid].append((at_tick, msg.id, msg))
+        self.published_total += 1
+
+    # -------------------------------------------------------------- advance
+
+    def advance_slot(self) -> SyncReport:
+        """Run one slot: grant, collect, deliver at the synchronization point."""
+        self._started = True
+        slot = self.current_slot
+        slot_end = (slot + 1) * self.tau_ticks
+        wallclock: dict[int, float] = {}
+
+        active = [h for h in self._handles if h.status is not FederateStatus.DONE]
+        for h in active:
+            h.status = FederateStatus.GRANTED
+            inbox = self._inboxes[h.fid]
+            self._inboxes[h.fid] = []
+            h.endpoint.begin_step(slot, slot_end, inbox)
+            h.status = FederateStatus.ADVANCING
+        for h in active:
+            outbox, done, wall = h.endpoint.finish_step()
+            for at_tick, to_name, msg in outbox:
+                self.publish(h.fid, msg, at_tick, to_name)
+            h.status = FederateStatus.DONE if done else FederateStatus.JOINED
+            h.wallclock_s += wall
+            wallclock[h.fid] = wall
+
+        # Synchronization point: everything queued this slot is handed over,
+        # ordered by (timestamp, id).  Nothing is ever held back a slot.
+        delivered = 0
+        for h in self._handles:
+            queue = self._pending[h.fid]
+            if not queue:
+                continue
+            queue.sort()
+            self._pending[h.fid] = []
+            delivered += len(queue)
+            inbox = self._inboxes[h.fid]
+            digest = self._digest
+            for at_tick, msg_id, msg in queue:
+                digest.update(b"%d|%d|%d|%d" % (slot, h.fid, msg_id, at_tick))
+                if self._trace is not None:
+                    self._trace.append((slot, h.fid, msg_id, at_tick))
+                inbox.append(msg)
+        self.delivered_total += delivered
+        self.current_slot = slot + 1
+        return SyncReport(slot=slot, messages_delivered=delivered, per_federate_wallclock=wallclock)
+
+    def run(self, n_slots: int) -> FederationResult:
+        if len(self._handles) < 2:
+            raise ProtocolViolation("a federation needs at least 2 federates")
+        t0 = time.perf_counter()
+        slots = 0
+        while slots < n_slots and not self.all_done():
+            self.advance_slot()
+            slots += 1
+        result = FederationResult(
+            slots_run=slots,
+            messages_published=self.published_total,
+            messages_delivered=self.delivered_total,
+            wallclock_s=time.perf_counter() - t0,
+            per_federate_wallclock_s={h.fid: h.wallclock_s for h in self._handles},
+            federate_names=self.federate_names,
+            trace_digest=self._digest.hexdigest(),
+            trace=self._trace,
+        )
+        return result

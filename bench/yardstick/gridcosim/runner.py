@@ -1,0 +1,304 @@
+"""Scenario orchestration: wire config, topology, federation and reports.
+
+``run_scenario`` builds both federates from one config and topology, runs
+the federation over the chosen transport, and distills interval reliability,
+delay statistics, the delay-mismatch figure and flow-conservation counters
+into a :class:`RunResult`.  ``write_outputs`` renders the CSV files and a
+JSON manifest; outputs are byte-identical for identical (config, transport)
+inputs apart from the manifest and wallclock columns.
+"""
+
+from __future__ import annotations
+
+import csv
+import dataclasses
+import json
+import logging
+from collections import defaultdict
+from pathlib import Path
+
+from . import __version__
+from .config import ScenarioConfig, serialize_config
+from .errors import UsageError
+from .itfed import ITFederate
+from .messages import MessageClass, NodeDescriptor
+from .metrics import DdfReport, DelayStats, IntervalMetrics, ddf_report, delay_stats
+from .netfed import NetFederate
+from .rti import FederationResult
+from .simtime import TICKS_PER_SECOND
+from .topology import generate_topology
+from .transport import run_federation
+
+logger = logging.getLogger(__name__)
+
+_CLASSES = (MessageClass.MONITORING, MessageClass.CONTROL)
+
+
+@dataclasses.dataclass
+class RunResult:
+    cfg: ScenarioConfig
+    federation: FederationResult
+    nodes: list[NodeDescriptor]
+    reliability: list[IntervalMetrics]
+    delays: list[DelayStats]
+    ddf: DdfReport | None
+    conservation: dict[MessageClass, dict[str, int]]
+    exchange_rows: list
+    comm_legs: list
+    link_rows: list[tuple[float, str, int, int, int, int, int]]
+    adapted_period_ticks: int | None
+    unknown_correlation: int
+    wallclock_s: float
+
+    @property
+    def interval_s(self) -> float:
+        return self.cfg.metrics_interval_s
+
+
+def run_scenario(
+    cfg: ScenarioConfig,
+    *,
+    transport: str = "inproc",
+    listen: tuple[str, int] = ("127.0.0.1", 0),
+    eq5_literal: bool = False,
+    record_trace: bool = False,
+) -> RunResult:
+    nodes = generate_topology(cfg)
+    it_federate = ITFederate(cfg, nodes)
+    net_federate = NetFederate(cfg, nodes, eq5_literal=eq5_literal)
+    federation = run_federation(
+        cfg.tau_ticks,
+        cfg.n_slots,
+        [it_federate, net_federate],
+        transport=transport,
+        listen=listen,
+        record_trace=record_trace,
+    )
+    end_tick = federation.slots_run * cfg.tau_ticks
+    it_federate.finalize_run(end_tick)
+
+    reliability = it_federate.reliability_series()
+    delays = _delay_series(it_federate, cfg)
+    _attach_delays(reliability, delays)
+
+    legs = it_federate.comm_legs
+    report = None
+    if legs:
+        report = ddf_report(
+            ((d_it / TICKS_PER_SECOND, d_comm / TICKS_PER_SECOND) for _, _, d_it, d_comm, _ in legs),
+            tau_s=cfg.tau_s,
+        )
+
+    return RunResult(
+        cfg=cfg,
+        federation=federation,
+        nodes=nodes,
+        reliability=reliability,
+        delays=delays,
+        ddf=report,
+        conservation=net_federate.conservation(),
+        exchange_rows=it_federate.exchange_rows,
+        comm_legs=legs,
+        link_rows=_link_rows(net_federate, cfg, end_tick),
+        adapted_period_ticks=net_federate.adapted_period_ticks,
+        unknown_correlation=it_federate.unknown_correlation,
+        wallclock_s=federation.wallclock_s,
+    )
+
+
+def _delay_series(it_federate: ITFederate, cfg: ScenarioConfig) -> list[DelayStats]:
+    by_key: dict[tuple[int, MessageClass], list[float]] = defaultdict(list)
+    w = cfg.interval_ticks
+    for msg_class, _kind, _d_it, d_comm, delivered_tick in it_federate.comm_legs:
+        by_key[(delivered_tick // w, msg_class)].append(d_comm / TICKS_PER_SECOND)
+    series = [
+        delay_stats(interval, msg_class, values)
+        for (interval, msg_class), values in by_key.items()
+    ]
+    series.sort(key=lambda s: (s.interval, s.msg_class.value))
+    return series
+
+
+def _attach_delays(reliability: list[IntervalMetrics], delays: list[DelayStats]) -> None:
+    lookup = {(d.interval, d.msg_class): d for d in delays}
+    for metric in reliability:
+        stats = lookup.get((metric.interval, metric.msg_class))
+        if stats is not None:
+            metric.delay_mean_s = stats.mean_s
+            metric.delay_p95_s = stats.p95_s
+
+
+def _link_rows(net: NetFederate, cfg: ScenarioConfig, end_tick: int) -> list:
+    """Per-interval link records: queue depths, bits served, bits offered, busy ticks."""
+    n_intervals = -(-end_tick // cfg.interval_ticks) if end_tick else 0
+    rows = []
+    for interval in range(n_intervals):
+        t_s = interval * cfg.metrics_interval_s
+        for link in net.links:
+            key = (interval, link.id)
+            queued = net.queue_samples.get(key, (0, 0))
+            rows.append((
+                t_s,
+                link.id,
+                queued[0],
+                queued[1],
+                net.served_bits.get(key, 0),
+                net.offered_bits.get(key, 0),
+                net.busy_ticks.get(key, 0),
+            ))
+    return rows
+
+
+# ------------------------------------------------------------------ output
+
+def _fmt(value: float) -> str:
+    return format(value, ".10g")
+
+
+def write_reliability_csv(path: Path, result: RunResult) -> None:
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["t_s", "class", "mean", "ci_low", "ci_high",
+                         "ci_low_clamped", "ci_high_clamped", "clamped"])
+        for m in result.reliability:
+            writer.writerow([
+                _fmt(m.interval * result.interval_s),
+                m.msg_class.value,
+                _fmt(m.mean),
+                _fmt(m.ci_low),
+                _fmt(m.ci_high),
+                _fmt(m.ci_low_clamped),
+                _fmt(m.ci_high_clamped),
+                int(m.clamped),
+            ])
+
+
+def write_delay_csv(path: Path, result: RunResult) -> None:
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["t_s", "class", "mean_s", "p95_s"])
+        for d in result.delays:
+            writer.writerow([
+                _fmt(d.interval * result.interval_s),
+                d.msg_class.value,
+                _fmt(d.mean_s),
+                _fmt(d.p95_s),
+            ])
+
+
+def write_ddf_csv(path: Path, rows: list[tuple[float, float, float]]) -> None:
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["tau_s", "ddf_percent", "wallclock_s"])
+        for tau_s, ddf_percent, wallclock_s in rows:
+            writer.writerow([_fmt(tau_s), _fmt(ddf_percent), _fmt(wallclock_s)])
+
+
+def write_exchange_log(path: Path, result: RunResult) -> None:
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["id", "class", "node", "created_s", "delivered_s",
+                         "d_it_s", "d_comm_s", "within_limit"])
+        for rec, scored in result.exchange_rows:
+            delivered = rec.response.delivered_it_tick if rec.answered else None
+            writer.writerow([
+                rec.request.id,
+                rec.msg_class.value,
+                rec.node,
+                _fmt(rec.request.created_tick / TICKS_PER_SECOND),
+                _fmt(delivered / TICKS_PER_SECOND) if delivered is not None else "",
+                _fmt(rec.d_it_s) if rec.d_it_s is not None else "",
+                _fmt(rec.d_comm_s) if rec.d_comm_s is not None else "",
+                "" if scored is None else scored,
+            ])
+
+
+def write_link_log(path: Path, result: RunResult) -> None:
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["t_s", "link", "queue_bytes_monitoring", "queue_bytes_control",
+                         "bits_served"])
+        for t_s, link, q_mon, q_ctl, served, _offered, _busy in result.link_rows:
+            writer.writerow([_fmt(t_s), link, q_mon, q_ctl, served])
+
+
+def write_topology_csv(path: Path, nodes: list[NodeDescriptor]) -> None:
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["id", "kind", "x_km", "y_km"])
+        for node in nodes:
+            writer.writerow([node.id, node.kind.value, _fmt(node.x_km), _fmt(node.y_km)])
+
+
+def write_manifest(path: Path, cfg: ScenarioConfig, *, seed: int, outputs: list[str],
+                   wallclock_s: float, experiments: dict, status: str, error: str = "") -> None:
+    manifest = {
+        "version": __version__,
+        "seed": seed,
+        "config": {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)},
+        "outputs": sorted(outputs),
+        "wallclock_s": wallclock_s,
+        "experiments": experiments,
+        "status": status,
+    }
+    if error:
+        manifest["error"] = error
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def write_outputs(
+    out_dir: Path,
+    result: RunResult,
+    *,
+    exchange_log: bool = False,
+    link_log: bool = False,
+    dump_topology: bool = False,
+) -> list[str]:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs = []
+
+    write_reliability_csv(out_dir / "reliability.csv", result)
+    outputs.append("reliability.csv")
+    write_delay_csv(out_dir / "delay.csv", result)
+    outputs.append("delay.csv")
+    ddf_rows = []
+    if result.ddf is not None:
+        ddf_rows.append((result.cfg.tau_s, result.ddf.ddf_percent, result.wallclock_s))
+    write_ddf_csv(out_dir / "ddf.csv", ddf_rows)
+    outputs.append("ddf.csv")
+    if exchange_log:
+        write_exchange_log(out_dir / "exchange_log.csv", result)
+        outputs.append("exchange_log.csv")
+    if link_log:
+        write_link_log(out_dir / "link_log.csv", result)
+        outputs.append("link_log.csv")
+    if dump_topology:
+        write_topology_csv(out_dir / "topology.csv", result.nodes)
+        outputs.append("topology.csv")
+    scenario_path = out_dir / "scenario.cfg"
+    scenario_path.write_text(serialize_config(result.cfg))
+    outputs.append("scenario.cfg")
+    return outputs
+
+
+def run_tau_sweep(
+    cfg: ScenarioConfig,
+    taus: list[float],
+    *,
+    transport: str = "inproc",
+    listen: tuple[str, int] = ("127.0.0.1", 0),
+    eq5_literal: bool = False,
+) -> list[tuple[float, float, float]]:
+    """One run per slot duration, identical seed; rows of (tau, ddf%, wallclock)."""
+    if len(taus) < 2:
+        raise UsageError("a sweep needs at least two slot durations")
+    rows = []
+    for tau_s in taus:
+        run_cfg = dataclasses.replace(cfg, tau_s=tau_s)
+        run_cfg.validate()
+        result = run_scenario(run_cfg, transport=transport, listen=listen, eq5_literal=eq5_literal)
+        if result.ddf is None:
+            raise UsageError("sweep produced no completed exchanges; extend the duration")
+        rows.append((tau_s, result.ddf.ddf_percent, result.wallclock_s))
+        logger.info("tau=%gs ddf=%.3f%% wallclock=%.3fs", tau_s, rows[-1][1], rows[-1][2])
+    return rows

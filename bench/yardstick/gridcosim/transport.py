@@ -1,0 +1,255 @@
+"""Federate transports: direct in-process calls or a socket wire protocol.
+
+Both transports drive the same federate objects and produce identical
+delivered-message traces for identical inputs.  The socket transport runs
+the coordinator as a server with one duplex stream per federate; envelopes
+are newline-delimited JSON frames carrying only integers and strings, so a
+federate could equally well live in another process or language.
+"""
+
+from __future__ import annotations
+
+import logging
+import socket
+import threading
+import time
+from typing import Protocol
+
+from . import envelope as env
+from .envelope import EnvelopeType, FederateEnvelope, decode_envelope, encode_envelope
+from .errors import DecodeError, FederateTimeout, ProtocolViolation
+from .messages import SimMessage
+from .rti import FederationResult, Rti
+
+logger = logging.getLogger(__name__)
+
+DEFAULT_TIMEOUT_S = 30.0
+
+
+class LocalFederate(Protocol):
+    """What a federate model must implement to join a federation."""
+
+    name: str
+    peer_name: str
+
+    def step(
+        self, slot: int, slot_end_tick: int, inbox: list[SimMessage]
+    ) -> tuple[list[tuple[int, SimMessage]], bool]: ...
+
+
+class InprocEndpoint:
+    """Runs a federate by direct function call."""
+
+    def __init__(self, federate: LocalFederate):
+        self.federate = federate
+        self._pending = None
+
+    def begin_step(self, slot: int, slot_end_tick: int, inbox: list[SimMessage]) -> None:
+        self._pending = (slot, slot_end_tick, inbox)
+
+    def finish_step(self):
+        slot, slot_end_tick, inbox = self._pending
+        self._pending = None
+        peer = self.federate.peer_name
+        t0 = time.perf_counter()
+        outbox, done = self.federate.step(slot, slot_end_tick, inbox)
+        wall = time.perf_counter() - t0
+        return [(at, peer, msg) for at, msg in outbox], done, wall
+
+    def close(self) -> None:
+        pass
+
+
+class _FrameStream:
+    """Line-framed envelope reader/writer over a socket."""
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.reader = sock.makefile("rb")
+        self.writer = sock.makefile("wb")
+        self.offset = 0
+
+    def send(self, envelope: FederateEnvelope) -> None:
+        self.writer.write(encode_envelope(envelope))
+
+    def flush(self) -> None:
+        self.writer.flush()
+
+    def recv(self) -> FederateEnvelope | None:
+        """Next envelope, or None at a clean end of stream."""
+        try:
+            line = self.reader.readline()
+        except (TimeoutError, socket.timeout) as exc:
+            raise FederateTimeout(str(exc)) from exc
+        if not line:
+            return None
+        if not line.endswith(b"\n"):
+            raise DecodeError("truncated frame", self.offset + len(line))
+        decoded = decode_envelope(line, self.offset)
+        self.offset += len(line)
+        return decoded
+
+    def close(self) -> None:
+        for closer in (self.writer, self.reader, self.sock):
+            try:
+                closer.close()
+            except OSError:
+                pass
+
+
+class SocketEndpoint:
+    """Coordinator-side handle speaking the wire protocol to one federate."""
+
+    def __init__(self, stream: _FrameStream, name: str):
+        self.stream = stream
+        self.name = name
+        self._t0 = 0.0
+        self._slot = 0
+
+    def begin_step(self, slot: int, slot_end_tick: int, inbox: list[SimMessage]) -> None:
+        self._t0 = time.perf_counter()
+        self._slot = slot
+        for msg in inbox:
+            self.stream.send(env.deliver(slot, msg))
+        self.stream.send(env.grant(slot, slot_end_tick))
+        self.stream.flush()
+
+    def finish_step(self):
+        outbox: list[tuple[int, str, SimMessage]] = []
+        while True:
+            received = self.stream.recv()
+            if received is None:
+                raise ProtocolViolation(f"federate {self.name} closed its stream mid-slot")
+            if received.type is EnvelopeType.PUBLISH:
+                body = received.body
+                outbox.append((body["at"], body["to"], SimMessage.from_wire(body["msg"])))
+            elif received.type is EnvelopeType.ACK_SLOT:
+                if received.slot != self._slot:
+                    raise ProtocolViolation(
+                        f"federate {self.name} acknowledged slot {received.slot}, expected {self._slot}"
+                    )
+                return outbox, False, time.perf_counter() - self._t0
+            elif received.type is EnvelopeType.DONE:
+                return outbox, True, time.perf_counter() - self._t0
+            elif received.type is EnvelopeType.ERROR:
+                raise ProtocolViolation(
+                    f"federate {self.name} failed: {received.body.get('code')}: "
+                    f"{received.body.get('detail')}"
+                )
+            else:
+                raise ProtocolViolation(f"unexpected {received.type.value} from federate {self.name}")
+
+    def close(self) -> None:
+        self.stream.close()
+
+
+def run_federate_client(address: tuple[str, int], federate: LocalFederate,
+                        *, timeout_s: float = DEFAULT_TIMEOUT_S) -> None:
+    """Connect to a coordinator and drive ``federate`` until the stream ends."""
+    sock = socket.create_connection(address, timeout=timeout_s)
+    stream = _FrameStream(sock)
+    try:
+        stream.send(env.join(federate.name))
+        stream.flush()
+        ack = stream.recv()
+        if ack is None or ack.type is not EnvelopeType.JOIN_ACK:
+            raise ProtocolViolation("expected JOIN_ACK")
+        inbox: list[SimMessage] = []
+        while True:
+            try:
+                received = stream.recv()
+            except (OSError, FederateTimeout):
+                # The coordinator went away or stopped granting (clean
+                # shutdown or abort); the federation is over for this federate.
+                logger.debug("federate %s lost its coordinator connection", federate.name)
+                return
+            if received is None:
+                return
+            if received.type is EnvelopeType.DELIVER:
+                inbox.append(SimMessage.from_wire(received.body["msg"]))
+            elif received.type is EnvelopeType.GRANT:
+                try:
+                    outbox, finished = federate.step(
+                        received.slot, received.body["end_ticks"], inbox
+                    )
+                except Exception as exc:  # surface federate failures to the RTI
+                    logger.exception("federate %s failed in slot %d", federate.name, received.slot)
+                    stream.send(env.error(received.slot, type(exc).__name__, str(exc)))
+                    stream.flush()
+                    return
+                inbox = []
+                for at_tick, msg in outbox:
+                    stream.send(env.publish(received.slot, federate.peer_name, at_tick, msg))
+                stream.send(env.done(received.slot) if finished else env.ack_slot(received.slot))
+                stream.flush()
+            else:
+                raise ProtocolViolation(f"unexpected {received.type.value} from coordinator")
+    finally:
+        stream.close()
+
+
+def parse_listen_address(text: str) -> tuple[str, int]:
+    host, _, port = text.rpartition(":")
+    if not host:
+        raise ValueError(f"listen address must be host:port, got {text!r}")
+    return host, int(port)
+
+
+def run_federation(
+    tau_ticks: int,
+    n_slots: int,
+    federates: list[LocalFederate],
+    *,
+    transport: str = "inproc",
+    listen: tuple[str, int] = ("127.0.0.1", 0),
+    record_trace: bool = False,
+    timeout_s: float = DEFAULT_TIMEOUT_S,
+) -> FederationResult:
+    """Couple the given federates under one coordinator and run to the horizon."""
+    rti = Rti(tau_ticks, record_trace=record_trace)
+    if transport == "inproc":
+        for federate in federates:
+            fid = rti.register_federate(federate.name)
+            rti.attach_endpoint(fid, InprocEndpoint(federate))
+        return rti.run(n_slots)
+    if transport != "socket":
+        raise ValueError(f"unknown transport {transport!r}")
+
+    server = socket.create_server(listen)
+    server.settimeout(timeout_s)
+    address = server.getsockname()[:2]
+    threads: list[threading.Thread] = []
+    endpoints: list[SocketEndpoint] = []
+    try:
+        # Start and join federates one at a time so ids are assigned in the
+        # listed order regardless of thread scheduling.
+        for federate in federates:
+            thread = threading.Thread(
+                target=run_federate_client, args=(address, federate),
+                kwargs={"timeout_s": timeout_s}, name=f"federate-{federate.name}", daemon=True,
+            )
+            thread.start()
+            threads.append(thread)
+            try:
+                conn, _ = server.accept()
+            except (TimeoutError, socket.timeout) as exc:
+                raise FederateTimeout(f"federate {federate.name} never connected") from exc
+            conn.settimeout(timeout_s)
+            stream = _FrameStream(conn)
+            joined = stream.recv()
+            if joined is None or joined.type is not EnvelopeType.JOIN:
+                raise ProtocolViolation("expected JOIN")
+            fid = rti.register_federate(joined.body["name"])
+            stream.send(env.join_ack(fid))
+            stream.flush()
+            endpoint = SocketEndpoint(stream, joined.body["name"])
+            endpoints.append(endpoint)
+            rti.attach_endpoint(fid, endpoint)
+        result = rti.run(n_slots)
+    finally:
+        for endpoint in endpoints:
+            endpoint.close()
+        server.close()
+        for thread in threads:
+            thread.join(timeout=timeout_s)
+    return result
