@@ -77,6 +77,39 @@ def _load_cfg(args: argparse.Namespace) -> ScenarioConfig:
     return cfg
 
 
+def _listen_address(text: str) -> tuple[str, int]:
+    try:
+        return parse_listen_address(text)
+    except ValueError as exc:
+        raise UsageError(f"--rti-listen: {exc}") from exc
+
+
+def _parse_taus(text: str) -> list[float]:
+    try:
+        taus = [float(part) for part in text.split(",") if part.strip()]
+    except ValueError as exc:
+        raise UsageError(f"--taus must be comma-separated numbers: {exc}") from exc
+    if len(taus) < 2:
+        raise UsageError("--taus needs at least two values")
+    return taus
+
+
+def _fail(out_dir: Path, cfg: ScenarioConfig | None, t0: float, experiment: str,
+          exc: GridCoSimError) -> int:
+    """Record the failure in the manifest; usage errors exit 2, others 1."""
+    write_manifest(
+        out_dir / "manifest.json", cfg or ScenarioConfig(),
+        seed=getattr(cfg, "seed", 0), outputs=["manifest.json"],
+        wallclock_s=time.perf_counter() - t0,
+        experiments={experiment: "failed"}, status="error", error=str(exc),
+    )
+    if isinstance(exc, UsageError):
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    print(f"error: {exc}", file=sys.stderr)
+    return 1
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     out_dir: Path = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -87,7 +120,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         result = run_scenario(
             cfg,
             transport=args.transport,
-            listen=parse_listen_address(args.rti_listen),
+            listen=_listen_address(args.rti_listen),
             eq5_literal=args.eq5_literal,
         )
         outputs = write_outputs(
@@ -106,14 +139,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"wrote {', '.join(sorted(outputs))} to {out_dir}")
         return 0
     except GridCoSimError as exc:
-        write_manifest(
-            out_dir / "manifest.json", cfg or ScenarioConfig(),
-            seed=getattr(cfg, "seed", 0), outputs=["manifest.json"],
-            wallclock_s=time.perf_counter() - t0,
-            experiments={"run": "failed"}, status="error", error=str(exc),
-        )
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(out_dir, cfg, t0, "run", exc)
 
 
 def _cmd_tau_sweep(args: argparse.Namespace) -> int:
@@ -122,14 +148,12 @@ def _cmd_tau_sweep(args: argparse.Namespace) -> int:
     cfg = None
     t0 = time.perf_counter()
     try:
-        taus = [float(part) for part in args.taus.split(",") if part.strip()]
-        if len(taus) < 2:
-            raise UsageError("--taus needs at least two values")
+        taus = _parse_taus(args.taus)
         cfg = _load_cfg(args)
         rows = run_tau_sweep(
             cfg, taus,
             transport=args.transport,
-            listen=parse_listen_address(args.rti_listen),
+            listen=_listen_address(args.rti_listen),
             eq5_literal=args.eq5_literal,
         )
         write_ddf_csv(out_dir / "ddf.csv", rows)
@@ -143,18 +167,8 @@ def _cmd_tau_sweep(args: argparse.Namespace) -> int:
         for tau_s, ddf_percent, wallclock_s in rows:
             print(f"tau={tau_s:g}s ddf={ddf_percent:.3f}% wallclock={wallclock_s:.3f}s")
         return 0
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except GridCoSimError as exc:
-        write_manifest(
-            out_dir / "manifest.json", cfg or ScenarioConfig(),
-            seed=getattr(cfg, "seed", 0), outputs=["manifest.json"],
-            wallclock_s=time.perf_counter() - t0,
-            experiments={"tau-sweep": "failed"}, status="error", error=str(exc),
-        )
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(out_dir, cfg, t0, "tau-sweep", exc)
 
 
 def main(argv: list[str] | None = None) -> int:

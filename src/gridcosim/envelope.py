@@ -87,8 +87,10 @@ def deliver(slot: int, msg: SimMessage) -> FederateEnvelope:
     return FederateEnvelope(EnvelopeType.DELIVER, slot, {"msg": msg.to_wire()})
 
 
-def ack_slot(slot: int) -> FederateEnvelope:
-    return FederateEnvelope(EnvelopeType.ACK_SLOT, slot)
+def ack_slot(slot: int, next_tick: int | None = None) -> FederateEnvelope:
+    """Slot acknowledgment; ``next_tick`` is the federate's lookahead, if it declares one."""
+    body = {} if next_tick is None else {"next": next_tick}
+    return FederateEnvelope(EnvelopeType.ACK_SLOT, slot, body)
 
 
 def done(slot: int) -> FederateEnvelope:

@@ -222,6 +222,19 @@ class ITFederate:
             self._finalize_due(now)
         return out, slot_end_tick >= self._duration
 
+    def next_event_tick(self) -> int:
+        """Earliest tick whose slot must be granted even with an empty inbox.
+
+        A step in any earlier slot with an empty inbox would emit nothing,
+        change no state and not report done.
+        """
+        tau = self._tau
+        # Intervals are finalized at the first slot start on or after the deadline.
+        tick = min(self._next_control, -(-self._next_deadline // tau) * tau, self._duration - 1)
+        if self._poll_heap and self._poll_heap[0][0] < tick:
+            return self._poll_heap[0][0]
+        return tick
+
     # ----------------------------------------------------------- reporting
 
     def _finalize_due(self, now_tick: int) -> None:

@@ -14,6 +14,10 @@ class MessageClass(enum.Enum):
     MONITORING = "monitoring"
     CONTROL = "control"
 
+    # Members are singletons, so identity hashing is exact; Enum's own
+    # __hash__ is a Python-level call on every dict and set lookup.
+    __hash__ = object.__hash__
+
 
 class MessageKind(enum.Enum):
     REQUEST = "request"
@@ -21,6 +25,8 @@ class MessageKind(enum.Enum):
     CONTROL_COMMAND = "control_command"
     CONTROL_ACK = "control_ack"
     RATE_UPDATE = "rate_update"
+
+    __hash__ = object.__hash__
 
 
 class NodeKind(enum.Enum):
@@ -32,6 +38,8 @@ class NodeKind(enum.Enum):
     WIND_FARM = "wind_farm"
     LTE_BS = "lte_bs"
     DMR_AP = "dmr_ap"
+
+    __hash__ = object.__hash__
 
 
 #: Node kinds that answer monitoring polls.

@@ -105,6 +105,7 @@ class NetFederate:
         self._next_msg_id = 1  # odd ids; the application federate uses even ones
         self._transfers: dict[int, _Transfer] = {}
         self._out: list[tuple[int, SimMessage]] = []
+        self._next_sample_tick = self._interval_ticks - 1
         self._ra_sent = False
         self.adapted_period_ticks: int | None = None
 
@@ -199,11 +200,25 @@ class NetFederate:
         while events and events[0][0] < slot_end_tick:
             self._dispatch(heapq.heappop(events))
 
-        if slot_end_tick % self._interval_ticks == 0:
-            self._sample_queues(slot_end_tick // self._interval_ticks - 1)
+        interval = self._interval_ticks
+        if slot_end_tick % interval == 0:
+            self._sample_queues(slot_end_tick // interval - 1)
+        self._next_sample_tick = (slot_end_tick // interval + 1) * interval - 1
         out = self._out
         self._out = []
         return out, slot_end_tick >= self._duration
+
+    def next_event_tick(self) -> int:
+        """Earliest tick whose slot must be granted even with an empty inbox.
+
+        That is the next event, the last tick before the next interval
+        boundary (queues are sampled in the slot ending there) or the last
+        tick of the run, whichever comes first.
+        """
+        tick = min(self._next_sample_tick, self._duration - 1)
+        if self._events and self._events[0][0] < tick:
+            return self._events[0][0]
+        return tick
 
     def _push_event(self, tick: int, prio: int, kind: str, payload) -> None:
         self._eseq += 1

@@ -1,57 +1,67 @@
 """Lock-step timeslot coordinator for a federation of simulators.
 
 Time is discretized into half-open slots [s*tau, (s+1)*tau).  Each slot the
-coordinator grants every federate the slot window, collects the messages
-they emit inside it, and hands every queued message to its destination at
-the synchronization point, i.e. at the slot end.  A message published at
-tick t in slot s is therefore seen by its destination at (s+1)*tau, which
-bounds the added latency to (0, tau].
+coordinator grants the slot window to every federate with work in it (see
+below), collects the messages they emit inside it, and hands every queued
+message to its destination at the synchronization point, i.e. at the slot
+end.  A message published at tick t in slot s is therefore seen by its
+destination at (s+1)*tau, which bounds the added latency to (0, tau].
 
 Simultaneous messages are totally ordered by (timestamp, message id); the
 tie-break makes the delivered trace deterministic and transport-independent.
+
+Grants are conservative and lookahead-based, in the manner of HLA's Next
+Event Request and Chandy-Misra-Bryant simulation: after each step a
+federate declares ``next_event_tick()``, the earliest tick whose slot it
+must be granted even with an empty inbox.  Every slot is still a barrier
+and ``advance_slot`` still runs once per slot, but a federate is granted
+only the slots in which its inbox holds messages or its declared tick
+falls; a slot in which no federate is due costs a counter increment.  A
+federate is not stepped, and sees no grant, in the slots it declared no
+event for, so its state must change only when it is stepped.  A lookahead
+of -1 asks for every slot.
 """
 
 from __future__ import annotations
 
-import enum
 import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import Callable, Protocol
 
 from .errors import DuplicateName, FederationStarted, ProtocolViolation
 from .messages import SimMessage
 
 
-class FederateStatus(enum.Enum):
-    JOINED = "joined"
-    GRANTED = "granted"
-    ADVANCING = "advancing"
-    DONE = "done"
-
-
 class FederateEndpoint(Protocol):
-    """Transport-side handle the coordinator drives once per slot.
+    """Transport-side handle the coordinator drives in the slots it grants.
 
     ``begin_step`` hands over the inbox and the grant; ``finish_step``
     blocks until the federate acknowledged the slot and returns
     (outbox, done, wallclock_s) where outbox items are
-    (at_tick, to_name, message).
+    (at_tick, to_name, message).  ``next_event_tick`` returns the
+    federate's lookahead as of its last step (see the module docstring);
+    -1 asks for every slot.
     """
 
     def begin_step(self, slot: int, slot_end_tick: int, inbox: list[SimMessage]) -> None: ...
 
     def finish_step(self) -> tuple[list[tuple[int, str, SimMessage]], bool, float]: ...
 
+    def next_event_tick(self) -> int: ...
+
     def close(self) -> None: ...
 
 
-@dataclass
+@dataclass(eq=False)
 class _FederateHandle:
     fid: int
     name: str
-    status: FederateStatus = FederateStatus.JOINED
     endpoint: FederateEndpoint | None = None
+    lookahead: Callable[[], int] | None = None
+    # Cached lookahead: it changes only when the federate is stepped.
+    # -1 grants the first slot, before the federate declared anything.
+    next_tick: int = -1
     wallclock_s: float = 0.0
 
 
@@ -93,6 +103,10 @@ class Rti:
         self.current_slot = 0
         self._started = False
         self._handles: list[_FederateHandle] = []
+        self._live: list[_FederateHandle] = []  # registered and not yet done
+        # Earliest cached lookahead of a live federate, or -1 while any
+        # inbox holds messages: no slot ending at or before it grants anyone.
+        self._wake = -1
         self._by_name: dict[str, int] = {}
         self._pending: dict[int, list[tuple[int, int, SimMessage]]] = {}
         self._inboxes: dict[int, list[SimMessage]] = {}
@@ -110,21 +124,25 @@ class Rti:
         if name in self._by_name:
             raise DuplicateName(name)
         fid = len(self._handles)
-        self._handles.append(_FederateHandle(fid, name))
+        handle = _FederateHandle(fid, name)
+        self._handles.append(handle)
+        self._live.append(handle)
         self._by_name[name] = fid
         self._pending[fid] = []
         self._inboxes[fid] = []
         return fid
 
     def attach_endpoint(self, fid: int, endpoint: FederateEndpoint) -> None:
-        self._handles[fid].endpoint = endpoint
+        handle = self._handles[fid]
+        handle.endpoint = endpoint
+        handle.lookahead = endpoint.next_event_tick
 
     @property
     def federate_names(self) -> dict[int, str]:
         return {h.fid: h.name for h in self._handles}
 
     def all_done(self) -> bool:
-        return all(h.status is FederateStatus.DONE for h in self._handles)
+        return not self._live
 
     # -------------------------------------------------------------- publish
 
@@ -160,20 +178,29 @@ class Rti:
         self._started = True
         slot = self.current_slot
         slot_end = (slot + 1) * self.tau_ticks
+        if self._wake >= slot_end:
+            # No inbox holds messages and no federate declared an event
+            # before the slot end: the barrier passes with nothing to do.
+            self.current_slot = slot + 1
+            return SyncReport(slot=slot, messages_delivered=0, per_federate_wallclock={})
         wallclock: dict[int, float] = {}
 
-        active = [h for h in self._handles if h.status is not FederateStatus.DONE]
-        for h in active:
-            h.status = FederateStatus.GRANTED
-            inbox = self._inboxes[h.fid]
-            self._inboxes[h.fid] = []
-            h.endpoint.begin_step(slot, slot_end, inbox)
-            h.status = FederateStatus.ADVANCING
-        for h in active:
+        inboxes = self._inboxes
+        granted = []
+        for h in self._live:
+            inbox = inboxes[h.fid]
+            if inbox or h.next_tick < slot_end:
+                inboxes[h.fid] = []
+                h.endpoint.begin_step(slot, slot_end, inbox)
+                granted.append(h)
+        for h in granted:
             outbox, done, wall = h.endpoint.finish_step()
             for at_tick, to_name, msg in outbox:
                 self.publish(h.fid, msg, at_tick, to_name)
-            h.status = FederateStatus.DONE if done else FederateStatus.JOINED
+            if done:
+                self._live.remove(h)
+            else:
+                h.next_tick = h.lookahead()
             h.wallclock_s += wall
             wallclock[h.fid] = wall
 
@@ -187,7 +214,7 @@ class Rti:
             queue.sort()
             self._pending[h.fid] = []
             delivered += len(queue)
-            inbox = self._inboxes[h.fid]
+            inbox = inboxes[h.fid]
             digest = self._digest
             for at_tick, msg_id, msg in queue:
                 digest.update(b"%d|%d|%d|%d" % (slot, h.fid, msg_id, at_tick))
@@ -195,6 +222,10 @@ class Rti:
                     self._trace.append((slot, h.fid, msg_id, at_tick))
                 inbox.append(msg)
         self.delivered_total += delivered
+        if delivered:
+            self._wake = -1
+        else:
+            self._wake = min((h.next_tick for h in self._live), default=-1)
         self.current_slot = slot + 1
         return SyncReport(slot=slot, messages_delivered=delivered, per_federate_wallclock=wallclock)
 

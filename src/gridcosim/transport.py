@@ -27,7 +27,13 @@ DEFAULT_TIMEOUT_S = 30.0
 
 
 class LocalFederate(Protocol):
-    """What a federate model must implement to join a federation."""
+    """What a federate model must implement to join a federation.
+
+    A federate may also define ``next_event_tick() -> int``: the earliest
+    tick whose slot it must be granted even with an empty inbox.  The
+    coordinator then skips it in earlier slots without messages for it.
+    A federate without the method is granted every slot.
+    """
 
     name: str
     peer_name: str
@@ -37,12 +43,18 @@ class LocalFederate(Protocol):
     ) -> tuple[list[tuple[int, SimMessage]], bool]: ...
 
 
+def _every_slot() -> int:
+    """Lookahead of a federate that declares none."""
+    return -1
+
+
 class InprocEndpoint:
     """Runs a federate by direct function call."""
 
     def __init__(self, federate: LocalFederate):
         self.federate = federate
         self._pending = None
+        self.next_event_tick = getattr(federate, "next_event_tick", _every_slot)
 
     def begin_step(self, slot: int, slot_end_tick: int, inbox: list[SimMessage]) -> None:
         self._pending = (slot, slot_end_tick, inbox)
@@ -105,6 +117,11 @@ class SocketEndpoint:
         self.name = name
         self._t0 = 0.0
         self._slot = 0
+        self._next_tick = -1
+
+    def next_event_tick(self) -> int:
+        """The lookahead the federate sent with its last slot acknowledgment."""
+        return self._next_tick
 
     def begin_step(self, slot: int, slot_end_tick: int, inbox: list[SimMessage]) -> None:
         self._t0 = time.perf_counter()
@@ -128,6 +145,10 @@ class SocketEndpoint:
                     raise ProtocolViolation(
                         f"federate {self.name} acknowledged slot {received.slot}, expected {self._slot}"
                     )
+                next_tick = received.body.get("next", -1)
+                if type(next_tick) is not int:
+                    raise ProtocolViolation(f"federate {self.name} sent lookahead {next_tick!r}")
+                self._next_tick = next_tick
                 return outbox, False, time.perf_counter() - self._t0
             elif received.type is EnvelopeType.DONE:
                 return outbox, True, time.perf_counter() - self._t0
@@ -145,22 +166,29 @@ class SocketEndpoint:
 
 def run_federate_client(address: tuple[str, int], federate: LocalFederate,
                         *, timeout_s: float = DEFAULT_TIMEOUT_S) -> None:
-    """Connect to a coordinator and drive ``federate`` until the stream ends."""
+    """Connect to a coordinator and drive ``federate`` until the stream ends.
+
+    ``timeout_s`` bounds the connection and the join handshake only: once
+    joined, the federate waits for its next grant however long that takes,
+    since it is not granted the slots it declared no event for.
+    """
     sock = socket.create_connection(address, timeout=timeout_s)
     stream = _FrameStream(sock)
+    lookahead = getattr(federate, "next_event_tick", None)
     try:
         stream.send(env.join(federate.name))
         stream.flush()
         ack = stream.recv()
         if ack is None or ack.type is not EnvelopeType.JOIN_ACK:
             raise ProtocolViolation("expected JOIN_ACK")
+        sock.settimeout(None)
         inbox: list[SimMessage] = []
         while True:
             try:
                 received = stream.recv()
-            except (OSError, FederateTimeout):
-                # The coordinator went away or stopped granting (clean
-                # shutdown or abort); the federation is over for this federate.
+            except OSError:
+                # The coordinator went away (reset or abort); the
+                # federation is over for this federate.
                 logger.debug("federate %s lost its coordinator connection", federate.name)
                 return
             if received is None:
@@ -172,6 +200,7 @@ def run_federate_client(address: tuple[str, int], federate: LocalFederate,
                     outbox, finished = federate.step(
                         received.slot, received.body["end_ticks"], inbox
                     )
+                    next_tick = lookahead() if lookahead is not None else None
                 except Exception as exc:  # surface federate failures to the RTI
                     logger.exception("federate %s failed in slot %d", federate.name, received.slot)
                     stream.send(env.error(received.slot, type(exc).__name__, str(exc)))
@@ -180,7 +209,10 @@ def run_federate_client(address: tuple[str, int], federate: LocalFederate,
                 inbox = []
                 for at_tick, msg in outbox:
                     stream.send(env.publish(received.slot, federate.peer_name, at_tick, msg))
-                stream.send(env.done(received.slot) if finished else env.ack_slot(received.slot))
+                if finished:
+                    stream.send(env.done(received.slot))
+                else:
+                    stream.send(env.ack_slot(received.slot, next_tick))
                 stream.flush()
             else:
                 raise ProtocolViolation(f"unexpected {received.type.value} from coordinator")
@@ -190,8 +222,8 @@ def run_federate_client(address: tuple[str, int], federate: LocalFederate,
 
 def parse_listen_address(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    if not host:
-        raise ValueError(f"listen address must be host:port, got {text!r}")
+    if not host or not port.isdigit() or int(port) > 65535:
+        raise ValueError(f"listen address must be host:port with a port up to 65535, got {text!r}")
     return host, int(port)
 
 

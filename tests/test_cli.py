@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from gridcosim.cli import main
 
 SCENARIO_FILE = Path(__file__).resolve().parents[1] / "scenarios" / "lte_failover_case_study.cfg"
@@ -82,3 +84,15 @@ def test_eq5_literal_flag_accepted(tmp_path):
     code = run_cli("run", "--duration", "20", "--qos", "wfq-ra", "--fail-at", "5",
                    "--eq5-literal", "--out", out)
     assert code == 0
+
+
+@pytest.mark.parametrize("args", [
+    ("run", "--rti-listen", "nonsense"),
+    ("run", "--rti-listen", "127.0.0.1:99999"),
+    ("tau-sweep", "--taus", "0.01,abc"),
+])
+def test_bad_arguments_are_usage_errors_with_manifest(tmp_path, capsys, args):
+    out = tmp_path / "bad"
+    assert run_cli(*args, "--duration", "1", "--out", out) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["status"] == "error"

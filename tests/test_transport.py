@@ -113,3 +113,40 @@ def test_slow_federate_times_out():
     with pytest.raises(FederateTimeout):
         run_federation(1000, 2, [StalledFederate(), good],
                        transport="socket", timeout_s=0.3)
+
+
+class LateFederate:
+    """Declares no event before slot 50, so it goes ungranted until then."""
+
+    name = "late"
+    peer_name = "busy"
+
+    def __init__(self):
+        self.slots_seen = []
+
+    def next_event_tick(self):
+        return 50_000 if 50 not in self.slots_seen else 1 << 62
+
+    def step(self, slot, slot_end_tick, inbox):
+        self.slots_seen.append(slot)
+        return [], False
+
+
+class BusyFederate:
+    name = "busy"
+    peer_name = "late"
+
+    def step(self, slot, slot_end_tick, inbox):
+        import time
+
+        time.sleep(0.01)
+        return [], False
+
+
+def test_ungranted_socket_federate_outlasts_timeout():
+    # The late federate waits ~0.5 s for its next grant, longer than the
+    # 0.2 s acknowledgment timeout; it must keep waiting, not quit.
+    late = LateFederate()
+    result = run_federation(1000, 52, [late, BusyFederate()], transport="socket", timeout_s=0.2)
+    assert result.slots_run == 52
+    assert late.slots_seen == [0, 50]
