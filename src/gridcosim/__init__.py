@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .config import ScenarioConfig, load_config, loads_config, serialize_config
 from .messages import ExchangeRecord, MessageClass, MessageKind, NodeDescriptor, NodeKind, SimMessage
 from .metrics import class_reliability_ci, ddf, node_reliability
-from .simtime import SimTime, TICKS_PER_SECOND
+from .simtime import TICKS_PER_SECOND
 from .topology import generate_topology
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "class_reliability_ci",
     "ddf",
     "node_reliability",
-    "SimTime",
     "TICKS_PER_SECOND",
     "generate_topology",
     "__version__",

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
+from .links import segment_sizes
 from .simtime import ticks_from_seconds
 from .messages import MessageClass, NodeKind
 
@@ -222,8 +223,8 @@ def exchange_wire_bits(cfg: ScenarioConfig, response_payload: int) -> int:
     """
     total_bytes = 0
     for payload in (cfg.payload_poll_request_bytes, response_payload):
-        segments = -(-payload // cfg.mss_bytes)
-        total_bytes += payload + segments * cfg.header_bytes + segments * cfg.ack_bytes
+        sizes = segment_sizes(payload, cfg.mss_bytes, cfg.header_bytes)
+        total_bytes += sum(sizes) + len(sizes) * cfg.ack_bytes
     return total_bytes * 8
 
 

@@ -45,16 +45,8 @@ class FederateTimeout(GridCoSimError):
     """A federate failed to acknowledge a granted slot in time."""
 
 
-class NoRoute(GridCoSimError):
-    """No usable link exists for a message (all technologies down)."""
-
-
 class EmptyDistribution(GridCoSimError):
     """A statistic was requested over an empty sample."""
-
-
-class UnknownCorrelation(GridCoSimError):
-    """A response arrived without a matching open request."""
 
 
 class UsageError(GridCoSimError):

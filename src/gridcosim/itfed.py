@@ -34,8 +34,6 @@ from .topology import monitored_nodes
 
 logger = logging.getLogger(__name__)
 
-_CLASSES = (MessageClass.MONITORING, MessageClass.CONTROL)
-
 
 class ITFederate:
     """The information-system perspective of the federation."""
@@ -48,7 +46,7 @@ class ITFederate:
         self._tau = cfg.tau_ticks
         self._duration = cfg.duration_ticks
         self._interval_ticks = cfg.interval_ticks
-        self._limit_ticks = {cls: cfg.delay_limit_ticks(cls) for cls in _CLASSES}
+        self._limit_ticks = {cls: cfg.delay_limit_ticks(cls) for cls in MessageClass}
 
         self._dms_id = next(n.id for n in nodes if n.kind is NodeKind.DMS)
         self._kind_by_id = {n.id: n.kind for n in nodes}
@@ -78,9 +76,9 @@ class ITFederate:
         self._open: dict[int, ExchangeRecord] = {}
         self._interval_records: dict[tuple[int, MessageClass], list[ExchangeRecord]] = defaultdict(list)
         self._reliability: dict[tuple[int, MessageClass], IntervalMetrics | None] = {}
-        self._next_finalize = {cls: 0 for cls in _CLASSES}
+        self._next_finalize = dict.fromkeys(MessageClass, 0)
         self._next_deadline = min(
-            self._interval_ticks + self._limit_ticks[cls] for cls in _CLASSES
+            self._interval_ticks + self._limit_ticks[cls] for cls in MessageClass
         )
         # Completed message legs: (class, kind, d_it_ticks, d_comm_ticks, delivered_comm_tick).
         self.comm_legs: list[tuple[MessageClass, MessageKind, int, int, int]] = []
@@ -238,14 +236,14 @@ class ITFederate:
     # ----------------------------------------------------------- reporting
 
     def _finalize_due(self, now_tick: int) -> None:
-        for cls in _CLASSES:
+        for cls in MessageClass:
             limit = self._limit_ticks[cls]
             while now_tick >= (self._next_finalize[cls] + 1) * self._interval_ticks + limit:
                 self._finalize_interval(self._next_finalize[cls], cls, end_tick=None)
                 self._next_finalize[cls] += 1
         self._next_deadline = min(
             (self._next_finalize[cls] + 1) * self._interval_ticks + self._limit_ticks[cls]
-            for cls in _CLASSES
+            for cls in MessageClass
         )
 
     def _finalize_interval(self, interval: int, cls: MessageClass, end_tick: int | None) -> None:
@@ -268,15 +266,15 @@ class ITFederate:
 
     def snapshot_reliability(self, interval: int) -> dict[MessageClass, IntervalMetrics | None]:
         """Finalized per-class metrics for one interval; raises if still open."""
-        for cls in _CLASSES:
+        for cls in MessageClass:
             if interval >= self._next_finalize[cls]:
                 raise ValueError(f"interval {interval} is not complete for {cls.value}")
-        return {cls: self._reliability.get((interval, cls)) for cls in _CLASSES}
+        return {cls: self._reliability.get((interval, cls)) for cls in MessageClass}
 
     def finalize_run(self, end_tick: int) -> None:
         """Close every remaining interval using run-end knowledge."""
         n_intervals = -(-end_tick // self._interval_ticks) if end_tick else 0
-        for cls in _CLASSES:
+        for cls in MessageClass:
             for interval in range(self._next_finalize[cls], n_intervals):
                 self._finalize_interval(interval, cls, end_tick=end_tick)
             self._next_finalize[cls] = max(self._next_finalize[cls], n_intervals)
@@ -285,6 +283,3 @@ class ITFederate:
         series = [m for m in self._reliability.values() if m is not None]
         series.sort(key=lambda m: (m.interval, m.msg_class.value))
         return series
-
-    def open_exchange_count(self) -> int:
-        return len(self._open)

@@ -47,7 +47,7 @@ class FifoQueue:
 
     def __init__(self):
         self._frames: deque[TransportFrame] = deque()
-        self._bytes = {MessageClass.MONITORING: 0, MessageClass.CONTROL: 0}
+        self._bytes = dict.fromkeys(MessageClass, 0)
 
     def push(self, frame: TransportFrame) -> None:
         self._frames.append(frame)
@@ -63,7 +63,7 @@ class FifoQueue:
     def drain(self) -> list[TransportFrame]:
         frames = list(self._frames)
         self._frames.clear()
-        self._bytes = {MessageClass.MONITORING: 0, MessageClass.CONTROL: 0}
+        self._bytes = dict.fromkeys(MessageClass, 0)
         return frames
 
     def queued_bytes(self, msg_class: MessageClass) -> int:
@@ -90,12 +90,9 @@ class WfqQueue:
             if w <= 0:
                 raise ValueError(f"weight for {cls.value} must be positive")
         self._weights = dict(weights)
-        self._queues: dict[MessageClass, deque[TransportFrame]] = {
-            MessageClass.MONITORING: deque(),
-            MessageClass.CONTROL: deque(),
-        }
-        self._finish = {MessageClass.MONITORING: 0.0, MessageClass.CONTROL: 0.0}
-        self._bytes = {MessageClass.MONITORING: 0, MessageClass.CONTROL: 0}
+        self._queues: dict[MessageClass, deque[TransportFrame]] = {cls: deque() for cls in MessageClass}
+        self._finish = dict.fromkeys(MessageClass, 0.0)
+        self._bytes = dict.fromkeys(MessageClass, 0)
         self._vtime = 0.0
 
     def push(self, frame: TransportFrame) -> None:
@@ -128,10 +125,11 @@ class WfqQueue:
         return frame
 
     def drain(self) -> list[TransportFrame]:
-        frames = list(self._queues[MessageClass.MONITORING]) + list(self._queues[MessageClass.CONTROL])
+        frames = []
         for queue in self._queues.values():
+            frames.extend(queue)
             queue.clear()
-        self._bytes = {MessageClass.MONITORING: 0, MessageClass.CONTROL: 0}
+        self._bytes = dict.fromkeys(MessageClass, 0)
         return frames
 
     def queued_bytes(self, msg_class: MessageClass) -> int:
@@ -152,9 +150,6 @@ class LinkModel:
     queue: FifoQueue | WfqQueue
     up: bool = True
     busy_frame: TransportFrame | None = None
-    busy_until: int = 0
-    bits_served: int = 0
-    busy_ticks: int = 0
 
     def service_ticks(self, bytes_on_wire: int) -> int:
         # Ceil keeps per-link accounted throughput at or below capacity.
@@ -177,15 +172,12 @@ class LinkModel:
             return None
         end = now_tick + self.service_ticks(frame.bytes_on_wire)
         self.busy_frame = frame
-        self.busy_until = end
         return end, frame
 
     def complete(self, frame: TransportFrame) -> None:
-        """Book the end of the current service; caller then calls start_next."""
+        """End the current service; caller then calls start_next."""
         assert self.busy_frame is frame
         self.busy_frame = None
-        self.bits_served += frame.bytes_on_wire * 8
-        self.busy_ticks += self.service_ticks(frame.bytes_on_wire)
 
     def fail(self) -> list[TransportFrame]:
         """Take the link down; queued and in-service frames are lost."""

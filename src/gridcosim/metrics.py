@@ -75,7 +75,6 @@ class DdfReport:
     tau_s: float
     message_count: int
     ddf_percent: float
-    mean_abs_gap_s: float
     excluded_zero_comm: int = 0
 
 
@@ -116,7 +115,6 @@ def ddf(delays: Iterable[tuple[float, float]]) -> float:
 
 def ddf_report(delays: Iterable[tuple[float, float]], tau_s: float) -> DdfReport:
     total = 0.0
-    abs_gap = 0.0
     count = 0
     excluded = 0
     for d_it, d_comm in delays:
@@ -126,7 +124,6 @@ def ddf_report(delays: Iterable[tuple[float, float]], tau_s: float) -> DdfReport
             excluded += 1
             continue
         total += (d_it - d_comm) / d_comm
-        abs_gap += abs(d_it - d_comm)
         count += 1
     if count == 0:
         raise EmptyDistribution("no delay pairs with positive network delay")
@@ -134,7 +131,6 @@ def ddf_report(delays: Iterable[tuple[float, float]], tau_s: float) -> DdfReport
         tau_s=tau_s,
         message_count=count,
         ddf_percent=100.0 * total / count,
-        mean_abs_gap_s=abs_gap / count,
         excluded_zero_comm=excluded,
     )
 

@@ -18,6 +18,7 @@ import heapq
 import logging
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .config import ScenarioConfig, exchange_wire_bits, offered_monitoring_bps
 from .errors import ValidationError
@@ -99,7 +100,8 @@ class NetFederate:
         self._dmr_link = next(l for l in self.links if l.technology == DMR)
         self._bs_order = self._nearest_station_order(nodes)
 
-        self._events: list[tuple[int, int, int, int, object]] = []
+        # (tick, priority, seq, handler, payload); the event runs handler(tick, payload).
+        self._events: list[tuple[int, int, int, Callable, object]] = []
         self._eseq = 0
         self._fseq = 0
         self._next_msg_id = 1  # odd ids; the application federate uses even ones
@@ -109,11 +111,10 @@ class NetFederate:
         self._ra_sent = False
         self.adapted_period_ticks: int | None = None
 
-        zero = {MessageClass.MONITORING: 0, MessageClass.CONTROL: 0}
-        self.received = dict(zero)
-        self.delivered = dict(zero)
-        self.lost_failure = dict(zero)
-        self.dropped_noroute = dict(zero)
+        self.received = dict.fromkeys(MessageClass, 0)
+        self.delivered = dict.fromkeys(MessageClass, 0)
+        self.lost_failure = dict.fromkeys(MessageClass, 0)
+        self.dropped_noroute = dict.fromkeys(MessageClass, 0)
 
         # Per (interval, link id) accounting and queue-depth samples.
         self.offered_bits: dict[tuple[int, str], int] = {}
@@ -159,7 +160,7 @@ class NetFederate:
 
     # ------------------------------------------------------------- routing
 
-    def route(self, msg: SimMessage, now_tick: int) -> LinkModel | None:
+    def route(self, msg: SimMessage) -> LinkModel | None:
         """Pick the link carrying this message, or None when nothing is up."""
         endpoint = msg.dst if msg.dst != self._dms_id else msg.src
         kind = self._kind_by_id[endpoint]
@@ -194,11 +195,13 @@ class NetFederate:
         # Link state changes scheduled exactly at the slot boundary take
         # effect before this slot's arrivals are routed.
         while events and events[0][0] == now and events[0][1] == _PRIO_LINK_STATE:
-            self._dispatch(heapq.heappop(events))
+            tick, _prio, _seq, handler, payload = heapq.heappop(events)
+            handler(tick, payload)
         for msg in inbox:
             self._ingress(msg, now)
         while events and events[0][0] < slot_end_tick:
-            self._dispatch(heapq.heappop(events))
+            tick, _prio, _seq, handler, payload = heapq.heappop(events)
+            handler(tick, payload)
 
         interval = self._interval_ticks
         if slot_end_tick % interval == 0:
@@ -220,34 +223,21 @@ class NetFederate:
             return self._events[0][0]
         return tick
 
-    def _push_event(self, tick: int, prio: int, kind: str, payload) -> None:
+    def _push_event(self, tick: int, prio: int, handler: Callable, payload) -> None:
         self._eseq += 1
-        heapq.heappush(self._events, (tick, prio, self._eseq, kind, payload))
+        heapq.heappush(self._events, (tick, prio, self._eseq, handler, payload))
 
     def inject_failure(self, kind: str, at_tick: int) -> None:
         """Schedule a link state change: 'fail' downs every LTE base station
         (in-flight frames are lost), 'restore' brings them back up.  Events
         beyond the simulated horizon never fire.
         """
-        if kind not in ("fail", "restore"):
+        handler = {"fail": self._on_lte_failure, "restore": self._on_lte_restore}.get(kind)
+        if handler is None:
             raise ValueError(f"unknown link event {kind!r}")
         if at_tick < 0:
             raise ValueError("event time cannot be negative")
-        self._push_event(at_tick, _PRIO_LINK_STATE, kind, None)
-
-    def _dispatch(self, event) -> None:
-        tick, _prio, _seq, kind, payload = event
-        if kind == "complete":
-            self._on_completion(tick, payload)
-        elif kind == "ack_arrival":
-            self._on_ack_arrival(tick, payload)
-        elif kind == "delivery":
-            self._on_delivery(tick, payload)
-        elif kind == "fail":
-            self._on_lte_failure(tick)
-        elif kind == "restore":
-            for link in self._lte_links:
-                link.restore()
+        self._push_event(at_tick, _PRIO_LINK_STATE, handler, None)
 
     # ------------------------------------------------------------- ingress
 
@@ -255,7 +245,7 @@ class NetFederate:
         msg.sent_comm_tick = now_tick
         cls = msg.msg_class
         self.received[cls] += 1
-        link = self.route(msg, now_tick)
+        link = self.route(msg)
         if link is None:
             self.dropped_noroute[cls] += 1
             logger.warning("no route for message %d (%s)", msg.id, cls.value)
@@ -275,7 +265,7 @@ class NetFederate:
         started = link.enqueue(frame, now_tick)
         if started is not None:
             end, active = started
-            self._push_event(end, _PRIO_COMPLETION, "complete", (link, active))
+            self._push_event(end, _PRIO_COMPLETION, self._on_completion, (link, active))
 
     # -------------------------------------------------------------- events
 
@@ -291,15 +281,15 @@ class NetFederate:
             if not frame.is_ack:
                 # Segment reaches the receiver after the access latency; the
                 # acknowledgement then re-enters the same link.
-                self._push_event(tick + link.latency_ticks, _PRIO_ARRIVAL, "ack_arrival",
+                self._push_event(tick + link.latency_ticks, _PRIO_ARRIVAL, self._on_ack_arrival,
                                  (link, transfer, frame.seg_index))
             elif frame.seg_index == transfer.n_segs - 1:
                 transfer.completed = True
-                self._push_event(tick + link.latency_ticks, _PRIO_DELIVERY, "delivery", transfer)
+                self._push_event(tick + link.latency_ticks, _PRIO_DELIVERY, self._on_delivery, transfer)
         nxt = link.start_next(tick)
         if nxt is not None:
             end, active = nxt
-            self._push_event(end, _PRIO_COMPLETION, "complete", (link, active))
+            self._push_event(end, _PRIO_COMPLETION, self._on_completion, (link, active))
 
     def _account_service(self, link: LinkModel, frame: TransportFrame, start: int, end: int) -> None:
         self.served_bits[(end // self._interval_ticks, link.id)] = (
@@ -335,7 +325,7 @@ class NetFederate:
         self._transfers.pop(msg.id, None)
         self._out.append((tick, msg))
 
-    def _on_lte_failure(self, tick: int) -> None:
+    def _on_lte_failure(self, tick: int, _payload: None) -> None:
         for link in self._lte_links:
             for frame in link.fail():
                 transfer = self._transfers.get(frame.msg_id)
@@ -345,6 +335,10 @@ class NetFederate:
         if self.cfg.qos == "wfq-ra" and not self._ra_sent:
             self._ra_sent = True
             self._out.append((tick, self._rate_update_message(tick)))
+
+    def _on_lte_restore(self, _tick: int, _payload: None) -> None:
+        for link in self._lte_links:
+            link.restore()
 
     # ----------------------------------------------------- rate adaptation
 
@@ -392,7 +386,7 @@ class NetFederate:
     def in_flight_at_end(self) -> dict[MessageClass, int]:
         # Delivered transfers were popped and dead ones were counted as lost,
         # so whatever remains alive in the table is still in flight.
-        counts = {MessageClass.MONITORING: 0, MessageClass.CONTROL: 0}
+        counts = dict.fromkeys(MessageClass, 0)
         for transfer in self._transfers.values():
             if not transfer.dead:
                 counts[transfer.msg.msg_class] += 1
@@ -409,5 +403,5 @@ class NetFederate:
                 "dropped_noroute": self.dropped_noroute[cls],
                 "in_flight_at_end": in_flight[cls],
             }
-            for cls in (MessageClass.MONITORING, MessageClass.CONTROL)
+            for cls in MessageClass
         }

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol
 
 from .errors import DuplicateName, FederationStarted, ProtocolViolation
@@ -38,15 +38,14 @@ class FederateEndpoint(Protocol):
 
     ``begin_step`` hands over the inbox and the grant; ``finish_step``
     blocks until the federate acknowledged the slot and returns
-    (outbox, done, wallclock_s) where outbox items are
-    (at_tick, to_name, message).  ``next_event_tick`` returns the
-    federate's lookahead as of its last step (see the module docstring);
-    -1 asks for every slot.
+    (outbox, done) where outbox items are (at_tick, to_name, message).
+    ``next_event_tick`` returns the federate's lookahead as of its last
+    step (see the module docstring); -1 asks for every slot.
     """
 
     def begin_step(self, slot: int, slot_end_tick: int, inbox: list[SimMessage]) -> None: ...
 
-    def finish_step(self) -> tuple[list[tuple[int, str, SimMessage]], bool, float]: ...
+    def finish_step(self) -> tuple[list[tuple[int, str, SimMessage]], bool]: ...
 
     def next_event_tick(self) -> int: ...
 
@@ -56,13 +55,11 @@ class FederateEndpoint(Protocol):
 @dataclass(eq=False)
 class _FederateHandle:
     fid: int
-    name: str
     endpoint: FederateEndpoint | None = None
     lookahead: Callable[[], int] | None = None
     # Cached lookahead: it changes only when the federate is stepped.
     # -1 grants the first slot, before the federate declared anything.
     next_tick: int = -1
-    wallclock_s: float = 0.0
 
 
 @dataclass(slots=True)
@@ -71,7 +68,6 @@ class SyncReport:
 
     slot: int
     messages_delivered: int
-    per_federate_wallclock: dict[int, float]
 
 
 @dataclass
@@ -82,8 +78,6 @@ class FederationResult:
     messages_published: int = 0
     messages_delivered: int = 0
     wallclock_s: float = 0.0
-    per_federate_wallclock_s: dict[int, float] = field(default_factory=dict)
-    federate_names: dict[int, str] = field(default_factory=dict)
     trace_digest: str = ""
     trace: list[tuple[int, int, int, int]] | None = None
 
@@ -124,7 +118,7 @@ class Rti:
         if name in self._by_name:
             raise DuplicateName(name)
         fid = len(self._handles)
-        handle = _FederateHandle(fid, name)
+        handle = _FederateHandle(fid)
         self._handles.append(handle)
         self._live.append(handle)
         self._by_name[name] = fid
@@ -136,10 +130,6 @@ class Rti:
         handle = self._handles[fid]
         handle.endpoint = endpoint
         handle.lookahead = endpoint.next_event_tick
-
-    @property
-    def federate_names(self) -> dict[int, str]:
-        return {h.fid: h.name for h in self._handles}
 
     def all_done(self) -> bool:
         return not self._live
@@ -182,8 +172,7 @@ class Rti:
             # No inbox holds messages and no federate declared an event
             # before the slot end: the barrier passes with nothing to do.
             self.current_slot = slot + 1
-            return SyncReport(slot=slot, messages_delivered=0, per_federate_wallclock={})
-        wallclock: dict[int, float] = {}
+            return SyncReport(slot=slot, messages_delivered=0)
 
         inboxes = self._inboxes
         granted = []
@@ -194,15 +183,13 @@ class Rti:
                 h.endpoint.begin_step(slot, slot_end, inbox)
                 granted.append(h)
         for h in granted:
-            outbox, done, wall = h.endpoint.finish_step()
+            outbox, done = h.endpoint.finish_step()
             for at_tick, to_name, msg in outbox:
                 self.publish(h.fid, msg, at_tick, to_name)
             if done:
                 self._live.remove(h)
             else:
                 h.next_tick = h.lookahead()
-            h.wallclock_s += wall
-            wallclock[h.fid] = wall
 
         # Synchronization point: everything queued this slot is handed over,
         # ordered by (timestamp, id).  Nothing is ever held back a slot.
@@ -227,7 +214,7 @@ class Rti:
         else:
             self._wake = min((h.next_tick for h in self._live), default=-1)
         self.current_slot = slot + 1
-        return SyncReport(slot=slot, messages_delivered=delivered, per_federate_wallclock=wallclock)
+        return SyncReport(slot=slot, messages_delivered=delivered)
 
     def run(self, n_slots: int) -> FederationResult:
         if len(self._handles) < 2:
@@ -237,14 +224,11 @@ class Rti:
         while slots < n_slots and not self.all_done():
             self.advance_slot()
             slots += 1
-        result = FederationResult(
+        return FederationResult(
             slots_run=slots,
             messages_published=self.published_total,
             messages_delivered=self.delivered_total,
             wallclock_s=time.perf_counter() - t0,
-            per_federate_wallclock_s={h.fid: h.wallclock_s for h in self._handles},
-            federate_names=self.federate_names,
             trace_digest=self._digest.hexdigest(),
             trace=self._trace,
         )
-        return result

@@ -31,8 +31,6 @@ from .transport import run_federation
 
 logger = logging.getLogger(__name__)
 
-_CLASSES = (MessageClass.MONITORING, MessageClass.CONTROL)
-
 
 @dataclasses.dataclass
 class RunResult:
@@ -47,7 +45,6 @@ class RunResult:
     comm_legs: list
     link_rows: list[tuple[float, str, int, int, int, int, int]]
     adapted_period_ticks: int | None
-    unknown_correlation: int
     wallclock_s: float
 
     @property
@@ -101,7 +98,6 @@ def run_scenario(
         comm_legs=legs,
         link_rows=_link_rows(net_federate, cfg, end_tick),
         adapted_period_ticks=net_federate.adapted_period_ticks,
-        unknown_correlation=it_federate.unknown_correlation,
         wallclock_s=federation.wallclock_s,
     )
 

@@ -53,10 +53,6 @@ def _topology_seed(seed: int) -> int:
     return int.from_bytes(hashlib.sha256(f"{seed}:topology".encode()).digest()[:8], "big")
 
 
-def nodes_of_kind(nodes: list[NodeDescriptor], kind: NodeKind) -> list[NodeDescriptor]:
-    return [n for n in nodes if n.kind is kind]
-
-
 def monitored_nodes(nodes: list[NodeDescriptor], cfg: ScenarioConfig) -> list[NodeDescriptor]:
     """Endpoints polled by the management system, in stable id order."""
     kinds = set(MONITORED_KINDS)
@@ -64,7 +60,3 @@ def monitored_nodes(nodes: list[NodeDescriptor], cfg: ScenarioConfig) -> list[No
         kinds -= {NodeKind.PV_PLANT, NodeKind.WIND_FARM}
     return [n for n in nodes if n.kind in kinds]
 
-
-def nearest_base_station(node: NodeDescriptor, stations: list[NodeDescriptor]) -> NodeDescriptor:
-    """Closest station by Euclidean distance, ties broken by lower id."""
-    return min(stations, key=lambda bs: ((bs.x_km - node.x_km) ** 2 + (bs.y_km - node.y_km) ** 2, bs.id))

@@ -12,12 +12,11 @@ from __future__ import annotations
 import logging
 import socket
 import threading
-import time
 from typing import Protocol
 
 from . import envelope as env
 from .envelope import EnvelopeType, FederateEnvelope, decode_envelope, encode_envelope
-from .errors import DecodeError, FederateTimeout, ProtocolViolation
+from .errors import DecodeError, FederateTimeout, ProtocolViolation, UsageError
 from .messages import SimMessage
 from .rti import FederationResult, Rti
 
@@ -63,10 +62,8 @@ class InprocEndpoint:
         slot, slot_end_tick, inbox = self._pending
         self._pending = None
         peer = self.federate.peer_name
-        t0 = time.perf_counter()
         outbox, done = self.federate.step(slot, slot_end_tick, inbox)
-        wall = time.perf_counter() - t0
-        return [(at, peer, msg) for at, msg in outbox], done, wall
+        return [(at, peer, msg) for at, msg in outbox], done
 
     def close(self) -> None:
         pass
@@ -115,7 +112,6 @@ class SocketEndpoint:
     def __init__(self, stream: _FrameStream, name: str):
         self.stream = stream
         self.name = name
-        self._t0 = 0.0
         self._slot = 0
         self._next_tick = -1
 
@@ -124,7 +120,6 @@ class SocketEndpoint:
         return self._next_tick
 
     def begin_step(self, slot: int, slot_end_tick: int, inbox: list[SimMessage]) -> None:
-        self._t0 = time.perf_counter()
         self._slot = slot
         for msg in inbox:
             self.stream.send(env.deliver(slot, msg))
@@ -149,9 +144,9 @@ class SocketEndpoint:
                 if type(next_tick) is not int:
                     raise ProtocolViolation(f"federate {self.name} sent lookahead {next_tick!r}")
                 self._next_tick = next_tick
-                return outbox, False, time.perf_counter() - self._t0
+                return outbox, False
             elif received.type is EnvelopeType.DONE:
-                return outbox, True, time.perf_counter() - self._t0
+                return outbox, True
             elif received.type is EnvelopeType.ERROR:
                 raise ProtocolViolation(
                     f"federate {self.name} failed: {received.body.get('code')}: "
@@ -247,7 +242,10 @@ def run_federation(
     if transport != "socket":
         raise ValueError(f"unknown transport {transport!r}")
 
-    server = socket.create_server(listen)
+    try:
+        server = socket.create_server(listen)
+    except OSError as exc:
+        raise UsageError(f"cannot listen on {listen[0]}:{listen[1]}: {exc.strerror or exc}") from exc
     server.settimeout(timeout_s)
     address = server.getsockname()[:2]
     threads: list[threading.Thread] = []

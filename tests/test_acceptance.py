@@ -6,6 +6,7 @@ PASS/FAIL line (visible with ``pytest -s``).
 """
 
 import dataclasses
+import hashlib
 import math
 import statistics
 from contextlib import contextmanager
@@ -62,6 +63,32 @@ def wfq_run():
 @pytest.fixture(scope="module")
 def wfqra_run():
     return run_scenario(full_cfg(qos="wfq-ra", lte_fail_at_s=FAIL_AT_S))
+
+
+# (trace_digest, reliability.csv SHA-256, delay.csv SHA-256) of each
+# acceptance run; a change that alters any of them changes the reproduction.
+PINNED_OUTPUTS = {
+    "default_run": (
+        "1cfb1b5d124d98042c52ca617692d7be1f19f1bf304c8b2bc05a77029ae251f2",
+        "828c3cde8629da4cd6a4a78ade9e43e2e43244725a1434a842e8596a7c42f5b8",
+        "3e011660e02bf13ebfeeacc3c259845cd1dffa829286b7134c16b5dacaef3f87",
+    ),
+    "fifo_fail_run": (
+        "7d29dd6f9cc1bace10a6434d00676c3de8cabd53e7c7dc76a2bbadf13c62b0a5",
+        "4bb2d7100b6ef25c4e67542e444ab00df4f532c5dac08db5366b0f0098da4d76",
+        "3265c204280b05e515c59220127256990f6987e74847dabb340d035c8259720e",
+    ),
+    "wfq_run": (
+        "529ed3252a0e2d8553c6ccbb6e11aa3da899b9f555ed4a86bb331730b7dc21c0",
+        "0269adf9ce338eb80e8afc802f7876fc754f8a29679d04cd2756c2d867d37a30",
+        "55354d13fc028793953c6c4bb8fed98da7bf89314180c50a9df3d89fff9e410d",
+    ),
+    "wfqra_run": (
+        "04ce964c85572d9efb4c38aaea2540318fcfc9324bdc5146ebe308c505512586",
+        "956fd084a931598eff72854293b422e09959750b2e7055bdfbd78dd958c0e11f",
+        "72926bd0cbdc97c2d7f42f8738b5e14d09f21b27120de16cfc069f9a042b550b",
+    ),
+}
 
 
 def _rows(result, msg_class):
@@ -212,3 +239,17 @@ def test_criterion_9_wfq_fairness():
         served = [queue.pop().msg_class for _ in range(total)]
         mon_share = sum(1 for cls in served if cls is MON)
         assert abs(mon_share - total * 0.1) <= total * 0.01
+
+
+def test_pinned_outputs(tmp_path, default_run, fifo_fail_run, wfq_run, wfqra_run):
+    runs = {"default_run": default_run, "fifo_fail_run": fifo_fail_run,
+            "wfq_run": wfq_run, "wfqra_run": wfqra_run}
+    for name, result in runs.items():
+        out_dir = tmp_path / name
+        write_outputs(out_dir, result)
+        actual = (
+            result.federation.trace_digest,
+            hashlib.sha256((out_dir / "reliability.csv").read_bytes()).hexdigest(),
+            hashlib.sha256((out_dir / "delay.csv").read_bytes()).hexdigest(),
+        )
+        assert actual == PINNED_OUTPUTS[name], name

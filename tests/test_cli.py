@@ -1,4 +1,5 @@
 import json
+import socket
 from pathlib import Path
 
 import pytest
@@ -86,13 +87,25 @@ def test_eq5_literal_flag_accepted(tmp_path):
     assert code == 0
 
 
+@pytest.fixture
+def busy_address():
+    """host:port of a socket that is already listening."""
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        yield "%s:%d" % server.getsockname()[:2]
+
+
 @pytest.mark.parametrize("args", [
     ("run", "--rti-listen", "nonsense"),
     ("run", "--rti-listen", "127.0.0.1:99999"),
     ("tau-sweep", "--taus", "0.01,abc"),
+    ("run", "--transport", "socket", "--rti-listen", "{busy}"),
 ])
-def test_bad_arguments_are_usage_errors_with_manifest(tmp_path, capsys, args):
+def test_bad_arguments_are_usage_errors_with_manifest(tmp_path, capsys, busy_address, args):
+    args = [arg.format(busy=busy_address) for arg in args]
     out = tmp_path / "bad"
     assert run_cli(*args, "--duration", "1", "--out", out) == 2
-    assert "usage error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage error" in err
+    if "--rti-listen" in args:
+        assert args[args.index("--rti-listen") + 1] in err
     assert json.loads((out / "manifest.json").read_text())["status"] == "error"

@@ -43,18 +43,18 @@ def pump(fed, cfg, inboxes, n_slots):
 def test_control_routes_to_dmr_even_with_lte_up():
     fed, cfg, nodes = build_net()
     switch = next(n for n in nodes if n.kind is NodeKind.SWITCH)
-    assert fed.route(command(fed, switch.id, 0), 0).id == "dmr"
+    assert fed.route(command(fed, switch.id, 0)).id == "dmr"
 
 
 def test_monitoring_routes_to_nearest_base_station():
     fed, cfg, nodes = build_net()
     west = next(n for n in nodes if n.kind is NodeKind.HVA_LV and n.x_km < 7.0)
     east = next(n for n in nodes if n.kind is NodeKind.HVA_LV and n.x_km > 8.0)
-    assert fed.route(poll_request(fed, west.id, 0), 0).id == "lte-0"
-    assert fed.route(poll_request(fed, east.id, 0), 0).id == "lte-1"
+    assert fed.route(poll_request(fed, west.id, 0)).id == "lte-0"
+    assert fed.route(poll_request(fed, east.id, 0)).id == "lte-1"
     # The response direction routes by the same radio endpoint.
     response = SimMessage(6, MON, MessageKind.RESPONSE, west.id, fed._dms_id, 500, 0)
-    assert fed.route(response, 0).id == "lte-0"
+    assert fed.route(response).id == "lte-0"
 
 
 def test_monitoring_falls_back_to_dmr_when_lte_down():
@@ -62,27 +62,27 @@ def test_monitoring_falls_back_to_dmr_when_lte_down():
     node = next(n for n in nodes if n.kind is NodeKind.HVA_LV)
     for link in fed._lte_links:
         link.fail()
-    assert fed.route(poll_request(fed, node.id, 0), 0).id == "dmr"
+    assert fed.route(poll_request(fed, node.id, 0)).id == "dmr"
     fed._dmr_link.fail()
-    assert fed.route(poll_request(fed, node.id, 0), 0) is None
+    assert fed.route(poll_request(fed, node.id, 0)) is None
 
 
 def test_one_lte_station_down_uses_the_other():
     fed, cfg, nodes = build_net()
     west = next(n for n in nodes if n.kind is NodeKind.HVA_LV and n.x_km < 7.0)
     fed._lte_links[0].fail()
-    assert fed.route(poll_request(fed, west.id, 0), 0).id == "lte-1"
+    assert fed.route(poll_request(fed, west.id, 0)).id == "lte-1"
 
 
 def test_der_setpoint_route_follows_config():
     fed, cfg, nodes = build_net()
     der = next(n for n in nodes if n.kind is NodeKind.PV_PLANT)
     setpoint = SimMessage(8, CTL, MessageKind.CONTROL_COMMAND, fed._dms_id, der.id, 184, 0)
-    assert fed.route(setpoint, 0).technology == "lte"
+    assert fed.route(setpoint).technology == "lte"
     fed_dmr, _, nodes_dmr = build_net(der_control_via="dmr")
     der_dmr = next(n for n in nodes_dmr if n.kind is NodeKind.PV_PLANT)
     setpoint_dmr = SimMessage(8, CTL, MessageKind.CONTROL_COMMAND, fed_dmr._dms_id, der_dmr.id, 184, 0)
-    assert fed_dmr.route(setpoint_dmr, 0).id == "dmr"
+    assert fed_dmr.route(setpoint_dmr).id == "dmr"
 
 
 # ----------------------------------------------------- end-to-end transfers
@@ -100,6 +100,21 @@ def test_single_message_delivery_time_on_dmr():
     assert out.delivered_comm_tick == expected
     assert out.sent_comm_tick == 0
     assert out.d_comm_ticks == expected
+    assert fed.served_bits == {(0, "dmr"): (540 + 40) * 8}
+
+
+@pytest.mark.parametrize("response_bytes", [500, 5000])
+def test_exchange_wire_bits_match_bits_served(response_bytes):
+    # One request and its response over an idle DMR link book exactly the
+    # bits that the rate adaptation budgets per exchange.
+    fed, cfg, nodes = build_net(qos="fifo")
+    sub = next(n for n in nodes if n.kind is NodeKind.SUBSTATION)
+    for link in fed._lte_links:
+        link.fail()
+    request = poll_request(fed, sub.id, 0)
+    response = SimMessage(4, MON, MessageKind.RESPONSE, sub.id, fed._dms_id, response_bytes, 0)
+    assert len(pump(fed, cfg, {0: [request, response]}, n_slots=3000)) == 2
+    assert sum(fed.served_bits.values()) == exchange_wire_bits(cfg, response_bytes)
 
 
 def test_multi_segment_message_counts_all_overhead():
@@ -114,7 +129,7 @@ def test_multi_segment_message_counts_all_overhead():
     assert out.d_comm_ticks == tick
     data_ticks = sum(fed._dmr_link.service_ticks(b) for b in (1500, 1500, 1500, 660))
     assert tick >= data_ticks
-    served = fed._dmr_link.bits_served
+    served = sum(bits for (_, link_id), bits in fed.served_bits.items() if link_id == "dmr")
     assert served == (1500 + 1500 + 1500 + 660 + 4 * 40) * 8
 
 
@@ -172,7 +187,7 @@ def test_restore_brings_lte_back():
     node = next(n for n in nodes if n.kind is NodeKind.HVA_LV)
     pump(fed, cfg, {}, n_slots=50)
     assert all(link.up for link in fed._lte_links)
-    assert fed.route(poll_request(fed, node.id, 50 * cfg.tau_ticks), 0).technology == "lte"
+    assert fed.route(poll_request(fed, node.id, 50 * cfg.tau_ticks)).technology == "lte"
 
 
 def test_rate_update_emitted_once_under_wfq_ra():

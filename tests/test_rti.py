@@ -103,7 +103,6 @@ def test_empty_slot_still_advances_everyone():
     report = rti.advance_slot()
     assert report.messages_delivered == 0
     assert fed_a.slots_seen == fed_b.slots_seen == [0]
-    assert set(report.per_federate_wallclock) == {0, 1}
 
 
 def test_exactly_once_counts():

@@ -1,13 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from gridcosim.simtime import (
-    BASE_UNIT_S,
-    SimTime,
-    TICKS_PER_SECOND,
-    seconds_from_ticks,
-    ticks_from_seconds,
-)
+from gridcosim.simtime import BASE_UNIT_S, TICKS_PER_SECOND, ticks_from_seconds
 
 
 def test_base_unit():
@@ -31,45 +25,6 @@ def test_ticks_from_seconds_rejects_off_grid():
         ticks_from_seconds(0.0150005001)
 
 
-def test_simtime_rejects_negative():
-    with pytest.raises(ValueError):
-        SimTime(-1)
-
-
-def test_simtime_arithmetic():
-    t = SimTime.from_seconds(0.5)
-    assert t.ticks == 50_000
-    assert (t + 1000).ticks == 51_000
-    assert (t + SimTime(1000)).seconds == pytest.approx(0.51)
-    assert (t - 50_000).ticks == 0
-
-
-def test_slot_index_half_open():
-    tau = 1000
-    assert SimTime(0).slot_index(tau) == 0
-    assert SimTime(999).slot_index(tau) == 0
-    # A time exactly on the boundary belongs to the next slot.
-    assert SimTime(1000).slot_index(tau) == 1
-
-
-@given(
-    tau_ticks=st.integers(min_value=1, max_value=10_000_000),
-    count=st.integers(min_value=0, max_value=10**8),
-)
-def test_clock_advance_is_exact(tau_ticks, count):
-    # Integer ticks cannot accumulate error: advancing count times equals a
-    # single jump of count * tau.
-    assert SimTime(0).advanced(tau_ticks, count).ticks == tau_ticks * count
-
-
-def test_clock_advance_matches_iterated_addition():
-    tau = 1000
-    t = SimTime(0)
-    for _ in range(1_000_000):
-        t = t + tau
-    assert t.ticks == SimTime(0).advanced(tau, 1_000_000).ticks == 10**9
-
-
 @given(st.integers(min_value=0, max_value=10**12))
 def test_seconds_ticks_round_trip(ticks):
-    assert ticks_from_seconds(seconds_from_ticks(ticks)) == ticks
+    assert ticks_from_seconds(ticks / TICKS_PER_SECOND) == ticks

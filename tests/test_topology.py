@@ -3,8 +3,9 @@ import dataclasses
 from hypothesis import given, settings, strategies as st
 
 from gridcosim.config import ScenarioConfig
-from gridcosim.messages import NodeKind
-from gridcosim.topology import generate_topology, monitored_nodes, nearest_base_station
+from gridcosim.messages import MessageClass, MessageKind, NodeKind, SimMessage
+from gridcosim.netfed import NetFederate
+from gridcosim.topology import generate_topology, monitored_nodes
 
 
 def _counts(nodes):
@@ -72,8 +73,17 @@ def test_monitored_selection_follows_der_switch():
 def test_nearest_base_station_prefers_closest_then_lowest_id():
     cfg = ScenarioConfig()
     nodes = generate_topology(cfg, seed=1)
-    stations = [n for n in nodes if n.kind is NodeKind.LTE_BS]
     west = next(n for n in nodes if n.kind is NodeKind.HVA_LV and n.x_km < 7.0)
     east = next(n for n in nodes if n.kind is NodeKind.HVA_LV and n.x_km > 8.0)
-    assert nearest_base_station(west, stations).x_km == 3.75
-    assert nearest_base_station(east, stations).x_km == 11.25
+    # Stations sit at x = 3.75 and 11.25 km: x = 7.5 km is equidistant.
+    tie = next(n for n in nodes if n.kind is NodeKind.HVA_LV and n.id not in (west.id, east.id))
+    nodes[tie.id] = dataclasses.replace(tie, x_km=7.5)
+    net = NetFederate(cfg, nodes)
+    dms = next(n.id for n in nodes if n.kind is NodeKind.DMS)
+
+    def station(node):
+        return net.route(SimMessage(2, MessageClass.MONITORING, MessageKind.REQUEST, dms, node.id, 64, 0)).id
+
+    assert station(west) == "lte-0"
+    assert station(east) == "lte-1"
+    assert station(tie) == "lte-0"
