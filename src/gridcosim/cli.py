@@ -177,7 +177,3 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "run":
         return _cmd_run(args)
     return _cmd_tau_sweep(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

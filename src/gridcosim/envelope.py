@@ -1,9 +1,9 @@
 """Wire protocol between federates and the coordinator.
 
-Frames are newline-delimited JSON objects with exactly the fields
-``{"t": <type>, "slot": <int>, "body": <object>}``.  All times on the wire
-are integer ticks; no floats ever cross a federate boundary, so both
-transports observe bit-identical state.
+Frames are newline-delimited compact JSON objects in UTF-8 with exactly
+the fields ``{"t": <type>, "slot": <int>, "body": <object>}``, in that
+order.  All times on the wire are integer ticks; no floats ever cross a
+federate boundary, so both transports observe bit-identical state.
 """
 
 from __future__ import annotations
@@ -34,31 +34,44 @@ class FederateEnvelope:
     body: dict = field(default_factory=dict)
 
 
+_ENVELOPE_TYPES = {member.value: member for member in EnvelopeType}
+_FIELDS = frozenset(("t", "slot", "body"))
+# Built once: json.dumps(..., separators=...) would build an encoder per
+# frame and json.loads(bytes) would detect the encoding of every frame.
+# Neither object keeps state between calls, so every stream shares them.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+_DECODER = json.JSONDecoder()
+
+
 def encode_envelope(env: FederateEnvelope) -> bytes:
     frame = {"t": env.type.value, "slot": env.slot, "body": env.body}
-    return json.dumps(frame, separators=(",", ":")).encode() + b"\n"
+    return _ENCODER.encode(frame).encode() + b"\n"
 
 
 def decode_envelope(frame: bytes, offset: int = 0) -> FederateEnvelope:
-    """Decode one frame; ``offset`` is reported in errors for stream context."""
+    """Decode one UTF-8 frame; ``offset`` is reported in errors for stream context."""
     try:
-        data = json.loads(frame)
+        text = frame.decode()
+    except UnicodeDecodeError as exc:
+        raise DecodeError(f"frame is not UTF-8: {exc.reason}", offset + exc.start) from exc
+    try:
+        data = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
-        raise DecodeError(f"invalid JSON: {exc.msg}", offset + exc.pos) from exc
-    if not isinstance(data, dict):
+        at = offset + len(text[: exc.pos].encode())
+        raise DecodeError(f"invalid JSON: {exc.msg}", at) from exc
+    if type(data) is not dict:
         raise DecodeError("frame is not an object", offset)
-    missing = {"t", "slot", "body"} - data.keys()
-    if missing or set(data.keys()) != {"t", "slot", "body"}:
+    if data.keys() != _FIELDS:
         raise DecodeError(f"frame fields must be exactly t/slot/body, got {sorted(data)}", offset)
     try:
-        env_type = EnvelopeType(data["t"])
-    except ValueError:
-        raise DecodeError(f"unknown envelope type {data['t']!r}", offset)
+        env_type = _ENVELOPE_TYPES[data["t"]]
+    except (KeyError, TypeError):
+        raise DecodeError(f"unknown envelope type {data['t']!r}", offset) from None
     slot = data["slot"]
-    if not isinstance(slot, int) or isinstance(slot, bool):
+    if type(slot) is not int:
         raise DecodeError("slot must be an integer", offset)
     body = data["body"]
-    if not isinstance(body, dict):
+    if type(body) is not dict:
         raise DecodeError("body must be an object", offset)
     return FederateEnvelope(env_type, slot, body)
 

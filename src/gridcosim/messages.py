@@ -42,6 +42,10 @@ class NodeKind(enum.Enum):
     __hash__ = object.__hash__
 
 
+#: Wire value to member, for decoding without a Python-level ``Enum`` call.
+_CLASS_BY_VALUE = {member.value: member for member in MessageClass}
+_KIND_BY_VALUE = {member.value: member for member in MessageKind}
+
 #: Node kinds that answer monitoring polls.
 MONITORED_KINDS = (NodeKind.SUBSTATION, NodeKind.PV_PLANT, NodeKind.WIND_FARM, NodeKind.HVA_LV)
 
@@ -105,10 +109,15 @@ class SimMessage:
 
     @classmethod
     def from_wire(cls, data: dict) -> "SimMessage":
+        """Inverse of ``to_wire``.
+
+        A missing field or an unknown class or kind raises ``KeyError``; a
+        value of the wrong shape can raise ``TypeError``.
+        """
         return cls(
             id=data["id"],
-            msg_class=MessageClass(data["cls"]),
-            kind=MessageKind(data["kind"]),
+            msg_class=_CLASS_BY_VALUE[data["cls"]],
+            kind=_KIND_BY_VALUE[data["kind"]],
             src=data["src"],
             dst=data["dst"],
             payload_bytes=data["len"],

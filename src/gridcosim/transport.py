@@ -134,7 +134,19 @@ class SocketEndpoint:
                 raise ProtocolViolation(f"federate {self.name} closed its stream mid-slot")
             if received.type is EnvelopeType.PUBLISH:
                 body = received.body
-                outbox.append((body["at"], body["to"], SimMessage.from_wire(body["msg"])))
+                try:
+                    at, to, msg = body["at"], body["to"], SimMessage.from_wire(body["msg"])
+                except (KeyError, TypeError) as exc:
+                    raise ProtocolViolation(
+                        f"federate {self.name} sent a malformed PUBLISH ending at byte "
+                        f"{self.stream.offset} ({type(exc).__name__}: {exc})"
+                    ) from exc
+                if type(at) is not int or type(to) is not str:
+                    raise ProtocolViolation(
+                        f"federate {self.name} sent a PUBLISH ending at byte "
+                        f"{self.stream.offset} with tick {at!r} to {to!r}"
+                    )
+                outbox.append((at, to, msg))
             elif received.type is EnvelopeType.ACK_SLOT:
                 if received.slot != self._slot:
                     raise ProtocolViolation(

@@ -1,12 +1,16 @@
 import json
+import os
 import socket
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from gridcosim.cli import main
 
-SCENARIO_FILE = Path(__file__).resolve().parents[1] / "scenarios" / "lte_failover_case_study.cfg"
+REPO = Path(__file__).resolve().parents[1]
+SCENARIO_FILE = REPO / "scenarios" / "lte_failover_case_study.cfg"
 
 
 def run_cli(*args):
@@ -62,6 +66,19 @@ def test_socket_transport_from_cli(tmp_path):
                    "--transport", "socket", "--rti-listen", "127.0.0.1:0") == 0
     for name in ("reliability.csv", "delay.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    out = tmp_path / "m"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridcosim", "run", "--transport", "socket", "--duration", "20",
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((out / "manifest.json").read_text())["status"] == "ok"
 
 
 def test_tau_sweep_writes_rows(tmp_path):

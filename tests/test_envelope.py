@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -48,12 +50,36 @@ def test_wrong_fields_rejected():
         decode_envelope(b'{"t":"GRANT","slot":1,"body":3}\n')
     with pytest.raises(DecodeError):
         decode_envelope(b'[1,2,3]\n')
+    with pytest.raises(DecodeError):
+        decode_envelope(b'{"t":"GRANT","slot":true,"body":{}}\n')
+    with pytest.raises(DecodeError):
+        decode_envelope(b'{"t":[1],"slot":5,"body":{}}\n')
+    with pytest.raises(DecodeError):
+        decode_envelope(b'{"t":{},"slot":5,"body":{}}\n')
 
 
 def test_decode_error_carries_offset():
     with pytest.raises(DecodeError) as err:
         decode_envelope(b'{"t":', offset=120)
     assert err.value.offset >= 120
+
+
+@pytest.mark.parametrize("frame, offset", [
+    (b"\xff\n", 100),
+    (b"\x00\x00\x00{\n", 100),  # UTF-32 by encoding detection, but frames are UTF-8
+    (b'{"t":"\xff"}\n', 106),
+])
+def test_non_utf8_frame_is_decode_error_at_its_byte(frame, offset):
+    with pytest.raises(DecodeError) as err:
+        decode_envelope(frame, offset=100)
+    assert err.value.offset == offset
+
+
+def test_json_error_offset_counts_bytes_not_characters():
+    # "\u00e9" is two bytes in UTF-8; the error sits after it, at byte 10.
+    with pytest.raises(DecodeError) as err:
+        decode_envelope('{"t":"\u00e9",'.encode(), offset=100)
+    assert err.value.offset == 110
 
 
 _messages = st.builds(
@@ -78,8 +104,11 @@ def test_message_codec_round_trip(msg):
     assert SimMessage.from_wire(msg.to_wire()) == msg
 
 
+# One builder per envelope type; text fields draw non-ASCII characters too.
 _envelopes = st.one_of(
     st.builds(env.join, st.text(min_size=1, max_size=10)),
+    st.builds(env.error, st.integers(min_value=0, max_value=10**9), st.text(max_size=10), st.text(max_size=40)),
+    st.builds(env.ack_slot, st.integers(min_value=0, max_value=10**9), st.integers(min_value=-1, max_value=10**14)),
     st.builds(env.join_ack, st.integers(min_value=0, max_value=64)),
     st.builds(env.grant, st.integers(min_value=0, max_value=10**9), st.integers(min_value=0, max_value=10**14)),
     st.builds(env.ack_slot, st.integers(min_value=0, max_value=10**9)),
@@ -101,6 +130,12 @@ def test_envelope_round_trip_property(envelope):
     assert decoded == envelope
     if decoded.type in (EnvelopeType.PUBLISH, EnvelopeType.DELIVER):
         assert SimMessage.from_wire(decoded.body["msg"]) == SimMessage.from_wire(envelope.body["msg"])
+
+
+@given(_envelopes)
+def test_encoding_is_compact_json_in_field_order(envelope):
+    expected = {"t": envelope.type.value, "slot": envelope.slot, "body": envelope.body}
+    assert encode_envelope(envelope) == json.dumps(expected, separators=(",", ":")).encode() + b"\n"
 
 
 def test_stream_splits_unambiguously():

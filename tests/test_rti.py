@@ -94,6 +94,23 @@ def test_same_tick_messages_delivered_in_id_order():
     assert [mid for _, mid in fed_b.received] == [3, 7]
 
 
+def test_republishing_an_id_is_a_protocol_violation():
+    script = {0: [(10, make_msg(5, 10))], 1: [(TAU + 10, make_msg(5, TAU + 10))]}
+    with pytest.raises(ProtocolViolation, match="republished message id 5"):
+        run_pair(script_a=script)
+
+
+def test_peer_may_forward_a_received_id_once():
+    # b forwards the id it received from a at the end of slot 0.
+    fed_a, fed_b, result = run_pair(
+        script_a={0: [(10, make_msg(5, 10))]},
+        script_b={1: [(TAU + 10, make_msg(5, TAU + 10))]},
+    )
+    assert fed_b.received == [(TAU, 5)]
+    assert fed_a.received == [(2 * TAU, 5)]
+    assert result.messages_published == result.messages_delivered == 2
+
+
 def test_empty_slot_still_advances_everyone():
     fed_a = ScriptedFederate("a", "b")
     fed_b = ScriptedFederate("b", "a")

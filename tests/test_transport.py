@@ -1,7 +1,10 @@
 import dataclasses
+import json
+import socket
 
 import pytest
 
+from gridcosim import transport
 from gridcosim.config import ScenarioConfig
 from gridcosim.errors import ProtocolViolation
 from gridcosim.messages import MessageClass, MessageKind, SimMessage
@@ -150,3 +153,50 @@ def test_ungranted_socket_federate_outlasts_timeout():
     result = run_federation(1000, 52, [late, BusyFederate()], transport="socket", timeout_s=0.2)
     assert result.slots_run == 52
     assert late.slots_seen == [0, 50]
+
+
+class RawFederate:
+    """Stands for a client that writes its own frames on a raw socket."""
+
+    name = "raw"
+    peer_name = "good"
+
+    def __init__(self, publish_body):
+        self.publish_body = publish_body
+
+
+_real_client = transport.run_federate_client
+
+
+def _raw_client(address, federate, *, timeout_s):
+    """Join, wait for the first grant, send one PUBLISH, then wait for the close."""
+    if not isinstance(federate, RawFederate):
+        return _real_client(address, federate, timeout_s=timeout_s)
+    with socket.create_connection(address, timeout=timeout_s) as sock, sock.makefile("rb") as reader:
+        sock.sendall(b'{"t":"JOIN","slot":0,"body":{"name":"raw"}}\n')
+        assert reader.readline().startswith(b'{"t":"JOIN_ACK"')
+        while not reader.readline().startswith(b'{"t":"GRANT"'):
+            pass
+        frame = {"t": "PUBLISH", "slot": 0, "body": federate.publish_body}
+        sock.sendall(json.dumps(frame).encode() + b"\n")
+        reader.read()
+
+
+_WIRE_MSG = make_msg(1, 100).to_wire()
+
+
+@pytest.mark.parametrize("body", [
+    {"to": "good", "msg": _WIRE_MSG},
+    {"at": 100, "msg": _WIRE_MSG},
+    {"at": 100, "to": "good", "msg": {"cls": "x"}},
+    {"at": 100, "to": "good", "msg": {**_WIRE_MSG, "cls": "x"}},
+    {"at": 100, "to": "good", "msg": {**_WIRE_MSG, "kind": ["request"]}},
+    {"at": 100, "to": "good", "msg": 7},
+    {"at": "100", "to": "good", "msg": _WIRE_MSG},
+    {"at": 100, "to": ["good"], "msg": _WIRE_MSG},
+], ids=["no-at", "no-to", "no-id", "bad-cls", "unhashable-kind", "msg-not-object", "str-at", "list-to"])
+def test_malformed_publish_is_protocol_violation(monkeypatch, body):
+    monkeypatch.setattr(transport, "run_federate_client", _raw_client)
+    good = EchoFederate("good", "raw")
+    with pytest.raises(ProtocolViolation, match=r"federate raw .*PUBLISH ending at byte \d+"):
+        run_federation(1000, 3, [RawFederate(body), good], transport="socket", timeout_s=5.0)
