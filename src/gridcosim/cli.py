@@ -28,9 +28,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--transport", choices=("inproc", "socket"), default="inproc")
     parser.add_argument("--rti-listen", default="127.0.0.1:0", metavar="HOST:PORT",
                         help="coordinator listen address for the socket transport")
-    parser.add_argument("--eq5-literal", action="store_true",
-                        help="use the unreduced form of the rate-update rule "
-                             "(comparison mode; does not lower the offered load)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,7 +118,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             cfg,
             transport=args.transport,
             listen=_listen_address(args.rti_listen),
-            eq5_literal=args.eq5_literal,
         )
         outputs = write_outputs(
             out_dir, result,
@@ -154,7 +150,6 @@ def _cmd_tau_sweep(args: argparse.Namespace) -> int:
             cfg, taus,
             transport=args.transport,
             listen=_listen_address(args.rti_listen),
-            eq5_literal=args.eq5_literal,
         )
         write_ddf_csv(out_dir / "ddf.csv", rows)
         write_manifest(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
@@ -178,18 +178,20 @@ class ScenarioConfig:
             if value is not None and value < 0:
                 raise ValidationError(key, "must be non-negative")
 
-        # Times must sit on the tick grid, and the reporting window on the
-        # slot grid, or interval bookkeeping would drift.
-        try:
-            tau = self.tau_ticks
-        except ValueError as exc:
-            raise ValidationError("tau_s", str(exc)) from exc
-        for key in ("duration_s", "metrics_interval_s"):
+        # Every time the federates convert to ticks must be finite and sit
+        # on the tick grid, and the reporting window on the slot grid, or
+        # interval bookkeeping would drift.
+        for key in ("tau_s", "duration_s", "metrics_interval_s", "delay_limit_monitoring_s",
+                    "delay_limit_control_s", "access_latency_lte_s", "access_latency_dmr_s",
+                    "lte_fail_at_s", "lte_restore_at_s"):
+            value = getattr(self, key)
+            if value is None:
+                continue
             try:
-                ticks_from_seconds(getattr(self, key), key=key)
+                ticks_from_seconds(value, key=key)
             except ValueError as exc:
                 raise ValidationError(key, str(exc)) from exc
-        if self.interval_ticks % tau != 0:
+        if self.interval_ticks % self.tau_ticks != 0:
             raise ValidationError("metrics_interval_s", "must be a multiple of tau_s")
 
     def warnings(self) -> list[str]:

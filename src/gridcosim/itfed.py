@@ -3,9 +3,10 @@
 The management system polls every monitored endpoint on a fixed period with
 a seeded random phase, and sends a burst of commands to randomly chosen
 switches once per control period.  Each request opens an exchange; the
-response closes it and fixes the application-side round-trip delay.  An
-exchange that is still unanswered one delay limit after its interval ends
-scores zero.
+response closes it and fixes the application-side round-trip delay.
+Reliability is scored once, after the run: an exchange not answered within
+its class delay limit scores zero, and one the run ended too early to decide
+is logged but not scored.
 
 On receiving a rate-update notification the polling schedule is rebuilt:
 the new period applies to every monitored node, with nodes spread evenly
@@ -75,11 +76,7 @@ class ITFederate:
 
         self._open: dict[int, ExchangeRecord] = {}
         self._interval_records: dict[tuple[int, MessageClass], list[ExchangeRecord]] = defaultdict(list)
-        self._reliability: dict[tuple[int, MessageClass], IntervalMetrics | None] = {}
-        self._next_finalize = dict.fromkeys(MessageClass, 0)
-        self._next_deadline = min(
-            self._interval_ticks + self._limit_ticks[cls] for cls in MessageClass
-        )
+        self._reliability: list[IntervalMetrics] = []
         # Completed message legs: (class, kind, d_it_ticks, d_comm_ticks, delivered_comm_tick).
         self.comm_legs: list[tuple[MessageClass, MessageKind, int, int, int]] = []
         self.exchange_rows: list[tuple[ExchangeRecord, int | None]] = []
@@ -216,70 +213,48 @@ class ITFederate:
         if (self._poll_heap and self._poll_heap[0][0] < slot_end_tick) or self._next_control < slot_end_tick:
             for msg in self.generate_slot_traffic(slot):
                 out.append((msg.created_tick, msg))
-        if now >= self._next_deadline:
-            self._finalize_due(now)
         return out, slot_end_tick >= self._duration
 
     def next_event_tick(self) -> int:
         """Earliest tick whose slot must be granted even with an empty inbox.
 
-        A step in any earlier slot with an empty inbox would emit nothing,
-        change no state and not report done.
+        That is the next poll or control burst, or the last tick of the run,
+        whichever comes first: a step in any earlier slot with an empty inbox
+        would emit nothing, change no state and not report done.  Scoring
+        waits for ``finalize_run``, so no slot is granted for bookkeeping.
         """
-        tau = self._tau
-        # Intervals are finalized at the first slot start on or after the deadline.
-        tick = min(self._next_control, -(-self._next_deadline // tau) * tau, self._duration - 1)
+        tick = min(self._next_control, self._duration - 1)
         if self._poll_heap and self._poll_heap[0][0] < tick:
             return self._poll_heap[0][0]
         return tick
 
     # ----------------------------------------------------------- reporting
 
-    def _finalize_due(self, now_tick: int) -> None:
-        for cls in MessageClass:
-            limit = self._limit_ticks[cls]
-            while now_tick >= (self._next_finalize[cls] + 1) * self._interval_ticks + limit:
-                self._finalize_interval(self._next_finalize[cls], cls, end_tick=None)
-                self._next_finalize[cls] += 1
-        self._next_deadline = min(
-            (self._next_finalize[cls] + 1) * self._interval_ticks + self._limit_ticks[cls]
-            for cls in MessageClass
-        )
+    def finalize_run(self, end_tick: int) -> None:
+        """Score every (interval, class) once, after the run ended at ``end_tick``.
 
-    def _finalize_interval(self, interval: int, cls: MessageClass, end_tick: int | None) -> None:
+        ``exchange_rows`` then lists exchanges by interval, then class in
+        ``MessageClass`` order, then creation order.
+        """
+        for interval in range(-(-end_tick // self._interval_ticks)):
+            for cls in MessageClass:
+                self._finalize_interval(interval, cls, end_tick)
+
+    def _finalize_interval(self, interval: int, cls: MessageClass, end_tick: int) -> None:
         records = self._interval_records.pop((interval, cls), [])
         limit = self._limit_ticks[cls]
-        scored: list[ExchangeRecord] = []
+        by_node: dict[int, list[ExchangeRecord]] = defaultdict(list)
         for rec in records:
-            if end_tick is not None and not rec.answered and rec.request.created_tick + limit > end_tick:
+            if not rec.answered and rec.request.created_tick + limit > end_tick:
                 # The run ended before this exchange could either succeed or
                 # exhaust its limit; its outcome is unknowable.
                 self.exchange_rows.append((rec, None))
                 continue
-            scored.append(rec)
-            self.exchange_rows.append((rec, 1 if rec.meets_limit(limit) else 0))
-        by_node: dict[int, list[ExchangeRecord]] = defaultdict(list)
-        for rec in scored:
             by_node[rec.node].append(rec)
-        limit_s = limit / TICKS_PER_SECOND
-        self._reliability[(interval, cls)] = interval_metrics(interval, cls, by_node, limit_s)
-
-    def snapshot_reliability(self, interval: int) -> dict[MessageClass, IntervalMetrics | None]:
-        """Finalized per-class metrics for one interval; raises if still open."""
-        for cls in MessageClass:
-            if interval >= self._next_finalize[cls]:
-                raise ValueError(f"interval {interval} is not complete for {cls.value}")
-        return {cls: self._reliability.get((interval, cls)) for cls in MessageClass}
-
-    def finalize_run(self, end_tick: int) -> None:
-        """Close every remaining interval using run-end knowledge."""
-        n_intervals = -(-end_tick // self._interval_ticks) if end_tick else 0
-        for cls in MessageClass:
-            for interval in range(self._next_finalize[cls], n_intervals):
-                self._finalize_interval(interval, cls, end_tick=end_tick)
-            self._next_finalize[cls] = max(self._next_finalize[cls], n_intervals)
+            self.exchange_rows.append((rec, 1 if rec.meets_limit(limit) else 0))
+        metrics = interval_metrics(interval, cls, by_node, limit / TICKS_PER_SECOND)
+        if metrics is not None:
+            self._reliability.append(metrics)
 
     def reliability_series(self) -> list[IntervalMetrics]:
-        series = [m for m in self._reliability.values() if m is not None]
-        series.sort(key=lambda m: (m.interval, m.msg_class.value))
-        return series
+        return sorted(self._reliability, key=lambda m: (m.interval, m.msg_class.value))

@@ -45,9 +45,9 @@ class NodeKind(enum.Enum):
 #: Wire value to member, for decoding without a Python-level ``Enum`` call.
 _CLASS_BY_VALUE = {member.value: member for member in MessageClass}
 _KIND_BY_VALUE = {member.value: member for member in MessageKind}
-
-#: Node kinds that answer monitoring polls.
-MONITORED_KINDS = (NodeKind.SUBSTATION, NodeKind.PV_PLANT, NodeKind.WIND_FARM, NodeKind.HVA_LV)
+#: Wire fields that must be ``int``, and those that may also be ``None``.
+_INT_FIELDS = ("id", "src", "dst", "len", "ct")
+_OPTIONAL_INT_FIELDS = ("dit", "sct", "dct", "corr", "ppt")
 
 #: Distributed energy resources.
 DER_KINDS = (NodeKind.PV_PLANT, NodeKind.WIND_FARM)
@@ -112,8 +112,16 @@ class SimMessage:
         """Inverse of ``to_wire``.
 
         A missing field or an unknown class or kind raises ``KeyError``; a
-        value of the wrong shape can raise ``TypeError``.
+        value of the wrong type raises ``TypeError``.  Integer fields must be
+        exactly ``int`` (a float or bool tick would reach the outputs).
         """
+        for key in _INT_FIELDS:
+            if type(data[key]) is not int:
+                raise TypeError(f"message field {key!r} must be an integer, got {data[key]!r}")
+        for key in _OPTIONAL_INT_FIELDS:
+            value = data.get(key)
+            if value is not None and type(value) is not int:
+                raise TypeError(f"message field {key!r} must be an integer or null, got {value!r}")
         return cls(
             id=data["id"],
             msg_class=_CLASS_BY_VALUE[data["cls"]],

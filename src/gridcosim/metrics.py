@@ -33,8 +33,6 @@ class IntervalMetrics:
     mean: float
     ci_half_width: float
     sample_count: int
-    delay_mean_s: float | None = None
-    delay_p95_s: float | None = None
 
     @property
     def ci_low(self) -> float:

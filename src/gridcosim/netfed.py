@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .config import ScenarioConfig, exchange_wire_bits, offered_monitoring_bps
+from .config import ScenarioConfig, exchange_wire_bits
 from .errors import ValidationError
 from .links import DMR, LTE, FifoQueue, LinkModel, TransportFrame, WfqQueue, segment_sizes
 from .messages import (
@@ -44,24 +44,17 @@ _PRIO_ARRIVAL = 2
 _PRIO_DELIVERY = 3
 
 
-def rate_adaptation_rate(
-    cfg: ScenarioConfig, n_monitored: int, exchange_bits: int, *, literal: bool = False
-) -> float:
+def rate_adaptation_rate(cfg: ScenarioConfig, n_monitored: int, exchange_bits: int) -> float:
     """Per-node monitoring rate that fits the DMR budget after failover.
 
-    The default reading keeps the total offered monitoring load at or below
-    (1 - alpha_e) * dmr_capacity.  ``literal`` evaluates the unreduced form
-    of the update rule for comparison; as a ratio of two loads it does not
-    lower the rate and exists only to demonstrate that.
+    Keeps the total offered monitoring load at or below
+    (1 - alpha_e) * dmr_capacity.
     """
     if exchange_bits <= 0:
         raise ValidationError("exchange_bits", "must be positive")
     if n_monitored <= 0:
         raise ValidationError("n_monitored", "must be positive")
     usable_bps = (1.0 - cfg.alpha_e) * cfg.dmr_capacity_bps
-    if literal:
-        total_traffic_bps = offered_monitoring_bps(cfg)
-        return (1.0 / n_monitored) * (total_traffic_bps / usable_bps)
     return usable_bps / (n_monitored * exchange_bits)
 
 
@@ -80,12 +73,11 @@ class NetFederate:
     name = "comm"
     peer_name = "it"
 
-    def __init__(self, cfg: ScenarioConfig, nodes: list[NodeDescriptor], *, eq5_literal: bool = False):
+    def __init__(self, cfg: ScenarioConfig, nodes: list[NodeDescriptor]):
         self.cfg = cfg
         self._tau = cfg.tau_ticks
         self._duration = cfg.duration_ticks
         self._interval_ticks = cfg.interval_ticks
-        self._eq5_literal = eq5_literal
 
         self._kind_by_id = {n.id: n.kind for n in nodes}
         self._dms_id = next(n.id for n in nodes if n.kind is NodeKind.DMS)
@@ -354,10 +346,7 @@ class NetFederate:
         )
 
     def _rate_update_message(self, tick: int) -> SimMessage:
-        rate_hz = rate_adaptation_rate(
-            self.cfg, len(self._monitored), self.failover_exchange_bits(),
-            literal=self._eq5_literal,
-        )
+        rate_hz = rate_adaptation_rate(self.cfg, len(self._monitored), self.failover_exchange_bits())
         # Round the period up: a longer period can only lower the offered load.
         period_ticks = max(1, math.ceil(TICKS_PER_SECOND / rate_hz))
         self.adapted_period_ticks = period_ticks

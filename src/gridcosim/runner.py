@@ -45,11 +45,6 @@ class RunResult:
     comm_legs: list
     link_rows: list[tuple[float, str, int, int, int, int, int]]
     adapted_period_ticks: int | None
-    wallclock_s: float
-
-    @property
-    def interval_s(self) -> float:
-        return self.cfg.metrics_interval_s
 
 
 def run_scenario(
@@ -57,12 +52,11 @@ def run_scenario(
     *,
     transport: str = "inproc",
     listen: tuple[str, int] = ("127.0.0.1", 0),
-    eq5_literal: bool = False,
     record_trace: bool = False,
 ) -> RunResult:
     nodes = generate_topology(cfg)
     it_federate = ITFederate(cfg, nodes)
-    net_federate = NetFederate(cfg, nodes, eq5_literal=eq5_literal)
+    net_federate = NetFederate(cfg, nodes)
     federation = run_federation(
         cfg.tau_ticks,
         cfg.n_slots,
@@ -73,10 +67,6 @@ def run_scenario(
     )
     end_tick = federation.slots_run * cfg.tau_ticks
     it_federate.finalize_run(end_tick)
-
-    reliability = it_federate.reliability_series()
-    delays = _delay_series(it_federate, cfg)
-    _attach_delays(reliability, delays)
 
     legs = it_federate.comm_legs
     report = None
@@ -90,15 +80,14 @@ def run_scenario(
         cfg=cfg,
         federation=federation,
         nodes=nodes,
-        reliability=reliability,
-        delays=delays,
+        reliability=it_federate.reliability_series(),
+        delays=_delay_series(it_federate, cfg),
         ddf=report,
         conservation=net_federate.conservation(),
         exchange_rows=it_federate.exchange_rows,
         comm_legs=legs,
         link_rows=_link_rows(net_federate, cfg, end_tick),
         adapted_period_ticks=net_federate.adapted_period_ticks,
-        wallclock_s=federation.wallclock_s,
     )
 
 
@@ -113,15 +102,6 @@ def _delay_series(it_federate: ITFederate, cfg: ScenarioConfig) -> list[DelaySta
     ]
     series.sort(key=lambda s: (s.interval, s.msg_class.value))
     return series
-
-
-def _attach_delays(reliability: list[IntervalMetrics], delays: list[DelayStats]) -> None:
-    lookup = {(d.interval, d.msg_class): d for d in delays}
-    for metric in reliability:
-        stats = lookup.get((metric.interval, metric.msg_class))
-        if stats is not None:
-            metric.delay_mean_s = stats.mean_s
-            metric.delay_p95_s = stats.p95_s
 
 
 def _link_rows(net: NetFederate, cfg: ScenarioConfig, end_tick: int) -> list:
@@ -158,7 +138,7 @@ def write_reliability_csv(path: Path, result: RunResult) -> None:
                          "ci_low_clamped", "ci_high_clamped", "clamped"])
         for m in result.reliability:
             writer.writerow([
-                _fmt(m.interval * result.interval_s),
+                _fmt(m.interval * result.cfg.metrics_interval_s),
                 m.msg_class.value,
                 _fmt(m.mean),
                 _fmt(m.ci_low),
@@ -175,7 +155,7 @@ def write_delay_csv(path: Path, result: RunResult) -> None:
         writer.writerow(["t_s", "class", "mean_s", "p95_s"])
         for d in result.delays:
             writer.writerow([
-                _fmt(d.interval * result.interval_s),
+                _fmt(d.interval * result.cfg.metrics_interval_s),
                 d.msg_class.value,
                 _fmt(d.mean_s),
                 _fmt(d.p95_s),
@@ -259,7 +239,7 @@ def write_outputs(
     outputs.append("delay.csv")
     ddf_rows = []
     if result.ddf is not None:
-        ddf_rows.append((result.cfg.tau_s, result.ddf.ddf_percent, result.wallclock_s))
+        ddf_rows.append((result.cfg.tau_s, result.ddf.ddf_percent, result.federation.wallclock_s))
     write_ddf_csv(out_dir / "ddf.csv", ddf_rows)
     outputs.append("ddf.csv")
     if exchange_log:
@@ -283,7 +263,6 @@ def run_tau_sweep(
     *,
     transport: str = "inproc",
     listen: tuple[str, int] = ("127.0.0.1", 0),
-    eq5_literal: bool = False,
 ) -> list[tuple[float, float, float]]:
     """One run per slot duration, identical seed; rows of (tau, ddf%, wallclock)."""
     if len(taus) < 2:
@@ -292,9 +271,9 @@ def run_tau_sweep(
     for tau_s in taus:
         run_cfg = dataclasses.replace(cfg, tau_s=tau_s)
         run_cfg.validate()
-        result = run_scenario(run_cfg, transport=transport, listen=listen, eq5_literal=eq5_literal)
+        result = run_scenario(run_cfg, transport=transport, listen=listen)
         if result.ddf is None:
             raise UsageError("sweep produced no completed exchanges; extend the duration")
-        rows.append((tau_s, result.ddf.ddf_percent, result.wallclock_s))
+        rows.append((tau_s, result.ddf.ddf_percent, result.federation.wallclock_s))
         logger.info("tau=%gs ddf=%.3f%% wallclock=%.3fs", tau_s, rows[-1][1], rows[-1][2])
     return rows

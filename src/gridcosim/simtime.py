@@ -8,6 +8,8 @@ floating-point seconds cannot guarantee.
 
 from __future__ import annotations
 
+import math
+
 # Base unit is 1e-5 s.  Every event time, slot duration and latency is an
 # exact multiple of this.
 TICKS_PER_SECOND = 100_000
@@ -18,9 +20,11 @@ BASE_UNIT_S = 1.0 / TICKS_PER_SECOND
 def ticks_from_seconds(seconds: float, *, key: str = "time") -> int:
     """Convert seconds to ticks, requiring an exact base-unit multiple.
 
-    Raises ValueError when ``seconds`` is not representable on the tick
-    grid (beyond float noise).
+    Raises ValueError when ``seconds`` is not finite or not representable
+    on the tick grid (beyond float noise).
     """
+    if not math.isfinite(seconds):
+        raise ValueError(f"{key}={seconds!r} is not a finite number of seconds")
     raw = seconds * TICKS_PER_SECOND
     ticks = round(raw)
     tol = max(1e-6, abs(raw) * 1e-9)

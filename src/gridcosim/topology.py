@@ -5,22 +5,20 @@ from __future__ import annotations
 import random
 
 from .config import ScenarioConfig
-from .messages import MONITORED_KINDS, NodeDescriptor, NodeKind
+from .messages import NodeDescriptor, NodeKind
 
 
-def generate_topology(cfg: ScenarioConfig, seed: int | None = None) -> list[NodeDescriptor]:
+def generate_topology(cfg: ScenarioConfig) -> list[NodeDescriptor]:
     """Place every node of the scenario inside the region square.
 
-    A pure function of (cfg, seed): the same arguments always produce the
-    identical descriptor list.  The DMR access point sits at the region
-    center, LTE base stations split the region evenly along the x axis, and
-    everything else is uniform random.  Positions only drive base-station
-    assignment; no electrical topology is modeled.
+    A pure function of the config, its seed included: the same config always
+    produces the identical descriptor list.  The DMR access point sits at the
+    region center, LTE base stations split the region evenly along the x
+    axis, and everything else is uniform random.  Positions only drive
+    base-station assignment; no electrical topology is modeled.
     """
-    if seed is None:
-        seed = cfg.seed
     side = cfg.region_side_km
-    rng = random.Random(_topology_seed(seed))
+    rng = random.Random(cfg.derive_seed("topology"))
 
     nodes: list[NodeDescriptor] = []
 
@@ -47,16 +45,8 @@ def generate_topology(cfg: ScenarioConfig, seed: int | None = None) -> list[Node
     return nodes
 
 
-def _topology_seed(seed: int) -> int:
-    import hashlib
-
-    return int.from_bytes(hashlib.sha256(f"{seed}:topology".encode()).digest()[:8], "big")
-
-
 def monitored_nodes(nodes: list[NodeDescriptor], cfg: ScenarioConfig) -> list[NodeDescriptor]:
     """Endpoints polled by the management system, in stable id order."""
-    kinds = set(MONITORED_KINDS)
-    if not cfg.monitor_ders:
-        kinds -= {NodeKind.PV_PLANT, NodeKind.WIND_FARM}
+    kinds = cfg.monitored_counts().keys()
     return [n for n in nodes if n.kind in kinds]
 

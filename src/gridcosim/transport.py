@@ -261,7 +261,7 @@ def run_federation(
     server.settimeout(timeout_s)
     address = server.getsockname()[:2]
     threads: list[threading.Thread] = []
-    endpoints: list[SocketEndpoint] = []
+    streams: list[_FrameStream] = []
     try:
         # Start and join federates one at a time so ids are assigned in the
         # listed order regardless of thread scheduling.
@@ -278,19 +278,21 @@ def run_federation(
                 raise FederateTimeout(f"federate {federate.name} never connected") from exc
             conn.settimeout(timeout_s)
             stream = _FrameStream(conn)
+            streams.append(stream)
             joined = stream.recv()
             if joined is None or joined.type is not EnvelopeType.JOIN:
                 raise ProtocolViolation("expected JOIN")
-            fid = rti.register_federate(joined.body["name"])
+            name = joined.body.get("name")
+            if type(name) is not str:
+                raise ProtocolViolation(f"JOIN must name the federate with a string, got {name!r}")
+            fid = rti.register_federate(name)
             stream.send(env.join_ack(fid))
             stream.flush()
-            endpoint = SocketEndpoint(stream, joined.body["name"])
-            endpoints.append(endpoint)
-            rti.attach_endpoint(fid, endpoint)
+            rti.attach_endpoint(fid, SocketEndpoint(stream, name))
         result = rti.run(n_slots)
     finally:
-        for endpoint in endpoints:
-            endpoint.close()
+        for stream in streams:
+            stream.close()
         server.close()
         for thread in threads:
             thread.join(timeout=timeout_s)

@@ -65,28 +65,37 @@ def wfqra_run():
     return run_scenario(full_cfg(qos="wfq-ra", lte_fail_at_s=FAIL_AT_S))
 
 
-# (trace_digest, reliability.csv SHA-256, delay.csv SHA-256) of each
-# acceptance run; a change that alters any of them changes the reproduction.
+# (trace_digest, then the SHA-256 of reliability.csv, delay.csv,
+# exchange_log.csv and link_log.csv) of each acceptance run; a change that
+# alters any of them changes the reproduction.
 PINNED_OUTPUTS = {
     "default_run": (
         "1cfb1b5d124d98042c52ca617692d7be1f19f1bf304c8b2bc05a77029ae251f2",
         "828c3cde8629da4cd6a4a78ade9e43e2e43244725a1434a842e8596a7c42f5b8",
         "3e011660e02bf13ebfeeacc3c259845cd1dffa829286b7134c16b5dacaef3f87",
+        "d6618e9e1d12e6f7d509c9577abc16afd404f6aa82e6bb5296f5aa7956133836",
+        "55cdfa28bc61bd8f5069702470af81349a79b7757134e77dd3575c0fd52f6c7d",
     ),
     "fifo_fail_run": (
         "7d29dd6f9cc1bace10a6434d00676c3de8cabd53e7c7dc76a2bbadf13c62b0a5",
         "4bb2d7100b6ef25c4e67542e444ab00df4f532c5dac08db5366b0f0098da4d76",
         "3265c204280b05e515c59220127256990f6987e74847dabb340d035c8259720e",
+        "5c0f27ef07c37113ee37dc6891193eb5cc2602a39e563b6aef346521354242d0",
+        "799cc455efb7eb4a74b327c4f9d2653d84607ecec5f5887ecd54704a0c92f45a",
     ),
     "wfq_run": (
         "529ed3252a0e2d8553c6ccbb6e11aa3da899b9f555ed4a86bb331730b7dc21c0",
         "0269adf9ce338eb80e8afc802f7876fc754f8a29679d04cd2756c2d867d37a30",
         "55354d13fc028793953c6c4bb8fed98da7bf89314180c50a9df3d89fff9e410d",
+        "871325f37b1a8f22c9f0cbf03c805b0824aed82450823f4a9ab97c8f16b61b7b",
+        "08374a6468a1561d08628cb6078eae36c779e033161c5c8db7b709422a94e11f",
     ),
     "wfqra_run": (
         "04ce964c85572d9efb4c38aaea2540318fcfc9324bdc5146ebe308c505512586",
         "956fd084a931598eff72854293b422e09959750b2e7055bdfbd78dd958c0e11f",
         "72926bd0cbdc97c2d7f42f8738b5e14d09f21b27120de16cfc069f9a042b550b",
+        "f8f3e42b70c6061f0d729c9681cb7689d037b336fa345aab6c175d6bd96e42f6",
+        "d04bd61d1dbe631674a5dd40f0dda5ae367e840f62363fb0d16d2421463a649e",
     ),
 }
 
@@ -246,10 +255,9 @@ def test_pinned_outputs(tmp_path, default_run, fifo_fail_run, wfq_run, wfqra_run
             "wfq_run": wfq_run, "wfqra_run": wfqra_run}
     for name, result in runs.items():
         out_dir = tmp_path / name
-        write_outputs(out_dir, result)
-        actual = (
-            result.federation.trace_digest,
-            hashlib.sha256((out_dir / "reliability.csv").read_bytes()).hexdigest(),
-            hashlib.sha256((out_dir / "delay.csv").read_bytes()).hexdigest(),
+        write_outputs(out_dir, result, exchange_log=True, link_log=True)
+        actual = (result.federation.trace_digest,) + tuple(
+            hashlib.sha256((out_dir / csv).read_bytes()).hexdigest()
+            for csv in ("reliability.csv", "delay.csv", "exchange_log.csv", "link_log.csv")
         )
         assert actual == PINNED_OUTPUTS[name], name

@@ -97,13 +97,6 @@ def test_tau_sweep_single_value_is_usage_error(tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
-def test_eq5_literal_flag_accepted(tmp_path):
-    out = tmp_path / "lit"
-    code = run_cli("run", "--duration", "20", "--qos", "wfq-ra", "--fail-at", "5",
-                   "--eq5-literal", "--out", out)
-    assert code == 0
-
-
 @pytest.fixture
 def busy_address():
     """host:port of a socket that is already listening."""
@@ -126,3 +119,24 @@ def test_bad_arguments_are_usage_errors_with_manifest(tmp_path, capsys, busy_add
     if "--rti-listen" in args:
         assert args[args.index("--rti-listen") + 1] in err
     assert json.loads((out / "manifest.json").read_text())["status"] == "error"
+
+
+@pytest.mark.parametrize("flags, config_line, key", [
+    (("--duration", "inf"), None, "duration_s"),
+    (("--fail-at", "nan"), None, "lte_fail_at_s"),
+    ((), "access_latency_lte_s = 0.000015", "access_latency_lte_s"),
+    ((), "delay_limit_control_s = 10.000005", "delay_limit_control_s"),
+    ((), "lte_restore_at_s = inf", "lte_restore_at_s"),
+], ids=["inf-duration", "nan-fail-at", "off-grid-latency", "off-grid-limit", "inf-restore"])
+def test_unconvertible_times_are_validation_errors_with_manifest(tmp_path, capsys, flags,
+                                                                 config_line, key):
+    args = list(flags)
+    if config_line is not None:
+        config = tmp_path / "bad.cfg"
+        config.write_text(config_line + "\n")
+        args += ["--config", config]
+    out = tmp_path / "bad"
+    assert run_cli("run", *args, "--out", out) == 1
+    assert f"error: {key}:" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "error" and manifest["error"].startswith(f"{key}:")

@@ -152,19 +152,16 @@ def test_duplicate_response_counts_unknown_correlation():
     assert fed.unknown_correlation == 1
 
 
-def test_snapshot_reliability_absent_versus_present():
+def test_reliability_series_absent_versus_present():
     fed, cfg, _ = build_federate(duration_s=100.0)
     step_through(fed, cfg)
     fed.finalize_run(cfg.duration_ticks)
-    snapshot = fed.snapshot_reliability(0)
+    first = {m.msg_class: m for m in fed.reliability_series() if m.interval == 0}
     # No commands are issued before the first control period, so the class
     # has no value at all; unanswered monitoring exchanges scored zero.
-    assert snapshot[MessageClass.CONTROL] is None
-    monitoring = snapshot[MessageClass.MONITORING]
-    assert monitoring is not None
+    assert MessageClass.CONTROL not in first
+    monitoring = first[MessageClass.MONITORING]
     assert monitoring.mean == 0.0 and monitoring.sample_count > 0
-    with pytest.raises(ValueError):
-        fed.snapshot_reliability(99)
 
 
 def step_through(fed, cfg):

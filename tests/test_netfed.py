@@ -241,16 +241,6 @@ def test_rate_adaptation_keeps_offered_load_within_budget():
     assert 335 * rate * bits <= (1 - cfg.alpha_e) * cfg.dmr_capacity_bps + 1e-9
 
 
-def test_rate_adaptation_literal_form_is_not_stabilizing():
-    # The unreduced update is a ratio of loads and comes out far above the
-    # sustainable per-node rate; kept only for comparison runs.
-    cfg = ScenarioConfig()
-    literal = rate_adaptation_rate(cfg, 335, 5824, literal=True)
-    stable = rate_adaptation_rate(cfg, 335, 5824)
-    assert literal > 100 * stable
-    assert 335 * literal * 5824 > cfg.dmr_capacity_bps
-
-
 # ------------------------------------------------------------- utilization
 
 def test_utilization_and_flow_conservation_full_run():

@@ -17,7 +17,7 @@ def _counts(nodes):
 
 def test_default_topology_counts_and_center():
     cfg = ScenarioConfig()
-    nodes = generate_topology(cfg, seed=1)
+    nodes = generate_topology(dataclasses.replace(cfg, seed=1))
     assert len(nodes) == 365
     counts = _counts(nodes)
     assert counts[NodeKind.HVA_LV] == 332
@@ -33,7 +33,7 @@ def test_default_topology_counts_and_center():
 
 
 def test_base_stations_split_region():
-    nodes = generate_topology(ScenarioConfig(), seed=3)
+    nodes = generate_topology(dataclasses.replace(ScenarioConfig(), seed=3))
     stations = [n for n in nodes if n.kind is NodeKind.LTE_BS]
     assert [(bs.x_km, bs.y_km) for bs in stations] == [(3.75, 7.5), (11.25, 7.5)]
 
@@ -41,15 +41,19 @@ def test_base_stations_split_region():
 def test_minimal_federation_topology():
     cfg = ScenarioConfig(count_hva_lv=0, count_switch=0, count_substation=0,
                          count_pv_plant=0, count_wind_farm=0, lte_bs_count=0)
-    nodes = generate_topology(cfg, seed=1)
+    nodes = generate_topology(dataclasses.replace(cfg, seed=1))
     assert len(nodes) == 2
     assert {n.kind for n in nodes} == {NodeKind.DMS, NodeKind.DMR_AP}
 
 
 def test_same_seed_same_positions():
     cfg = ScenarioConfig()
-    assert generate_topology(cfg, seed=42) == generate_topology(cfg, seed=42)
-    assert generate_topology(cfg, seed=42) != generate_topology(cfg, seed=43)
+
+    def positions(seed):
+        return generate_topology(dataclasses.replace(cfg, seed=seed))
+
+    assert positions(42) == positions(42)
+    assert positions(42) != positions(43)
 
 
 @settings(max_examples=25)
@@ -57,14 +61,14 @@ def test_same_seed_same_positions():
 def test_positions_inside_region(seed):
     cfg = ScenarioConfig()
     side = cfg.region_side_km
-    for node in generate_topology(cfg, seed=seed):
+    for node in generate_topology(dataclasses.replace(cfg, seed=seed)):
         assert 0.0 <= node.x_km <= side
         assert 0.0 <= node.y_km <= side
 
 
 def test_monitored_selection_follows_der_switch():
     cfg = ScenarioConfig()
-    nodes = generate_topology(cfg, seed=1)
+    nodes = generate_topology(dataclasses.replace(cfg, seed=1))
     assert len(monitored_nodes(nodes, cfg)) == 335
     without = dataclasses.replace(cfg, monitor_ders=False)
     assert len(monitored_nodes(nodes, without)) == 333
@@ -72,7 +76,7 @@ def test_monitored_selection_follows_der_switch():
 
 def test_nearest_base_station_prefers_closest_then_lowest_id():
     cfg = ScenarioConfig()
-    nodes = generate_topology(cfg, seed=1)
+    nodes = generate_topology(dataclasses.replace(cfg, seed=1))
     west = next(n for n in nodes if n.kind is NodeKind.HVA_LV and n.x_km < 7.0)
     east = next(n for n in nodes if n.kind is NodeKind.HVA_LV and n.x_km > 8.0)
     # Stations sit at x = 3.75 and 11.25 km: x = 7.5 km is equidistant.

@@ -161,11 +161,16 @@ class RawFederate:
     name = "raw"
     peer_name = "good"
 
-    def __init__(self, publish_body):
+    def __init__(self, publish_body=None, join_body=None):
         self.publish_body = publish_body
+        self.join_body = {"name": "raw"} if join_body is None else join_body
 
 
 _real_client = transport.run_federate_client
+
+
+def _send_frame(sock, frame_type, body):
+    sock.sendall(json.dumps({"t": frame_type, "slot": 0, "body": body}).encode() + b"\n")
 
 
 def _raw_client(address, federate, *, timeout_s):
@@ -173,12 +178,12 @@ def _raw_client(address, federate, *, timeout_s):
     if not isinstance(federate, RawFederate):
         return _real_client(address, federate, timeout_s=timeout_s)
     with socket.create_connection(address, timeout=timeout_s) as sock, sock.makefile("rb") as reader:
-        sock.sendall(b'{"t":"JOIN","slot":0,"body":{"name":"raw"}}\n')
-        assert reader.readline().startswith(b'{"t":"JOIN_ACK"')
+        _send_frame(sock, "JOIN", federate.join_body)
+        if not reader.readline().startswith(b'{"t":"JOIN_ACK"'):
+            return  # the coordinator refused the join and closed the stream
         while not reader.readline().startswith(b'{"t":"GRANT"'):
             pass
-        frame = {"t": "PUBLISH", "slot": 0, "body": federate.publish_body}
-        sock.sendall(json.dumps(frame).encode() + b"\n")
+        _send_frame(sock, "PUBLISH", federate.publish_body)
         reader.read()
 
 
@@ -194,9 +199,25 @@ _WIRE_MSG = make_msg(1, 100).to_wire()
     {"at": 100, "to": "good", "msg": 7},
     {"at": "100", "to": "good", "msg": _WIRE_MSG},
     {"at": 100, "to": ["good"], "msg": _WIRE_MSG},
-], ids=["no-at", "no-to", "no-id", "bad-cls", "unhashable-kind", "msg-not-object", "str-at", "list-to"])
+    {"at": 100, "to": "good", "msg": {**_WIRE_MSG, "id": "x"}},
+    {"at": 100, "to": "good", "msg": {**_WIRE_MSG, "src": 0.0}},
+    {"at": 100, "to": "good", "msg": {**_WIRE_MSG, "len": True}},
+    {"at": 100, "to": "good", "msg": {**_WIRE_MSG, "ct": 100.0}},
+    {"at": 100, "to": "good", "msg": {**_WIRE_MSG, "dct": 5.5}},
+    {"at": 100, "to": "good", "msg": {**_WIRE_MSG, "corr": "1"}},
+], ids=["no-at", "no-to", "no-id", "bad-cls", "unhashable-kind", "msg-not-object", "str-at", "list-to",
+        "str-id", "float-src", "bool-len", "float-ct", "float-dct", "str-corr"])
 def test_malformed_publish_is_protocol_violation(monkeypatch, body):
     monkeypatch.setattr(transport, "run_federate_client", _raw_client)
     good = EchoFederate("good", "raw")
     with pytest.raises(ProtocolViolation, match=r"federate raw .*PUBLISH ending at byte \d+"):
         run_federation(1000, 3, [RawFederate(body), good], transport="socket", timeout_s=5.0)
+
+
+@pytest.mark.parametrize("join_body", [{}, {"name": ["raw"]}], ids=["no-name", "list-name"])
+def test_malformed_join_is_protocol_violation(monkeypatch, join_body):
+    monkeypatch.setattr(transport, "run_federate_client", _raw_client)
+    good = EchoFederate("good", "raw")
+    with pytest.raises(ProtocolViolation, match="JOIN must name the federate"):
+        run_federation(1000, 3, [RawFederate(join_body=join_body), good], transport="socket",
+                       timeout_s=5.0)
