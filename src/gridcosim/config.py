@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -135,8 +136,8 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         def positive(key: str, value) -> None:
-            if value is None or value <= 0:
-                raise ValidationError(key, "must be positive")
+            if value is None or not value > 0 or not math.isfinite(value):
+                raise ValidationError(key, "must be positive and finite")
 
         positive("tau_s", self.tau_s)
         if self.duration_s < 0:

@@ -51,6 +51,9 @@ class ITFederate:
 
         self._dms_id = next(n.id for n in nodes if n.kind is NodeKind.DMS)
         self._kind_by_id = {n.id: n.kind for n in nodes}
+        # Requests reach monitored nodes and commands reach switches.
+        self._reply_bytes = {kind: cfg.response_payload_bytes(kind)
+                             for kind in (*cfg.monitored_counts(), NodeKind.SWITCH)}
         self.monitored = monitored_nodes(nodes, cfg)
         self._switch_ids = [n.id for n in nodes if n.kind is NodeKind.SWITCH]
 
@@ -132,11 +135,9 @@ class ITFederate:
         return out
 
     def _open_exchange(self, request: SimMessage, node_id: int) -> None:
-        interval = request.created_tick // self._interval_ticks
-        record = ExchangeRecord(request=request, node=node_id,
-                                msg_class=request.msg_class, interval=interval)
+        record = ExchangeRecord(request=request, node=node_id, msg_class=request.msg_class)
         self._open[request.id] = record
-        self._interval_records[(interval, request.msg_class)].append(record)
+        self._interval_records[(request.created_tick // self._interval_ticks, request.msg_class)].append(record)
 
     # ------------------------------------------------------------ delivery
 
@@ -170,18 +171,18 @@ class ITFederate:
             kind=reply_kind,
             src=msg.dst,
             dst=msg.src,
-            payload_bytes=self.cfg.response_payload_bytes(self._kind_by_id[msg.dst]),
+            payload_bytes=self._reply_bytes[self._kind_by_id[msg.dst]],
             created_tick=now_tick,
             correlation_id=msg.id,
         )
         return [reply]
 
     def _record_leg(self, msg: SimMessage) -> None:
-        d_it = msg.d_it_ticks
-        d_comm = msg.d_comm_ticks
-        if d_it is None or d_comm is None:
+        sent, delivered = msg.sent_comm_tick, msg.delivered_comm_tick
+        if sent is None or delivered is None:
             return
-        self.comm_legs.append((msg.msg_class, msg.kind, d_it, d_comm, msg.delivered_comm_tick))
+        self.comm_legs.append((msg.msg_class, msg.kind, msg.delivered_it_tick - msg.created_tick,
+                               delivered - sent, delivered))
 
     def _apply_rate_update(self, period_ticks: int, now_tick: int) -> None:
         """Rebuild the polling schedule at the adapted period.

@@ -9,7 +9,7 @@ clock tick so that accounted throughput can never exceed capacity.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .messages import MessageClass
 from .simtime import TICKS_PER_SECOND
@@ -139,45 +139,45 @@ class WfqQueue:
         return sum(len(q) for q in self._queues.values())
 
 
-@dataclass
+@dataclass(slots=True)
 class LinkModel:
-    """A capacity-limited channel with one work-conserving server."""
+    """A capacity-limited channel with one work-conserving server.
+
+    The link owns its per-interval report columns, indexed by reporting
+    interval: bits offered (booked at enqueue), bits served (booked at
+    completion), busy ticks (split across the intervals a service spans)
+    and the queued bytes per class sampled at each interval's end.  The
+    comm federate runs the server.
+    """
 
     id: str
     technology: str
     capacity_bps: int
     latency_ticks: int
     queue: FifoQueue | WfqQueue
+    n_intervals: int = 0
     up: bool = True
     busy_frame: TransportFrame | None = None
+    offered_bits: list[int] = field(init=False)
+    served_bits: list[int] = field(init=False)
+    busy_ticks: list[int] = field(init=False)
+    queue_samples: list[tuple[int, int]] = field(init=False)
+    #: Wire size -> service ticks, filled by ``service_ticks``.
+    ticks_by_size: dict[int, int] = field(init=False)
+
+    def __post_init__(self):
+        n = self.n_intervals
+        self.offered_bits = [0] * n
+        self.served_bits = [0] * n
+        self.busy_ticks = [0] * n
+        self.queue_samples = [(0, 0)] * n
+        self.ticks_by_size = {}
 
     def service_ticks(self, bytes_on_wire: int) -> int:
         # Ceil keeps per-link accounted throughput at or below capacity.
-        bits = bytes_on_wire * 8
-        return -(-bits * TICKS_PER_SECOND // self.capacity_bps)
-
-    def enqueue(self, frame: TransportFrame, now_tick: int) -> tuple[int, TransportFrame] | None:
-        """Queue a frame; if the server is idle, start service.
-
-        Returns (completion_tick, frame) when a service was started.
-        """
-        self.queue.push(frame)
-        if self.busy_frame is None:
-            return self.start_next(now_tick)
-        return None
-
-    def start_next(self, now_tick: int) -> tuple[int, TransportFrame] | None:
-        frame = self.queue.pop()
-        if frame is None:
-            return None
-        end = now_tick + self.service_ticks(frame.bytes_on_wire)
-        self.busy_frame = frame
-        return end, frame
-
-    def complete(self, frame: TransportFrame) -> None:
-        """End the current service; caller then calls start_next."""
-        assert self.busy_frame is frame
-        self.busy_frame = None
+        ticks = -(-bytes_on_wire * 8 * TICKS_PER_SECOND // self.capacity_bps)
+        self.ticks_by_size[bytes_on_wire] = ticks
+        return ticks
 
     def fail(self) -> list[TransportFrame]:
         """Take the link down; queued and in-service frames are lost."""

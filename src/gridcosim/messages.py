@@ -79,12 +79,6 @@ class SimMessage:
     poll_period_ticks: int | None = None
 
     @property
-    def d_it_ticks(self) -> int | None:
-        if self.delivered_it_tick is None:
-            return None
-        return self.delivered_it_tick - self.created_tick
-
-    @property
     def d_comm_ticks(self) -> int | None:
         if self.delivered_comm_tick is None or self.sent_comm_tick is None:
             return None
@@ -155,7 +149,6 @@ class ExchangeRecord:
     request: SimMessage
     node: int
     msg_class: MessageClass
-    interval: int
     response: SimMessage | None = None
 
     @property

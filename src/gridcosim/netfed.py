@@ -98,6 +98,7 @@ class NetFederate:
         self._fseq = 0
         self._next_msg_id = 1  # odd ids; the application federate uses even ones
         self._transfers: dict[int, _Transfer] = {}
+        self._sizes_by_payload: dict[int, list[int]] = {}
         self._out: list[tuple[int, SimMessage]] = []
         self._next_sample_tick = self._interval_ticks - 1
         self._ra_sent = False
@@ -107,12 +108,6 @@ class NetFederate:
         self.delivered = dict.fromkeys(MessageClass, 0)
         self.lost_failure = dict.fromkeys(MessageClass, 0)
         self.dropped_noroute = dict.fromkeys(MessageClass, 0)
-
-        # Per (interval, link id) accounting and queue-depth samples.
-        self.offered_bits: dict[tuple[int, str], int] = {}
-        self.served_bits: dict[tuple[int, str], int] = {}
-        self.busy_ticks: dict[tuple[int, str], int] = {}
-        self.queue_samples: dict[tuple[int, str], tuple[int, int]] = {}
 
         if cfg.lte_fail_at_s is not None:
             self.inject_failure("fail", ticks_from_seconds(cfg.lte_fail_at_s, key="lte_fail_at_s"))
@@ -132,11 +127,12 @@ class NetFederate:
 
         lte_latency = ticks_from_seconds(cfg.access_latency_lte_s, key="access_latency_lte_s")
         dmr_latency = ticks_from_seconds(cfg.access_latency_dmr_s, key="access_latency_dmr_s")
+        n_intervals = -(-cfg.duration_ticks // cfg.interval_ticks)
         links = [
-            LinkModel(f"lte-{i}", LTE, cfg.lte_bs_capacity_bps, lte_latency, make_queue())
+            LinkModel(f"lte-{i}", LTE, cfg.lte_bs_capacity_bps, lte_latency, make_queue(), n_intervals)
             for i in range(cfg.lte_bs_count)
         ]
-        links.append(LinkModel("dmr", DMR, cfg.dmr_capacity_bps, dmr_latency, make_queue()))
+        links.append(LinkModel("dmr", DMR, cfg.dmr_capacity_bps, dmr_latency, make_queue(), n_intervals))
         return links
 
     def _nearest_station_order(self, nodes: list[NodeDescriptor]) -> dict[int, list[int]]:
@@ -242,32 +238,57 @@ class NetFederate:
             self.dropped_noroute[cls] += 1
             logger.warning("no route for message %d (%s)", msg.id, cls.value)
             return
-        sizes = segment_sizes(msg.payload_bytes, self.cfg.mss_bytes, self.cfg.header_bytes)
+        sizes = self._sizes_by_payload.get(msg.payload_bytes)
+        if sizes is None:
+            sizes = segment_sizes(msg.payload_bytes, self.cfg.mss_bytes, self.cfg.header_bytes)
+            self._sizes_by_payload[msg.payload_bytes] = sizes
         self._transfers[msg.id] = _Transfer(msg, link, len(sizes))
         for seg_index, size in enumerate(sizes):
-            self._enqueue_frame(link, TransportFrame(msg.id, seg_index, size, False, cls, self._next_fseq()), now_tick)
+            self._fseq += 1
+            self._serve(link, now_tick, TransportFrame(msg.id, seg_index, size, False, cls, self._fseq))
 
-    def _next_fseq(self) -> int:
-        self._fseq += 1
-        return self._fseq
+    def _serve(self, link: LinkModel, now_tick: int, frame: TransportFrame | None = None) -> None:
+        """The link's server: queue ``frame``, if given, booking its offered
+        bits; then, if the server is idle, put the queue head in service.
 
-    def _enqueue_frame(self, link: LinkModel, frame: TransportFrame, now_tick: int) -> None:
-        key = (now_tick // self._interval_ticks, link.id)
-        self.offered_bits[key] = self.offered_bits.get(key, 0) + frame.bytes_on_wire * 8
-        started = link.enqueue(frame, now_tick)
-        if started is not None:
-            end, active = started
-            self._push_event(end, _PRIO_COMPLETION, self._on_completion, (link, active))
+        The completion event carries the service ticks.
+        """
+        queue = link.queue
+        if frame is not None:
+            link.offered_bits[now_tick // self._interval_ticks] += frame.bytes_on_wire * 8
+            queue.push(frame)
+            if link.busy_frame is not None:
+                return
+        frame = queue.pop()
+        if frame is None:
+            return
+        ticks = link.ticks_by_size.get(frame.bytes_on_wire)
+        if ticks is None:
+            ticks = link.service_ticks(frame.bytes_on_wire)
+        link.busy_frame = frame
+        self._eseq += 1
+        heapq.heappush(self._events, (now_tick + ticks, _PRIO_COMPLETION, self._eseq,
+                                      self._on_completion, (link, frame, ticks)))
 
     # -------------------------------------------------------------- events
 
     def _on_completion(self, tick: int, payload) -> None:
-        link, frame = payload
+        link, frame, ticks = payload
         if link.busy_frame is not frame:
             return  # stale event from before a failure cleared the link
-        start_tick = tick - link.service_ticks(frame.bytes_on_wire)
-        link.complete(frame)
-        self._account_service(link, frame, start_tick, tick)
+        link.busy_frame = None
+        w = self._interval_ticks
+        link.served_bits[tick // w] += frame.bytes_on_wire * 8
+        # Busy time split across reporting intervals, for utilization checks.
+        start = tick - ticks
+        i = start // w
+        last = (tick - 1) // w
+        if i == last:
+            link.busy_ticks[i] += ticks
+        else:
+            while i <= last:
+                link.busy_ticks[i] += min(tick, (i + 1) * w) - max(start, i * w)
+                i += 1
         transfer = self._transfers.get(frame.msg_id)
         if transfer is not None and not transfer.dead:
             if not frame.is_ack:
@@ -278,24 +299,7 @@ class NetFederate:
             elif frame.seg_index == transfer.n_segs - 1:
                 transfer.completed = True
                 self._push_event(tick + link.latency_ticks, _PRIO_DELIVERY, self._on_delivery, transfer)
-        nxt = link.start_next(tick)
-        if nxt is not None:
-            end, active = nxt
-            self._push_event(end, _PRIO_COMPLETION, self._on_completion, (link, active))
-
-    def _account_service(self, link: LinkModel, frame: TransportFrame, start: int, end: int) -> None:
-        self.served_bits[(end // self._interval_ticks, link.id)] = (
-            self.served_bits.get((end // self._interval_ticks, link.id), 0) + frame.bytes_on_wire * 8
-        )
-        # Busy time split across reporting intervals, for utilization checks.
-        w = self._interval_ticks
-        i = start // w
-        while i <= (end - 1) // w:
-            lo = max(start, i * w)
-            hi = min(end, (i + 1) * w)
-            key = (i, link.id)
-            self.busy_ticks[key] = self.busy_ticks.get(key, 0) + (hi - lo)
-            i += 1
+        self._serve(link, tick)
 
     def _on_ack_arrival(self, tick: int, payload) -> None:
         link, transfer, seg_index = payload
@@ -306,9 +310,9 @@ class NetFederate:
             transfer.dead = True
             self.lost_failure[transfer.msg.msg_class] += 1
             return
-        frame = TransportFrame(transfer.msg.id, seg_index, self.cfg.ack_bytes, True,
-                               transfer.msg.msg_class, self._next_fseq())
-        self._enqueue_frame(link, frame, tick)
+        self._fseq += 1
+        self._serve(link, tick, TransportFrame(transfer.msg.id, seg_index, self.cfg.ack_bytes, True,
+                                               transfer.msg.msg_class, self._fseq))
 
     def _on_delivery(self, tick: int, transfer: _Transfer) -> None:
         msg = transfer.msg
@@ -367,7 +371,7 @@ class NetFederate:
 
     def _sample_queues(self, interval: int) -> None:
         for link in self.links:
-            self.queue_samples[(interval, link.id)] = (
+            link.queue_samples[interval] = (
                 link.queue.queued_bytes(MessageClass.MONITORING),
                 link.queue.queued_bytes(MessageClass.CONTROL),
             )

@@ -111,17 +111,9 @@ def _link_rows(net: NetFederate, cfg: ScenarioConfig, end_tick: int) -> list:
     for interval in range(n_intervals):
         t_s = interval * cfg.metrics_interval_s
         for link in net.links:
-            key = (interval, link.id)
-            queued = net.queue_samples.get(key, (0, 0))
-            rows.append((
-                t_s,
-                link.id,
-                queued[0],
-                queued[1],
-                net.served_bits.get(key, 0),
-                net.offered_bits.get(key, 0),
-                net.busy_ticks.get(key, 0),
-            ))
+            q_mon, q_ctl = link.queue_samples[interval]
+            rows.append((t_s, link.id, q_mon, q_ctl, link.served_bits[interval],
+                         link.offered_bits[interval], link.busy_ticks[interval]))
     return rows
 
 

@@ -121,6 +121,22 @@ def test_bad_arguments_are_usage_errors_with_manifest(tmp_path, capsys, busy_add
     assert json.loads((out / "manifest.json").read_text())["status"] == "error"
 
 
+@pytest.mark.parametrize("config_line, key", [
+    ("lambda_m_hz = nan", "lambda_m_hz"),
+    ("region_side_km = nan", "region_side_km"),
+    ("wfq_weight_control = nan", "wfq_weight_control"),
+    ("lambda_c_hz = inf", "lambda_c_hz"),
+], ids=["nan-poll-rate", "nan-region", "nan-weight", "inf-command-rate"])
+def test_non_finite_values_are_validation_errors_with_manifest(tmp_path, capsys, config_line, key):
+    config = tmp_path / "bad.cfg"
+    config.write_text(config_line + "\n")
+    out = tmp_path / "bad"
+    assert run_cli("run", "--config", config, "--duration", "1", "--out", out) == 1
+    assert f"error: {key}:" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "error" and manifest["error"].startswith(f"{key}:")
+
+
 @pytest.mark.parametrize("flags, config_line, key", [
     (("--duration", "inf"), None, "duration_s"),
     (("--fail-at", "nan"), None, "lte_fail_at_s"),

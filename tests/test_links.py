@@ -1,10 +1,17 @@
-"""Link service oracles (hand integer arithmetic) and queueing disciplines."""
+"""Link service oracles (hand integer arithmetic) and queueing disciplines.
+
+The server of a link is run by the comm federate (``NetFederate._serve``
+and ``_on_completion``), so the service tests drive it through one.
+"""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gridcosim.config import ScenarioConfig
 from gridcosim.links import FifoQueue, LinkModel, TransportFrame, WfqQueue, segment_sizes
 from gridcosim.messages import MessageClass
+from gridcosim.netfed import NetFederate
+from gridcosim.topology import generate_topology
 
 MON = MessageClass.MONITORING
 CTL = MessageClass.CONTROL
@@ -20,6 +27,20 @@ def dmr_link(queue=None):
 
 def lte_link(queue=None):
     return LinkModel("lte-0", "lte", 50_000, 2000, queue or FifoQueue())
+
+
+def dmr_server():
+    """An idle comm federate (no events scheduled) and its DMR link."""
+    cfg = ScenarioConfig()
+    fed = NetFederate(cfg, generate_topology(cfg))
+    return fed, fed._dmr_link
+
+
+def started_services(fed):
+    """(completion tick, event payload) of every service started so far; clears them."""
+    started = [(tick, payload) for tick, _prio, _seq, _handler, payload in fed._events]
+    fed._events.clear()
+    return started
 
 
 def test_service_time_oracles():
@@ -54,30 +75,32 @@ def test_segment_sizes_property(payload, mss, header):
 
 
 def test_empty_queue_frame_served_immediately():
-    link = dmr_link()
-    started = link.enqueue(frame(540), now_tick=1_000)
-    assert started is not None
-    end, active = started
+    fed, link = dmr_server()
+    sent = frame(540)
+    fed._serve(link, 1_000, sent)
+    ((end, payload),) = started_services(fed)
     assert end == 1_000 + 225_000
-    link.complete(active)
+    assert payload == (link, sent, 225_000) and link.busy_frame is sent
+    fed._on_completion(end, payload)
     assert link.busy_frame is None
-    assert link.start_next(end) is None
+    assert started_services(fed) == []
 
 
 def test_busy_link_queues_followups():
-    link = dmr_link()
-    end1, first = link.enqueue(frame(540, seq=1), 0)
-    assert link.enqueue(frame(540, seq=2), 100) is None
-    link.complete(first)
-    end2, second = link.start_next(end1)
+    fed, link = dmr_server()
+    fed._serve(link, 0, frame(540, seq=1))
+    fed._serve(link, 100, frame(540, seq=2))
+    ((end1, payload),) = started_services(fed)
+    fed._on_completion(end1, payload)
+    ((end2, (_, second, _)),) = started_services(fed)
     assert second.seq == 2
     assert end2 == end1 + 225_000
 
 
 def test_fail_drops_queue_and_service():
-    link = dmr_link()
-    link.enqueue(frame(540, seq=1), 0)
-    link.enqueue(frame(540, seq=2), 0)
+    fed, link = dmr_server()
+    fed._serve(link, 0, frame(540, seq=1))
+    fed._serve(link, 0, frame(540, seq=2))
     lost = link.fail()
     assert {f.seq for f in lost} == {1, 2}
     assert not link.up and link.busy_frame is None

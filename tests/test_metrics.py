@@ -35,7 +35,7 @@ def _exchange(d_it_s: float | None, node: int = 0, cls: MessageClass = MessageCl
               created_s: float = 0.0) -> ExchangeRecord:
     created = round(created_s * TICKS_PER_SECOND)
     request = SimMessage(1, cls, MessageKind.REQUEST, 100, node, 64, created)
-    record = ExchangeRecord(request=request, node=node, msg_class=cls, interval=0)
+    record = ExchangeRecord(request=request, node=node, msg_class=cls)
     if d_it_s is not None:
         delivered = created + round(d_it_s * TICKS_PER_SECOND)
         record.response = SimMessage(2, cls, MessageKind.RESPONSE, node, 100, 500, created,

@@ -29,6 +29,11 @@ def command(fed, node_id, created, mid=4):
     return SimMessage(mid, CTL, MessageKind.CONTROL_COMMAND, fed._dms_id, node_id, 184, created)
 
 
+def served_bits(fed):
+    """Nonzero bits served, by (interval, link id)."""
+    return {(i, link.id): bits for link in fed.links for i, bits in enumerate(link.served_bits) if bits}
+
+
 def pump(fed, cfg, inboxes, n_slots):
     """Drive the federate for n_slots; inboxes maps slot -> messages."""
     delivered = []
@@ -100,7 +105,7 @@ def test_single_message_delivery_time_on_dmr():
     assert out.delivered_comm_tick == expected
     assert out.sent_comm_tick == 0
     assert out.d_comm_ticks == expected
-    assert fed.served_bits == {(0, "dmr"): (540 + 40) * 8}
+    assert served_bits(fed) == {(0, "dmr"): (540 + 40) * 8}
 
 
 @pytest.mark.parametrize("response_bytes", [500, 5000])
@@ -114,7 +119,7 @@ def test_exchange_wire_bits_match_bits_served(response_bytes):
     request = poll_request(fed, sub.id, 0)
     response = SimMessage(4, MON, MessageKind.RESPONSE, sub.id, fed._dms_id, response_bytes, 0)
     assert len(pump(fed, cfg, {0: [request, response]}, n_slots=3000)) == 2
-    assert sum(fed.served_bits.values()) == exchange_wire_bits(cfg, response_bytes)
+    assert sum(served_bits(fed).values()) == exchange_wire_bits(cfg, response_bytes)
 
 
 def test_multi_segment_message_counts_all_overhead():
@@ -129,8 +134,35 @@ def test_multi_segment_message_counts_all_overhead():
     assert out.d_comm_ticks == tick
     data_ticks = sum(fed._dmr_link.service_ticks(b) for b in (1500, 1500, 1500, 660))
     assert tick >= data_ticks
-    served = sum(bits for (_, link_id), bits in fed.served_bits.items() if link_id == "dmr")
+    served = sum(fed._dmr_link.served_bits)
     assert served == (1500 + 1500 + 1500 + 660 + 4 * 40) * 8
+
+
+@pytest.mark.parametrize("interval_s, busy", [
+    (25.0, {0: 100_000, 1: 125_000}),
+    (1.0, {24: 100_000, 25: 100_000, 26: 25_000}),
+], ids=["one-boundary", "two-boundaries"])
+def test_busy_split_and_bit_booking_in_link_rows(interval_s, busy):
+    # The only switch gets one 500 B command, created at 23.99 s; the comm
+    # federate sees it at 24 s and serves 540 B on the idle DMR link in
+    # 540*8/1920 s = 225,000 ticks, until 26.25 s.  The run ends at 26.3 s,
+    # just before the acknowledgement re-enters the link.
+    cfg = dataclasses.replace(
+        ScenarioConfig(), duration_s=26.3, metrics_interval_s=interval_s,
+        count_hva_lv=0, count_substation=0, count_pv_plant=0, count_wind_farm=0,
+        count_switch=1, control_burst_size=1, lambda_c_hz=1 / 23.99,
+        payload_control_command_bytes=500,
+    )
+    cfg.validate()
+    rows = run_scenario(cfg).link_rows
+    assert all(row[4:] == (0, 0, 0) for row in rows if row[1] != "dmr")
+    dmr = [row for row in rows if row[1] == "dmr"]
+    assert [row[0] for row in dmr] == [i * interval_s for i in range(len(dmr))]
+    assert {i: row[6] for i, row in enumerate(dmr) if row[6]} == busy
+    assert sum(row[6] for row in dmr) == 225_000
+    # Offered bits land in the enqueue interval, served bits in the completion one.
+    assert {i: row[5] for i, row in enumerate(dmr) if row[5]} == {int(24.0 // interval_s): 540 * 8}
+    assert {i: row[4] for i, row in enumerate(dmr) if row[4]} == {int(26.25 // interval_s): 540 * 8}
 
 
 def test_conservation_counters_balance():
@@ -163,6 +195,25 @@ def test_failure_loses_in_flight_and_reroutes():
     assert out.delivered_comm_tick > 51_000
     # 104 B data + 40 B ack on the 1920 bps channel, plus two access legs.
     assert out.d_comm_ticks == 43_334 + 5_000 + 16_667 + 5_000
+
+
+def test_stale_completion_neither_books_bits_nor_ends_the_next_service():
+    # At 8 kbps a 104 B poll holds LTE for 10,400 ticks.  The first starts at
+    # 0 and is lost when LTE fails at 2,000; LTE is back at 4,000 and the
+    # second starts at 5,000, so the first one's completion event at 10,400
+    # is stale and must not touch the second one's service.
+    fed, cfg, nodes = build_net(qos="fifo", lte_bs_capacity_bps=8_000,
+                                lte_fail_at_s=0.02, lte_restore_at_s=0.04)
+    node = next(n for n in nodes if n.kind is NodeKind.HVA_LV)
+    first = poll_request(fed, node.id, 0, mid=2)
+    second = poll_request(fed, node.id, 5_000, mid=4)
+    delivered = pump(fed, cfg, {0: [first], 5: [second]}, n_slots=100)
+    assert fed.lost_failure[MON] == 1
+    ((tick, out),) = delivered
+    assert out.id == 4
+    # 104 B data, access leg, 40 B ack (4,000 ticks), access leg back.
+    assert tick == 5_000 + 10_400 + 2_000 + 4_000 + 2_000
+    assert served_bits(fed) == {(0, fed.route(second).id): (104 + 40) * 8}
 
 
 def test_failure_beyond_horizon_has_no_effect():
