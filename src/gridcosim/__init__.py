@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .config import ScenarioConfig, load_config, loads_config, serialize_config
-from .messages import ExchangeRecord, MessageClass, MessageKind, NodeDescriptor, NodeKind, SimMessage
+from .messages import MessageClass, MessageKind, NodeDescriptor, NodeKind, SimMessage
 from .metrics import class_reliability_ci, ddf, node_reliability
 from .simtime import TICKS_PER_SECOND
 from .topology import generate_topology
@@ -13,7 +13,6 @@ __all__ = [
     "load_config",
     "loads_config",
     "serialize_config",
-    "ExchangeRecord",
     "MessageClass",
     "MessageKind",
     "NodeDescriptor",

@@ -170,6 +170,9 @@ class ScenarioConfig:
             raise ValidationError("alpha_e", "must lie in [0, 1)")
         if self.qos not in QOS_MODES:
             raise ValidationError("qos", f"must be one of {QOS_MODES}")
+        if self.qos == "wfq-ra" and not any(self.monitored_counts().values()):
+            # The adapted rate is a budget shared among monitored endpoints.
+            raise ValidationError("qos", "wfq-ra needs at least one monitored endpoint")
         if self.arrival_model not in ARRIVAL_MODELS:
             raise ValidationError("arrival_model", f"must be one of {ARRIVAL_MODELS}")
         if self.der_control_via not in DER_ROUTES:

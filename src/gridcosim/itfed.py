@@ -19,21 +19,36 @@ import heapq
 import logging
 import random
 from collections import defaultdict
+from dataclasses import dataclass
 
 from .config import ScenarioConfig
-from .messages import (
-    ExchangeRecord,
-    MessageClass,
-    MessageKind,
-    NodeDescriptor,
-    NodeKind,
-    SimMessage,
-)
+from .messages import MessageClass, MessageKind, NodeDescriptor, NodeKind, SimMessage
 from .metrics import IntervalMetrics, interval_metrics
 from .simtime import TICKS_PER_SECOND
 from .topology import monitored_nodes
 
 logger = logging.getLogger(__name__)
+
+
+@dataclass(slots=True)
+class Exchange:
+    """A request/response pair between the management system and one node.
+
+    ``delivered_tick`` is when the response reached the management system.
+    ``d_comm_ticks`` is the network delay of both legs; while the exchange
+    is open it holds the request leg's alone, and it is None when a leg has
+    no network timestamps or no response came.  ``score`` is 1 when the
+    round trip met the class delay limit, 0 when it did not, and None when
+    the run ended before that was decided.
+    """
+
+    id: int
+    msg_class: MessageClass
+    node: int
+    created_tick: int
+    delivered_tick: int | None = None
+    d_comm_ticks: int | None = None
+    score: int | None = None
 
 
 class ITFederate:
@@ -77,14 +92,13 @@ class ITFederate:
         self._control_period = max(1, round(cfg.control_burst_size / cfg.lambda_c_hz * TICKS_PER_SECOND))
         self._next_control = self._control_period if self._switch_ids else 1 << 62
 
-        self._open: dict[int, ExchangeRecord] = {}
-        self._interval_records: dict[tuple[int, MessageClass], list[ExchangeRecord]] = defaultdict(list)
+        self._open: dict[int, Exchange] = {}
+        self._interval_records: dict[tuple[int, MessageClass], list[Exchange]] = defaultdict(list)
         self._reliability: list[IntervalMetrics] = []
         # Completed message legs: (class, kind, d_it_ticks, d_comm_ticks, delivered_comm_tick).
         self.comm_legs: list[tuple[MessageClass, MessageKind, int, int, int]] = []
-        self.exchange_rows: list[tuple[ExchangeRecord, int | None]] = []
+        self.exchange_rows: list[Exchange] = []
         self.unknown_correlation = 0
-        self.rate_updates_applied = 0
 
     # ------------------------------------------------------------- traffic
 
@@ -112,7 +126,7 @@ class ITFederate:
                 payload_bytes=self.cfg.payload_poll_request_bytes,
                 created_tick=due,
             )
-            self._open_exchange(req, node_id)
+            self._open_exchange(req)
             out.append(req)
             gap = self._poisson_gap() if self._poisson else self.poll_period_ticks
             heapq.heappush(heap, (due + gap, order, node_id))
@@ -129,39 +143,44 @@ class ITFederate:
                     payload_bytes=self.cfg.payload_control_command_bytes,
                     created_tick=due,
                 )
-                self._open_exchange(cmd, switch_id)
+                self._open_exchange(cmd)
                 out.append(cmd)
             self._next_control += self._control_period
         return out
 
-    def _open_exchange(self, request: SimMessage, node_id: int) -> None:
-        record = ExchangeRecord(request=request, node=node_id, msg_class=request.msg_class)
+    def _open_exchange(self, request: SimMessage) -> None:
+        record = Exchange(request.id, request.msg_class, request.dst, request.created_tick)
         self._open[request.id] = record
         self._interval_records[(request.created_tick // self._interval_ticks, request.msg_class)].append(record)
 
     # ------------------------------------------------------------ delivery
 
     def on_deliver(self, msg: SimMessage, now_tick: int) -> list[SimMessage]:
-        """Handle a message reaching its application endpoint; maybe reply."""
-        msg.delivered_it_tick = now_tick
+        """Handle a message reaching its application endpoint; maybe reply.
+
+        No message is referenced after this call: an exchange keeps only
+        the ticks it reports.
+        """
         if msg.kind is MessageKind.RATE_UPDATE:
             if msg.poll_period_ticks:
                 self._apply_rate_update(msg.poll_period_ticks, now_tick)
             return []
-        self._record_leg(msg)
+        d_comm = self._record_leg(msg, now_tick)
         if msg.dst == self._dms_id:
             record = self._open.pop(msg.correlation_id, None)
             if record is None:
                 self.unknown_correlation += 1
                 logger.warning("response %d has no open request %s", msg.id, msg.correlation_id)
                 return []
-            record.response = msg
+            record.delivered_tick = now_tick
+            if record.d_comm_ticks is not None:
+                record.d_comm_ticks = None if d_comm is None else record.d_comm_ticks + d_comm
             return []
-        # Request or command arriving at a node: refresh the stored request
-        # instance (it now carries the network timestamps) and answer.
+        # Request or command arriving at a node: keep its network delay and
+        # answer.
         record = self._open.get(msg.id)
         if record is not None:
-            record.request = msg
+            record.d_comm_ticks = d_comm
         reply_kind = (
             MessageKind.RESPONSE if msg.kind is MessageKind.REQUEST else MessageKind.CONTROL_ACK
         )
@@ -177,12 +196,14 @@ class ITFederate:
         )
         return [reply]
 
-    def _record_leg(self, msg: SimMessage) -> None:
+    def _record_leg(self, msg: SimMessage, now_tick: int) -> int | None:
+        """Log a completed leg; return its network delay, None without one."""
         sent, delivered = msg.sent_comm_tick, msg.delivered_comm_tick
         if sent is None or delivered is None:
-            return
-        self.comm_legs.append((msg.msg_class, msg.kind, msg.delivered_it_tick - msg.created_tick,
-                               delivered - sent, delivered))
+            return None
+        d_comm = delivered - sent
+        self.comm_legs.append((msg.msg_class, msg.kind, now_tick - msg.created_tick, d_comm, delivered))
+        return d_comm
 
     def _apply_rate_update(self, period_ticks: int, now_tick: int) -> None:
         """Rebuild the polling schedule at the adapted period.
@@ -191,7 +212,6 @@ class ITFederate:
         keeping their old phases, which would replay the old burst pattern.
         """
         self.poll_period_ticks = period_ticks
-        self.rate_updates_applied += 1
         n = len(self.monitored)
         heap = []
         for order, node in enumerate(self.monitored):
@@ -237,6 +257,8 @@ class ITFederate:
         ``exchange_rows`` then lists exchanges by interval, then class in
         ``MessageClass`` order, then creation order.
         """
+        for record in self._open.values():
+            record.d_comm_ticks = None  # the response leg never completed
         for interval in range(-(-end_tick // self._interval_ticks)):
             for cls in MessageClass:
                 self._finalize_interval(interval, cls, end_tick)
@@ -244,16 +266,17 @@ class ITFederate:
     def _finalize_interval(self, interval: int, cls: MessageClass, end_tick: int) -> None:
         records = self._interval_records.pop((interval, cls), [])
         limit = self._limit_ticks[cls]
-        by_node: dict[int, list[ExchangeRecord]] = defaultdict(list)
+        by_node: dict[int, list[int | None]] = defaultdict(list)
         for rec in records:
-            if not rec.answered and rec.request.created_tick + limit > end_tick:
+            self.exchange_rows.append(rec)
+            d_it = None if rec.delivered_tick is None else rec.delivered_tick - rec.created_tick
+            if d_it is None and rec.created_tick + limit > end_tick:
                 # The run ended before this exchange could either succeed or
                 # exhaust its limit; its outcome is unknowable.
-                self.exchange_rows.append((rec, None))
                 continue
-            by_node[rec.node].append(rec)
-            self.exchange_rows.append((rec, 1 if rec.meets_limit(limit) else 0))
-        metrics = interval_metrics(interval, cls, by_node, limit / TICKS_PER_SECOND)
+            by_node[rec.node].append(d_it)
+            rec.score = 1 if d_it is not None and d_it <= limit else 0
+        metrics = interval_metrics(interval, cls, by_node, limit)
         if metrics is not None:
             self._reliability.append(metrics)
 

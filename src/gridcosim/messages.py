@@ -1,11 +1,9 @@
-"""Domain types: message classes, simulation messages, nodes, exchanges."""
+"""Domain types: message classes, simulation messages, nodes."""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-
-from .simtime import TICKS_PER_SECOND
 
 
 class MessageClass(enum.Enum):
@@ -47,7 +45,7 @@ _CLASS_BY_VALUE = {member.value: member for member in MessageClass}
 _KIND_BY_VALUE = {member.value: member for member in MessageKind}
 #: Wire fields that must be ``int``, and those that may also be ``None``.
 _INT_FIELDS = ("id", "src", "dst", "len", "ct")
-_OPTIONAL_INT_FIELDS = ("dit", "sct", "dct", "corr", "ppt")
+_OPTIONAL_INT_FIELDS = ("sct", "dct", "corr", "ppt")
 
 #: Distributed energy resources.
 DER_KINDS = (NodeKind.PV_PLANT, NodeKind.WIND_FARM)
@@ -57,11 +55,11 @@ DER_KINDS = (NodeKind.PV_PLANT, NodeKind.WIND_FARM)
 class SimMessage:
     """One application message, with timestamps from both perspectives.
 
-    The application side stamps ``created_tick`` at emission and
-    ``delivered_it_tick`` when the destination endpoint finally sees the
-    message.  The network side stamps ``sent_comm_tick`` when the message
-    enters the network model and ``delivered_comm_tick`` when transmission
-    completes.  The application-side delay always includes the federation
+    The application side stamps ``created_tick`` at emission; the destination
+    endpoint takes its delivery tick from the slot it sees the message in.
+    The network side stamps ``sent_comm_tick`` when the message enters the
+    network model and ``delivered_comm_tick`` when transmission completes.
+    The application-side delay always includes the federation
     synchronization overhead, so d_it >= d_comm for any completed message.
     """
 
@@ -72,17 +70,10 @@ class SimMessage:
     dst: int
     payload_bytes: int
     created_tick: int
-    delivered_it_tick: int | None = None
     sent_comm_tick: int | None = None
     delivered_comm_tick: int | None = None
     correlation_id: int | None = None
     poll_period_ticks: int | None = None
-
-    @property
-    def d_comm_ticks(self) -> int | None:
-        if self.delivered_comm_tick is None or self.sent_comm_tick is None:
-            return None
-        return self.delivered_comm_tick - self.sent_comm_tick
 
     def to_wire(self) -> dict:
         """Wire form: integers and strings only, times in ticks."""
@@ -94,7 +85,6 @@ class SimMessage:
             "dst": self.dst,
             "len": self.payload_bytes,
             "ct": self.created_tick,
-            "dit": self.delivered_it_tick,
             "sct": self.sent_comm_tick,
             "dct": self.delivered_comm_tick,
             "corr": self.correlation_id,
@@ -124,7 +114,6 @@ class SimMessage:
             dst=data["dst"],
             payload_bytes=data["len"],
             created_tick=data["ct"],
-            delivered_it_tick=data.get("dit"),
             sent_comm_tick=data.get("sct"),
             delivered_comm_tick=data.get("dct"),
             correlation_id=data.get("corr"),
@@ -140,47 +129,3 @@ class NodeDescriptor:
     kind: NodeKind
     x_km: float
     y_km: float
-
-
-@dataclass(slots=True)
-class ExchangeRecord:
-    """A request/response pair between the management system and one node."""
-
-    request: SimMessage
-    node: int
-    msg_class: MessageClass
-    response: SimMessage | None = None
-
-    @property
-    def answered(self) -> bool:
-        return self.response is not None and self.response.delivered_it_tick is not None
-
-    @property
-    def d_it_ticks(self) -> int | None:
-        """Round-trip application-side delay, request creation to response delivery."""
-        if not self.answered:
-            return None
-        return self.response.delivered_it_tick - self.request.created_tick
-
-    @property
-    def d_comm_ticks(self) -> int | None:
-        """Sum of both legs' network delays; None until both legs completed."""
-        req = self.request.d_comm_ticks
-        resp = self.response.d_comm_ticks if self.response is not None else None
-        if req is None or resp is None:
-            return None
-        return req + resp
-
-    @property
-    def d_it_s(self) -> float | None:
-        t = self.d_it_ticks
-        return None if t is None else t / TICKS_PER_SECOND
-
-    @property
-    def d_comm_s(self) -> float | None:
-        t = self.d_comm_ticks
-        return None if t is None else t / TICKS_PER_SECOND
-
-    def meets_limit(self, limit_ticks: int) -> bool:
-        d = self.d_it_ticks
-        return d is not None and d <= limit_ticks

@@ -1,12 +1,13 @@
 """Reliability, confidence-interval and delay-mismatch metrics.
 
 Reliability of a node over an interval is the fraction of its exchanges
-whose application-side round trip met the class delay limit; an exchange
-never answered counts as failed.  Class reliability aggregates the per-node
-values into a mean with a 95% confidence interval using the sample standard
-deviation.  The delay-mismatch figure (in percent) is the mean relative gap
-between application-side and network-side delays over completed messages;
-it gauges how much error the timeslot synchronization introduces.
+whose application-side round trip, in ticks, met the class delay limit; an
+exchange never answered counts as failed.  Class reliability aggregates the
+per-node values into a mean with a 95% confidence interval using the sample
+standard deviation.  The delay-mismatch figure (in percent) is the mean
+relative gap between application-side and network-side delays over
+completed messages; it gauges how much error the timeslot synchronization
+introduces.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import EmptyDistribution
-from .messages import ExchangeRecord, MessageClass
-from .simtime import TICKS_PER_SECOND
+from .messages import MessageClass
 
 #: Two-sided 95% normal quantile.
 CI_FACTOR = 1.96
@@ -29,10 +29,8 @@ class IntervalMetrics:
 
     interval: int
     msg_class: MessageClass
-    per_node: dict[int, float]
     mean: float
     ci_half_width: float
-    sample_count: int
 
     @property
     def ci_low(self) -> float:
@@ -63,29 +61,17 @@ class DelayStats:
     msg_class: MessageClass
     mean_s: float
     p95_s: float
-    count: int
 
 
-@dataclass(slots=True)
-class DdfReport:
-    """Delay-mismatch summary for one run."""
+def node_reliability(d_it_ticks: Sequence[int | None], limit_ticks: int) -> float | None:
+    """Fraction of round trips within ``limit_ticks``; None when empty.
 
-    tau_s: float
-    message_count: int
-    ddf_percent: float
-    excluded_zero_comm: int = 0
-
-
-def node_reliability(exchanges: Sequence[ExchangeRecord], limit_s: float) -> float | None:
-    """Fraction of exchanges answered within ``limit_s``; None when empty.
-
-    Unanswered exchanges stay in the denominator and score zero.
+    An unanswered exchange (None) stays in the denominator and scores zero.
     """
-    if not exchanges:
+    if not d_it_ticks:
         return None
-    limit_ticks = round(limit_s * TICKS_PER_SECOND)
-    ok = sum(1 for rec in exchanges if rec.meets_limit(limit_ticks))
-    return ok / len(exchanges)
+    ok = sum(1 for d in d_it_ticks if d is not None and d <= limit_ticks)
+    return ok / len(d_it_ticks)
 
 
 def class_reliability_ci(per_node: Mapping[int, float]) -> tuple[float, float]:
@@ -106,31 +92,22 @@ def class_reliability_ci(per_node: Mapping[int, float]) -> tuple[float, float]:
 
 
 def ddf(delays: Iterable[tuple[float, float]]) -> float:
-    """Mean relative delay gap in percent over (d_it_s, d_comm_s) pairs."""
-    report = ddf_report(delays, tau_s=0.0)
-    return report.ddf_percent
+    """Mean relative delay gap in percent over (d_it, d_comm) pairs.
 
-
-def ddf_report(delays: Iterable[tuple[float, float]], tau_s: float) -> DdfReport:
+    Both delays of a pair share one unit, ticks or seconds.
+    """
     total = 0.0
     count = 0
-    excluded = 0
     for d_it, d_comm in delays:
-        if d_comm <= 0.0:
+        if d_comm <= 0:
             # A zero network delay is impossible with positive serialization
             # time; such a pair indicates a bookkeeping bug upstream.
-            excluded += 1
             continue
         total += (d_it - d_comm) / d_comm
         count += 1
     if count == 0:
         raise EmptyDistribution("no delay pairs with positive network delay")
-    return DdfReport(
-        tau_s=tau_s,
-        message_count=count,
-        ddf_percent=100.0 * total / count,
-        excluded_zero_comm=excluded,
-    )
+    return 100.0 * total / count
 
 
 def percentile_nearest_rank(values: Sequence[float], q: float) -> float:
@@ -148,32 +125,22 @@ def delay_stats(interval: int, msg_class: MessageClass, delays_s: Sequence[float
         msg_class=msg_class,
         mean_s=sum(delays_s) / len(delays_s),
         p95_s=percentile_nearest_rank(delays_s, 95.0),
-        count=len(delays_s),
     )
 
 
 def interval_metrics(
     interval: int,
     msg_class: MessageClass,
-    exchanges_by_node: Mapping[int, Sequence[ExchangeRecord]],
-    limit_s: float,
+    d_it_by_node: Mapping[int, Sequence[int | None]],
+    limit_ticks: int,
 ) -> IntervalMetrics | None:
     """Build the reliability snapshot for one (interval, class); None if empty."""
     per_node: dict[int, float] = {}
-    samples = 0
-    for node in sorted(exchanges_by_node):
-        value = node_reliability(exchanges_by_node[node], limit_s)
+    for node, d_it_ticks in d_it_by_node.items():
+        value = node_reliability(d_it_ticks, limit_ticks)
         if value is not None:
             per_node[node] = value
-            samples += len(exchanges_by_node[node])
     if not per_node:
         return None
     mean, half = class_reliability_ci(per_node)
-    return IntervalMetrics(
-        interval=interval,
-        msg_class=msg_class,
-        per_node=per_node,
-        mean=mean,
-        ci_half_width=half,
-        sample_count=samples,
-    )
+    return IntervalMetrics(interval=interval, msg_class=msg_class, mean=mean, ci_half_width=half)

@@ -61,7 +61,6 @@ def rate_adaptation_rate(cfg: ScenarioConfig, n_monitored: int, exchange_bits: i
 @dataclass(slots=True)
 class _Transfer:
     msg: SimMessage
-    link: LinkModel
     n_segs: int
     dead: bool = False
     completed: bool = False
@@ -242,7 +241,7 @@ class NetFederate:
         if sizes is None:
             sizes = segment_sizes(msg.payload_bytes, self.cfg.mss_bytes, self.cfg.header_bytes)
             self._sizes_by_payload[msg.payload_bytes] = sizes
-        self._transfers[msg.id] = _Transfer(msg, link, len(sizes))
+        self._transfers[msg.id] = _Transfer(msg, len(sizes))
         for seg_index, size in enumerate(sizes):
             self._fseq += 1
             self._serve(link, now_tick, TransportFrame(msg.id, seg_index, size, False, cls, self._fseq))

@@ -79,7 +79,6 @@ class FederationResult:
     messages_delivered: int = 0
     wallclock_s: float = 0.0
     trace_digest: str = ""
-    trace: list[tuple[int, int, int, int]] | None = None
 
 
 class Rti:
@@ -90,7 +89,7 @@ class Rti:
     through publish/deliver on this object.
     """
 
-    def __init__(self, tau_ticks: int, *, record_trace: bool = False):
+    def __init__(self, tau_ticks: int):
         if tau_ticks <= 0:
             raise ValueError("tau_ticks must be positive")
         self.tau_ticks = tau_ticks
@@ -108,7 +107,6 @@ class Rti:
         self.published_total = 0
         self.delivered_total = 0
         self._digest = hashlib.sha256()
-        self._trace: list[tuple[int, int, int, int]] | None = [] if record_trace else None
 
     # ------------------------------------------------------------ lifecycle
 
@@ -205,8 +203,6 @@ class Rti:
             digest = self._digest
             for at_tick, msg_id, msg in queue:
                 digest.update(b"%d|%d|%d|%d" % (slot, h.fid, msg_id, at_tick))
-                if self._trace is not None:
-                    self._trace.append((slot, h.fid, msg_id, at_tick))
                 inbox.append(msg)
         self.delivered_total += delivered
         if delivered:
@@ -230,5 +226,4 @@ class Rti:
             messages_delivered=self.delivered_total,
             wallclock_s=time.perf_counter() - t0,
             trace_digest=self._digest.hexdigest(),
-            trace=self._trace,
         )

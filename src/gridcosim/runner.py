@@ -20,9 +20,9 @@ from pathlib import Path
 from . import __version__
 from .config import ScenarioConfig, serialize_config
 from .errors import UsageError
-from .itfed import ITFederate
+from .itfed import Exchange, ITFederate
 from .messages import MessageClass, NodeDescriptor
-from .metrics import DdfReport, DelayStats, IntervalMetrics, ddf_report, delay_stats
+from .metrics import DelayStats, IntervalMetrics, ddf, delay_stats
 from .netfed import NetFederate
 from .rti import FederationResult
 from .simtime import TICKS_PER_SECOND
@@ -39,9 +39,9 @@ class RunResult:
     nodes: list[NodeDescriptor]
     reliability: list[IntervalMetrics]
     delays: list[DelayStats]
-    ddf: DdfReport | None
+    ddf: float | None
     conservation: dict[MessageClass, dict[str, int]]
-    exchange_rows: list
+    exchange_rows: list[Exchange]
     comm_legs: list
     link_rows: list[tuple[float, str, int, int, int, int, int]]
     adapted_period_ticks: int | None
@@ -52,7 +52,6 @@ def run_scenario(
     *,
     transport: str = "inproc",
     listen: tuple[str, int] = ("127.0.0.1", 0),
-    record_trace: bool = False,
 ) -> RunResult:
     nodes = generate_topology(cfg)
     it_federate = ITFederate(cfg, nodes)
@@ -63,26 +62,18 @@ def run_scenario(
         [it_federate, net_federate],
         transport=transport,
         listen=listen,
-        record_trace=record_trace,
     )
     end_tick = federation.slots_run * cfg.tau_ticks
     it_federate.finalize_run(end_tick)
 
     legs = it_federate.comm_legs
-    report = None
-    if legs:
-        report = ddf_report(
-            ((d_it / TICKS_PER_SECOND, d_comm / TICKS_PER_SECOND) for _, _, d_it, d_comm, _ in legs),
-            tau_s=cfg.tau_s,
-        )
-
     return RunResult(
         cfg=cfg,
         federation=federation,
         nodes=nodes,
         reliability=it_federate.reliability_series(),
         delays=_delay_series(it_federate, cfg),
-        ddf=report,
+        ddf=ddf((d_it, d_comm) for _, _, d_it, d_comm, _ in legs) if legs else None,
         conservation=net_federate.conservation(),
         exchange_rows=it_federate.exchange_rows,
         comm_legs=legs,
@@ -167,17 +158,17 @@ def write_exchange_log(path: Path, result: RunResult) -> None:
         writer = csv.writer(handle)
         writer.writerow(["id", "class", "node", "created_s", "delivered_s",
                          "d_it_s", "d_comm_s", "within_limit"])
-        for rec, scored in result.exchange_rows:
-            delivered = rec.response.delivered_it_tick if rec.answered else None
+        for rec in result.exchange_rows:
+            delivered = rec.delivered_tick
             writer.writerow([
-                rec.request.id,
+                rec.id,
                 rec.msg_class.value,
                 rec.node,
-                _fmt(rec.request.created_tick / TICKS_PER_SECOND),
-                _fmt(delivered / TICKS_PER_SECOND) if delivered is not None else "",
-                _fmt(rec.d_it_s) if rec.d_it_s is not None else "",
-                _fmt(rec.d_comm_s) if rec.d_comm_s is not None else "",
-                "" if scored is None else scored,
+                _fmt(rec.created_tick / TICKS_PER_SECOND),
+                "" if delivered is None else _fmt(delivered / TICKS_PER_SECOND),
+                "" if delivered is None else _fmt((delivered - rec.created_tick) / TICKS_PER_SECOND),
+                "" if rec.d_comm_ticks is None else _fmt(rec.d_comm_ticks / TICKS_PER_SECOND),
+                "" if rec.score is None else rec.score,
             ])
 
 
@@ -231,7 +222,7 @@ def write_outputs(
     outputs.append("delay.csv")
     ddf_rows = []
     if result.ddf is not None:
-        ddf_rows.append((result.cfg.tau_s, result.ddf.ddf_percent, result.federation.wallclock_s))
+        ddf_rows.append((result.cfg.tau_s, result.ddf, result.federation.wallclock_s))
     write_ddf_csv(out_dir / "ddf.csv", ddf_rows)
     outputs.append("ddf.csv")
     if exchange_log:
@@ -266,6 +257,6 @@ def run_tau_sweep(
         result = run_scenario(run_cfg, transport=transport, listen=listen)
         if result.ddf is None:
             raise UsageError("sweep produced no completed exchanges; extend the duration")
-        rows.append((tau_s, result.ddf.ddf_percent, result.federation.wallclock_s))
+        rows.append((tau_s, result.ddf, result.federation.wallclock_s))
         logger.info("tau=%gs ddf=%.3f%% wallclock=%.3fs", tau_s, rows[-1][1], rows[-1][2])
     return rows

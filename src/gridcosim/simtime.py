@@ -14,8 +14,6 @@ import math
 # exact multiple of this.
 TICKS_PER_SECOND = 100_000
 
-BASE_UNIT_S = 1.0 / TICKS_PER_SECOND
-
 
 def ticks_from_seconds(seconds: float, *, key: str = "time") -> int:
     """Convert seconds to ticks, requiring an exact base-unit multiple.
@@ -29,5 +27,5 @@ def ticks_from_seconds(seconds: float, *, key: str = "time") -> int:
     ticks = round(raw)
     tol = max(1e-6, abs(raw) * 1e-9)
     if abs(raw - ticks) > tol:
-        raise ValueError(f"{key}={seconds!r} is not a multiple of {BASE_UNIT_S} s")
+        raise ValueError(f"{key}={seconds!r} is not a multiple of {1 / TICKS_PER_SECOND} s")
     return ticks

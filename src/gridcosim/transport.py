@@ -241,11 +241,10 @@ def run_federation(
     *,
     transport: str = "inproc",
     listen: tuple[str, int] = ("127.0.0.1", 0),
-    record_trace: bool = False,
     timeout_s: float = DEFAULT_TIMEOUT_S,
 ) -> FederationResult:
     """Couple the given federates under one coordinator and run to the horizon."""
-    rti = Rti(tau_ticks, record_trace=record_trace)
+    rti = Rti(tau_ticks)
     if transport == "inproc":
         for federate in federates:
             fid = rti.register_federate(federate.name)

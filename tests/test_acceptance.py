@@ -66,8 +66,8 @@ def wfqra_run():
 
 
 # (trace_digest, then the SHA-256 of reliability.csv, delay.csv,
-# exchange_log.csv and link_log.csv) of each acceptance run; a change that
-# alters any of them changes the reproduction.
+# exchange_log.csv and link_log.csv, then RunResult.ddf) of each acceptance
+# run; a change that alters any of them changes the reproduction.
 PINNED_OUTPUTS = {
     "default_run": (
         "1cfb1b5d124d98042c52ca617692d7be1f19f1bf304c8b2bc05a77029ae251f2",
@@ -75,6 +75,7 @@ PINNED_OUTPUTS = {
         "3e011660e02bf13ebfeeacc3c259845cd1dffa829286b7134c16b5dacaef3f87",
         "d6618e9e1d12e6f7d509c9577abc16afd404f6aa82e6bb5296f5aa7956133836",
         "55cdfa28bc61bd8f5069702470af81349a79b7757134e77dd3575c0fd52f6c7d",
+        8.72510893710823,
     ),
     "fifo_fail_run": (
         "7d29dd6f9cc1bace10a6434d00676c3de8cabd53e7c7dc76a2bbadf13c62b0a5",
@@ -82,6 +83,7 @@ PINNED_OUTPUTS = {
         "3265c204280b05e515c59220127256990f6987e74847dabb340d035c8259720e",
         "5c0f27ef07c37113ee37dc6891193eb5cc2602a39e563b6aef346521354242d0",
         "799cc455efb7eb4a74b327c4f9d2653d84607ecec5f5887ecd54704a0c92f45a",
+        8.454801071769342,
     ),
     "wfq_run": (
         "529ed3252a0e2d8553c6ccbb6e11aa3da899b9f555ed4a86bb331730b7dc21c0",
@@ -89,6 +91,7 @@ PINNED_OUTPUTS = {
         "55354d13fc028793953c6c4bb8fed98da7bf89314180c50a9df3d89fff9e410d",
         "871325f37b1a8f22c9f0cbf03c805b0824aed82450823f4a9ab97c8f16b61b7b",
         "08374a6468a1561d08628cb6078eae36c779e033161c5c8db7b709422a94e11f",
+        8.456100323780301,
     ),
     "wfqra_run": (
         "04ce964c85572d9efb4c38aaea2540318fcfc9324bdc5146ebe308c505512586",
@@ -96,6 +99,7 @@ PINNED_OUTPUTS = {
         "72926bd0cbdc97c2d7f42f8738b5e14d09f21b27120de16cfc069f9a042b550b",
         "f8f3e42b70c6061f0d729c9681cb7689d037b336fa345aab6c175d6bd96e42f6",
         "d04bd61d1dbe631674a5dd40f0dda5ae367e840f62363fb0d16d2421463a649e",
+        8.68230230250685,
     ),
 }
 
@@ -120,19 +124,20 @@ def test_criterion_1_metric_oracles_exact():
         assert ddf([(2.5, 2.0)] * 4) == pytest.approx(25.0, rel=rel)
         assert ddf([(2.0, 2.0)] * 3) == 0.0
 
+        limit_ticks = 30 * TICKS_PER_SECOND
         records = [_exchange(1.0)] * 8 + [_exchange(45.0)] * 2
-        assert node_reliability(records, limit_s=30.0) == pytest.approx(0.8, rel=rel)
-        assert node_reliability([_exchange(31.0)] * 3 + [_exchange(None)], 30.0) == 0.0
+        assert node_reliability(records, limit_ticks) == pytest.approx(0.8, rel=rel)
+        assert node_reliability([_exchange(31.0)] * 3 + [_exchange(None)], limit_ticks) == 0.0
 
 
 def test_criterion_2_synchronization_bound(default_run):
     with criterion(2, "0 <= d_it - d_comm <= 4*tau for every completed exchange"):
         tau_ticks = default_run.cfg.tau_ticks
-        completed = [rec for rec, _ in default_run.exchange_rows
-                     if rec.answered and rec.d_comm_ticks is not None]
+        completed = [rec for rec in default_run.exchange_rows
+                     if rec.delivered_tick is not None and rec.d_comm_ticks is not None]
         assert len(completed) > 10_000
         violations = [rec for rec in completed
-                      if not 0 <= rec.d_it_ticks - rec.d_comm_ticks <= 4 * tau_ticks]
+                      if not 0 <= rec.delivered_tick - rec.created_tick - rec.d_comm_ticks <= 4 * tau_ticks]
         assert violations == []
         # Each one-way leg individually stays within two boundary crossings.
         leg_violations = [leg for leg in default_run.comm_legs
@@ -226,9 +231,8 @@ def test_criterion_8_determinism(tmp_path, default_run):
             ScenarioConfig(), duration_s=60.0, qos="wfq-ra", lte_fail_at_s=20.0
         )
         short.validate()
-        inproc = run_scenario(short, record_trace=True)
-        socketed = run_scenario(short, transport="socket", record_trace=True)
-        assert inproc.federation.trace == socketed.federation.trace
+        inproc = run_scenario(short)
+        socketed = run_scenario(short, transport="socket")
         assert inproc.federation.trace_digest == socketed.federation.trace_digest
         dir_c = tmp_path / "c"
         dir_d = tmp_path / "d"
@@ -259,5 +263,5 @@ def test_pinned_outputs(tmp_path, default_run, fifo_fail_run, wfq_run, wfqra_run
         actual = (result.federation.trace_digest,) + tuple(
             hashlib.sha256((out_dir / csv).read_bytes()).hexdigest()
             for csv in ("reliability.csv", "delay.csv", "exchange_log.csv", "link_log.csv")
-        )
+        ) + (result.ddf,)
         assert actual == PINNED_OUTPUTS[name], name

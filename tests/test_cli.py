@@ -143,7 +143,10 @@ def test_non_finite_values_are_validation_errors_with_manifest(tmp_path, capsys,
     ((), "access_latency_lte_s = 0.000015", "access_latency_lte_s"),
     ((), "delay_limit_control_s = 10.000005", "delay_limit_control_s"),
     ((), "lte_restore_at_s = inf", "lte_restore_at_s"),
-], ids=["inf-duration", "nan-fail-at", "off-grid-latency", "off-grid-limit", "inf-restore"])
+    ((), "qos = wfq-ra\nlte_fail_at_s = 10\ncount_hva_lv = 0\ncount_substation = 0\n"
+         "monitor_ders = false", "qos"),
+], ids=["inf-duration", "nan-fail-at", "off-grid-latency", "off-grid-limit", "inf-restore",
+        "wfq-ra-nothing-monitored"])
 def test_unconvertible_times_are_validation_errors_with_manifest(tmp_path, capsys, flags,
                                                                  config_line, key):
     args = list(flags)

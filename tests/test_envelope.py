@@ -91,7 +91,6 @@ _messages = st.builds(
     dst=st.integers(min_value=0, max_value=10_000),
     payload_bytes=st.integers(min_value=1, max_value=100_000),
     created_tick=st.integers(min_value=0, max_value=10**12),
-    delivered_it_tick=st.none() | st.integers(min_value=0, max_value=10**12),
     sent_comm_tick=st.none() | st.integers(min_value=0, max_value=10**12),
     delivered_comm_tick=st.none() | st.integers(min_value=0, max_value=10**12),
     correlation_id=st.none() | st.integers(min_value=0, max_value=2**63 - 1),

@@ -104,7 +104,7 @@ def test_single_message_delivery_time_on_dmr():
     assert tick == expected
     assert out.delivered_comm_tick == expected
     assert out.sent_comm_tick == 0
-    assert out.d_comm_ticks == expected
+    assert out.delivered_comm_tick - out.sent_comm_tick == expected
     assert served_bits(fed) == {(0, "dmr"): (540 + 40) * 8}
 
 
@@ -131,7 +131,7 @@ def test_multi_segment_message_counts_all_overhead():
     delivered = pump(fed, cfg, {0: [msg]}, n_slots=3000)
     ((tick, out),) = delivered
     # Data: (1500+1500+1500+660)*8/1920 s; acks interleave after each segment.
-    assert out.d_comm_ticks == tick
+    assert out.delivered_comm_tick - out.sent_comm_tick == tick
     data_ticks = sum(fed._dmr_link.service_ticks(b) for b in (1500, 1500, 1500, 660))
     assert tick >= data_ticks
     served = sum(fed._dmr_link.served_bits)
@@ -194,7 +194,7 @@ def test_failure_loses_in_flight_and_reroutes():
     assert not any(link.up for link in fed._lte_links)
     assert out.delivered_comm_tick > 51_000
     # 104 B data + 40 B ack on the 1920 bps channel, plus two access legs.
-    assert out.d_comm_ticks == 43_334 + 5_000 + 16_667 + 5_000
+    assert out.delivered_comm_tick - out.sent_comm_tick == 43_334 + 5_000 + 16_667 + 5_000
 
 
 def test_stale_completion_neither_books_bits_nor_ends_the_next_service():

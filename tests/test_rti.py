@@ -36,7 +36,7 @@ class ScriptedFederate:
 def run_pair(script_a=None, script_b=None, n_slots=4, done_at=None):
     fed_a = ScriptedFederate("a", "b", script_a, done_at=done_at)
     fed_b = ScriptedFederate("b", "a", script_b)
-    result = run_federation(TAU, n_slots, [fed_a, fed_b], record_trace=True)
+    result = run_federation(TAU, n_slots, [fed_a, fed_b])
     return fed_a, fed_b, result
 
 
@@ -124,11 +124,11 @@ def test_empty_slot_still_advances_everyone():
 
 def test_exactly_once_counts():
     script = {s: [(s * TAU + 10, make_msg(100 + s, s * TAU + 10))] for s in range(4)}
-    _, _, result = run_pair(script_a=script)
+    _, fed_b, result = run_pair(script_a=script, n_slots=5)
     assert result.messages_published == 4
     assert result.messages_delivered == 4
-    assert len(result.trace) == 4
-    assert len({mid for _, _, mid, _ in result.trace}) == 4
+    assert len(fed_b.received) == 4
+    assert len({mid for _, mid in fed_b.received}) == 4
 
 
 def test_done_federate_does_not_stop_federation():

@@ -1,11 +1,16 @@
 import dataclasses
+import enum
+import gc
 import json
+import types
 
 import pytest
 
 from gridcosim.config import ScenarioConfig
 from gridcosim.errors import UsageError
+from gridcosim.messages import SimMessage
 from gridcosim.runner import run_scenario, run_tau_sweep, write_manifest, write_outputs
+from gridcosim.simtime import TICKS_PER_SECOND
 
 
 def small_cfg(**overrides):
@@ -123,9 +128,27 @@ def test_runs_are_byte_identical(tmp_path, small_run):
 def test_delay_series_grouped_by_delivery_interval(small_run):
     w = small_run.cfg.interval_ticks
     for stats in small_run.delays:
-        legs = [d_comm for _cls, _k, _dit, d_comm, tick in small_run.comm_legs
-                if tick // w == stats.interval and _cls is stats.msg_class]
-        assert stats.count == len(legs)
+        legs = [d_comm / TICKS_PER_SECOND for cls, _k, _dit, d_comm, tick in small_run.comm_legs
+                if tick // w == stats.interval and cls is stats.msg_class]
+        assert legs
+        assert stats.mean_s == pytest.approx(sum(legs) / len(legs), rel=1e-12)
+        assert stats.p95_s in legs
+
+
+def test_run_result_holds_no_message(small_run):
+    # Each exchange is closed into ticks: no message outlives its delivery.
+    # Classes, modules, functions and enum members are not followed, since
+    # they lead to the whole interpreter rather than to the run's state.
+    seen = set()
+    stack = [small_run]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType, enum.Enum)):
+            continue
+        seen.add(id(obj))
+        assert not isinstance(obj, SimMessage), obj
+        stack.extend(gc.get_referents(obj))
+    assert len(seen) > len(small_run.exchange_rows)
 
 
 def test_sweep_requires_two_taus():

@@ -1,12 +1,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from gridcosim.simtime import BASE_UNIT_S, TICKS_PER_SECOND, ticks_from_seconds
+from gridcosim.simtime import TICKS_PER_SECOND, ticks_from_seconds
 
 
 def test_base_unit():
     assert TICKS_PER_SECOND == 100_000
-    assert BASE_UNIT_S == 1e-5
+    assert 1 / TICKS_PER_SECOND == 1e-5
 
 
 def test_ticks_from_seconds_exact_values():

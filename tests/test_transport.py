@@ -60,14 +60,13 @@ def test_parse_listen_address():
 def _run(transport):
     fed_a = EchoFederate("a", "b", _script())
     fed_b = EchoFederate("b", "a")
-    result = run_federation(1000, 10, [fed_a, fed_b], transport=transport, record_trace=True)
+    result = run_federation(1000, 10, [fed_a, fed_b], transport=transport)
     return fed_a, fed_b, result
 
 
 def test_transport_equivalence_on_scripted_federates():
     a_in, b_in, inproc = _run("inproc")
     a_sock, b_sock, socketed = _run("socket")
-    assert inproc.trace == socketed.trace
     assert inproc.trace_digest == socketed.trace_digest
     assert b_in.received == b_sock.received
     assert a_in.received == a_sock.received
@@ -77,9 +76,10 @@ def test_transport_equivalence_on_scripted_federates():
 def test_transport_equivalence_on_full_scenario():
     cfg = dataclasses.replace(ScenarioConfig(), duration_s=30.0, qos="wfq-ra", lte_fail_at_s=10.0)
     cfg.validate()
-    inproc = run_scenario(cfg, record_trace=True)
-    socketed = run_scenario(cfg, transport="socket", record_trace=True)
-    assert inproc.federation.trace == socketed.federation.trace
+    inproc = run_scenario(cfg)
+    socketed = run_scenario(cfg, transport="socket")
+    assert inproc.federation.trace_digest == socketed.federation.trace_digest
+    assert inproc.exchange_rows == socketed.exchange_rows
     assert [(m.interval, m.msg_class, m.mean) for m in inproc.reliability] == [
         (m.interval, m.msg_class, m.mean) for m in socketed.reliability
     ]
