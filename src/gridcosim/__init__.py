@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .config import ScenarioConfig, load_config, loads_config, serialize_config
 from .messages import MessageClass, MessageKind, NodeDescriptor, NodeKind, SimMessage
-from .metrics import class_reliability_ci, ddf, node_reliability
+from .metrics import class_reliability_ci, ddf
 from .simtime import TICKS_PER_SECOND
 from .topology import generate_topology
 
@@ -20,7 +20,6 @@ __all__ = [
     "SimMessage",
     "class_reliability_ci",
     "ddf",
-    "node_reliability",
     "TICKS_PER_SECOND",
     "generate_topology",
     "__version__",

@@ -4,9 +4,8 @@ The management system polls every monitored endpoint on a fixed period with
 a seeded random phase, and sends a burst of commands to randomly chosen
 switches once per control period.  Each request opens an exchange; the
 response closes it and fixes the application-side round-trip delay.
-Reliability is scored once, after the run: an exchange not answered within
-its class delay limit scores zero, and one the run ended too early to decide
-is logged but not scored.
+Each exchange is scored once, after the run, by ``metrics.exchange_score``;
+the federate only records, and ``metrics`` builds the reports.
 
 On receiving a rate-update notification the polling schedule is rebuilt:
 the new period applies to every monitored node, with nodes spread evenly
@@ -18,12 +17,11 @@ from __future__ import annotations
 import heapq
 import logging
 import random
-from collections import defaultdict
 from dataclasses import dataclass
 
 from .config import ScenarioConfig
 from .messages import MessageClass, MessageKind, NodeDescriptor, NodeKind, SimMessage
-from .metrics import IntervalMetrics, interval_metrics
+from .metrics import exchange_score
 from .simtime import TICKS_PER_SECOND
 from .topology import monitored_nodes
 
@@ -37,7 +35,8 @@ class Exchange:
     ``delivered_tick`` is when the response reached the management system.
     ``d_comm_ticks`` is the network delay of both legs; while the exchange
     is open it holds the request leg's alone, and it is None when a leg has
-    no network timestamps or no response came.  ``score`` is 1 when the
+    no network timestamps or no response came.  ``score`` is set once by
+    ``ITFederate.finalize_run`` from ``metrics.exchange_score``: 1 when the
     round trip met the class delay limit, 0 when it did not, and None when
     the run ended before that was decided.
     """
@@ -93,12 +92,10 @@ class ITFederate:
         self._next_control = self._control_period if self._switch_ids else 1 << 62
 
         self._open: dict[int, Exchange] = {}
-        self._interval_records: dict[tuple[int, MessageClass], list[Exchange]] = defaultdict(list)
-        self._reliability: list[IntervalMetrics] = []
+        # Every exchange, in creation order until ``finalize_run`` sorts it.
+        self.exchange_rows: list[Exchange] = []
         # Completed message legs: (class, kind, d_it_ticks, d_comm_ticks, delivered_comm_tick).
         self.comm_legs: list[tuple[MessageClass, MessageKind, int, int, int]] = []
-        self.exchange_rows: list[Exchange] = []
-        self.unknown_correlation = 0
 
     # ------------------------------------------------------------- traffic
 
@@ -151,7 +148,7 @@ class ITFederate:
     def _open_exchange(self, request: SimMessage) -> None:
         record = Exchange(request.id, request.msg_class, request.dst, request.created_tick)
         self._open[request.id] = record
-        self._interval_records[(request.created_tick // self._interval_ticks, request.msg_class)].append(record)
+        self.exchange_rows.append(record)
 
     # ------------------------------------------------------------ delivery
 
@@ -169,7 +166,6 @@ class ITFederate:
         if msg.dst == self._dms_id:
             record = self._open.pop(msg.correlation_id, None)
             if record is None:
-                self.unknown_correlation += 1
                 logger.warning("response %d has no open request %s", msg.id, msg.correlation_id)
                 return []
             record.delivered_tick = now_tick
@@ -252,33 +248,18 @@ class ITFederate:
     # ----------------------------------------------------------- reporting
 
     def finalize_run(self, end_tick: int) -> None:
-        """Score every (interval, class) once, after the run ended at ``end_tick``.
+        """Score every exchange once, after the run ended at ``end_tick``.
 
-        ``exchange_rows`` then lists exchanges by interval, then class in
-        ``MessageClass`` order, then creation order.
+        ``exchange_rows`` then lists exchanges by creation interval, then
+        class in ``MessageClass`` order, then creation order.
         """
         for record in self._open.values():
             record.d_comm_ticks = None  # the response leg never completed
-        for interval in range(-(-end_tick // self._interval_ticks)):
-            for cls in MessageClass:
-                self._finalize_interval(interval, cls, end_tick)
-
-    def _finalize_interval(self, interval: int, cls: MessageClass, end_tick: int) -> None:
-        records = self._interval_records.pop((interval, cls), [])
-        limit = self._limit_ticks[cls]
-        by_node: dict[int, list[int | None]] = defaultdict(list)
-        for rec in records:
-            self.exchange_rows.append(rec)
+        limits = self._limit_ticks
+        for rec in self.exchange_rows:
             d_it = None if rec.delivered_tick is None else rec.delivered_tick - rec.created_tick
-            if d_it is None and rec.created_tick + limit > end_tick:
-                # The run ended before this exchange could either succeed or
-                # exhaust its limit; its outcome is unknowable.
-                continue
-            by_node[rec.node].append(d_it)
-            rec.score = 1 if d_it is not None and d_it <= limit else 0
-        metrics = interval_metrics(interval, cls, by_node, limit)
-        if metrics is not None:
-            self._reliability.append(metrics)
-
-    def reliability_series(self) -> list[IntervalMetrics]:
-        return sorted(self._reliability, key=lambda m: (m.interval, m.msg_class.value))
+            rec.score = exchange_score(d_it, rec.created_tick, limits[rec.msg_class], end_tick)
+        w = self._interval_ticks
+        rank = {cls: i for i, cls in enumerate(MessageClass)}
+        # A stable sort keeps creation order within each (interval, class).
+        self.exchange_rows.sort(key=lambda rec: (rec.created_tick // w, rank[rec.msg_class]))

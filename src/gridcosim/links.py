@@ -14,10 +14,6 @@ from dataclasses import dataclass, field
 from .messages import MessageClass
 from .simtime import TICKS_PER_SECOND
 
-LTE = "lte"
-DMR = "dmr"
-
-
 @dataclass(slots=True)
 class TransportFrame:
     """One wire frame: a data segment of a message, or an acknowledgement."""
@@ -151,7 +147,6 @@ class LinkModel:
     """
 
     id: str
-    technology: str
     capacity_bps: int
     latency_ticks: int
     queue: FifoQueue | WfqQueue

@@ -1,8 +1,10 @@
 """Reliability, confidence-interval and delay-mismatch metrics.
 
-Reliability of a node over an interval is the fraction of its exchanges
-whose application-side round trip, in ticks, met the class delay limit; an
-exchange never answered counts as failed.  Class reliability aggregates the
+``exchange_score`` is the one place a round trip meets its class delay
+limit: an exchange scores 1 when its application-side round trip, in ticks,
+met the limit, 0 when it did not or was never answered, and None when the
+run ended before that was decided.  Reliability of a node over an interval
+is the mean of its stored scores.  Class reliability aggregates the
 per-node values into a mean with a 95% confidence interval using the sample
 standard deviation.  The delay-mismatch figure (in percent) is the mean
 relative gap between application-side and network-side delays over
@@ -13,11 +15,13 @@ introduces.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import EmptyDistribution
-from .messages import MessageClass
+from .messages import MessageClass, MessageKind
+from .simtime import TICKS_PER_SECOND
 
 #: Two-sided 95% normal quantile.
 CI_FACTOR = 1.96
@@ -63,15 +67,17 @@ class DelayStats:
     p95_s: float
 
 
-def node_reliability(d_it_ticks: Sequence[int | None], limit_ticks: int) -> float | None:
-    """Fraction of round trips within ``limit_ticks``; None when empty.
+def exchange_score(d_it_ticks: int | None, created_tick: int, limit_ticks: int,
+                   end_tick: int) -> int | None:
+    """1 when the round trip met the limit, else 0; None while undecided.
 
-    An unanswered exchange (None) stays in the denominator and scores zero.
+    The limit is inclusive.  An exchange never answered (``d_it_ticks`` None)
+    scores 0 once its limit has run out by ``end_tick``, the end of the run;
+    before that its outcome is unknowable.
     """
-    if not d_it_ticks:
-        return None
-    ok = sum(1 for d in d_it_ticks if d is not None and d <= limit_ticks)
-    return ok / len(d_it_ticks)
+    if d_it_ticks is not None:
+        return 1 if d_it_ticks <= limit_ticks else 0
+    return None if created_tick + limit_ticks > end_tick else 0
 
 
 def class_reliability_ci(per_node: Mapping[int, float]) -> tuple[float, float]:
@@ -119,28 +125,38 @@ def percentile_nearest_rank(values: Sequence[float], q: float) -> float:
     return ordered[rank - 1]
 
 
-def delay_stats(interval: int, msg_class: MessageClass, delays_s: Sequence[float]) -> DelayStats:
-    return DelayStats(
-        interval=interval,
-        msg_class=msg_class,
-        mean_s=sum(delays_s) / len(delays_s),
-        p95_s=percentile_nearest_rank(delays_s, 95.0),
-    )
+def reliability_series(exchanges: Iterable, interval_ticks: int) -> list[IntervalMetrics]:
+    """Class reliability per (creation interval, class) of scored ``itfed.Exchange``s.
+
+    A node's reliability is the mean of its stored scores; undecided
+    exchanges (score None) are left out.  Rows are ordered by interval, then class name.
+    """
+    scores: dict[tuple[int, MessageClass], dict[int, list[int]]] = defaultdict(lambda: defaultdict(list))
+    for ex in exchanges:
+        if ex.score is not None:
+            scores[(ex.created_tick // interval_ticks, ex.msg_class)][ex.node].append(ex.score)
+    series = []
+    for (interval, msg_class), by_node in scores.items():
+        mean, half = class_reliability_ci({node: sum(s) / len(s) for node, s in by_node.items()})
+        series.append(IntervalMetrics(interval, msg_class, mean, half))
+    series.sort(key=lambda m: (m.interval, m.msg_class.value))
+    return series
 
 
-def interval_metrics(
-    interval: int,
-    msg_class: MessageClass,
-    d_it_by_node: Mapping[int, Sequence[int | None]],
-    limit_ticks: int,
-) -> IntervalMetrics | None:
-    """Build the reliability snapshot for one (interval, class); None if empty."""
-    per_node: dict[int, float] = {}
-    for node, d_it_ticks in d_it_by_node.items():
-        value = node_reliability(d_it_ticks, limit_ticks)
-        if value is not None:
-            per_node[node] = value
-    if not per_node:
-        return None
-    mean, half = class_reliability_ci(per_node)
-    return IntervalMetrics(interval=interval, msg_class=msg_class, mean=mean, ci_half_width=half)
+def delay_series(
+    legs: Iterable[tuple[MessageClass, MessageKind, int, int, int]], interval_ticks: int
+) -> list[DelayStats]:
+    """Network delay mean and p95 per (delivery interval, class).
+
+    ``legs`` are (class, kind, d_it_ticks, d_comm_ticks, delivered_comm_tick)
+    records; rows are ordered by interval, then class name.
+    """
+    by_key: dict[tuple[int, MessageClass], list[float]] = defaultdict(list)
+    for msg_class, _kind, _d_it, d_comm, delivered_tick in legs:
+        by_key[(delivered_tick // interval_ticks, msg_class)].append(d_comm / TICKS_PER_SECOND)
+    series = [
+        DelayStats(interval, msg_class, sum(values) / len(values), percentile_nearest_rank(values, 95.0))
+        for (interval, msg_class), values in by_key.items()
+    ]
+    series.sort(key=lambda d: (d.interval, d.msg_class.value))
+    return series

@@ -22,7 +22,7 @@ from typing import Callable
 
 from .config import ScenarioConfig, exchange_wire_bits
 from .errors import ValidationError
-from .links import DMR, LTE, FifoQueue, LinkModel, TransportFrame, WfqQueue, segment_sizes
+from .links import FifoQueue, LinkModel, TransportFrame, WfqQueue, segment_sizes
 from .messages import (
     DER_KINDS,
     MessageClass,
@@ -86,9 +86,8 @@ class NetFederate:
         self._dmr_ap_id = dmr_nodes[0].id
         self._monitored = monitored_nodes(nodes, cfg)
 
-        self.links = self._build_links(cfg, nodes)
-        self._lte_links = [l for l in self.links if l.technology == LTE]
-        self._dmr_link = next(l for l in self.links if l.technology == DMR)
+        self._lte_links, self._dmr_link = self._build_links(cfg)
+        self.links = [*self._lte_links, self._dmr_link]
         self._bs_order = self._nearest_station_order(nodes)
 
         # (tick, priority, seq, handler, payload); the event runs handler(tick, payload).
@@ -115,7 +114,8 @@ class NetFederate:
 
     # --------------------------------------------------------------- setup
 
-    def _build_links(self, cfg: ScenarioConfig, nodes: list[NodeDescriptor]) -> list[LinkModel]:
+    def _build_links(self, cfg: ScenarioConfig) -> tuple[list[LinkModel], LinkModel]:
+        """The LTE base-station links and the DMR link."""
         def make_queue():
             if cfg.qos == "fifo":
                 return FifoQueue()
@@ -127,12 +127,11 @@ class NetFederate:
         lte_latency = ticks_from_seconds(cfg.access_latency_lte_s, key="access_latency_lte_s")
         dmr_latency = ticks_from_seconds(cfg.access_latency_dmr_s, key="access_latency_dmr_s")
         n_intervals = -(-cfg.duration_ticks // cfg.interval_ticks)
-        links = [
-            LinkModel(f"lte-{i}", LTE, cfg.lte_bs_capacity_bps, lte_latency, make_queue(), n_intervals)
+        lte = [
+            LinkModel(f"lte-{i}", cfg.lte_bs_capacity_bps, lte_latency, make_queue(), n_intervals)
             for i in range(cfg.lte_bs_count)
         ]
-        links.append(LinkModel("dmr", DMR, cfg.dmr_capacity_bps, dmr_latency, make_queue(), n_intervals))
-        return links
+        return lte, LinkModel("dmr", cfg.dmr_capacity_bps, dmr_latency, make_queue(), n_intervals)
 
     def _nearest_station_order(self, nodes: list[NodeDescriptor]) -> dict[int, list[int]]:
         stations = [n for n in nodes if n.kind is NodeKind.LTE_BS]

@@ -1,9 +1,10 @@
 """Scenario orchestration: wire config, topology, federation and reports.
 
 ``run_scenario`` builds both federates from one config and topology, runs
-the federation over the chosen transport, and distills interval reliability,
-delay statistics, the delay-mismatch figure and flow-conservation counters
-into a :class:`RunResult`.  ``write_outputs`` renders the CSV files and a
+the federation over the chosen transport, and collects into a
+:class:`RunResult` the federates' records and the reports that ``metrics``
+builds from them: interval reliability, delay statistics and the
+delay-mismatch figure.  ``write_outputs`` renders the CSV files and a
 JSON manifest; outputs are byte-identical for identical (config, transport)
 inputs apart from the manifest and wallclock columns.
 """
@@ -14,7 +15,6 @@ import csv
 import dataclasses
 import json
 import logging
-from collections import defaultdict
 from pathlib import Path
 
 from . import __version__
@@ -22,7 +22,7 @@ from .config import ScenarioConfig, serialize_config
 from .errors import UsageError
 from .itfed import Exchange, ITFederate
 from .messages import MessageClass, NodeDescriptor
-from .metrics import DelayStats, IntervalMetrics, ddf, delay_stats
+from .metrics import DelayStats, IntervalMetrics, ddf, delay_series, reliability_series
 from .netfed import NetFederate
 from .rti import FederationResult
 from .simtime import TICKS_PER_SECOND
@@ -71,8 +71,8 @@ def run_scenario(
         cfg=cfg,
         federation=federation,
         nodes=nodes,
-        reliability=it_federate.reliability_series(),
-        delays=_delay_series(it_federate, cfg),
+        reliability=reliability_series(it_federate.exchange_rows, cfg.interval_ticks),
+        delays=delay_series(legs, cfg.interval_ticks),
         ddf=ddf((d_it, d_comm) for _, _, d_it, d_comm, _ in legs) if legs else None,
         conservation=net_federate.conservation(),
         exchange_rows=it_federate.exchange_rows,
@@ -80,19 +80,6 @@ def run_scenario(
         link_rows=_link_rows(net_federate, cfg, end_tick),
         adapted_period_ticks=net_federate.adapted_period_ticks,
     )
-
-
-def _delay_series(it_federate: ITFederate, cfg: ScenarioConfig) -> list[DelayStats]:
-    by_key: dict[tuple[int, MessageClass], list[float]] = defaultdict(list)
-    w = cfg.interval_ticks
-    for msg_class, _kind, _d_it, d_comm, delivered_tick in it_federate.comm_legs:
-        by_key[(delivered_tick // w, msg_class)].append(d_comm / TICKS_PER_SECOND)
-    series = [
-        delay_stats(interval, msg_class, values)
-        for (interval, msg_class), values in by_key.items()
-    ]
-    series.sort(key=lambda s: (s.interval, s.msg_class.value))
-    return series
 
 
 def _link_rows(net: NetFederate, cfg: ScenarioConfig, end_tick: int) -> list:

@@ -16,10 +16,10 @@ import pytest
 from gridcosim.config import ScenarioConfig
 from gridcosim.links import TransportFrame, WfqQueue
 from gridcosim.messages import MessageClass
-from gridcosim.metrics import class_reliability_ci, ddf, node_reliability
+from gridcosim.metrics import class_reliability_ci, ddf
 from gridcosim.runner import run_scenario, run_tau_sweep, write_outputs
 from gridcosim.simtime import TICKS_PER_SECOND
-from tests.test_metrics import _exchange
+from tests.test_metrics import _exchange, _node_reliability
 
 MON = MessageClass.MONITORING
 CTL = MessageClass.CONTROL
@@ -124,10 +124,10 @@ def test_criterion_1_metric_oracles_exact():
         assert ddf([(2.5, 2.0)] * 4) == pytest.approx(25.0, rel=rel)
         assert ddf([(2.0, 2.0)] * 3) == 0.0
 
-        limit_ticks = 30 * TICKS_PER_SECOND
+        # Exchanges scored against a 30 s limit, then read back per node.
         records = [_exchange(1.0)] * 8 + [_exchange(45.0)] * 2
-        assert node_reliability(records, limit_ticks) == pytest.approx(0.8, rel=rel)
-        assert node_reliability([_exchange(31.0)] * 3 + [_exchange(None)], limit_ticks) == 0.0
+        assert _node_reliability(records) == pytest.approx(0.8, rel=rel)
+        assert _node_reliability([_exchange(31.0)] * 3 + [_exchange(None)]) == 0.0
 
 
 def test_criterion_2_synchronization_bound(default_run):

@@ -1,10 +1,12 @@
 import dataclasses
+import logging
 
 import pytest
 
 from gridcosim.config import ScenarioConfig
 from gridcosim.itfed import ITFederate
 from gridcosim.messages import MessageClass, MessageKind, NodeKind, SimMessage
+from gridcosim.metrics import reliability_series
 from gridcosim.simtime import TICKS_PER_SECOND
 from gridcosim.topology import generate_topology
 
@@ -139,24 +141,31 @@ def _finalized_rows(fed, cfg):
     return fed.exchange_rows
 
 
-def test_duplicate_response_counts_unknown_correlation():
+def test_duplicate_response_counts_unknown_correlation(caplog):
     fed, cfg, _ = build_federate()
     request = first_request(fed, cfg)
     resp = SimMessage(99, MessageClass.MONITORING, MessageKind.RESPONSE, request.dst, fed._dms_id,
                       500, 1000, correlation_id=request.id)
-    fed.on_deliver(resp, 2000)
-    assert fed.unknown_correlation == 0
-    duplicate = SimMessage(101, MessageClass.MONITORING, MessageKind.RESPONSE, request.dst,
-                           fed._dms_id, 500, 1500, correlation_id=request.id)
-    fed.on_deliver(duplicate, 2500)
-    assert fed.unknown_correlation == 1
+    with caplog.at_level(logging.WARNING, logger="gridcosim.itfed"):
+        assert fed.on_deliver(resp, 2000) == []
+        assert not caplog.records
+        duplicate = SimMessage(101, MessageClass.MONITORING, MessageKind.RESPONSE, request.dst,
+                               fed._dms_id, 500, 1500, correlation_id=request.id)
+        assert fed.on_deliver(duplicate, 2500) == []
+    assert [r.getMessage() for r in caplog.records] == [
+        f"response 101 has no open request {request.id}"
+    ]
+    # The duplicate leaves the exchange the first response closed untouched.
+    record = next(rec for rec in fed.exchange_rows if rec.id == request.id)
+    assert record.delivered_tick == 2000
 
 
 def test_reliability_series_absent_versus_present():
     fed, cfg, _ = build_federate(duration_s=100.0)
     step_through(fed, cfg)
     fed.finalize_run(cfg.duration_ticks)
-    first = {m.msg_class: m for m in fed.reliability_series() if m.interval == 0}
+    series = reliability_series(fed.exchange_rows, cfg.interval_ticks)
+    first = {m.msg_class: m for m in series if m.interval == 0}
     # No commands are issued before the first control period, so the class
     # has no value at all; unanswered monitoring exchanges scored zero.
     assert MessageClass.CONTROL not in first

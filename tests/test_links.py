@@ -22,11 +22,11 @@ def frame(bytes_on_wire, cls=MON, seq=0, is_ack=False):
 
 
 def dmr_link(queue=None):
-    return LinkModel("dmr", "dmr", 1920, 5000, queue or FifoQueue())
+    return LinkModel("dmr", 1920, 5000, queue or FifoQueue())
 
 
 def lte_link(queue=None):
-    return LinkModel("lte-0", "lte", 50_000, 2000, queue or FifoQueue())
+    return LinkModel("lte-0", 50_000, 2000, queue or FifoQueue())
 
 
 def dmr_server():

@@ -2,6 +2,9 @@
 
 The confidence-interval oracle is the statistics module (sample standard
 deviation); the implementation under test does its own arithmetic.
+Reliability is checked end to end from round trips: each exchange is scored
+by ``exchange_score`` and the node value is read back from
+``reliability_series``.
 """
 
 import math
@@ -10,15 +13,17 @@ import statistics
 import pytest
 from hypothesis import given, strategies as st
 
+import gridcosim
 from gridcosim.errors import EmptyDistribution
-from gridcosim.messages import MessageClass
+from gridcosim.itfed import Exchange
+from gridcosim.messages import MessageClass, MessageKind
 from gridcosim.metrics import (
     class_reliability_ci,
     ddf,
-    delay_stats,
-    interval_metrics,
-    node_reliability,
+    delay_series,
+    exchange_score,
     percentile_nearest_rank,
+    reliability_series,
 )
 from gridcosim.simtime import TICKS_PER_SECOND
 
@@ -29,11 +34,24 @@ CI_CASE_HALF_WIDTH = 0.2829016319029166
 
 REL = 1e-9
 LIMIT_30_S = 30 * TICKS_PER_SECOND
+INTERVAL_TICKS = 25 * TICKS_PER_SECOND
+# Late enough that every exchange created at tick 0 has its outcome decided.
+END_TICK = 100 * TICKS_PER_SECOND
 
 
-def _exchange(d_it_s: float | None) -> int | None:
-    """An exchange's round trip in ticks; None when it was never answered."""
-    return None if d_it_s is None else round(d_it_s * TICKS_PER_SECOND)
+def _exchange(d_it_s: float | None, node: int = 1, created_tick: int = 0) -> Exchange:
+    """A scored monitoring exchange under a 30 s limit; ``d_it_s`` None when never answered."""
+    d_it = None if d_it_s is None else round(d_it_s * TICKS_PER_SECOND)
+    delivered = None if d_it is None else created_tick + d_it
+    return Exchange(0, MessageClass.MONITORING, node, created_tick, delivered,
+                    score=exchange_score(d_it, created_tick, LIMIT_30_S, END_TICK))
+
+
+def _node_reliability(exchanges: list[Exchange]) -> float | None:
+    """Reliability of the one node ``exchanges`` belong to; None when none is scored."""
+    series = reliability_series(exchanges, INTERVAL_TICKS)
+    assert len(series) <= 1
+    return series[0].mean if series else None
 
 
 def test_ci_case_against_independent_oracle():
@@ -69,22 +87,34 @@ def test_ci_permutation_invariant(values):
 
 def test_node_reliability_fractions():
     records = [_exchange(1.0)] * 8 + [_exchange(45.0)] * 2
-    assert node_reliability(records, LIMIT_30_S) == pytest.approx(0.8, rel=REL)
-    assert node_reliability([_exchange(0.5)] * 3, LIMIT_30_S) == 1.0
+    assert _node_reliability(records) == pytest.approx(0.8, rel=REL)
+    assert _node_reliability([_exchange(0.5)] * 3) == 1.0
 
 
 def test_node_reliability_unanswered_counts_zero():
     records = [_exchange(31.0)] * 3 + [_exchange(None)]
-    assert node_reliability(records, LIMIT_30_S) == 0.0
+    assert [rec.score for rec in records] == [0, 0, 0, 0]
+    assert _node_reliability(records) == 0.0
 
 
 def test_node_reliability_empty_is_absent():
-    assert node_reliability([], LIMIT_30_S) is None
+    assert _node_reliability([]) is None
+    # Unanswered with its limit running past the end of the run: undecided.
+    undecided = _exchange(None, created_tick=END_TICK - LIMIT_30_S + 1)
+    assert undecided.score is None
+    assert _node_reliability([undecided]) is None
 
 
 def test_node_reliability_limit_inclusive():
-    assert node_reliability([_exchange(30.0)], LIMIT_30_S) == 1.0
-    assert node_reliability([LIMIT_30_S + 1], LIMIT_30_S) == 0.0
+    assert _node_reliability([_exchange(30.0)]) == 1.0
+    assert _node_reliability([_exchange((LIMIT_30_S + 1) / TICKS_PER_SECOND)]) == 0.0
+    assert exchange_score(LIMIT_30_S, 0, LIMIT_30_S, END_TICK) == 1
+    assert exchange_score(LIMIT_30_S + 1, 0, LIMIT_30_S, END_TICK) == 0
+    # An unanswered exchange is decided once its limit has run out exactly.
+    assert exchange_score(None, END_TICK - LIMIT_30_S, LIMIT_30_S, END_TICK) == 0
+    assert exchange_score(None, END_TICK - LIMIT_30_S + 1, LIMIT_30_S, END_TICK) is None
+    # A response that arrived in time is scored even close to the end.
+    assert exchange_score(5, END_TICK - 1, LIMIT_30_S, END_TICK) == 1
 
 
 def test_ddf_constant_gap():
@@ -114,19 +144,26 @@ def test_percentile_nearest_rank():
 
 
 def test_delay_stats():
-    stats = delay_stats(4, MessageClass.CONTROL, [1.0, 2.0, 3.0])
+    start = 4 * INTERVAL_TICKS
+    legs = [(MessageClass.CONTROL, MessageKind.CONTROL_ACK, 0, s * TICKS_PER_SECOND, start + s)
+            for s in (1, 2, 3)]
+    legs.append((MessageClass.MONITORING, MessageKind.RESPONSE, 0, 7, start - 1))
+    first, stats = delay_series(legs, INTERVAL_TICKS)
+    assert (first.interval, first.msg_class, first.mean_s) == (3, MessageClass.MONITORING, 7e-5)
+    assert (stats.interval, stats.msg_class) == (4, MessageClass.CONTROL)
     assert stats.mean_s == pytest.approx(2.0)
     assert stats.p95_s == 3.0
 
 
 def test_interval_metrics_aggregates_nodes():
-    by_node = {
-        1: [_exchange(1.0), _exchange(1.0)],
-        2: [_exchange(2.0)],
-        3: [_exchange(50.0), _exchange(None)],
-        4: [],
-    }
-    snapshot = interval_metrics(0, MessageClass.MONITORING, by_node, LIMIT_30_S)
+    exchanges = [
+        _exchange(1.0, node=1), _exchange(1.0, node=1),
+        _exchange(2.0, node=2),
+        _exchange(50.0, node=3), _exchange(None, node=3),
+        _exchange(None, node=4, created_tick=END_TICK - 1),  # undecided: no value
+    ]
+    [snapshot] = reliability_series(exchanges, INTERVAL_TICKS)
+    assert (snapshot.interval, snapshot.msg_class) == (0, MessageClass.MONITORING)
     oracle_mean = statistics.fmean([1.0, 1.0, 0.0])
     oracle_half = 1.96 * statistics.stdev([1.0, 1.0, 0.0]) / math.sqrt(3)
     assert snapshot.mean == pytest.approx(oracle_mean, rel=REL)
@@ -138,5 +175,12 @@ def test_interval_metrics_aggregates_nodes():
 
 
 def test_interval_metrics_empty_is_none():
-    assert interval_metrics(0, MessageClass.CONTROL, {}, 10 * TICKS_PER_SECOND) is None
-    assert interval_metrics(0, MessageClass.CONTROL, {5: []}, 10 * TICKS_PER_SECOND) is None
+    assert reliability_series([], INTERVAL_TICKS) == []
+    undecided = Exchange(0, MessageClass.CONTROL, 5, 0)
+    assert reliability_series([undecided], INTERVAL_TICKS) == []
+
+
+def test_package_exports_resolve():
+    for name in gridcosim.__all__:
+        assert getattr(gridcosim, name) is not None, name
+    assert "node_reliability" not in gridcosim.__all__

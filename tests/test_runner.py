@@ -1,8 +1,12 @@
+import csv
 import dataclasses
 import enum
 import gc
 import json
+import math
+import statistics
 import types
+from collections import defaultdict
 
 import pytest
 
@@ -133,6 +137,38 @@ def test_delay_series_grouped_by_delivery_interval(small_run):
         assert legs
         assert stats.mean_s == pytest.approx(sum(legs) / len(legs), rel=1e-12)
         assert stats.p95_s in legs
+
+
+def test_reliability_csv_recomputed_from_exchange_log(tmp_path):
+    # After a failover the DMR link clogs: the log holds answered, late,
+    # unanswered (scored 0) and undecided (empty) exchanges.  Each
+    # reliability.csv row must follow from the logged scores alone.
+    cfg = small_cfg(duration_s=200.0, lambda_c_hz=1 / 5, qos="fifo", lte_fail_at_s=50.0)
+    write_outputs(tmp_path, run_scenario(cfg), exchange_log=True)
+    with (tmp_path / "exchange_log.csv").open(newline="") as handle:
+        log = list(csv.DictReader(handle))
+    assert any(row["delivered_s"] == "" and row["within_limit"] == "0" for row in log)
+    assert any(row["within_limit"] == "" for row in log)
+
+    scores = defaultdict(lambda: defaultdict(list))
+    for row in log:
+        if row["within_limit"]:
+            t_s = float(row["created_s"]) // cfg.metrics_interval_s * cfg.metrics_interval_s
+            scores[(t_s, row["class"])][row["node"]].append(int(row["within_limit"]))
+    expected = {}
+    for key, by_node in scores.items():
+        values = [statistics.fmean(s) for s in by_node.values()]
+        half = 1.96 * statistics.stdev(values) / math.sqrt(len(values)) if len(values) > 1 else 0.0
+        expected[key] = (statistics.fmean(values), half)
+
+    with (tmp_path / "reliability.csv").open(newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert {(float(row["t_s"]), row["class"]) for row in rows} == set(expected)
+    for row in rows:
+        mean, half = expected[(float(row["t_s"]), row["class"])]
+        assert float(row["mean"]) == pytest.approx(mean, abs=1e-9)
+        assert float(row["ci_low"]) == pytest.approx(mean - half, abs=1e-9)
+        assert float(row["ci_high"]) == pytest.approx(mean + half, abs=1e-9)
 
 
 def test_run_result_holds_no_message(small_run):
