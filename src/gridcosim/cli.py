@@ -106,7 +106,6 @@ def _fail(out_dir: Path, cfg: ScenarioConfig | None, t0: float, experiment: str,
 
 def _cmd_run(args: argparse.Namespace) -> int:
     out_dir: Path = args.out
-    out_dir.mkdir(parents=True, exist_ok=True)
     cfg = None
     t0 = time.perf_counter()
     try:
@@ -137,7 +136,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_tau_sweep(args: argparse.Namespace) -> int:
     out_dir: Path = args.out
-    out_dir.mkdir(parents=True, exist_ok=True)
     cfg = None
     t0 = time.perf_counter()
     try:
@@ -166,6 +164,12 @@ def _cmd_tau_sweep(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        # The manifest goes in the output directory, so this error has none.
+        print(f"usage error: --out {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     if args.command == "run":
         return _cmd_run(args)
     return _cmd_tau_sweep(args)

@@ -9,7 +9,6 @@ that way.  Defaults reproduce the shipped LTE-failover case study.
 from __future__ import annotations
 
 import hashlib
-import logging
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -19,11 +18,8 @@ from .links import segment_sizes
 from .simtime import ticks_from_seconds
 from .messages import MessageClass, NodeKind
 
-logger = logging.getLogger(__name__)
-
 QOS_MODES = ("fifo", "wfq", "wfq-ra")
 ARRIVAL_MODELS = ("periodic", "poisson")
-DER_ROUTES = ("lte", "dmr")
 
 
 @dataclass
@@ -42,7 +38,6 @@ class ScenarioConfig:
     control_burst_size: int = 2
     monitor_ders: bool = True
     arrival_model: str = "periodic"
-    der_control_via: str = "lte"
 
     # Payloads (bytes)
     payload_poll_request_bytes: int = 64
@@ -175,8 +170,6 @@ class ScenarioConfig:
             raise ValidationError("qos", "wfq-ra needs at least one monitored endpoint")
         if self.arrival_model not in ARRIVAL_MODELS:
             raise ValidationError("arrival_model", f"must be one of {ARRIVAL_MODELS}")
-        if self.der_control_via not in DER_ROUTES:
-            raise ValidationError("der_control_via", f"must be one of {DER_ROUTES}")
         for key in ("lte_fail_at_s", "lte_restore_at_s"):
             value = getattr(self, key)
             if value is not None and value < 0:
@@ -301,17 +294,17 @@ def loads_config(text: str) -> ScenarioConfig:
             raise ParseError(f"line {lineno}: bad value for {key}: {exc}") from exc
     cfg = ScenarioConfig(**values)
     cfg.validate()
-    for note in cfg.warnings():
-        logger.warning("%s", note)
     return cfg
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8: {exc.reason} at byte {exc.start}") from exc
     return loads_config(text)
 
 

@@ -4,13 +4,15 @@ Frames are newline-delimited compact JSON objects in UTF-8 with exactly
 the fields ``{"t": <type>, "slot": <int>, "body": <object>}``, in that
 order.  All times on the wire are integer ticks; no floats ever cross a
 federate boundary, so both transports observe bit-identical state.
+A granted slot is one frame each way: ``GRANT`` carries the federate's
+inbox, and ``ACK_SLOT`` its publishes, its lookahead and whether it is done.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DecodeError
 from .messages import SimMessage
@@ -20,10 +22,7 @@ class EnvelopeType(enum.Enum):
     JOIN = "JOIN"
     JOIN_ACK = "JOIN_ACK"
     GRANT = "GRANT"
-    PUBLISH = "PUBLISH"
-    DELIVER = "DELIVER"
     ACK_SLOT = "ACK_SLOT"
-    DONE = "DONE"
     ERROR = "ERROR"
 
 
@@ -31,7 +30,7 @@ class EnvelopeType(enum.Enum):
 class FederateEnvelope:
     type: EnvelopeType
     slot: int
-    body: dict = field(default_factory=dict)
+    body: dict
 
 
 _ENVELOPE_TYPES = {member.value: member for member in EnvelopeType}
@@ -86,28 +85,25 @@ def join_ack(fid: int) -> FederateEnvelope:
     return FederateEnvelope(EnvelopeType.JOIN_ACK, 0, {"fid": fid})
 
 
-def grant(slot: int, end_ticks: int) -> FederateEnvelope:
-    return FederateEnvelope(EnvelopeType.GRANT, slot, {"end_ticks": end_ticks})
-
-
-def publish(slot: int, to_name: str, at_tick: int, msg: SimMessage) -> FederateEnvelope:
+def grant(slot: int, end_ticks: int, inbox: list[SimMessage]) -> FederateEnvelope:
+    """Slot grant carrying the messages delivered to the federate since its last grant."""
     return FederateEnvelope(
-        EnvelopeType.PUBLISH, slot, {"to": to_name, "at": at_tick, "msg": msg.to_wire()}
+        EnvelopeType.GRANT, slot,
+        {"end_ticks": end_ticks, "inbox": [msg.to_wire() for msg in inbox]},
     )
 
 
-def deliver(slot: int, msg: SimMessage) -> FederateEnvelope:
-    return FederateEnvelope(EnvelopeType.DELIVER, slot, {"msg": msg.to_wire()})
-
-
-def ack_slot(slot: int, next_tick: int | None = None) -> FederateEnvelope:
-    """Slot acknowledgment; ``next_tick`` is the federate's lookahead, if it declares one."""
-    body = {} if next_tick is None else {"next": next_tick}
+def ack_slot(slot: int, out: list[tuple[int, str, SimMessage]], next_tick: int | None = None,
+             done: bool = False) -> FederateEnvelope:
+    """Slot acknowledgment carrying the federate's ``(at_tick, to_name, msg)``
+    publishes, its lookahead ``next_tick`` if it declares one, and whether
+    it is done."""
+    body = {"out": [{"at": at, "to": to, "msg": msg.to_wire()} for at, to, msg in out]}
+    if next_tick is not None:
+        body["next"] = next_tick
+    if done:
+        body["done"] = True
     return FederateEnvelope(EnvelopeType.ACK_SLOT, slot, body)
-
-
-def done(slot: int) -> FederateEnvelope:
-    return FederateEnvelope(EnvelopeType.DONE, slot)
 
 
 def error(slot: int, code: str, detail: str) -> FederateEnvelope:

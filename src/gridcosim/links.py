@@ -65,9 +65,6 @@ class FifoQueue:
     def queued_bytes(self, msg_class: MessageClass) -> int:
         return self._bytes[msg_class]
 
-    def __len__(self) -> int:
-        return len(self._frames)
-
 
 class WfqQueue:
     """Weighted fair queueing over the two traffic classes.
@@ -130,9 +127,6 @@ class WfqQueue:
 
     def queued_bytes(self, msg_class: MessageClass) -> int:
         return self._bytes[msg_class]
-
-    def __len__(self) -> int:
-        return sum(len(q) for q in self._queues.values())
 
 
 @dataclass(slots=True)

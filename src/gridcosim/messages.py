@@ -47,9 +47,6 @@ _KIND_BY_VALUE = {member.value: member for member in MessageKind}
 _INT_FIELDS = ("id", "src", "dst", "len", "ct")
 _OPTIONAL_INT_FIELDS = ("sct", "dct", "corr", "ppt")
 
-#: Distributed energy resources.
-DER_KINDS = (NodeKind.PV_PLANT, NodeKind.WIND_FARM)
-
 
 @dataclass(slots=True)
 class SimMessage:

@@ -24,7 +24,6 @@ from .config import ScenarioConfig, exchange_wire_bits
 from .errors import ValidationError
 from .links import FifoQueue, LinkModel, TransportFrame, WfqQueue, segment_sizes
 from .messages import (
-    DER_KINDS,
     MessageClass,
     MessageKind,
     NodeDescriptor,
@@ -78,7 +77,6 @@ class NetFederate:
         self._duration = cfg.duration_ticks
         self._interval_ticks = cfg.interval_ticks
 
-        self._kind_by_id = {n.id: n.kind for n in nodes}
         self._dms_id = next(n.id for n in nodes if n.kind is NodeKind.DMS)
         dmr_nodes = [n for n in nodes if n.kind is NodeKind.DMR_AP]
         if len(dmr_nodes) != 1:
@@ -149,11 +147,7 @@ class NetFederate:
     def route(self, msg: SimMessage) -> LinkModel | None:
         """Pick the link carrying this message, or None when nothing is up."""
         endpoint = msg.dst if msg.dst != self._dms_id else msg.src
-        kind = self._kind_by_id[endpoint]
-        control_route = msg.msg_class is MessageClass.CONTROL and not (
-            kind in DER_KINDS and self.cfg.der_control_via == "lte"
-        )
-        if control_route:
+        if msg.msg_class is MessageClass.CONTROL:
             if self._dmr_link.up:
                 return self._dmr_link
             return self._nearest_up_lte(endpoint)

@@ -18,8 +18,8 @@ TICKS_PER_SECOND = 100_000
 def ticks_from_seconds(seconds: float, *, key: str = "time") -> int:
     """Convert seconds to ticks, requiring an exact base-unit multiple.
 
-    Raises ValueError when ``seconds`` is not finite or not representable
-    on the tick grid (beyond float noise).
+    Raises ValueError when ``seconds`` is not finite, not representable
+    on the tick grid (beyond float noise), or nonzero but rounds to 0 ticks.
     """
     if not math.isfinite(seconds):
         raise ValueError(f"{key}={seconds!r} is not a finite number of seconds")
@@ -28,4 +28,6 @@ def ticks_from_seconds(seconds: float, *, key: str = "time") -> int:
     tol = max(1e-6, abs(raw) * 1e-9)
     if abs(raw - ticks) > tol:
         raise ValueError(f"{key}={seconds!r} is not a multiple of {1 / TICKS_PER_SECOND} s")
+    if ticks == 0 and seconds != 0:
+        raise ValueError(f"{key}={seconds!r} is shorter than one tick ({1 / TICKS_PER_SECOND} s)")
     return ticks

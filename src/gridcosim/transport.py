@@ -121,51 +121,47 @@ class SocketEndpoint:
 
     def begin_step(self, slot: int, slot_end_tick: int, inbox: list[SimMessage]) -> None:
         self._slot = slot
-        for msg in inbox:
-            self.stream.send(env.deliver(slot, msg))
-        self.stream.send(env.grant(slot, slot_end_tick))
+        self.stream.send(env.grant(slot, slot_end_tick, inbox))
         self.stream.flush()
 
     def finish_step(self):
+        received = self.stream.recv()
+        if received is None:
+            raise ProtocolViolation(f"federate {self.name} closed its stream mid-slot")
+        body = received.body
+        if received.type is EnvelopeType.ERROR:
+            raise ProtocolViolation(
+                f"federate {self.name} failed: {body.get('code')}: {body.get('detail')}"
+            )
+        if received.type is not EnvelopeType.ACK_SLOT:
+            raise ProtocolViolation(f"unexpected {received.type.value} from federate {self.name}")
+        if received.slot != self._slot:
+            raise self._malformed(f"for slot {received.slot}, expected {self._slot}")
+        out, next_tick, done = body.get("out"), body.get("next", -1), body.get("done", False)
+        if type(out) is not list:
+            raise self._malformed(f"with out {out!r}, not a list")
+        if type(next_tick) is not int:
+            raise self._malformed(f"with lookahead {next_tick!r}")
+        if type(done) is not bool:
+            raise self._malformed(f"with done {done!r}, not a boolean")
         outbox: list[tuple[int, str, SimMessage]] = []
-        while True:
-            received = self.stream.recv()
-            if received is None:
-                raise ProtocolViolation(f"federate {self.name} closed its stream mid-slot")
-            if received.type is EnvelopeType.PUBLISH:
-                body = received.body
-                try:
-                    at, to, msg = body["at"], body["to"], SimMessage.from_wire(body["msg"])
-                except (KeyError, TypeError) as exc:
-                    raise ProtocolViolation(
-                        f"federate {self.name} sent a malformed PUBLISH ending at byte "
-                        f"{self.stream.offset} ({type(exc).__name__}: {exc})"
-                    ) from exc
-                if type(at) is not int or type(to) is not str:
-                    raise ProtocolViolation(
-                        f"federate {self.name} sent a PUBLISH ending at byte "
-                        f"{self.stream.offset} with tick {at!r} to {to!r}"
-                    )
-                outbox.append((at, to, msg))
-            elif received.type is EnvelopeType.ACK_SLOT:
-                if received.slot != self._slot:
-                    raise ProtocolViolation(
-                        f"federate {self.name} acknowledged slot {received.slot}, expected {self._slot}"
-                    )
-                next_tick = received.body.get("next", -1)
-                if type(next_tick) is not int:
-                    raise ProtocolViolation(f"federate {self.name} sent lookahead {next_tick!r}")
-                self._next_tick = next_tick
-                return outbox, False
-            elif received.type is EnvelopeType.DONE:
-                return outbox, True
-            elif received.type is EnvelopeType.ERROR:
-                raise ProtocolViolation(
-                    f"federate {self.name} failed: {received.body.get('code')}: "
-                    f"{received.body.get('detail')}"
-                )
-            else:
-                raise ProtocolViolation(f"unexpected {received.type.value} from federate {self.name}")
+        for entry in out:
+            try:
+                at, to, msg = entry["at"], entry["to"], SimMessage.from_wire(entry["msg"])
+            except (KeyError, TypeError) as exc:
+                raise self._malformed(
+                    f"with a malformed out entry ({type(exc).__name__}: {exc})"
+                ) from exc
+            if type(at) is not int or type(to) is not str:
+                raise self._malformed(f"with an out entry at tick {at!r} to {to!r}")
+            outbox.append((at, to, msg))
+        self._next_tick = next_tick
+        return outbox, done
+
+    def _malformed(self, detail: str) -> ProtocolViolation:
+        return ProtocolViolation(
+            f"federate {self.name} sent an ACK_SLOT ending at byte {self.stream.offset} {detail}"
+        )
 
     def close(self) -> None:
         self.stream.close()
@@ -189,7 +185,7 @@ def run_federate_client(address: tuple[str, int], federate: LocalFederate,
         if ack is None or ack.type is not EnvelopeType.JOIN_ACK:
             raise ProtocolViolation("expected JOIN_ACK")
         sock.settimeout(None)
-        inbox: list[SimMessage] = []
+        peer = federate.peer_name
         while True:
             try:
                 received = stream.recv()
@@ -200,29 +196,21 @@ def run_federate_client(address: tuple[str, int], federate: LocalFederate,
                 return
             if received is None:
                 return
-            if received.type is EnvelopeType.DELIVER:
-                inbox.append(SimMessage.from_wire(received.body["msg"]))
-            elif received.type is EnvelopeType.GRANT:
-                try:
-                    outbox, finished = federate.step(
-                        received.slot, received.body["end_ticks"], inbox
-                    )
-                    next_tick = lookahead() if lookahead is not None else None
-                except Exception as exc:  # surface federate failures to the RTI
-                    logger.exception("federate %s failed in slot %d", federate.name, received.slot)
-                    stream.send(env.error(received.slot, type(exc).__name__, str(exc)))
-                    stream.flush()
-                    return
-                inbox = []
-                for at_tick, msg in outbox:
-                    stream.send(env.publish(received.slot, federate.peer_name, at_tick, msg))
-                if finished:
-                    stream.send(env.done(received.slot))
-                else:
-                    stream.send(env.ack_slot(received.slot, next_tick))
-                stream.flush()
-            else:
+            if received.type is not EnvelopeType.GRANT:
                 raise ProtocolViolation(f"unexpected {received.type.value} from coordinator")
+            slot = received.slot
+            try:
+                inbox = [SimMessage.from_wire(msg) for msg in received.body["inbox"]]
+                outbox, finished = federate.step(slot, received.body["end_ticks"], inbox)
+                next_tick = lookahead() if lookahead is not None else None
+            except Exception as exc:  # surface federate failures to the RTI
+                logger.exception("federate %s failed in slot %d", federate.name, slot)
+                stream.send(env.error(slot, type(exc).__name__, str(exc)))
+                stream.flush()
+                return
+            out = [(at_tick, peer, msg) for at_tick, msg in outbox]
+            stream.send(env.ack_slot(slot, out, next_tick, finished))
+            stream.flush()
     finally:
         stream.close()
 

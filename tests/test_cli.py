@@ -145,8 +145,13 @@ def test_non_finite_values_are_validation_errors_with_manifest(tmp_path, capsys,
     ((), "lte_restore_at_s = inf", "lte_restore_at_s"),
     ((), "qos = wfq-ra\nlte_fail_at_s = 10\ncount_hva_lv = 0\ncount_substation = 0\n"
          "monitor_ders = false", "qos"),
+    (("--tau", "1e-12"), None, "tau_s"),
+    ((), "metrics_interval_s = 1e-12", "metrics_interval_s"),
+    (("--fail-at", "1e-12"), None, "lte_fail_at_s"),
+    ((), "delay_limit_control_s = 1e-12", "delay_limit_control_s"),
 ], ids=["inf-duration", "nan-fail-at", "off-grid-latency", "off-grid-limit", "inf-restore",
-        "wfq-ra-nothing-monitored"])
+        "wfq-ra-nothing-monitored", "sub-tick-tau", "sub-tick-interval", "sub-tick-fail-at",
+        "sub-tick-limit"])
 def test_unconvertible_times_are_validation_errors_with_manifest(tmp_path, capsys, flags,
                                                                  config_line, key):
     args = list(flags)
@@ -159,3 +164,37 @@ def test_unconvertible_times_are_validation_errors_with_manifest(tmp_path, capsy
     assert f"error: {key}:" in capsys.readouterr().err
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "error" and manifest["error"].startswith(f"{key}:")
+
+
+def test_non_utf8_config_is_parse_error_with_manifest(tmp_path, capsys):
+    config = tmp_path / "latin1.cfg"
+    config.write_bytes(b"qos = \xff\n")
+    out = tmp_path / "bad"
+    assert run_cli("run", "--config", config, "--out", out) == 1
+    assert "is not UTF-8: invalid start byte at byte 6" in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["status"] == "error"
+
+
+@pytest.mark.parametrize("command", [("run",), ("tau-sweep", "--taus", "0.1,0.01")],
+                         ids=["run", "tau-sweep"])
+def test_out_naming_a_file_is_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert run_cli(*command, "--duration", "1", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and str(out) in err
+    assert out.read_text() == "not a directory\n"
+
+
+def test_config_warning_is_printed_once(tmp_path):
+    config = tmp_path / "light.cfg"
+    config.write_text("lambda_m_hz = 1/3000\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridcosim", "run", "--config", str(config), "--duration", "1",
+         "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.count("fits the DMR capacity") == 1

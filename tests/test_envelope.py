@@ -15,24 +15,39 @@ from gridcosim.messages import MessageClass, MessageKind, SimMessage
 
 
 def test_grant_frame_bytes():
-    frame = encode_envelope(env.grant(5, 600_000))
-    assert frame == b'{"t":"GRANT","slot":5,"body":{"end_ticks":600000}}\n'
+    frame = encode_envelope(env.grant(5, 600_000, []))
+    assert frame == b'{"t":"GRANT","slot":5,"body":{"end_ticks":600000,"inbox":[]}}\n'
+
+
+def test_ack_slot_frame_bytes():
+    msg = SimMessage(8, MessageClass.MONITORING, MessageKind.REQUEST, 0, 5, 64, 123_456)
+    frame = encode_envelope(env.ack_slot(5, [(123_456, "comm", msg)], 950_000, done=True))
+    assert frame == (
+        b'{"t":"ACK_SLOT","slot":5,"body":{"out":[{"at":123456,"to":"comm","msg":'
+        + json.dumps(msg.to_wire(), separators=(",", ":")).encode()
+        + b'}],"next":950000,"done":true}}\n'
+    )
+    assert env.ack_slot(5, []).body == {"out": []}
+
+
+def test_protocol_has_five_frame_types():
+    assert [t.value for t in EnvelopeType] == ["JOIN", "JOIN_ACK", "GRANT", "ACK_SLOT", "ERROR"]
 
 
 def test_round_trip_simple():
     for e in (
         env.join("it"),
         env.join_ack(0),
-        env.grant(3, 4000),
-        env.ack_slot(3),
-        env.done(9),
+        env.grant(3, 4000, []),
+        env.ack_slot(3, []),
+        env.ack_slot(9, [], done=True),
         env.error(2, "boom", "detail text"),
     ):
         assert decode_envelope(encode_envelope(e)) == e
 
 
 def test_truncated_frame_is_decode_error():
-    frame = encode_envelope(env.grant(5, 600_000))
+    frame = encode_envelope(env.grant(5, 600_000, []))
     with pytest.raises(DecodeError):
         decode_envelope(frame[: len(frame) // 2])
 
@@ -104,22 +119,20 @@ def test_message_codec_round_trip(msg):
 
 
 # One builder per envelope type; text fields draw non-ASCII characters too.
+_slots = st.integers(min_value=0, max_value=10**9)
+_ticks = st.integers(min_value=0, max_value=10**14)
 _envelopes = st.one_of(
     st.builds(env.join, st.text(min_size=1, max_size=10)),
-    st.builds(env.error, st.integers(min_value=0, max_value=10**9), st.text(max_size=10), st.text(max_size=40)),
-    st.builds(env.ack_slot, st.integers(min_value=0, max_value=10**9), st.integers(min_value=-1, max_value=10**14)),
+    st.builds(env.error, _slots, st.text(max_size=10), st.text(max_size=40)),
     st.builds(env.join_ack, st.integers(min_value=0, max_value=64)),
-    st.builds(env.grant, st.integers(min_value=0, max_value=10**9), st.integers(min_value=0, max_value=10**14)),
-    st.builds(env.ack_slot, st.integers(min_value=0, max_value=10**9)),
-    st.builds(env.done, st.integers(min_value=0, max_value=10**9)),
+    st.builds(env.grant, _slots, _ticks, st.lists(_messages, max_size=3)),
     st.builds(
-        env.publish,
-        st.integers(min_value=0, max_value=10**9),
-        st.sampled_from(["it", "comm"]),
-        st.integers(min_value=0, max_value=10**14),
-        _messages,
+        env.ack_slot,
+        _slots,
+        st.lists(st.tuples(_ticks, st.sampled_from(["it", "comm"]), _messages), max_size=3),
+        st.none() | st.integers(min_value=-1, max_value=10**14),
+        st.booleans(),
     ),
-    st.builds(env.deliver, st.integers(min_value=0, max_value=10**9), _messages),
 )
 
 
@@ -127,8 +140,12 @@ _envelopes = st.one_of(
 def test_envelope_round_trip_property(envelope):
     decoded = decode_envelope(encode_envelope(envelope))
     assert decoded == envelope
-    if decoded.type in (EnvelopeType.PUBLISH, EnvelopeType.DELIVER):
-        assert SimMessage.from_wire(decoded.body["msg"]) == SimMessage.from_wire(envelope.body["msg"])
+    if decoded.type is EnvelopeType.GRANT:
+        assert [SimMessage.from_wire(m) for m in decoded.body["inbox"]] == [
+            SimMessage.from_wire(m) for m in envelope.body["inbox"]]
+    if decoded.type is EnvelopeType.ACK_SLOT:
+        assert [SimMessage.from_wire(e["msg"]) for e in decoded.body["out"]] == [
+            SimMessage.from_wire(e["msg"]) for e in envelope.body["out"]]
 
 
 @given(_envelopes)
@@ -138,7 +155,7 @@ def test_encoding_is_compact_json_in_field_order(envelope):
 
 
 def test_stream_splits_unambiguously():
-    frames = [env.grant(i, i * 1000) for i in range(10)]
+    frames = [env.grant(i, i * 1000, []) for i in range(10)]
     blob = b"".join(encode_envelope(f) for f in frames)
     lines = blob.splitlines(keepends=True)
     assert len(lines) == 10
@@ -147,5 +164,5 @@ def test_stream_splits_unambiguously():
 
 def test_no_floats_on_the_wire():
     msg = SimMessage(8, MessageClass.MONITORING, MessageKind.REQUEST, 0, 5, 64, 123_456)
-    frame = encode_envelope(env.publish(1, "comm", 123_456, msg))
+    frame = encode_envelope(env.ack_slot(1, [(123_456, "comm", msg)], 200_000))
     assert b"." not in frame.replace(b'"', b"")

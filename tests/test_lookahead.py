@@ -172,10 +172,10 @@ def test_case_study_skips_most_grants():
 
 
 def test_ack_slot_carries_lookahead():
-    frame = encode_envelope(env.ack_slot(7, 123_000))
-    assert frame == b'{"t":"ACK_SLOT","slot":7,"body":{"next":123000}}\n'
-    assert decode_envelope(frame) == env.ack_slot(7, 123_000)
-    assert env.ack_slot(7).body == {}
+    frame = encode_envelope(env.ack_slot(7, [], 123_000))
+    assert frame == b'{"t":"ACK_SLOT","slot":7,"body":{"out":[],"next":123000}}\n'
+    assert decode_envelope(frame) == env.ack_slot(7, [], 123_000)
+    assert env.ack_slot(7, []).body == {"out": []}
 
 
 def _ack_through_socket(ack):
@@ -194,11 +194,18 @@ def _ack_through_socket(ack):
 
 
 def test_socket_endpoint_caches_lookahead():
-    assert _ack_through_socket(env.ack_slot(4, 9 * TAU)) == 9 * TAU
+    assert _ack_through_socket(env.ack_slot(4, [], 9 * TAU)) == 9 * TAU
     # A federate declaring no lookahead is granted every slot.
-    assert _ack_through_socket(env.ack_slot(4)) == -1
+    assert _ack_through_socket(env.ack_slot(4, [])) == -1
 
 
 def test_socket_endpoint_rejects_malformed_lookahead():
     with pytest.raises(ProtocolViolation):
-        _ack_through_socket(env.FederateEnvelope(env.EnvelopeType.ACK_SLOT, 4, {"next": "soon"}))
+        _ack_through_socket(
+            env.FederateEnvelope(env.EnvelopeType.ACK_SLOT, 4, {"out": [], "next": "soon"})
+        )
+
+
+def test_socket_endpoint_rejects_ack_for_another_slot():
+    with pytest.raises(ProtocolViolation, match="ACK_SLOT ending at byte .* for slot 5, expected 4"):
+        _ack_through_socket(env.ack_slot(5, []))

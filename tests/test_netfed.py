@@ -79,17 +79,6 @@ def test_one_lte_station_down_uses_the_other():
     assert fed.route(poll_request(fed, west.id, 0)).id == "lte-1"
 
 
-def test_der_setpoint_route_follows_config():
-    fed, cfg, nodes = build_net()
-    der = next(n for n in nodes if n.kind is NodeKind.PV_PLANT)
-    setpoint = SimMessage(8, CTL, MessageKind.CONTROL_COMMAND, fed._dms_id, der.id, 184, 0)
-    assert fed.route(setpoint) in fed._lte_links
-    fed_dmr, _, nodes_dmr = build_net(der_control_via="dmr")
-    der_dmr = next(n for n in nodes_dmr if n.kind is NodeKind.PV_PLANT)
-    setpoint_dmr = SimMessage(8, CTL, MessageKind.CONTROL_COMMAND, fed_dmr._dms_id, der_dmr.id, 184, 0)
-    assert fed_dmr.route(setpoint_dmr).id == "dmr"
-
-
 # ----------------------------------------------------- end-to-end transfers
 
 def test_single_message_delivery_time_on_dmr():

@@ -25,6 +25,13 @@ def test_ticks_from_seconds_rejects_off_grid():
         ticks_from_seconds(0.0150005001)
 
 
+def test_ticks_from_seconds_rejects_positive_time_below_one_tick():
+    for seconds in (1e-12, -1e-12):
+        with pytest.raises(ValueError, match="shorter than one tick"):
+            ticks_from_seconds(seconds, key="tau_s")
+    assert ticks_from_seconds(0.0) == ticks_from_seconds(-0.0) == 0
+
+
 @given(st.integers(min_value=0, max_value=10**12))
 def test_seconds_ticks_round_trip(ticks):
     assert ticks_from_seconds(ticks / TICKS_PER_SECOND) == ticks

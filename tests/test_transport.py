@@ -86,6 +86,25 @@ def test_transport_equivalence_on_full_scenario():
     assert inproc.conservation == socketed.conservation
 
 
+class FinishingFederate(EchoFederate):
+    """Echoes like its parent and reports itself done from slot 3 on."""
+
+    def step(self, slot, slot_end_tick, inbox):
+        outbox, _ = super().step(slot, slot_end_tick, inbox)
+        return outbox, slot >= 3
+
+
+def test_done_flag_ends_the_run_on_both_transports():
+    inproc, socketed = [
+        run_federation(1000, 10, [FinishingFederate("a", "b", _script()),
+                                  FinishingFederate("b", "a")], transport=kind)
+        for kind in ("inproc", "socket")
+    ]
+    assert inproc.slots_run == socketed.slots_run == 4
+    assert inproc.trace_digest == socketed.trace_digest
+    assert inproc.messages_published == socketed.messages_published
+
+
 def test_federate_crash_surfaces_as_protocol_error():
     good = EchoFederate("good", "bad")
     with pytest.raises(ProtocolViolation, match="synthetic federate crash"):
@@ -161,8 +180,8 @@ class RawFederate:
     name = "raw"
     peer_name = "good"
 
-    def __init__(self, publish_body=None, join_body=None):
-        self.publish_body = publish_body
+    def __init__(self, ack_body=None, join_body=None):
+        self.ack_body = ack_body
         self.join_body = {"name": "raw"} if join_body is None else join_body
 
 
@@ -174,7 +193,7 @@ def _send_frame(sock, frame_type, body):
 
 
 def _raw_client(address, federate, *, timeout_s):
-    """Join, wait for the first grant, send one PUBLISH, then wait for the close."""
+    """Join, wait for the first grant, send one ACK_SLOT, then wait for the close."""
     if not isinstance(federate, RawFederate):
         return _real_client(address, federate, timeout_s=timeout_s)
     with socket.create_connection(address, timeout=timeout_s) as sock, sock.makefile("rb") as reader:
@@ -183,14 +202,21 @@ def _raw_client(address, federate, *, timeout_s):
             return  # the coordinator refused the join and closed the stream
         while not reader.readline().startswith(b'{"t":"GRANT"'):
             pass
-        _send_frame(sock, "PUBLISH", federate.publish_body)
+        _send_frame(sock, "ACK_SLOT", federate.ack_body)
         reader.read()
+
+
+def _expect_malformed_ack(monkeypatch, ack_body):
+    monkeypatch.setattr(transport, "run_federate_client", _raw_client)
+    good = EchoFederate("good", "raw")
+    with pytest.raises(ProtocolViolation, match=r"federate raw .*ACK_SLOT ending at byte \d+"):
+        run_federation(1000, 3, [RawFederate(ack_body), good], transport="socket", timeout_s=5.0)
 
 
 _WIRE_MSG = make_msg(1, 100).to_wire()
 
 
-@pytest.mark.parametrize("body", [
+@pytest.mark.parametrize("entry", [
     {"to": "good", "msg": _WIRE_MSG},
     {"at": 100, "msg": _WIRE_MSG},
     {"at": 100, "to": "good", "msg": {"cls": "x"}},
@@ -205,13 +231,23 @@ _WIRE_MSG = make_msg(1, 100).to_wire()
     {"at": 100, "to": "good", "msg": {**_WIRE_MSG, "ct": 100.0}},
     {"at": 100, "to": "good", "msg": {**_WIRE_MSG, "dct": 5.5}},
     {"at": 100, "to": "good", "msg": {**_WIRE_MSG, "corr": "1"}},
+    7,
 ], ids=["no-at", "no-to", "no-id", "bad-cls", "unhashable-kind", "msg-not-object", "str-at", "list-to",
-        "str-id", "float-src", "bool-len", "float-ct", "float-dct", "str-corr"])
-def test_malformed_publish_is_protocol_violation(monkeypatch, body):
-    monkeypatch.setattr(transport, "run_federate_client", _raw_client)
-    good = EchoFederate("good", "raw")
-    with pytest.raises(ProtocolViolation, match=r"federate raw .*PUBLISH ending at byte \d+"):
-        run_federation(1000, 3, [RawFederate(body), good], transport="socket", timeout_s=5.0)
+        "str-id", "float-src", "bool-len", "float-ct", "float-dct", "str-corr", "entry-not-object"])
+def test_malformed_publish_is_protocol_violation(monkeypatch, entry):
+    _expect_malformed_ack(monkeypatch, {"out": [entry]})
+
+
+@pytest.mark.parametrize("ack_body", [
+    {},
+    {"out": {"at": 100, "to": "good", "msg": _WIRE_MSG}},
+    {"out": None},
+    {"out": [], "done": 1},
+    {"out": [], "done": "true"},
+    {"out": [], "next": 5.0},
+], ids=["no-out", "object-out", "null-out", "int-done", "str-done", "float-next"])
+def test_malformed_ack_slot_is_protocol_violation(monkeypatch, ack_body):
+    _expect_malformed_ack(monkeypatch, ack_body)
 
 
 @pytest.mark.parametrize("join_body", [{}, {"name": ["raw"]}], ids=["no-name", "list-name"])
