@@ -17,6 +17,8 @@ from __future__ import annotations
 import heapq
 import logging
 import random
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .config import ScenarioConfig
@@ -48,6 +50,42 @@ class Exchange:
     delivered_tick: int | None = None
     d_comm_ticks: int | None = None
     score: int | None = None
+
+
+_CLASSES = tuple(MessageClass)
+_KINDS = tuple(MessageKind)
+_CLASS_CODE = {cls: code for code, cls in enumerate(_CLASSES)}
+_KIND_CODE = {kind: code for code, kind in enumerate(_KINDS)}
+
+
+class CommLegs(Sequence):
+    """Completed message legs, kept as columns and read as tuples.
+
+    Each item is (class, kind, d_it_ticks, d_comm_ticks, delivered_comm_tick).
+    The view is read-only; ``ITFederate`` appends to the columns: class and
+    kind as their index in ``MessageClass`` and ``MessageKind``, ticks as
+    64-bit ints, about 26 bytes a leg.
+    """
+
+    __slots__ = ("classes", "kinds", "d_it", "d_comm", "delivered")
+
+    def __init__(self):
+        self.classes = array("b")
+        self.kinds = array("b")
+        self.d_it = array("q")
+        self.d_comm = array("q")
+        self.delivered = array("q")
+
+    def __len__(self) -> int:
+        return len(self.classes)
+
+    def __getitem__(self, i: int) -> tuple[MessageClass, MessageKind, int, int, int]:
+        return (_CLASSES[self.classes[i]], _KINDS[self.kinds[i]],
+                self.d_it[i], self.d_comm[i], self.delivered[i])
+
+    def __iter__(self):
+        return zip(map(_CLASSES.__getitem__, self.classes), map(_KINDS.__getitem__, self.kinds),
+                   self.d_it, self.d_comm, self.delivered)
 
 
 class ITFederate:
@@ -94,8 +132,7 @@ class ITFederate:
         self._open: dict[int, Exchange] = {}
         # Every exchange, in creation order until ``finalize_run`` sorts it.
         self.exchange_rows: list[Exchange] = []
-        # Completed message legs: (class, kind, d_it_ticks, d_comm_ticks, delivered_comm_tick).
-        self.comm_legs: list[tuple[MessageClass, MessageKind, int, int, int]] = []
+        self.comm_legs = CommLegs()
 
     # ------------------------------------------------------------- traffic
 
@@ -198,7 +235,12 @@ class ITFederate:
         if sent is None or delivered is None:
             return None
         d_comm = delivered - sent
-        self.comm_legs.append((msg.msg_class, msg.kind, now_tick - msg.created_tick, d_comm, delivered))
+        legs = self.comm_legs
+        legs.classes.append(_CLASS_CODE[msg.msg_class])
+        legs.kinds.append(_KIND_CODE[msg.kind])
+        legs.d_it.append(now_tick - msg.created_tick)
+        legs.d_comm.append(d_comm)
+        legs.delivered.append(delivered)
         return d_comm
 
     def _apply_rate_update(self, period_ticks: int, now_tick: int) -> None:

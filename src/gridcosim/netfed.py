@@ -282,7 +282,7 @@ class NetFederate:
                 link.busy_ticks[i] += min(tick, (i + 1) * w) - max(start, i * w)
                 i += 1
         transfer = self._transfers.get(frame.msg_id)
-        if transfer is not None and not transfer.dead:
+        if transfer is not None:
             if not frame.is_ack:
                 # Segment reaches the receiver after the access latency; the
                 # acknowledgement then re-enters the same link.
@@ -301,6 +301,7 @@ class NetFederate:
             # The acknowledgement came back to a link that has since failed.
             transfer.dead = True
             self.lost_failure[transfer.msg.msg_class] += 1
+            del self._transfers[transfer.msg.id]
             return
         self._fseq += 1
         self._serve(link, tick, TransportFrame(transfer.msg.id, seg_index, self.cfg.ack_bytes, True,
@@ -317,9 +318,10 @@ class NetFederate:
         for link in self._lte_links:
             for frame in link.fail():
                 transfer = self._transfers.get(frame.msg_id)
-                if transfer is not None and not transfer.dead and not transfer.completed:
+                if transfer is not None and not transfer.completed:
                     transfer.dead = True
                     self.lost_failure[transfer.msg.msg_class] += 1
+                    del self._transfers[frame.msg_id]
         if self.cfg.qos == "wfq-ra" and not self._ra_sent:
             self._ra_sent = True
             self._out.append((tick, self._rate_update_message(tick)))
@@ -369,12 +371,11 @@ class NetFederate:
             )
 
     def in_flight_at_end(self) -> dict[MessageClass, int]:
-        # Delivered transfers were popped and dead ones were counted as lost,
-        # so whatever remains alive in the table is still in flight.
+        # Delivered and lost transfers were popped, so whatever remains in
+        # the table is still in flight.
         counts = dict.fromkeys(MessageClass, 0)
         for transfer in self._transfers.values():
-            if not transfer.dead:
-                counts[transfer.msg.msg_class] += 1
+            counts[transfer.msg.msg_class] += 1
         return counts
 
     def conservation(self) -> dict[MessageClass, dict[str, int]]:

@@ -103,7 +103,9 @@ class Rti:
         self._by_name: dict[str, int] = {}
         self._pending: dict[int, list[tuple[int, int, SimMessage]]] = {}
         self._inboxes: dict[int, list[SimMessage]] = {}
-        self._seen_ids: set[tuple[int, int]] = set()
+        # Per federate, msg.id >> 6 -> a 64-bit word whose bit msg.id & 63
+        # marks that id as published by that federate.
+        self._published_ids: list[dict[int, int]] = []
         self.published_total = 0
         self.delivered_total = 0
         self._digest = hashlib.sha256()
@@ -122,6 +124,7 @@ class Rti:
         self._by_name[name] = fid
         self._pending[fid] = []
         self._inboxes[fid] = []
+        self._published_ids.append({})
         return fid
 
     def attach_endpoint(self, fid: int, endpoint: FederateEndpoint) -> None:
@@ -151,12 +154,20 @@ class Rti:
             raise ProtocolViolation(f"unknown destination federate {to_name!r}")
         # The same application message may cross the barrier once per hop
         # (request out, delivery notification back), but a single federate
-        # republishing an id indicates a bookkeeping bug.
-        key = (fid, msg.id)
-        if key in self._seen_ids:
-            raise ProtocolViolation(f"federate {fid} republished message id {msg.id}")
-        self._seen_ids.add(key)
-        self._pending[to_fid].append((at_tick, msg.id, msg))
+        # republishing an id indicates a bookkeeping bug.  The check is exact
+        # for every int id: (id >> 6, id & 63) is a one-to-one split, also for
+        # negative and huge ids.  Dense ids cost one bit each; ids 64 or more
+        # apart cost one word each.  Ids seen stay recorded for the whole run:
+        # a forwarded id may come back to its first publisher, which must
+        # still not publish it again, so no bound by messages in flight holds.
+        mid = msg.id
+        words = self._published_ids[fid]
+        word = words.get(mid >> 6, 0)
+        bit = 1 << (mid & 63)
+        if word & bit:
+            raise ProtocolViolation(f"federate {fid} republished message id {mid}")
+        words[mid >> 6] = word | bit
+        self._pending[to_fid].append((at_tick, mid, msg))
         self.published_total += 1
 
     # -------------------------------------------------------------- advance

@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .config import ScenarioConfig, serialize_config
 from .errors import UsageError
-from .itfed import Exchange, ITFederate
+from .itfed import CommLegs, Exchange, ITFederate
 from .messages import MessageClass, NodeDescriptor
 from .metrics import DelayStats, IntervalMetrics, ddf, delay_series, reliability_series
 from .netfed import NetFederate
@@ -42,7 +42,7 @@ class RunResult:
     ddf: float | None
     conservation: dict[MessageClass, dict[str, int]]
     exchange_rows: list[Exchange]
-    comm_legs: list
+    comm_legs: CommLegs
     link_rows: list[tuple[float, str, int, int, int, int, int]]
     adapted_period_ticks: int | None
 
@@ -73,7 +73,7 @@ def run_scenario(
         nodes=nodes,
         reliability=reliability_series(it_federate.exchange_rows, cfg.interval_ticks),
         delays=delay_series(legs, cfg.interval_ticks),
-        ddf=ddf((d_it, d_comm) for _, _, d_it, d_comm, _ in legs) if legs else None,
+        ddf=ddf(zip(legs.d_it, legs.d_comm)) if legs else None,
         conservation=net_federate.conservation(),
         exchange_rows=it_federate.exchange_rows,
         comm_legs=legs,

@@ -1,6 +1,11 @@
+import hashlib
+import tracemalloc
+from collections import defaultdict
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gridcosim import rti as rti_module
 from gridcosim.errors import DuplicateName, FederationStarted, ProtocolViolation
 from gridcosim.messages import MessageClass, MessageKind, SimMessage
 from gridcosim.rti import Rti
@@ -182,3 +187,159 @@ def test_bounded_staleness_property(offsets):
     for mid, (slot, offset) in enumerate(sorted(offsets)):
         staleness = arrivals[mid] - (slot * TAU + offset)
         assert 0 < staleness <= TAU
+
+
+# ------------------------------------------------- duplicate-id check
+
+class ForwardingFederate:
+    """Publishes a per-slot script to its peer.
+
+    ``("new", id)`` publishes a fresh message with that id; ``("fwd", j)``
+    forwards the j-th id received so far, modulo the count, and is skipped
+    while nothing has arrived.  Ticks rise within a slot, ids need not.
+    """
+
+    def __init__(self, name: str, peer: str, script):
+        self.name = name
+        self.peer_name = peer
+        self.script = script
+        self.received: list[int] = []
+
+    def step(self, slot, slot_end_tick, inbox):
+        self.received.extend(msg.id for msg in inbox)
+        outbox = []
+        for pos, (action, value) in enumerate(self.script.get(slot, [])):
+            if action == "fwd":
+                if not self.received:
+                    continue
+                value = self.received[value % len(self.received)]
+            at = slot * TAU + pos
+            outbox.append((at, make_msg(value, at)))
+        return outbox, False
+
+
+class LoggingRti(Rti):
+    """The coordinator under test, logging every publish it is asked to check."""
+
+    def __init__(self, tau_ticks: int):
+        super().__init__(tau_ticks)
+        self.log: list[tuple[int, int, str, int, int]] = []  # (slot, fid, to, at, id)
+
+    def publish(self, fid, msg, at_tick, to_name):
+        self.log.append((self.current_slot, fid, to_name, at_tick, msg.id))
+        super().publish(fid, msg, at_tick, to_name)
+
+
+def reference_outcome(log, names):
+    """Replay a publish log against a plain set of (fid, id).
+
+    Returns (index, message, None) for the first republished id, else
+    (None, None, digest) with the trace digest of delivering every publish
+    at its slot end, per destination by (tick, id).
+    """
+    seen = set()
+    for index, (_slot, fid, _to, _at, mid) in enumerate(log):
+        if (fid, mid) in seen:
+            return index, f"federate {fid} republished message id {mid}", None
+        seen.add((fid, mid))
+    by_slot = defaultdict(list)
+    for slot, _fid, to_name, at, mid in log:
+        by_slot[slot].append((names.index(to_name), at, mid))
+    digest = hashlib.sha256()
+    for slot in sorted(by_slot):
+        for to_fid, at, mid in sorted(by_slot[slot]):
+            digest.update(b"%d|%d|%d|%d" % (slot, to_fid, mid, at))
+    return None, None, digest.hexdigest()
+
+
+@st.composite
+def _federation_scripts(draw):
+    n_feds = draw(st.integers(min_value=2, max_value=3))
+    n_slots = draw(st.integers(min_value=1, max_value=5))
+    # A few ids around one multiple of 64, near zero (negatives included) or
+    # at and beyond 2**63, at gaps that share or straddle 64-id words.  The
+    # small pool makes repeats, and so violations, common.
+    base = draw(st.sampled_from([0, -(2**63), 2**63, 2**64, 2**100]))
+    base += 64 * draw(st.integers(min_value=-2, max_value=2))
+    first = base + draw(st.integers(min_value=-64, max_value=63))
+    step = st.one_of(st.sampled_from([1, 31, 32, 33, 63, 64, 65]), st.integers(min_value=1, max_value=130))
+    gap = st.builds(lambda sign, size: sign * size, st.sampled_from([-1, 1]), step)
+    pool = [first] + [first + d for d in draw(st.lists(gap, max_size=5, unique=True))]
+    action = st.one_of(
+        st.tuples(st.just("new"), st.sampled_from(pool)),
+        st.tuples(st.just("fwd"), st.integers(min_value=0, max_value=7)),
+    )
+    scripts = [
+        draw(st.dictionaries(st.integers(min_value=0, max_value=n_slots - 1),
+                             st.lists(action, max_size=4), max_size=n_slots))
+        for _ in range(n_feds)
+    ]
+    return n_slots, scripts
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_federation_scripts())
+def test_duplicate_id_check_matches_a_set_of_fid_id_pairs(case):
+    n_slots, scripts = case
+    names = ["a", "b", "c"][: len(scripts)]
+    # A ring: each federate hears from one publisher only, and an id comes
+    # back to its first publisher after len(names) forwards.
+    feds = [ForwardingFederate(name, names[(i + 1) % len(names)], script)
+            for i, (name, script) in enumerate(zip(names, scripts))]
+    rti = LoggingRti(TAU)
+    for fed in feds:
+        rti.attach_endpoint(rti.register_federate(fed.name), InprocEndpoint(fed))
+    try:
+        result = rti.run(n_slots)
+    except ProtocolViolation as exc:
+        outcome = (len(rti.log) - 1, str(exc), None)
+    else:
+        assert result.messages_published == result.messages_delivered == len(rti.log)
+        outcome = (None, None, result.trace_digest)
+    assert outcome == reference_outcome(rti.log, names)
+
+
+@pytest.mark.parametrize("base", [0, -(2**63), 2**63, 2**100])
+def test_every_id_in_a_window_is_told_apart(base):
+    # Ids on both sides of several 64-id word boundaries, odd ones first.
+    ids = [base + d for d in range(-130, 130)]
+    ids = ids[1::2] + ids[::2]
+    first = {0: [(i, make_msg(mid, i)) for i, mid in enumerate(ids)]}
+    _, fed_b, result = run_pair(script_a=first, n_slots=2)
+    assert result.messages_published == len(fed_b.received) == len(ids)
+    again = {**first, 1: [(TAU, make_msg(ids[7], TAU))]}
+    with pytest.raises(ProtocolViolation, match=f"republished message id {ids[7]}$"):
+        run_pair(script_a=again, n_slots=2)
+
+
+class _Forwarder:
+    """Sends every message it receives back to the source."""
+
+    name, peer_name = "forwarder", "source"
+
+    def step(self, slot, slot_end_tick, inbox):
+        return [(slot * TAU, msg) for msg in inbox], False
+
+
+def test_duplicate_id_check_memory_stays_small_for_dense_ids():
+    # The source publishes ids 0, 1, 2, ... in blocks, and each comes back.
+    per_slot, slots = 1000, 100
+    script = {slot: [(slot * TAU, make_msg(mid, slot * TAU))
+                     for mid in range(slot * per_slot, (slot + 1) * per_slot)]
+              for slot in range(slots)}
+    feds = [ScriptedFederate("source", "forwarder", script), _Forwarder()]
+    tracemalloc.start()
+    try:
+        rti = Rti(TAU)
+        for fed in feds:
+            rti.attach_endpoint(rti.register_federate(fed.name), InprocEndpoint(fed))
+        # Two slots past the last publish: the forwards go out, then the
+        # source's inbox is drained, so no message is left in the coordinator.
+        result = rti.run(slots + 2)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    assert result.messages_published == result.messages_delivered == 2 * per_slot * slots
+    rti_stats = snapshot.filter_traces([tracemalloc.Filter(True, rti_module.__file__)])
+    live_bytes = sum(stat.size for stat in rti_stats.statistics("filename"))
+    assert live_bytes < 8 * result.messages_published

@@ -12,7 +12,8 @@ import pytest
 
 from gridcosim.config import ScenarioConfig
 from gridcosim.errors import UsageError
-from gridcosim.messages import SimMessage
+from gridcosim.messages import MessageClass, MessageKind, SimMessage
+from gridcosim.metrics import delay_series
 from gridcosim.runner import run_scenario, run_tau_sweep, write_manifest, write_outputs
 from gridcosim.simtime import TICKS_PER_SECOND
 
@@ -137,6 +138,22 @@ def test_delay_series_grouped_by_delivery_interval(small_run):
         assert legs
         assert stats.mean_s == pytest.approx(sum(legs) / len(legs), rel=1e-12)
         assert stats.p95_s in legs
+
+
+def test_comm_legs_read_as_a_sequence_of_leg_tuples(small_run):
+    legs = small_run.comm_legs
+    listed = list(legs)
+    assert len(legs) == len(listed) > 0
+    assert [legs[i] for i in range(len(legs))] == listed
+    assert legs[-1] == listed[-1] and legs[-len(legs)] == listed[0]
+    for index in (len(legs), -len(legs) - 1):
+        with pytest.raises(IndexError):
+            legs[index]
+    for cls, kind, d_it, d_comm, tick in listed:
+        assert isinstance(cls, MessageClass) and isinstance(kind, MessageKind)
+        assert 0 < d_comm < d_it and 0 < tick
+    w = small_run.cfg.interval_ticks
+    assert delay_series(legs, w) == delay_series(listed, w) == small_run.delays
 
 
 def test_reliability_csv_recomputed_from_exchange_log(tmp_path):
