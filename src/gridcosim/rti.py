@@ -7,8 +7,10 @@ message to its destination at the synchronization point, i.e. at the slot
 end.  A message published at tick t in slot s is therefore seen by its
 destination at (s+1)*tau, which bounds the added latency to (0, tau].
 
-Simultaneous messages are totally ordered by (timestamp, message id); the
-tie-break makes the delivered trace deterministic and transport-independent.
+Simultaneous messages are totally ordered by (timestamp, message id,
+publisher); the tie-break makes the delivered trace deterministic and
+transport-independent.  A publisher never repeats an id, so the order is
+total however many federates publish to one destination.
 
 Grants are conservative and lookahead-based, in the manner of HLA's Next
 Event Request and Chandy-Misra-Bryant simulation: after each step a
@@ -16,10 +18,10 @@ federate declares ``next_event_tick()``, the earliest tick whose slot it
 must be granted even with an empty inbox.  Every slot is still a barrier
 and ``advance_slot`` still runs once per slot, but a federate is granted
 only the slots in which its inbox holds messages or its declared tick
-falls; a slot in which no federate is due costs a counter increment.  A
-federate is not stepped, and sees no grant, in the slots it declared no
-event for, so its state must change only when it is stepped.  A lookahead
-of -1 asks for every slot.
+falls; a slot in which no federate is due costs a compare and a counter
+increment, and allocates nothing.  A federate is not stepped, and sees no
+grant, in the slots it declared no event for, so its state must change
+only when it is stepped.  A lookahead of -1 asks for every slot.
 """
 
 from __future__ import annotations
@@ -62,12 +64,15 @@ class _FederateHandle:
     next_tick: int = -1
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class SyncReport:
-    """Outcome of one synchronization point."""
+    """Outcome of one synchronization point; ``Rti.current_slot`` is past it."""
 
-    slot: int
     messages_delivered: int
+
+
+# Returned by every slot that delivers nothing, idle or granted.
+_NOTHING_DELIVERED = SyncReport(0)
 
 
 @dataclass
@@ -101,7 +106,9 @@ class Rti:
         # inbox holds messages: no slot ending at or before it grants anyone.
         self._wake = -1
         self._by_name: dict[str, int] = {}
-        self._pending: dict[int, list[tuple[int, int, SimMessage]]] = {}
+        # Per destination, (at_tick, msg id, publisher fid, message): the first
+        # three are unique within a slot, so sorting never compares messages.
+        self._pending: dict[int, list[tuple[int, int, int, SimMessage]]] = {}
         self._inboxes: dict[int, list[SimMessage]] = {}
         # Per federate, msg.id >> 6 -> a 64-bit word whose bit msg.id & 63
         # marks that id as published by that federate.
@@ -131,9 +138,6 @@ class Rti:
         handle = self._handles[fid]
         handle.endpoint = endpoint
         handle.lookahead = endpoint.next_event_tick
-
-    def all_done(self) -> bool:
-        return not self._live
 
     # -------------------------------------------------------------- publish
 
@@ -167,22 +171,23 @@ class Rti:
         if word & bit:
             raise ProtocolViolation(f"federate {fid} republished message id {mid}")
         words[mid >> 6] = word | bit
-        self._pending[to_fid].append((at_tick, mid, msg))
+        self._pending[to_fid].append((at_tick, mid, fid, msg))
         self.published_total += 1
 
     # -------------------------------------------------------------- advance
 
     def advance_slot(self) -> SyncReport:
         """Run one slot: grant, collect, deliver at the synchronization point."""
-        self._started = True
         slot = self.current_slot
         slot_end = (slot + 1) * self.tau_ticks
         if self._wake >= slot_end:
             # No inbox holds messages and no federate declared an event
             # before the slot end: the barrier passes with nothing to do.
             self.current_slot = slot + 1
-            return SyncReport(slot=slot, messages_delivered=0)
+            return _NOTHING_DELIVERED
 
+        # The first slot always lands here: _wake starts at -1.
+        self._started = True
         inboxes = self._inboxes
         granted = []
         for h in self._live:
@@ -201,7 +206,7 @@ class Rti:
                 h.next_tick = h.lookahead()
 
         # Synchronization point: everything queued this slot is handed over,
-        # ordered by (timestamp, id).  Nothing is ever held back a slot.
+        # ordered by (timestamp, id, publisher).  Nothing is ever held back.
         delivered = 0
         for h in self._handles:
             queue = self._pending[h.fid]
@@ -212,24 +217,34 @@ class Rti:
             delivered += len(queue)
             inbox = inboxes[h.fid]
             digest = self._digest
-            for at_tick, msg_id, msg in queue:
+            for at_tick, msg_id, _fid, msg in queue:
                 digest.update(b"%d|%d|%d|%d" % (slot, h.fid, msg_id, at_tick))
                 inbox.append(msg)
-        self.delivered_total += delivered
-        if delivered:
-            self._wake = -1
-        else:
-            self._wake = min((h.next_tick for h in self._live), default=-1)
         self.current_slot = slot + 1
-        return SyncReport(slot=slot, messages_delivered=delivered)
+        if delivered:
+            self.delivered_total += delivered
+            self._wake = -1
+            return SyncReport(delivered)
+        # The earliest lookahead of a live federate, -1 if none is live.
+        live = self._live
+        wake = live[0].next_tick if live else -1
+        for h in live:
+            if h.next_tick < wake:
+                wake = h.next_tick
+        self._wake = wake
+        return _NOTHING_DELIVERED
 
     def run(self, n_slots: int) -> FederationResult:
         if len(self._handles) < 2:
             raise ProtocolViolation("a federation needs at least 2 federates")
         t0 = time.perf_counter()
+        # One call per slot, looked up on the class once, so a wrapper set
+        # on Rti.advance_slot before the run sees every slot.
+        advance_slot = self.advance_slot
+        live = self._live  # shrinks in place as federates finish
         slots = 0
-        while slots < n_slots and not self.all_done():
-            self.advance_slot()
+        while slots < n_slots and live:
+            advance_slot()
             slots += 1
         return FederationResult(
             slots_run=slots,

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import tracemalloc
 from collections import defaultdict
@@ -97,6 +98,70 @@ def test_same_tick_messages_delivered_in_id_order():
     msgs = [(700, make_msg(7, 700)), (700, make_msg(3, 700))]
     fed_a, fed_b, _ = run_pair(script_a={0: msgs})
     assert [mid for _, mid in fed_b.received] == [3, 7]
+
+
+class StubEndpoint:
+    """Publishes a fixed outbox when first granted and logs its inboxes."""
+
+    def __init__(self, outbox=(), lookahead=-1):
+        self.outbox = list(outbox)  # (at_tick, to_name, message)
+        self.lookahead = lookahead
+        self.inboxes: list[list[SimMessage]] = []
+
+    def begin_step(self, slot, slot_end_tick, inbox):
+        self.inboxes.append(inbox)
+
+    def finish_step(self):
+        outbox, self.outbox = self.outbox, []
+        return outbox, False
+
+    def next_event_tick(self):
+        return self.lookahead
+
+    def close(self):
+        pass
+
+
+def stub_rti(endpoints: dict[str, StubEndpoint]) -> Rti:
+    rti = Rti(TAU)
+    for name, endpoint in endpoints.items():
+        rti.attach_endpoint(rti.register_federate(name), endpoint)
+    return rti
+
+
+@pytest.mark.parametrize("publishers", [("b", "c"), ("c", "b")])
+def test_same_tick_and_id_from_two_publishers_delivered_in_publisher_order(publishers):
+    # b and c each send id 9 at tick 5 to a; the two messages differ, so a
+    # sort that reached them would raise TypeError.
+    sent = {"b": make_msg(9, 5), "c": dataclasses.replace(make_msg(9, 5), payload_bytes=80)}
+    endpoints = {"a": StubEndpoint(), **{n: StubEndpoint([(5, "a", sent[n])]) for n in publishers}}
+    rti = stub_rti(endpoints)
+    assert rti.advance_slot().messages_delivered == 2
+    rti.advance_slot()
+    assert [m.payload_bytes for m in endpoints["a"].inboxes[1]] == [sent[n].payload_bytes for n in publishers]
+
+
+def test_idle_slot_returns_one_shared_report_and_allocates_nothing():
+    far = 1 << 62
+    rti = stub_rti({"a": StubEndpoint(lookahead=far), "b": StubEndpoint(lookahead=far)})
+    rti.advance_slot()  # the first slot grants everyone
+    assert rti.advance_slot() is rti.advance_slot()
+    while rti.current_slot < 300:  # past the interpreter's shared small ints
+        rti.advance_slot()
+    tracemalloc.start()
+    try:
+        rti.advance_slot()  # current_slot is now a traced int, replaced per slot
+        before = tracemalloc.take_snapshot()
+        # Keep every report, so a report made per slot would stay traced.
+        reports = [rti.advance_slot() for _ in range(10_000)]
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    assert rti.current_slot == 10_301
+    assert all(r.messages_delivered == 0 for r in reports)
+    in_rti = [tracemalloc.Filter(True, rti_module.__file__)]
+    growth = after.filter_traces(in_rti).compare_to(before.filter_traces(in_rti), "filename")
+    assert sum(stat.count_diff for stat in growth) <= 0
 
 
 def test_republishing_an_id_is_a_protocol_violation():
