@@ -58,6 +58,8 @@ def decode_envelope(frame: bytes, offset: int = 0) -> FederateEnvelope:
     except json.JSONDecodeError as exc:
         at = offset + len(text[: exc.pos].encode())
         raise DecodeError(f"invalid JSON: {exc.msg}", at) from exc
+    except RecursionError:
+        raise DecodeError("JSON nested too deeply", offset) from None
     if type(data) is not dict:
         raise DecodeError("frame is not an object", offset)
     if data.keys() != _FIELDS:

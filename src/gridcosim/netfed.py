@@ -17,7 +17,6 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .config import ScenarioConfig, exchange_wire_bits
@@ -57,14 +56,6 @@ def rate_adaptation_rate(cfg: ScenarioConfig, n_monitored: int, exchange_bits: i
     return usable_bps / (n_monitored * exchange_bits)
 
 
-@dataclass(slots=True)
-class _Transfer:
-    msg: SimMessage
-    n_segs: int
-    dead: bool = False
-    completed: bool = False
-
-
 class NetFederate:
     """The communication perspective of the federation."""
 
@@ -93,7 +84,8 @@ class NetFederate:
         self._eseq = 0
         self._fseq = 0
         self._next_msg_id = 1  # odd ids; the application federate uses even ones
-        self._transfers: dict[int, _Transfer] = {}
+        # Messages in the network by id, from ingress until delivered or lost.
+        self._transfers: dict[int, SimMessage] = {}
         self._sizes_by_payload: dict[int, list[int]] = {}
         self._out: list[tuple[int, SimMessage]] = []
         self._next_sample_tick = self._interval_ticks - 1
@@ -234,7 +226,7 @@ class NetFederate:
         if sizes is None:
             sizes = segment_sizes(msg.payload_bytes, self.cfg.mss_bytes, self.cfg.header_bytes)
             self._sizes_by_payload[msg.payload_bytes] = sizes
-        self._transfers[msg.id] = _Transfer(msg, len(sizes))
+        self._transfers[msg.id] = msg
         for seg_index, size in enumerate(sizes):
             self._fseq += 1
             self._serve(link, now_tick, TransportFrame(msg.id, seg_index, size, False, cls, self._fseq))
@@ -281,47 +273,45 @@ class NetFederate:
             while i <= last:
                 link.busy_ticks[i] += min(tick, (i + 1) * w) - max(start, i * w)
                 i += 1
-        transfer = self._transfers.get(frame.msg_id)
-        if transfer is not None:
+        msg = self._transfers.get(frame.msg_id)
+        if msg is not None:
             if not frame.is_ack:
                 # Segment reaches the receiver after the access latency; the
                 # acknowledgement then re-enters the same link.
                 self._push_event(tick + link.latency_ticks, _PRIO_ARRIVAL, self._on_ack_arrival,
-                                 (link, transfer, frame.seg_index))
-            elif frame.seg_index == transfer.n_segs - 1:
-                transfer.completed = True
-                self._push_event(tick + link.latency_ticks, _PRIO_DELIVERY, self._on_delivery, transfer)
+                                 (link, msg, frame.seg_index))
+            elif frame.seg_index == len(self._sizes_by_payload[msg.payload_bytes]) - 1:
+                # A class is served first-in first-out, so the last ACK is the
+                # message's last frame on the link: a failure from here on
+                # finds none of its frames and cannot lose it.
+                self._push_event(tick + link.latency_ticks, _PRIO_DELIVERY, self._on_delivery, msg)
         self._serve(link, tick)
 
     def _on_ack_arrival(self, tick: int, payload) -> None:
-        link, transfer, seg_index = payload
-        if transfer.dead:
-            return
+        link, msg, seg_index = payload
+        if self._transfers.get(msg.id) is not msg:
+            return  # lost to a failure while the segment was in flight
         if not link.up:
             # The acknowledgement came back to a link that has since failed.
-            transfer.dead = True
-            self.lost_failure[transfer.msg.msg_class] += 1
-            del self._transfers[transfer.msg.id]
+            self.lost_failure[msg.msg_class] += 1
+            del self._transfers[msg.id]
             return
         self._fseq += 1
-        self._serve(link, tick, TransportFrame(transfer.msg.id, seg_index, self.cfg.ack_bytes, True,
-                                               transfer.msg.msg_class, self._fseq))
+        self._serve(link, tick, TransportFrame(msg.id, seg_index, self.cfg.ack_bytes, True,
+                                               msg.msg_class, self._fseq))
 
-    def _on_delivery(self, tick: int, transfer: _Transfer) -> None:
-        msg = transfer.msg
+    def _on_delivery(self, tick: int, msg: SimMessage) -> None:
         msg.delivered_comm_tick = tick
         self.delivered[msg.msg_class] += 1
-        self._transfers.pop(msg.id, None)
+        del self._transfers[msg.id]
         self._out.append((tick, msg))
 
     def _on_lte_failure(self, tick: int, _payload: None) -> None:
         for link in self._lte_links:
             for frame in link.fail():
-                transfer = self._transfers.get(frame.msg_id)
-                if transfer is not None and not transfer.completed:
-                    transfer.dead = True
-                    self.lost_failure[transfer.msg.msg_class] += 1
-                    del self._transfers[frame.msg_id]
+                msg = self._transfers.pop(frame.msg_id, None)
+                if msg is not None:
+                    self.lost_failure[msg.msg_class] += 1
         if self.cfg.qos == "wfq-ra" and not self._ra_sent:
             self._ra_sent = True
             self._out.append((tick, self._rate_update_message(tick)))
@@ -371,11 +361,11 @@ class NetFederate:
             )
 
     def in_flight_at_end(self) -> dict[MessageClass, int]:
-        # Delivered and lost transfers were popped, so whatever remains in
+        # Delivered and lost messages were removed, so whatever remains in
         # the table is still in flight.
         counts = dict.fromkeys(MessageClass, 0)
-        for transfer in self._transfers.values():
-            counts[transfer.msg.msg_class] += 1
+        for msg in self._transfers.values():
+            counts[msg.msg_class] += 1
         return counts
 
     def conservation(self) -> dict[MessageClass, dict[str, int]]:

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass
-from typing import Callable, Protocol
+from dataclasses import dataclass, field
+from typing import Protocol
 
 from .errors import DuplicateName, FederationStarted, ProtocolViolation
 from .messages import SimMessage
@@ -51,17 +51,25 @@ class FederateEndpoint(Protocol):
 
     def next_event_tick(self) -> int: ...
 
-    def close(self) -> None: ...
 
-
-@dataclass(eq=False)
+@dataclass(slots=True, eq=False)
 class _FederateHandle:
+    """Everything the coordinator keeps for one federate."""
+
     fid: int
-    endpoint: FederateEndpoint | None = None
-    lookahead: Callable[[], int] | None = None
+    endpoint: FederateEndpoint
     # Cached lookahead: it changes only when the federate is stepped.
     # -1 grants the first slot, before the federate declared anything.
     next_tick: int = -1
+    # Delivered at the last synchronization point, handed over at the next grant.
+    inbox: list[SimMessage] = field(default_factory=list)
+    # Queued for this federate this slot, as (at_tick, msg id, publisher fid,
+    # message): the first three are unique within a slot, so sorting never
+    # compares messages.
+    pending: list[tuple[int, int, int, SimMessage]] = field(default_factory=list)
+    # The ids this federate published: msg.id >> 6 -> a 64-bit word whose
+    # bit msg.id & 63 marks that id.
+    published: dict[int, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,7 +99,9 @@ class Rti:
 
     Single-threaded by design: federates may compute concurrently between
     grant and acknowledgment, but all state crossing the slot barrier flows
-    through publish/deliver on this object.
+    through publish/deliver on this object.  Each federate's share of that
+    state lives in one ``_FederateHandle``, indexed by fid in ``_handles``
+    and by name in ``_by_name``.
     """
 
     def __init__(self, tau_ticks: int):
@@ -105,39 +115,24 @@ class Rti:
         # Earliest cached lookahead of a live federate, or -1 while any
         # inbox holds messages: no slot ending at or before it grants anyone.
         self._wake = -1
-        self._by_name: dict[str, int] = {}
-        # Per destination, (at_tick, msg id, publisher fid, message): the first
-        # three are unique within a slot, so sorting never compares messages.
-        self._pending: dict[int, list[tuple[int, int, int, SimMessage]]] = {}
-        self._inboxes: dict[int, list[SimMessage]] = {}
-        # Per federate, msg.id >> 6 -> a 64-bit word whose bit msg.id & 63
-        # marks that id as published by that federate.
-        self._published_ids: list[dict[int, int]] = []
+        self._by_name: dict[str, _FederateHandle] = {}
         self.published_total = 0
         self.delivered_total = 0
         self._digest = hashlib.sha256()
 
     # ------------------------------------------------------------ lifecycle
 
-    def register_federate(self, name: str) -> int:
+    def register_federate(self, name: str, endpoint: FederateEndpoint) -> int:
+        """Join ``name``, driven through ``endpoint``; returns its fid."""
         if self._started:
             raise FederationStarted("cannot register after the federation started")
         if name in self._by_name:
             raise DuplicateName(name)
-        fid = len(self._handles)
-        handle = _FederateHandle(fid)
+        handle = _FederateHandle(len(self._handles), endpoint)
         self._handles.append(handle)
         self._live.append(handle)
-        self._by_name[name] = fid
-        self._pending[fid] = []
-        self._inboxes[fid] = []
-        self._published_ids.append({})
-        return fid
-
-    def attach_endpoint(self, fid: int, endpoint: FederateEndpoint) -> None:
-        handle = self._handles[fid]
-        handle.endpoint = endpoint
-        handle.lookahead = endpoint.next_event_tick
+        self._by_name[name] = handle
+        return handle.fid
 
     # -------------------------------------------------------------- publish
 
@@ -153,8 +148,8 @@ class Rti:
                 f"federate {fid} published at tick {at_tick} outside granted "
                 f"slot [{slot_start}, {slot_end})"
             )
-        to_fid = self._by_name.get(to_name)
-        if to_fid is None:
+        to = self._by_name.get(to_name)
+        if to is None:
             raise ProtocolViolation(f"unknown destination federate {to_name!r}")
         # The same application message may cross the barrier once per hop
         # (request out, delivery notification back), but a single federate
@@ -165,13 +160,13 @@ class Rti:
         # a forwarded id may come back to its first publisher, which must
         # still not publish it again, so no bound by messages in flight holds.
         mid = msg.id
-        words = self._published_ids[fid]
+        words = self._handles[fid].published
         word = words.get(mid >> 6, 0)
         bit = 1 << (mid & 63)
         if word & bit:
             raise ProtocolViolation(f"federate {fid} republished message id {mid}")
         words[mid >> 6] = word | bit
-        self._pending[to_fid].append((at_tick, mid, fid, msg))
+        to.pending.append((at_tick, mid, fid, msg))
         self.published_total += 1
 
     # -------------------------------------------------------------- advance
@@ -188,12 +183,11 @@ class Rti:
 
         # The first slot always lands here: _wake starts at -1.
         self._started = True
-        inboxes = self._inboxes
         granted = []
         for h in self._live:
-            inbox = inboxes[h.fid]
+            inbox = h.inbox
             if inbox or h.next_tick < slot_end:
-                inboxes[h.fid] = []
+                h.inbox = []
                 h.endpoint.begin_step(slot, slot_end, inbox)
                 granted.append(h)
         for h in granted:
@@ -203,20 +197,20 @@ class Rti:
             if done:
                 self._live.remove(h)
             else:
-                h.next_tick = h.lookahead()
+                h.next_tick = h.endpoint.next_event_tick()
 
         # Synchronization point: everything queued this slot is handed over,
         # ordered by (timestamp, id, publisher).  Nothing is ever held back.
         delivered = 0
+        digest = self._digest
         for h in self._handles:
-            queue = self._pending[h.fid]
+            queue = h.pending
             if not queue:
                 continue
             queue.sort()
-            self._pending[h.fid] = []
+            h.pending = []
             delivered += len(queue)
-            inbox = inboxes[h.fid]
-            digest = self._digest
+            inbox = h.inbox
             for at_tick, msg_id, _fid, msg in queue:
                 digest.update(b"%d|%d|%d|%d" % (slot, h.fid, msg_id, at_tick))
                 inbox.append(msg)

@@ -65,9 +65,6 @@ class InprocEndpoint:
         outbox, done = self.federate.step(slot, slot_end_tick, inbox)
         return [(at, peer, msg) for at, msg in outbox], done
 
-    def close(self) -> None:
-        pass
-
 
 class _FrameStream:
     """Line-framed envelope reader/writer over a socket."""
@@ -79,9 +76,8 @@ class _FrameStream:
         self.offset = 0
 
     def send(self, envelope: FederateEnvelope) -> None:
+        """Write one frame and flush it: the peer waits for every frame."""
         self.writer.write(encode_envelope(envelope))
-
-    def flush(self) -> None:
         self.writer.flush()
 
     def recv(self) -> FederateEnvelope | None:
@@ -122,10 +118,12 @@ class SocketEndpoint:
     def begin_step(self, slot: int, slot_end_tick: int, inbox: list[SimMessage]) -> None:
         self._slot = slot
         self.stream.send(env.grant(slot, slot_end_tick, inbox))
-        self.stream.flush()
 
     def finish_step(self):
-        received = self.stream.recv()
+        try:
+            received = self.stream.recv()
+        except ConnectionError:  # the federate hung up with its grant unread
+            received = None
         if received is None:
             raise ProtocolViolation(f"federate {self.name} closed its stream mid-slot")
         body = received.body
@@ -163,9 +161,6 @@ class SocketEndpoint:
             f"federate {self.name} sent an ACK_SLOT ending at byte {self.stream.offset} {detail}"
         )
 
-    def close(self) -> None:
-        self.stream.close()
-
 
 def run_federate_client(address: tuple[str, int], federate: LocalFederate,
                         *, timeout_s: float = DEFAULT_TIMEOUT_S) -> None:
@@ -180,7 +175,6 @@ def run_federate_client(address: tuple[str, int], federate: LocalFederate,
     lookahead = getattr(federate, "next_event_tick", None)
     try:
         stream.send(env.join(federate.name))
-        stream.flush()
         ack = stream.recv()
         if ack is None or ack.type is not EnvelopeType.JOIN_ACK:
             raise ProtocolViolation("expected JOIN_ACK")
@@ -206,11 +200,9 @@ def run_federate_client(address: tuple[str, int], federate: LocalFederate,
             except Exception as exc:  # surface federate failures to the RTI
                 logger.exception("federate %s failed in slot %d", federate.name, slot)
                 stream.send(env.error(slot, type(exc).__name__, str(exc)))
-                stream.flush()
                 return
             out = [(at_tick, peer, msg) for at_tick, msg in outbox]
             stream.send(env.ack_slot(slot, out, next_tick, finished))
-            stream.flush()
     finally:
         stream.close()
 
@@ -235,8 +227,7 @@ def run_federation(
     rti = Rti(tau_ticks)
     if transport == "inproc":
         for federate in federates:
-            fid = rti.register_federate(federate.name)
-            rti.attach_endpoint(fid, InprocEndpoint(federate))
+            rti.register_federate(federate.name, InprocEndpoint(federate))
         return rti.run(n_slots)
     if transport != "socket":
         raise ValueError(f"unknown transport {transport!r}")
@@ -272,10 +263,8 @@ def run_federation(
             name = joined.body.get("name")
             if type(name) is not str:
                 raise ProtocolViolation(f"JOIN must name the federate with a string, got {name!r}")
-            fid = rti.register_federate(name)
+            fid = rti.register_federate(name, SocketEndpoint(stream, name))
             stream.send(env.join_ack(fid))
-            stream.flush()
-            rti.attach_endpoint(fid, SocketEndpoint(stream, name))
         result = rti.run(n_slots)
     finally:
         for stream in streams:

@@ -139,7 +139,7 @@ def test_only_due_federates_are_granted_but_every_slot_is_a_barrier():
     fed_b = LookaheadFederate("b", "a")
     rti = Rti(TAU)
     for fed in (fed_a, fed_b):
-        rti.attach_endpoint(rti.register_federate(fed.name), InprocEndpoint(fed))
+        rti.register_federate(fed.name, InprocEndpoint(fed))
     reports = [rti.advance_slot() for _ in range(10)]
     assert [r.messages_delivered for r in reports] == [0, 0, 1, 0, 0, 0, 0, 0, 0, 0]
     # Slot 0 is granted to everyone: nobody has declared a lookahead yet.
@@ -204,11 +204,10 @@ def _ack_through_socket(ack):
     try:
         endpoint.begin_step(4, 5 * TAU, [])
         far.send(ack)
-        far.flush()
         endpoint.finish_step()
         return endpoint.next_event_tick()
     finally:
-        endpoint.close()
+        endpoint.stream.close()
         far.close()
 
 

@@ -205,6 +205,38 @@ def test_stale_completion_neither_books_bits_nor_ends_the_next_service():
     assert served_bits(fed) == {(0, fed.route(second).id): (104 + 40) * 8}
 
 
+# One 64 B poll to the first HVA/LV node, injected at tick 0, rides lte-1:
+# 104 B of data done at 1,664, its ACK arrives at 3,664 and is done at
+# 4,304, and the message is delivered at 6,304.
+@pytest.mark.parametrize("fail_s, restore_s, delivered_at, bits", [
+    (0.05, None, 6_304, (104 + 40) * 8),  # after the last ACK, before delivery
+    (0.02, 0.03, 6_304, (104 + 40) * 8),  # the ACK is in flight across the outage
+    (0.02, None, None, 104 * 8),          # the ACK comes back to a failed link
+])
+def test_when_a_link_failure_loses_a_message(fail_s, restore_s, delivered_at, bits):
+    fed, cfg, nodes = build_net(qos="fifo", lte_fail_at_s=fail_s, lte_restore_at_s=restore_s)
+    node = next(n for n in nodes if n.kind is NodeKind.HVA_LV)
+    msg = poll_request(fed, node.id, 0)
+    assert fed.route(msg).id == "lte-1"
+    delivered = pump(fed, cfg, {0: [msg]}, n_slots=100)
+    assert [tick for tick, _ in delivered] == ([delivered_at] if delivered_at else [])
+    assert fed.lost_failure[MON] == (0 if delivered_at else 1)
+    assert served_bits(fed) == {(0, "lte-1"): bits}
+
+
+def test_ack_of_a_lost_message_does_not_reenter_the_restored_link():
+    # A 5,000 B response takes four segments on lte-0; the first is served
+    # by 24,000 and the second is in service when LTE fails at 25,000.  LTE
+    # is back at 25,500, before the first segment's ACK arrives at 26,000.
+    fed, cfg, nodes = build_net(qos="fifo", lte_fail_at_s=0.25, lte_restore_at_s=0.255)
+    sub = next(n for n in nodes if n.kind is NodeKind.SUBSTATION)
+    msg = SimMessage(2, MON, MessageKind.RESPONSE, sub.id, fed._dms_id, 5000, 0)
+    assert fed.route(msg).id == "lte-0"
+    assert pump(fed, cfg, {0: [msg]}, n_slots=200) == []
+    assert fed.lost_failure[MON] == 1
+    assert served_bits(fed) == {(0, "lte-0"): 1500 * 8}
+
+
 def test_failure_beyond_horizon_has_no_effect():
     fed, cfg, nodes = build_net(qos="fifo", lte_fail_at_s=10_000.0, duration_s=100.0)
     node = next(n for n in nodes if n.kind is NodeKind.HVA_LV)

@@ -48,15 +48,15 @@ def run_pair(script_a=None, script_b=None, n_slots=4, done_at=None):
 
 def test_register_assigns_sequential_ids():
     rti = Rti(TAU)
-    assert rti.register_federate("it") == 0
-    assert rti.register_federate("comm") == 1
+    assert rti.register_federate("it", StubEndpoint()) == 0
+    assert rti.register_federate("comm", StubEndpoint()) == 1
 
 
 def test_duplicate_name_rejected():
     rti = Rti(TAU)
-    rti.register_federate("it")
+    rti.register_federate("it", StubEndpoint())
     with pytest.raises(DuplicateName):
-        rti.register_federate("it")
+        rti.register_federate("it", StubEndpoint())
 
 
 def test_register_after_start_rejected():
@@ -64,10 +64,10 @@ def test_register_after_start_rejected():
     fed_b = ScriptedFederate("b", "a")
     rti = Rti(TAU)
     for fed in (fed_a, fed_b):
-        rti.attach_endpoint(rti.register_federate(fed.name), InprocEndpoint(fed))
+        rti.register_federate(fed.name, InprocEndpoint(fed))
     rti.advance_slot()
     with pytest.raises(FederationStarted):
-        rti.register_federate("late")
+        rti.register_federate("late", StubEndpoint())
 
 
 def test_mid_slot_publish_delivered_at_slot_end():
@@ -101,31 +101,37 @@ def test_same_tick_messages_delivered_in_id_order():
 
 
 class StubEndpoint:
-    """Publishes a fixed outbox when first granted and logs its inboxes."""
+    """Publishes scripted outboxes and logs its inboxes.
 
-    def __init__(self, outbox=(), lookahead=-1):
-        self.outbox = list(outbox)  # (at_tick, to_name, message)
+    ``outbox`` is published when first granted, and ``script`` maps a slot
+    to the outbox published when granted in it; items are (at_tick,
+    to_name, message).  From slot ``done_at`` on the endpoint is done.
+    """
+
+    def __init__(self, outbox=(), lookahead=-1, script=None, done_at=None):
+        self.outbox = list(outbox)
         self.lookahead = lookahead
+        self.script = script or {}
+        self.done_at = done_at
         self.inboxes: list[list[SimMessage]] = []
+        self.slot = None
 
     def begin_step(self, slot, slot_end_tick, inbox):
+        self.slot = slot
         self.inboxes.append(inbox)
 
     def finish_step(self):
-        outbox, self.outbox = self.outbox, []
-        return outbox, False
+        outbox, self.outbox = self.outbox + self.script.get(self.slot, []), []
+        return outbox, self.done_at is not None and self.slot >= self.done_at
 
     def next_event_tick(self):
         return self.lookahead
-
-    def close(self):
-        pass
 
 
 def stub_rti(endpoints: dict[str, StubEndpoint]) -> Rti:
     rti = Rti(TAU)
     for name, endpoint in endpoints.items():
-        rti.attach_endpoint(rti.register_federate(name), endpoint)
+        rti.register_federate(name, endpoint)
     return rti
 
 
@@ -139,6 +145,91 @@ def test_same_tick_and_id_from_two_publishers_delivered_in_publisher_order(publi
     assert rti.advance_slot().messages_delivered == 2
     rti.advance_slot()
     assert [m.payload_bytes for m in endpoints["a"].inboxes[1]] == [sent[n].payload_bytes for n in publishers]
+
+
+@st.composite
+def _stub_scripts(draw):
+    """2-3 stub endpoints with random outboxes and random done slots.
+
+    Each case draws which faults it may hold (ticks outside the slot,
+    unknown destinations, ids repeated by one publisher), so that runs
+    without a fault stay common.  Ids come from a pool of five, so equal
+    ids and equal (tick, id) pairs from two publishers are common too.
+    """
+    names = ["a", "b", "c"][: draw(st.integers(min_value=2, max_value=3))]
+    n_slots = draw(st.integers(min_value=1, max_value=5))
+    to = st.sampled_from(names + ["nobody"] if draw(st.booleans()) else names)
+    offset = st.sampled_from([-1, 0, 1, TAU - 1, TAU] if draw(st.booleans()) else [0, 1, TAU - 1])
+    entry = st.tuples(st.integers(min_value=0, max_value=n_slots - 1), offset, to,
+                      st.integers(min_value=0, max_value=4))
+    unique_by = None if draw(st.booleans()) else (lambda e: e[3])
+    endpoints = {}
+    for fid, name in enumerate(names):
+        script = defaultdict(list)
+        for slot, off, dest, mid in draw(st.lists(entry, max_size=6, unique_by=unique_by)):
+            at = slot * TAU + off
+            # The payload marks the publisher, so two publishers' messages
+            # with one (tick, id) differ, and a sort reaching them would fail.
+            msg = dataclasses.replace(make_msg(mid, at), payload_bytes=64 + fid)
+            script[slot].append((at, dest, msg))
+        done_at = draw(st.none() | st.integers(min_value=0, max_value=n_slots - 1))
+        endpoints[name] = StubEndpoint(script=dict(script), done_at=done_at)
+    return n_slots, endpoints
+
+
+def reference_delivery(n_slots, endpoints):
+    """Replay stub scripts as the coordinator must: every live endpoint is
+    granted every slot, its publishes are checked in order, and each
+    destination's queue is delivered sorted by (tick, id, publisher fid).
+
+    Returns (the first violation's wording or None, slots run, the messages
+    each endpoint is handed, in order).
+    """
+    names = list(endpoints)
+    live = list(names)
+    inbox = {name: [] for name in names}
+    handed = {name: [] for name in names}
+    seen = set()
+    slot = 0
+    while slot < n_slots and live:
+        for name in live:
+            handed[name] += inbox[name]
+            inbox[name] = []
+        queues = defaultdict(list)
+        for name in list(live):
+            fid = names.index(name)
+            for at, to, msg in endpoints[name].script.get(slot, []):
+                if not slot * TAU <= at < (slot + 1) * TAU:
+                    return "outside granted slot", slot, handed
+                if to not in names:
+                    return "unknown destination", slot, handed
+                if (fid, msg.id) in seen:
+                    return "republished message id", slot, handed
+                seen.add((fid, msg.id))
+                queues[to].append(((at, msg.id, fid), msg))
+            if endpoints[name].done_at is not None and slot >= endpoints[name].done_at:
+                live.remove(name)
+        for to, queue in queues.items():
+            inbox[to] += [msg for _, msg in sorted(queue, key=lambda item: item[0])]
+        slot += 1
+    return None, slot, handed
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_stub_scripts())
+def test_any_outbox_runs_or_is_a_protocol_violation_and_delivery_is_totally_ordered(case):
+    n_slots, endpoints = case
+    violation, slots_run, handed = reference_delivery(n_slots, endpoints)
+    rti = stub_rti(endpoints)
+    try:
+        result = rti.run(n_slots)
+    except ProtocolViolation as exc:
+        assert violation is not None and violation in str(exc)
+    else:
+        assert violation is None
+        assert result.slots_run == slots_run
+    for name, endpoint in endpoints.items():
+        assert [msg for inbox in endpoint.inboxes for msg in inbox] == handed[name]
 
 
 def test_idle_slot_returns_one_shared_report_and_allocates_nothing():
@@ -186,7 +277,7 @@ def test_empty_slot_still_advances_everyone():
     fed_b = ScriptedFederate("b", "a")
     rti = Rti(TAU)
     for fed in (fed_a, fed_b):
-        rti.attach_endpoint(rti.register_federate(fed.name), InprocEndpoint(fed))
+        rti.register_federate(fed.name, InprocEndpoint(fed))
     report = rti.advance_slot()
     assert report.messages_delivered == 0
     assert fed_a.slots_seen == fed_b.slots_seen == [0]
@@ -217,7 +308,7 @@ def test_all_done_ends_run_early():
 
 def test_federation_requires_two_federates():
     rti = Rti(TAU)
-    rti.attach_endpoint(rti.register_federate("solo"), InprocEndpoint(ScriptedFederate("solo", "solo")))
+    rti.register_federate("solo", InprocEndpoint(ScriptedFederate("solo", "solo")))
     with pytest.raises(ProtocolViolation):
         rti.run(1)
 
@@ -353,7 +444,7 @@ def test_duplicate_id_check_matches_a_set_of_fid_id_pairs(case):
             for i, (name, script) in enumerate(zip(names, scripts))]
     rti = LoggingRti(TAU)
     for fed in feds:
-        rti.attach_endpoint(rti.register_federate(fed.name), InprocEndpoint(fed))
+        rti.register_federate(fed.name, InprocEndpoint(fed))
     try:
         result = rti.run(n_slots)
     except ProtocolViolation as exc:
@@ -397,7 +488,7 @@ def test_duplicate_id_check_memory_stays_small_for_dense_ids():
     try:
         rti = Rti(TAU)
         for fed in feds:
-            rti.attach_endpoint(rti.register_federate(fed.name), InprocEndpoint(fed))
+            rti.register_federate(fed.name, InprocEndpoint(fed))
         # Two slots past the last publish: the forwards go out, then the
         # source's inbox is drained, so no message is left in the coordinator.
         result = rti.run(slots + 2)

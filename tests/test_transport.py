@@ -3,10 +3,11 @@ import json
 import socket
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gridcosim import transport
 from gridcosim.config import ScenarioConfig
-from gridcosim.errors import ProtocolViolation
+from gridcosim.errors import DecodeError, ProtocolViolation
 from gridcosim.messages import MessageClass, MessageKind, SimMessage
 from gridcosim.runner import run_scenario
 from gridcosim.transport import parse_listen_address, run_federation
@@ -257,3 +258,67 @@ def test_malformed_join_is_protocol_violation(monkeypatch, join_body):
     with pytest.raises(ProtocolViolation, match="JOIN must name the federate"):
         run_federation(1000, 3, [RawFederate(join_body=join_body), good], transport="socket",
                        timeout_s=5.0)
+
+
+# ------------------------------------------------ any frame on the wire
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _mutated(draw, valid: dict) -> dict:
+    """``valid`` with up to two of its keys dropped or set to random JSON."""
+    out = dict(valid)
+    for key in draw(st.lists(st.sampled_from(sorted(valid)), max_size=2, unique=True)):
+        if draw(st.booleans()):
+            del out[key]
+        else:
+            out[key] = draw(_JSON)
+    return out
+
+
+@st.composite
+def _ack_frames(draw):
+    """An ACK_SLOT for the granted slot with random faults; now and then
+    cut short, or random bytes instead."""
+    entry = _mutated(draw, {"at": 4000, "to": "peer", "msg": _mutated(draw, _WIRE_MSG)})
+    body = _mutated(draw, {"out": [entry] * draw(st.integers(0, 2)), "next": 9000, "done": False})
+    frame = json.dumps(_mutated(draw, {"t": "ACK_SLOT", "slot": 4, "body": body})).encode() + b"\n"
+    kind = draw(st.sampled_from(["whole"] * 6 + ["cut", "bytes"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=80))
+    return frame[: draw(st.integers(0, len(frame)))] if kind == "cut" else frame
+
+
+def _finish_step_after(frame: bytes, reads_grant: bool):
+    """Grant slot 4 to a federate that answers with ``frame`` and hangs up,
+    with or without reading its grant first."""
+    coordinator, federate = socket.socketpair()
+    endpoint = transport.SocketEndpoint(transport._FrameStream(coordinator), "f")
+    try:
+        endpoint.begin_step(4, 5000, [])
+        if reads_grant:
+            with federate.makefile("rb") as reader:
+                reader.readline()
+        federate.sendall(frame)
+        federate.close()  # so that no case waits on a timeout
+        endpoint.finish_step()
+    finally:
+        endpoint.stream.close()
+        federate.close()
+
+
+_DEEP = b'{"t":"ACK_SLOT","slot":4,"body":{"out":' + b"[" * 5000 + b"]" * 5000 + b"}}\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(frame=_ack_frames(), reads_grant=st.booleans())
+@example(frame=_DEEP, reads_grant=True)
+def test_any_frame_is_an_acknowledgment_or_a_protocol_or_decode_error(frame, reads_grant):
+    try:
+        _finish_step_after(frame, reads_grant)
+    except (ProtocolViolation, DecodeError):
+        pass
