@@ -188,6 +188,12 @@ class ScenarioConfig:
                 ticks_from_seconds(value, key=key)
             except ValueError as exc:
                 raise ValidationError(key, str(exc)) from exc
+        # One outage: a restore ends a failure, at or after its tick.
+        if self.lte_restore_at_s is not None:
+            if self.lte_fail_at_s is None:
+                raise ValidationError("lte_restore_at_s", "needs lte_fail_at_s")
+            if ticks_from_seconds(self.lte_restore_at_s) < ticks_from_seconds(self.lte_fail_at_s):
+                raise ValidationError("lte_restore_at_s", "must not be earlier than lte_fail_at_s")
         if self.interval_ticks % self.tau_ticks != 0:
             raise ValidationError("metrics_interval_s", "must be a multiple of tau_s")
 

@@ -1,21 +1,22 @@
-"""Communication federate: routing, queueing, transport overhead, failures.
+"""Communication federate: routing, queueing, transport overhead, the LTE outage.
 
 Control traffic rides the dedicated DMR access point; monitoring traffic
-rides the nearest live LTE base station and falls back to DMR when every
-base station is down.  Messages are segmented with per-segment headers, each
-data segment is followed by a reverse-direction acknowledgement on the same
-link, and a message counts as delivered when its last segment's
-acknowledgement has come back.
+rides its node's nearest LTE base station and falls back to DMR while LTE
+is down.  The scenario's one outage takes every base station down at
+``lte_fail_at_s`` and, optionally, brings them back at ``lte_restore_at_s``;
+the DMR channel never fails.  Messages are segmented with per-segment
+headers, each data segment is followed by a reverse-direction
+acknowledgement on the same link, and a message counts as delivered when its
+last segment's acknowledgement has come back.
 
-With the rate-adapting discipline, a global LTE failure additionally emits
-an application-layer notification telling the management system the polling
+With the rate-adapting discipline, the LTE failure additionally emits an
+application-layer notification telling the management system the polling
 period that fits the remaining DMR budget.
 """
 
 from __future__ import annotations
 
 import heapq
-import logging
 import math
 from typing import Callable
 
@@ -31,8 +32,6 @@ from .messages import (
 )
 from .simtime import TICKS_PER_SECOND, ticks_from_seconds
 from .topology import monitored_nodes
-
-logger = logging.getLogger(__name__)
 
 # Event priorities: state changes happen before service completions, which
 # happen before new frame arrivals, which happen before message hand-off.
@@ -77,7 +76,15 @@ class NetFederate:
 
         self._lte_links, self._dmr_link = self._build_links(cfg)
         self.links = [*self._lte_links, self._dmr_link]
-        self._bs_order = self._nearest_station_order(nodes)
+        # Monitored node id -> the link of its nearest LTE station, the lowest
+        # index on a tie; empty when there is no station.
+        stations = [n for n in nodes if n.kind is NodeKind.LTE_BS]
+        self._nearest_lte: dict[int, LinkModel] = {}
+        if stations:
+            for node in self._monitored:
+                index = min(range(len(stations)), key=lambda i: (
+                    (stations[i].x_km - node.x_km) ** 2 + (stations[i].y_km - node.y_km) ** 2, i))
+                self._nearest_lte[node.id] = self._lte_links[index]
 
         # (tick, priority, seq, handler, payload); the event runs handler(tick, payload).
         self._events: list[tuple[int, int, int, Callable, object]] = []
@@ -89,18 +96,17 @@ class NetFederate:
         self._sizes_by_payload: dict[int, list[int]] = {}
         self._out: list[tuple[int, SimMessage]] = []
         self._next_sample_tick = self._interval_ticks - 1
-        self._ra_sent = False
         self.adapted_period_ticks: int | None = None
 
         self.received = dict.fromkeys(MessageClass, 0)
         self.delivered = dict.fromkeys(MessageClass, 0)
         self.lost_failure = dict.fromkeys(MessageClass, 0)
-        self.dropped_noroute = dict.fromkeys(MessageClass, 0)
 
+        # The outage; events beyond the simulated horizon never fire.
         if cfg.lte_fail_at_s is not None:
-            self.inject_failure("fail", ticks_from_seconds(cfg.lte_fail_at_s, key="lte_fail_at_s"))
+            self._push_event(ticks_from_seconds(cfg.lte_fail_at_s), _PRIO_LINK_STATE, self._on_lte_failure, None)
         if cfg.lte_restore_at_s is not None:
-            self.inject_failure("restore", ticks_from_seconds(cfg.lte_restore_at_s, key="lte_restore_at_s"))
+            self._push_event(ticks_from_seconds(cfg.lte_restore_at_s), _PRIO_LINK_STATE, self._on_lte_restore, None)
 
     # --------------------------------------------------------------- setup
 
@@ -123,39 +129,20 @@ class NetFederate:
         ]
         return lte, LinkModel("dmr", cfg.dmr_capacity_bps, dmr_latency, make_queue(), n_intervals)
 
-    def _nearest_station_order(self, nodes: list[NodeDescriptor]) -> dict[int, list[int]]:
-        stations = [n for n in nodes if n.kind is NodeKind.LTE_BS]
-        order: dict[int, list[int]] = {}
-        for node in nodes:
-            ranked = sorted(
-                range(len(stations)),
-                key=lambda i: ((stations[i].x_km - node.x_km) ** 2 + (stations[i].y_km - node.y_km) ** 2, i),
-            )
-            order[node.id] = ranked
-        return order
-
     # ------------------------------------------------------------- routing
 
-    def route(self, msg: SimMessage) -> LinkModel | None:
-        """Pick the link carrying this message, or None when nothing is up."""
-        endpoint = msg.dst if msg.dst != self._dms_id else msg.src
-        if msg.msg_class is MessageClass.CONTROL:
-            if self._dmr_link.up:
-                return self._dmr_link
-            return self._nearest_up_lte(endpoint)
-        lte = self._nearest_up_lte(endpoint)
-        if lte is not None:
-            return lte
-        if self._dmr_link.up:
-            return self._dmr_link
-        return None
+    def route(self, msg: SimMessage) -> LinkModel:
+        """Pick the link carrying this message.
 
-    def _nearest_up_lte(self, node_id: int) -> LinkModel | None:
-        for index in self._bs_order[node_id]:
-            link = self._lte_links[index]
-            if link.up:
-                return link
-        return None
+        Only LTE fails, all of it at once, so monitoring rides its node's
+        nearest station while that is up and DMR otherwise (or when there
+        is no station); control always rides DMR.
+        """
+        if msg.msg_class is MessageClass.MONITORING:
+            lte = self._nearest_lte.get(msg.dst if msg.dst != self._dms_id else msg.src)
+            if lte is not None and lte.up:
+                return lte
+        return self._dmr_link
 
     # ---------------------------------------------------------- federation
 
@@ -199,18 +186,6 @@ class NetFederate:
         self._eseq += 1
         heapq.heappush(self._events, (tick, prio, self._eseq, handler, payload))
 
-    def inject_failure(self, kind: str, at_tick: int) -> None:
-        """Schedule a link state change: 'fail' downs every LTE base station
-        (in-flight frames are lost), 'restore' brings them back up.  Events
-        beyond the simulated horizon never fire.
-        """
-        handler = {"fail": self._on_lte_failure, "restore": self._on_lte_restore}.get(kind)
-        if handler is None:
-            raise ValueError(f"unknown link event {kind!r}")
-        if at_tick < 0:
-            raise ValueError("event time cannot be negative")
-        self._push_event(at_tick, _PRIO_LINK_STATE, handler, None)
-
     # ------------------------------------------------------------- ingress
 
     def _ingress(self, msg: SimMessage, now_tick: int) -> None:
@@ -218,10 +193,6 @@ class NetFederate:
         cls = msg.msg_class
         self.received[cls] += 1
         link = self.route(msg)
-        if link is None:
-            self.dropped_noroute[cls] += 1
-            logger.warning("no route for message %d (%s)", msg.id, cls.value)
-            return
         sizes = self._sizes_by_payload.get(msg.payload_bytes)
         if sizes is None:
             sizes = segment_sizes(msg.payload_bytes, self.cfg.mss_bytes, self.cfg.header_bytes)
@@ -312,8 +283,7 @@ class NetFederate:
                 msg = self._transfers.pop(frame.msg_id, None)
                 if msg is not None:
                     self.lost_failure[msg.msg_class] += 1
-        if self.cfg.qos == "wfq-ra" and not self._ra_sent:
-            self._ra_sent = True
+        if self.cfg.qos == "wfq-ra":
             self._out.append((tick, self._rate_update_message(tick)))
 
     def _on_lte_restore(self, _tick: int, _payload: None) -> None:
@@ -369,14 +339,15 @@ class NetFederate:
         return counts
 
     def conservation(self) -> dict[MessageClass, dict[str, int]]:
-        """Flow balance per class: in = delivered + lost + dropped + queued."""
+        """Flow balance per class: in = delivered + lost + queued.  DMR never
+        fails, so no message is ever dropped for want of a route."""
         in_flight = self.in_flight_at_end()
         return {
             cls: {
                 "received": self.received[cls],
                 "delivered": self.delivered[cls],
                 "lost_failure": self.lost_failure[cls],
-                "dropped_noroute": self.dropped_noroute[cls],
+                "dropped_noroute": 0,
                 "in_flight_at_end": in_flight[cls],
             }
             for cls in MessageClass

@@ -149,9 +149,10 @@ def test_non_finite_values_are_validation_errors_with_manifest(tmp_path, capsys,
     ((), "metrics_interval_s = 1e-12", "metrics_interval_s"),
     (("--fail-at", "1e-12"), None, "lte_fail_at_s"),
     ((), "delay_limit_control_s = 1e-12", "delay_limit_control_s"),
+    (("--fail-at", "200"), "lte_restore_at_s = 100", "lte_restore_at_s"),
 ], ids=["inf-duration", "nan-fail-at", "off-grid-latency", "off-grid-limit", "inf-restore",
         "wfq-ra-nothing-monitored", "sub-tick-tau", "sub-tick-interval", "sub-tick-fail-at",
-        "sub-tick-limit"])
+        "sub-tick-limit", "restore-before-failure"])
 def test_unconvertible_times_are_validation_errors_with_manifest(tmp_path, capsys, flags,
                                                                  config_line, key):
     args = list(flags)

@@ -78,6 +78,24 @@ def test_optional_failure_time():
     assert loads_config("lte_fail_at_s = 500\n").lte_fail_at_s == 500.0
 
 
+@pytest.mark.parametrize("fail, restore, ok", [
+    (None, 100.0, False),   # a restore without a failure
+    (200.0, 100.0, False),  # a restore before the failure would leave LTE down for good
+    (200.0, 199.99, False),
+    (200.0, 200.0, True),   # a zero-length outage
+    (200.0, 300.0, True),
+    (200.0, None, True),
+])
+def test_restore_must_end_a_failure(fail, restore, ok):
+    cfg = ScenarioConfig(lte_fail_at_s=fail, lte_restore_at_s=restore)
+    if ok:
+        cfg.validate()
+    else:
+        with pytest.raises(ValidationError) as err:
+            cfg.validate()
+        assert err.value.key == "lte_restore_at_s"
+
+
 def test_alpha_bounds():
     with pytest.raises(ValidationError) as err:
         loads_config("alpha_e = 1.0\n")
