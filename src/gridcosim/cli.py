@@ -127,6 +127,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             wallclock_s=time.perf_counter() - t0,
             experiments={"run": "ok"},
             status="ok",
+            trace_digest=result.federation.trace_digest,
         )
         print(f"wrote {', '.join(sorted(outputs))} to {out_dir}")
         return 0

@@ -19,7 +19,7 @@ class TransportFrame:
     """One wire frame: a data segment of a message, or an acknowledgement."""
 
     msg_id: int
-    seg_index: int
+    last: bool  # the message's last segment, or that segment's ACK
     bytes_on_wire: int
     is_ack: bool
     msg_class: MessageClass

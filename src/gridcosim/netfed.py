@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable
 
 from .config import ScenarioConfig, exchange_wire_bits
 from .errors import ValidationError
@@ -33,12 +32,16 @@ from .messages import (
 from .simtime import TICKS_PER_SECOND, ticks_from_seconds
 from .topology import monitored_nodes
 
-# Event priorities: state changes happen before service completions, which
-# happen before new frame arrivals, which happen before message hand-off.
-_PRIO_LINK_STATE = 0
-_PRIO_COMPLETION = 1
-_PRIO_ARRIVAL = 2
-_PRIO_DELIVERY = 3
+# Event kinds, run in this order within a tick.  A frame lands one latency
+# after its completion: a data segment, whose ACK then enters the same link,
+# or a last ACK, which delivers its message.  One kind serves both exactly: a
+# delivery pushes no event and touches only its message and ``_out``, which
+# ``Rti`` sorts by (tick, id, fid), so it commutes with the other landings at
+# its tick.  ``_eseq`` makes heap keys unique: two links are never compared.
+_LTE_FAIL = 0
+_LTE_RESTORE = 1
+_COMPLETION = 2
+_LANDING = 3
 
 
 def rate_adaptation_rate(cfg: ScenarioConfig, n_monitored: int, exchange_bits: int) -> float:
@@ -86,8 +89,8 @@ class NetFederate:
                     (stations[i].x_km - node.x_km) ** 2 + (stations[i].y_km - node.y_km) ** 2, i))
                 self._nearest_lte[node.id] = self._lte_links[index]
 
-        # (tick, priority, seq, handler, payload); the event runs handler(tick, payload).
-        self._events: list[tuple[int, int, int, Callable, object]] = []
+        # (tick, kind, seq, link, frame); the outage events carry None, None.
+        self._events: list[tuple[int, int, int, LinkModel | None, TransportFrame | None]] = []
         self._eseq = 0
         self._fseq = 0
         self._next_msg_id = 1  # odd ids; the application federate uses even ones
@@ -104,9 +107,9 @@ class NetFederate:
 
         # The outage; events beyond the simulated horizon never fire.
         if cfg.lte_fail_at_s is not None:
-            self._push_event(ticks_from_seconds(cfg.lte_fail_at_s), _PRIO_LINK_STATE, self._on_lte_failure, None)
+            self._push(ticks_from_seconds(cfg.lte_fail_at_s), _LTE_FAIL, None, None)
         if cfg.lte_restore_at_s is not None:
-            self._push_event(ticks_from_seconds(cfg.lte_restore_at_s), _PRIO_LINK_STATE, self._on_lte_restore, None)
+            self._push(ticks_from_seconds(cfg.lte_restore_at_s), _LTE_RESTORE, None, None)
 
     # --------------------------------------------------------------- setup
 
@@ -148,19 +151,27 @@ class NetFederate:
 
     def step(self, slot: int, slot_end_tick: int, inbox: list[SimMessage]) -> tuple[list[tuple[int, SimMessage]], bool]:
         now = slot * self._tau
-        self._out = []
         events = self._events
 
         # Link state changes scheduled exactly at the slot boundary take
         # effect before this slot's arrivals are routed.
-        while events and events[0][0] == now and events[0][1] == _PRIO_LINK_STATE:
-            tick, _prio, _seq, handler, payload = heapq.heappop(events)
-            handler(tick, payload)
+        while events and events[0][0] == now and events[0][1] <= _LTE_RESTORE:
+            if heapq.heappop(events)[1] == _LTE_FAIL:
+                self._on_lte_failure(now)
+            else:
+                self._on_lte_restore()
         for msg in inbox:
             self._ingress(msg, now)
         while events and events[0][0] < slot_end_tick:
-            tick, _prio, _seq, handler, payload = heapq.heappop(events)
-            handler(tick, payload)
+            tick, kind, _seq, link, frame = heapq.heappop(events)
+            if kind == _LANDING:
+                self._on_landing(tick, link, frame)
+            elif kind == _COMPLETION:
+                self._on_completion(tick, link, frame)
+            elif kind == _LTE_FAIL:
+                self._on_lte_failure(tick)
+            else:
+                self._on_lte_restore()
 
         interval = self._interval_ticks
         if slot_end_tick % interval == 0:
@@ -182,9 +193,9 @@ class NetFederate:
             return self._events[0][0]
         return tick
 
-    def _push_event(self, tick: int, prio: int, handler: Callable, payload) -> None:
+    def _push(self, tick: int, kind: int, link: LinkModel | None, frame: TransportFrame | None) -> None:
         self._eseq += 1
-        heapq.heappush(self._events, (tick, prio, self._eseq, handler, payload))
+        heapq.heappush(self._events, (tick, kind, self._eseq, link, frame))
 
     # ------------------------------------------------------------- ingress
 
@@ -198,15 +209,15 @@ class NetFederate:
             sizes = segment_sizes(msg.payload_bytes, self.cfg.mss_bytes, self.cfg.header_bytes)
             self._sizes_by_payload[msg.payload_bytes] = sizes
         self._transfers[msg.id] = msg
-        for seg_index, size in enumerate(sizes):
+        for n, size in enumerate(sizes, 1):
             self._fseq += 1
-            self._serve(link, now_tick, TransportFrame(msg.id, seg_index, size, False, cls, self._fseq))
+            self._serve(link, now_tick, TransportFrame(msg.id, n == len(sizes), size, False, cls, self._fseq))
 
     def _serve(self, link: LinkModel, now_tick: int, frame: TransportFrame | None = None) -> None:
         """The link's server: queue ``frame``, if given, booking its offered
         bits; then, if the server is idle, put the queue head in service.
 
-        The completion event carries the service ticks.
+        This fills ``link.ticks_by_size`` for every frame it serves.
         """
         queue = link.queue
         if frame is not None:
@@ -221,63 +232,53 @@ class NetFederate:
         if ticks is None:
             ticks = link.service_ticks(frame.bytes_on_wire)
         link.busy_frame = frame
-        self._eseq += 1
-        heapq.heappush(self._events, (now_tick + ticks, _PRIO_COMPLETION, self._eseq,
-                                      self._on_completion, (link, frame, ticks)))
+        self._push(now_tick + ticks, _COMPLETION, link, frame)
 
     # -------------------------------------------------------------- events
 
-    def _on_completion(self, tick: int, payload) -> None:
-        link, frame, ticks = payload
+    def _on_completion(self, tick: int, link: LinkModel, frame: TransportFrame) -> None:
         if link.busy_frame is not frame:
             return  # stale event from before a failure cleared the link
         link.busy_frame = None
+        ticks = link.ticks_by_size[frame.bytes_on_wire]
         w = self._interval_ticks
         link.served_bits[tick // w] += frame.bytes_on_wire * 8
         # Busy time split across reporting intervals, for utilization checks.
         start = tick - ticks
         i = start // w
-        last = (tick - 1) // w
-        if i == last:
+        last_i = (tick - 1) // w
+        if i == last_i:
             link.busy_ticks[i] += ticks
         else:
-            while i <= last:
+            while i <= last_i:
                 link.busy_ticks[i] += min(tick, (i + 1) * w) - max(start, i * w)
                 i += 1
-        msg = self._transfers.get(frame.msg_id)
-        if msg is not None:
-            if not frame.is_ack:
-                # Segment reaches the receiver after the access latency; the
-                # acknowledgement then re-enters the same link.
-                self._push_event(tick + link.latency_ticks, _PRIO_ARRIVAL, self._on_ack_arrival,
-                                 (link, msg, frame.seg_index))
-            elif frame.seg_index == len(self._sizes_by_payload[msg.payload_bytes]) - 1:
-                # A class is served first-in first-out, so the last ACK is the
-                # message's last frame on the link: a failure from here on
-                # finds none of its frames and cannot lose it.
-                self._push_event(tick + link.latency_ticks, _PRIO_DELIVERY, self._on_delivery, msg)
+        # A class is served first-in first-out, so the last ACK is the
+        # message's last frame on the link: a failure from here on finds none
+        # of its frames and cannot lose it.
+        if (frame.last or not frame.is_ack) and frame.msg_id in self._transfers:
+            self._push(tick + link.latency_ticks, _LANDING, link, frame)
         self._serve(link, tick)
 
-    def _on_ack_arrival(self, tick: int, payload) -> None:
-        link, msg, seg_index = payload
-        if self._transfers.get(msg.id) is not msg:
+    def _on_landing(self, tick: int, link: LinkModel, frame: TransportFrame) -> None:
+        msg = self._transfers.get(frame.msg_id)
+        if msg is None:
             return  # lost to a failure while the segment was in flight
-        if not link.up:
-            # The acknowledgement came back to a link that has since failed.
+        if frame.is_ack:
+            msg.delivered_comm_tick = tick
+            self.delivered[msg.msg_class] += 1
+            del self._transfers[msg.id]
+            self._out.append((tick, msg))
+        elif not link.up:
+            # The ACK would go back over a link that has since failed.
             self.lost_failure[msg.msg_class] += 1
             del self._transfers[msg.id]
-            return
-        self._fseq += 1
-        self._serve(link, tick, TransportFrame(msg.id, seg_index, self.cfg.ack_bytes, True,
-                                               msg.msg_class, self._fseq))
+        else:
+            self._fseq += 1
+            self._serve(link, tick, TransportFrame(msg.id, frame.last, self.cfg.ack_bytes, True,
+                                                   msg.msg_class, self._fseq))
 
-    def _on_delivery(self, tick: int, msg: SimMessage) -> None:
-        msg.delivered_comm_tick = tick
-        self.delivered[msg.msg_class] += 1
-        del self._transfers[msg.id]
-        self._out.append((tick, msg))
-
-    def _on_lte_failure(self, tick: int, _payload: None) -> None:
+    def _on_lte_failure(self, tick: int) -> None:
         for link in self._lte_links:
             for frame in link.fail():
                 msg = self._transfers.pop(frame.msg_id, None)
@@ -286,7 +287,7 @@ class NetFederate:
         if self.cfg.qos == "wfq-ra":
             self._out.append((tick, self._rate_update_message(tick)))
 
-    def _on_lte_restore(self, _tick: int, _payload: None) -> None:
+    def _on_lte_restore(self) -> None:
         for link in self._lte_links:
             link.restore()
 
@@ -330,18 +331,13 @@ class NetFederate:
                 link.queue.queued_bytes(MessageClass.CONTROL),
             )
 
-    def in_flight_at_end(self) -> dict[MessageClass, int]:
-        # Delivered and lost messages were removed, so whatever remains in
-        # the table is still in flight.
-        counts = dict.fromkeys(MessageClass, 0)
-        for msg in self._transfers.values():
-            counts[msg.msg_class] += 1
-        return counts
-
     def conservation(self) -> dict[MessageClass, dict[str, int]]:
         """Flow balance per class: in = delivered + lost + queued.  DMR never
-        fails, so no message is ever dropped for want of a route."""
-        in_flight = self.in_flight_at_end()
+        fails, so no message is ever dropped for want of a route.  Delivered
+        and lost messages leave ``_transfers``; what remains is in flight."""
+        in_flight = dict.fromkeys(MessageClass, 0)
+        for msg in self._transfers.values():
+            in_flight[msg.msg_class] += 1
         return {
             cls: {
                 "received": self.received[cls],

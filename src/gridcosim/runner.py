@@ -101,83 +101,70 @@ def _fmt(value: float) -> str:
     return format(value, ".10g")
 
 
-def write_reliability_csv(path: Path, result: RunResult) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["t_s", "class", "mean", "ci_low", "ci_high",
-                         "ci_low_clamped", "ci_high_clamped", "clamped"])
-        for m in result.reliability:
-            writer.writerow([
-                _fmt(m.interval * result.cfg.metrics_interval_s),
-                m.msg_class.value,
-                _fmt(m.mean),
-                _fmt(m.ci_low),
-                _fmt(m.ci_high),
-                _fmt(m.ci_low_clamped),
-                _fmt(m.ci_high_clamped),
-                int(m.clamped),
-            ])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_reliability_csv(path: Path, result: RunResult) -> None:
+    _write_csv(path, ["t_s", "class", "mean", "ci_low", "ci_high",
+                      "ci_low_clamped", "ci_high_clamped", "clamped"], ([
+        _fmt(m.interval * result.cfg.metrics_interval_s),
+        m.msg_class.value,
+        _fmt(m.mean),
+        _fmt(m.ci_low),
+        _fmt(m.ci_high),
+        _fmt(m.ci_low_clamped),
+        _fmt(m.ci_high_clamped),
+        int(m.clamped),
+    ] for m in result.reliability))
 
 
 def write_delay_csv(path: Path, result: RunResult) -> None:
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t_s", "class", "mean_s", "p95_s"])
-        for d in result.delays:
-            writer.writerow([
-                _fmt(d.interval * result.cfg.metrics_interval_s),
-                d.msg_class.value,
-                _fmt(d.mean_s),
-                _fmt(d.p95_s),
-            ])
+    _write_csv(path, ["t_s", "class", "mean_s", "p95_s"], ([
+        _fmt(d.interval * result.cfg.metrics_interval_s),
+        d.msg_class.value,
+        _fmt(d.mean_s),
+        _fmt(d.p95_s),
+    ] for d in result.delays))
 
 
 def write_ddf_csv(path: Path, rows: list[tuple[float, float, float]]) -> None:
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["tau_s", "ddf_percent", "wallclock_s"])
-        for tau_s, ddf_percent, wallclock_s in rows:
-            writer.writerow([_fmt(tau_s), _fmt(ddf_percent), _fmt(wallclock_s)])
+    _write_csv(path, ["tau_s", "ddf_percent", "wallclock_s"], (
+        [_fmt(tau_s), _fmt(ddf_percent), _fmt(wallclock_s)] for tau_s, ddf_percent, wallclock_s in rows))
 
 
 def write_exchange_log(path: Path, result: RunResult) -> None:
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["id", "class", "node", "created_s", "delivered_s",
-                         "d_it_s", "d_comm_s", "within_limit"])
-        for rec in result.exchange_rows:
-            delivered = rec.delivered_tick
-            writer.writerow([
-                rec.id,
-                rec.msg_class.value,
-                rec.node,
-                _fmt(rec.created_tick / TICKS_PER_SECOND),
-                "" if delivered is None else _fmt(delivered / TICKS_PER_SECOND),
-                "" if delivered is None else _fmt((delivered - rec.created_tick) / TICKS_PER_SECOND),
-                "" if rec.d_comm_ticks is None else _fmt(rec.d_comm_ticks / TICKS_PER_SECOND),
-                "" if rec.score is None else rec.score,
-            ])
+    _write_csv(path, ["id", "class", "node", "created_s", "delivered_s",
+                      "d_it_s", "d_comm_s", "within_limit"], ([
+        rec.id,
+        rec.msg_class.value,
+        rec.node,
+        _fmt(rec.created_tick / TICKS_PER_SECOND),
+        "" if rec.delivered_tick is None else _fmt(rec.delivered_tick / TICKS_PER_SECOND),
+        "" if rec.delivered_tick is None else _fmt((rec.delivered_tick - rec.created_tick) / TICKS_PER_SECOND),
+        "" if rec.d_comm_ticks is None else _fmt(rec.d_comm_ticks / TICKS_PER_SECOND),
+        "" if rec.score is None else rec.score,
+    ] for rec in result.exchange_rows))
 
 
 def write_link_log(path: Path, result: RunResult) -> None:
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t_s", "link", "queue_bytes_monitoring", "queue_bytes_control",
-                         "bits_served"])
-        for t_s, link, q_mon, q_ctl, served, _offered, _busy in result.link_rows:
-            writer.writerow([_fmt(t_s), link, q_mon, q_ctl, served])
+    _write_csv(path, ["t_s", "link", "queue_bytes_monitoring", "queue_bytes_control",
+                      "bits_served"], (
+        [_fmt(t_s), link, q_mon, q_ctl, served]
+        for t_s, link, q_mon, q_ctl, served, _offered, _busy in result.link_rows))
 
 
 def write_topology_csv(path: Path, nodes: list[NodeDescriptor]) -> None:
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["id", "kind", "x_km", "y_km"])
-        for node in nodes:
-            writer.writerow([node.id, node.kind.value, _fmt(node.x_km), _fmt(node.y_km)])
+    _write_csv(path, ["id", "kind", "x_km", "y_km"], (
+        [node.id, node.kind.value, _fmt(node.x_km), _fmt(node.y_km)] for node in nodes))
 
 
 def write_manifest(path: Path, cfg: ScenarioConfig, *, seed: int, outputs: list[str],
-                   wallclock_s: float, experiments: dict, status: str, error: str = "") -> None:
+                   wallclock_s: float, experiments: dict, status: str, error: str = "",
+                   trace_digest: str = "") -> None:
     manifest = {
         "version": __version__,
         "seed": seed,
@@ -189,6 +176,8 @@ def write_manifest(path: Path, cfg: ScenarioConfig, *, seed: int, outputs: list[
     }
     if error:
         manifest["error"] = error
+    if trace_digest:
+        manifest["trace_digest"] = trace_digest
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 

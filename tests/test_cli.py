@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import socket
@@ -8,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from gridcosim.cli import main
+from gridcosim.config import ScenarioConfig
+from gridcosim.runner import run_scenario
 
 REPO = Path(__file__).resolve().parents[1]
 SCENARIO_FILE = REPO / "scenarios" / "lte_failover_case_study.cfg"
@@ -66,6 +69,17 @@ def test_socket_transport_from_cli(tmp_path):
                    "--transport", "socket", "--rti-listen", "127.0.0.1:0") == 0
     for name in ("reliability.csv", "delay.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_run_manifest_records_the_trace_digest(tmp_path):
+    digests = []
+    for transport in ("inproc", "socket"):
+        out = tmp_path / transport
+        assert run_cli("run", "--qos", "wfq-ra", "--fail-at", "10", "--duration", "20",
+                       "--transport", transport, "--out", out) == 0
+        digests.append(json.loads((out / "manifest.json").read_text())["trace_digest"])
+    cfg = dataclasses.replace(ScenarioConfig(), qos="wfq-ra", lte_fail_at_s=10.0, duration_s=20.0)
+    assert digests == [run_scenario(cfg).federation.trace_digest] * 2
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

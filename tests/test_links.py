@@ -37,8 +37,8 @@ def dmr_server():
 
 
 def started_services(fed):
-    """(completion tick, event payload) of every service started so far; clears them."""
-    started = [(tick, payload) for tick, _prio, _seq, _handler, payload in fed._events]
+    """(completion tick, link, frame) of every service started so far; clears them."""
+    started = [(tick, link, frame) for tick, _kind, _seq, link, frame in fed._events]
     fed._events.clear()
     return started
 
@@ -78,10 +78,10 @@ def test_empty_queue_frame_served_immediately():
     fed, link = dmr_server()
     sent = frame(540)
     fed._serve(link, 1_000, sent)
-    ((end, payload),) = started_services(fed)
+    ((end, served_link, served),) = started_services(fed)
     assert end == 1_000 + 225_000
-    assert payload == (link, sent, 225_000) and link.busy_frame is sent
-    fed._on_completion(end, payload)
+    assert served_link is link and served is sent and link.busy_frame is sent
+    fed._on_completion(end, link, served)
     assert link.busy_frame is None
     assert started_services(fed) == []
 
@@ -90,9 +90,9 @@ def test_busy_link_queues_followups():
     fed, link = dmr_server()
     fed._serve(link, 0, frame(540, seq=1))
     fed._serve(link, 100, frame(540, seq=2))
-    ((end1, payload),) = started_services(fed)
-    fed._on_completion(end1, payload)
-    ((end2, (_, second, _)),) = started_services(fed)
+    ((end1, _, first),) = started_services(fed)
+    fed._on_completion(end1, link, first)
+    ((end2, _, second),) = started_services(fed)
     assert second.seq == 2
     assert end2 == end1 + 225_000
 

@@ -76,10 +76,9 @@ def cases(draw):
     return cfg, nodes, n_slots, arrivals
 
 
-@settings(max_examples=150, deadline=None)
-@given(cases())
-def test_netfed_matches_the_reference_model(case):
-    cfg, nodes, n_slots, arrivals = case
+def check_against_reference(cfg, nodes, n_slots, arrivals):
+    """Run ``NetFederate`` and the reference model on the same arrivals and
+    compare everything both report; return the delivery tick of each id."""
     tau = cfg.tau_ticks
 
     fed = NetFederate(cfg, nodes)
@@ -106,3 +105,36 @@ def test_netfed_matches_the_reference_model(case):
         assert link.served_bits == ref_link.served
         assert link.busy_ticks == ref_link.busy
         assert link.queue_samples == ref_link.samples
+    return ref.delivered_at
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases())
+def test_netfed_matches_the_reference_model(case):
+    check_against_reference(*case)
+
+
+def test_same_tick_landings_on_two_links():
+    # One station: the monitoring request rides LTE, the control command DMR.
+    nodes = [NodeDescriptor(0, NodeKind.DMS, 2.0, 2.0), NodeDescriptor(1, NodeKind.HVA_LV, 1.0, 1.0),
+             NodeDescriptor(2, NodeKind.LTE_BS, 1.0, 1.0), NodeDescriptor(3, NodeKind.DMR_AP, 2.0, 2.0)]
+    cfg = dataclasses.replace(
+        ScenarioConfig(), tau_s=TAU_S, duration_s=0.3, metrics_interval_s=0.1, qos="fifo",
+        lte_bs_count=1, lte_bs_capacity_bps=50_000, dmr_capacity_bps=9_600,
+        access_latency_lte_s=0.02, access_latency_dmr_s=0.05, header_bytes=40, ack_bytes=40,
+        count_hva_lv=1, count_substation=0, count_switch=0, count_pv_plant=0, count_wind_farm=0,
+    )
+    cfg.validate()
+    command = SimMessage(2, MessageClass.CONTROL, MessageKind.CONTROL_COMMAND, 0, 1, 11, 0)
+    request = SimMessage(4, MessageClass.MONITORING, MessageKind.REQUEST, 0, 1, 184, 0)
+    delivered = check_against_reference(cfg, nodes, 30, [(0, command), (12, request)])
+
+    # The command enters DMR at tick 0: 51 B are served in 4,250 ticks and
+    # land 5,000 later; the 40 B ACK is served in 3,334 and lands 5,000 later.
+    last_ack_lands = 4_250 + 5_000 + 3_334 + 5_000
+    # The request enters LTE at tick 12,000: 224 B are served in 3,584 ticks
+    # and land 2,000 later, at the tick the command's last ACK lands.
+    data_lands = 12_000 + 3_584 + 2_000
+    assert data_lands == last_ack_lands == delivered[2]
+    # Its 40 B ACK is then served in 640 ticks and lands 2,000 later.
+    assert delivered[4] == data_lands + 640 + 2_000
