@@ -155,10 +155,7 @@ class ScenarioConfig:
             positive(key, getattr(self, key))
         for key in ("header_bytes", "ack_bytes", "lte_bs_count", "count_hva_lv",
                     "count_switch", "count_substation", "count_pv_plant",
-                    "count_wind_farm"):
-            if getattr(self, key) < 0:
-                raise ValidationError(key, "must be non-negative")
-        for key in ("access_latency_lte_s", "access_latency_dmr_s"):
+                    "count_wind_farm", "access_latency_lte_s", "access_latency_dmr_s"):
             if getattr(self, key) < 0:
                 raise ValidationError(key, "must be non-negative")
         if not 0 <= self.alpha_e < 1:

@@ -43,27 +43,22 @@ class FifoQueue:
 
     def __init__(self):
         self._frames: deque[TransportFrame] = deque()
-        self._bytes = dict.fromkeys(MessageClass, 0)
 
     def push(self, frame: TransportFrame) -> None:
         self._frames.append(frame)
-        self._bytes[frame.msg_class] += frame.bytes_on_wire
 
     def pop(self) -> TransportFrame | None:
         if not self._frames:
             return None
-        frame = self._frames.popleft()
-        self._bytes[frame.msg_class] -= frame.bytes_on_wire
-        return frame
+        return self._frames.popleft()
 
     def drain(self) -> list[TransportFrame]:
         frames = list(self._frames)
         self._frames.clear()
-        self._bytes = dict.fromkeys(MessageClass, 0)
         return frames
 
     def queued_bytes(self, msg_class: MessageClass) -> int:
-        return self._bytes[msg_class]
+        return sum(frame.bytes_on_wire for frame in self._frames if frame.msg_class is msg_class)
 
 
 class WfqQueue:
@@ -85,7 +80,6 @@ class WfqQueue:
         self._weights = dict(weights)
         self._queues: dict[MessageClass, deque[TransportFrame]] = {cls: deque() for cls in MessageClass}
         self._finish = dict.fromkeys(MessageClass, 0.0)
-        self._bytes = dict.fromkeys(MessageClass, 0)
         self._vtime = 0.0
 
     def push(self, frame: TransportFrame) -> None:
@@ -97,7 +91,6 @@ class WfqQueue:
         self._finish[cls] = finish
         frame.vfinish = finish
         self._queues[cls].append(frame)
-        self._bytes[cls] += frame.bytes_on_wire
 
     def pop(self) -> TransportFrame | None:
         best_cls = None
@@ -113,7 +106,6 @@ class WfqQueue:
         if best_cls is None:
             return None
         frame = self._queues[best_cls].popleft()
-        self._bytes[best_cls] -= frame.bytes_on_wire
         self._vtime = frame.vfinish
         return frame
 
@@ -122,11 +114,10 @@ class WfqQueue:
         for queue in self._queues.values():
             frames.extend(queue)
             queue.clear()
-        self._bytes = dict.fromkeys(MessageClass, 0)
         return frames
 
     def queued_bytes(self, msg_class: MessageClass) -> int:
-        return self._bytes[msg_class]
+        return sum(frame.bytes_on_wire for frame in self._queues[msg_class])
 
 
 @dataclass(slots=True)

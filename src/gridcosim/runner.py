@@ -162,12 +162,12 @@ def write_topology_csv(path: Path, nodes: list[NodeDescriptor]) -> None:
         [node.id, node.kind.value, _fmt(node.x_km), _fmt(node.y_km)] for node in nodes))
 
 
-def write_manifest(path: Path, cfg: ScenarioConfig, *, seed: int, outputs: list[str],
+def write_manifest(path: Path, cfg: ScenarioConfig, *, outputs: list[str],
                    wallclock_s: float, experiments: dict, status: str, error: str = "",
                    trace_digest: str = "") -> None:
     manifest = {
         "version": __version__,
-        "seed": seed,
+        "seed": cfg.seed,
         "config": {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)},
         "outputs": sorted(outputs),
         "wallclock_s": wallclock_s,

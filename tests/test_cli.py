@@ -213,3 +213,25 @@ def test_config_warning_is_printed_once(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.count("fits the DMR capacity") == 1
+
+
+@pytest.mark.parametrize("command, taken", [
+    (("run",), "reliability.csv"),
+    (("tau-sweep", "--taus", "0.1,0.01"), "ddf.csv"),
+], ids=["run", "tau-sweep"])
+def test_unwritable_output_is_an_error_with_manifest(tmp_path, capsys, command, taken):
+    out = tmp_path / "o"
+    (out / taken).mkdir(parents=True)
+    assert run_cli(*command, "--duration", "5", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out / taken) in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert manifest["experiments"] == {command[0]: "failed"}
+
+
+def test_early_failure_manifest_reports_the_default_configs_seed(tmp_path):
+    out = tmp_path / "bad"
+    assert run_cli("run", "--seed", "9", "--tau", "0", "--out", out) == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["seed"] == manifest["config"]["seed"] == ScenarioConfig().seed

@@ -88,7 +88,7 @@ def test_topology_dump(tmp_path, small_run):
 
 def test_manifest_lists_outputs(tmp_path, small_run):
     outputs = write_outputs(tmp_path, small_run, exchange_log=True)
-    write_manifest(tmp_path / "manifest.json", small_run.cfg, seed=small_run.cfg.seed,
+    write_manifest(tmp_path / "manifest.json", small_run.cfg,
                    outputs=outputs + ["manifest.json"], wallclock_s=1.0,
                    experiments={"run": "ok"}, status="ok")
     manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -100,7 +100,7 @@ def test_manifest_lists_outputs(tmp_path, small_run):
 
 
 def test_manifest_written_on_failure(tmp_path):
-    write_manifest(tmp_path / "manifest.json", ScenarioConfig(), seed=3,
+    write_manifest(tmp_path / "manifest.json", ScenarioConfig(),
                    outputs=["manifest.json"], wallclock_s=0.5,
                    experiments={"run": "failed"}, status="error", error="boom")
     manifest = json.loads((tmp_path / "manifest.json").read_text())
