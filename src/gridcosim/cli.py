@@ -134,16 +134,20 @@ def main(argv: list[str] | None = None) -> int:
         )
     except (GridCoSimError, OSError) as exc:
         # An output file that cannot be written raises OSError; it fails like the rest.
-        write_manifest(
-            out_dir / "manifest.json", cfg,
-            outputs=["manifest.json"],
-            wallclock_s=time.perf_counter() - t0,
-            experiments={args.command: "failed"},
-            status="error",
-            error=str(exc),
-        )
         usage = isinstance(exc, UsageError)
         print(f"{'usage error' if usage else 'error'}: {exc}", file=sys.stderr)
+        try:
+            write_manifest(
+                out_dir / "manifest.json", cfg,
+                outputs=["manifest.json"],
+                wallclock_s=time.perf_counter() - t0,
+                experiments={args.command: "failed"},
+                status="error",
+                error=str(exc),
+            )
+        except OSError as write_exc:
+            print(f"error: manifest not written: {write_exc}", file=sys.stderr)
+            return 1
         return 2 if usage else 1
     print("\n".join(report))
     return 0

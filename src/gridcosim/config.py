@@ -172,9 +172,10 @@ class ScenarioConfig:
             if value is not None and value < 0:
                 raise ValidationError(key, "must be non-negative")
 
-        # Every time the federates convert to ticks must be finite and sit
-        # on the tick grid, and the reporting window on the slot grid, or
-        # interval bookkeeping would drift.
+        # Every time the federates convert to ticks must be finite, sit on
+        # the tick grid and fit a signed 64-bit tick (the leg columns are
+        # ``array("q")``), and the reporting window must sit on the slot
+        # grid, or interval bookkeeping would drift.
         for key in ("tau_s", "duration_s", "metrics_interval_s", "delay_limit_monitoring_s",
                     "delay_limit_control_s", "access_latency_lte_s", "access_latency_dmr_s",
                     "lte_fail_at_s", "lte_restore_at_s"):
@@ -182,9 +183,11 @@ class ScenarioConfig:
             if value is None:
                 continue
             try:
-                ticks_from_seconds(value, key=key)
+                ticks = ticks_from_seconds(value, key=key)
             except ValueError as exc:
                 raise ValidationError(key, str(exc)) from exc
+            if ticks >= 2**63:
+                raise ValidationError(key, f"{value!r} s does not fit a 64-bit tick count")
         # One outage: a restore ends a failure, at or after its tick.
         if self.lte_restore_at_s is not None:
             if self.lte_fail_at_s is None:

@@ -128,30 +128,22 @@ class LinkModel:
     interval: bits offered (booked at enqueue), bits served (booked at
     completion), busy ticks (split across the intervals a service spans)
     and the queued bytes per class sampled at each interval's end.  The
-    comm federate runs the server.
+    comm federate runs the server and closes each interval.
     """
 
     id: str
     capacity_bps: int
     latency_ticks: int
     queue: FifoQueue | WfqQueue
-    n_intervals: int = 0
     up: bool = True
     busy_frame: TransportFrame | None = None
-    offered_bits: list[int] = field(init=False)
-    served_bits: list[int] = field(init=False)
-    busy_ticks: list[int] = field(init=False)
-    queue_samples: list[tuple[int, int]] = field(init=False)
+    # One entry per interval begun; the last entry is the open interval.
+    offered_bits: list[int] = field(init=False, default_factory=lambda: [0])
+    served_bits: list[int] = field(init=False, default_factory=lambda: [0])
+    busy_ticks: list[int] = field(init=False, default_factory=lambda: [0])
+    queue_samples: list[tuple[int, int]] = field(init=False, default_factory=list)
     #: Wire size -> service ticks, filled by ``service_ticks``.
-    ticks_by_size: dict[int, int] = field(init=False)
-
-    def __post_init__(self):
-        n = self.n_intervals
-        self.offered_bits = [0] * n
-        self.served_bits = [0] * n
-        self.busy_ticks = [0] * n
-        self.queue_samples = [(0, 0)] * n
-        self.ticks_by_size = {}
+    ticks_by_size: dict[int, int] = field(init=False, default_factory=dict)
 
     def service_ticks(self, bytes_on_wire: int) -> int:
         # Ceil keeps per-link accounted throughput at or below capacity.

@@ -81,13 +81,12 @@ class NetFederate:
         self.links = [*self._lte_links, self._dmr_link]
         # Monitored node id -> the link of its nearest LTE station, the lowest
         # index on a tie; empty when there is no station.
-        stations = [n for n in nodes if n.kind is NodeKind.LTE_BS]
+        sites = [(n.x_km, n.y_km) for n in nodes if n.kind is NodeKind.LTE_BS]
         self._nearest_lte: dict[int, LinkModel] = {}
-        if stations:
+        if sites:
             for node in self._monitored:
-                index = min(range(len(stations)), key=lambda i: (
-                    (stations[i].x_km - node.x_km) ** 2 + (stations[i].y_km - node.y_km) ** 2, i))
-                self._nearest_lte[node.id] = self._lte_links[index]
+                distances = [math.dist(site, (node.x_km, node.y_km)) for site in sites]
+                self._nearest_lte[node.id] = self._lte_links[distances.index(min(distances))]
 
         # (tick, kind, seq, link, frame); the outage events carry None, None.
         self._events: list[tuple[int, int, int, LinkModel | None, TransportFrame | None]] = []
@@ -98,7 +97,6 @@ class NetFederate:
         self._transfers: dict[int, SimMessage] = {}
         self._sizes_by_payload: dict[int, list[int]] = {}
         self._out: list[tuple[int, SimMessage]] = []
-        self._next_sample_tick = self._interval_ticks - 1
         self.adapted_period_ticks: int | None = None
 
         self.received = dict.fromkeys(MessageClass, 0)
@@ -125,12 +123,9 @@ class NetFederate:
 
         lte_latency = ticks_from_seconds(cfg.access_latency_lte_s, key="access_latency_lte_s")
         dmr_latency = ticks_from_seconds(cfg.access_latency_dmr_s, key="access_latency_dmr_s")
-        n_intervals = -(-cfg.duration_ticks // cfg.interval_ticks)
-        lte = [
-            LinkModel(f"lte-{i}", cfg.lte_bs_capacity_bps, lte_latency, make_queue(), n_intervals)
-            for i in range(cfg.lte_bs_count)
-        ]
-        return lte, LinkModel("dmr", cfg.dmr_capacity_bps, dmr_latency, make_queue(), n_intervals)
+        lte = [LinkModel(f"lte-{i}", cfg.lte_bs_capacity_bps, lte_latency, make_queue())
+               for i in range(cfg.lte_bs_count)]
+        return lte, LinkModel("dmr", cfg.dmr_capacity_bps, dmr_latency, make_queue())
 
     # ------------------------------------------------------------- routing
 
@@ -173,10 +168,10 @@ class NetFederate:
             else:
                 self._on_lte_restore()
 
-        interval = self._interval_ticks
-        if slot_end_tick % interval == 0:
-            self._sample_queues(slot_end_tick // interval - 1)
-        self._next_sample_tick = (slot_end_tick // interval + 1) * interval - 1
+        # An interval is whole slots and the lookahead grants the slot ending
+        # at its end, so every later event books into the entry opened here.
+        if slot_end_tick % self._interval_ticks == 0:
+            self._close_interval()
         out = self._out
         self._out = []
         return out, slot_end_tick >= self._duration
@@ -184,11 +179,11 @@ class NetFederate:
     def next_event_tick(self) -> int:
         """Earliest tick whose slot must be granted even with an empty inbox.
 
-        That is the next event, the last tick before the next interval
-        boundary (queues are sampled in the slot ending there) or the last
-        tick of the run, whichever comes first.
+        That is the next event, the last tick of the open interval (the
+        slot ending there closes it) or the last tick of the run, whichever
+        comes first.
         """
-        tick = min(self._next_sample_tick, self._duration - 1)
+        tick = min(len(self._dmr_link.served_bits) * self._interval_ticks - 1, self._duration - 1)
         if self._events and self._events[0][0] < tick:
             return self._events[0][0]
         return tick
@@ -221,7 +216,7 @@ class NetFederate:
         """
         queue = link.queue
         if frame is not None:
-            link.offered_bits[now_tick // self._interval_ticks] += frame.bytes_on_wire * 8
+            link.offered_bits[-1] += frame.bytes_on_wire * 8
             queue.push(frame)
             if link.busy_frame is not None:
                 return
@@ -242,8 +237,8 @@ class NetFederate:
         link.busy_frame = None
         ticks = link.ticks_by_size[frame.bytes_on_wire]
         w = self._interval_ticks
-        link.served_bits[tick // w] += frame.bytes_on_wire * 8
-        # Busy time split across reporting intervals, for utilization checks.
+        link.served_bits[-1] += frame.bytes_on_wire * 8
+        # Busy time split across reporting intervals, closed ones included.
         start = tick - ticks
         i = start // w
         last_i = (tick - 1) // w
@@ -324,12 +319,14 @@ class NetFederate:
 
     # ------------------------------------------------------------- reports
 
-    def _sample_queues(self, interval: int) -> None:
+    def _close_interval(self) -> None:
+        """Sample each link's queued bytes and open the next interval."""
         for link in self.links:
-            link.queue_samples[interval] = (
-                link.queue.queued_bytes(MessageClass.MONITORING),
-                link.queue.queued_bytes(MessageClass.CONTROL),
-            )
+            link.queue_samples.append((link.queue.queued_bytes(MessageClass.MONITORING),
+                                       link.queue.queued_bytes(MessageClass.CONTROL)))
+            link.offered_bits.append(0)
+            link.served_bits.append(0)
+            link.busy_ticks.append(0)
 
     def conservation(self) -> dict[MessageClass, dict[str, int]]:
         """Flow balance per class: in = delivered + lost + queued.  DMR never

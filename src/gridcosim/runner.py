@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import logging
 from pathlib import Path
 
 from . import __version__
@@ -28,8 +27,6 @@ from .rti import FederationResult
 from .simtime import TICKS_PER_SECOND
 from .topology import generate_topology
 from .transport import run_federation
-
-logger = logging.getLogger(__name__)
 
 
 @dataclasses.dataclass
@@ -83,13 +80,15 @@ def run_scenario(
 
 
 def _link_rows(net: NetFederate, cfg: ScenarioConfig, end_tick: int) -> list:
-    """Per-interval link records: queue depths, bits served, bits offered, busy ticks."""
+    """Per-interval link records: queue depths, bits served, bits offered, busy ticks.
+
+    An interval the run ended inside was never sampled; its queues read (0, 0)."""
     n_intervals = -(-end_tick // cfg.interval_ticks) if end_tick else 0
     rows = []
     for interval in range(n_intervals):
         t_s = interval * cfg.metrics_interval_s
         for link in net.links:
-            q_mon, q_ctl = link.queue_samples[interval]
+            q_mon, q_ctl = link.queue_samples[interval] if interval < len(link.queue_samples) else (0, 0)
             rows.append((t_s, link.id, q_mon, q_ctl, link.served_bits[interval],
                          link.offered_bits[interval], link.busy_ticks[interval]))
     return rows
@@ -234,5 +233,4 @@ def run_tau_sweep(
         if result.ddf is None:
             raise UsageError("sweep produced no completed exchanges; extend the duration")
         rows.append((tau_s, result.ddf, result.federation.wallclock_s))
-        logger.info("tau=%gs ddf=%.3f%% wallclock=%.3fs", tau_s, rows[-1][1], rows[-1][2])
     return rows

@@ -235,3 +235,26 @@ def test_early_failure_manifest_reports_the_default_configs_seed(tmp_path):
     assert run_cli("run", "--seed", "9", "--tau", "0", "--out", out) == 1
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == manifest["config"]["seed"] == ScenarioConfig().seed
+
+
+def test_duration_beyond_64_bit_ticks_is_an_error_with_manifest(tmp_path, capsys):
+    out = tmp_path / "huge"
+    assert run_cli("run", "--duration", "1e300", "--out", out) == 1
+    assert capsys.readouterr().err.startswith("error: duration_s:")
+    assert json.loads((out / "manifest.json").read_text())["status"] == "error"
+
+
+def test_unwritable_manifest_is_an_error_without_traceback(tmp_path, capsys):
+    out = tmp_path / "o"
+    (out / "manifest.json").mkdir(parents=True)
+    assert run_cli("run", "--duration", "5", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out / "manifest.json") in err
+
+
+def test_huge_region_runs(tmp_path):
+    config = tmp_path / "wide.cfg"
+    config.write_text("region_side_km = 1e160\n")
+    out = tmp_path / "wide"
+    assert run_cli("run", "--config", config, "--duration", "5", "--out", out) == 0
+    assert json.loads((out / "manifest.json").read_text())["status"] == "ok"

@@ -96,6 +96,23 @@ def test_restore_must_end_a_failure(fail, restore, ok):
         assert err.value.key == "lte_restore_at_s"
 
 
+@pytest.mark.parametrize("key, seconds, ok", [
+    ("duration_s", 9e13, True),
+    ("duration_s", 1e14, False),
+    ("duration_s", 1e300, False),
+    ("lte_fail_at_s", 1e14, False),
+    ("delay_limit_control_s", 1e300, False),
+])
+def test_times_must_fit_64_bit_ticks(key, seconds, ok):
+    cfg = ScenarioConfig(**{key: seconds})
+    if ok:
+        cfg.validate()
+    else:
+        with pytest.raises(ValidationError) as err:
+            cfg.validate()
+        assert err.value.key == key
+
+
 def test_alpha_bounds():
     with pytest.raises(ValidationError) as err:
         loads_config("alpha_e = 1.0\n")

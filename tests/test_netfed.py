@@ -43,6 +43,14 @@ def pump(fed, cfg, inboxes, n_slots):
     return delivered
 
 
+def test_set_up_allocates_nothing_per_interval():
+    fed, cfg, _ = build_net(duration_s=9e13)
+    assert cfg.duration_ticks // cfg.interval_ticks > 10**12
+    for link in fed.links:
+        assert (link.offered_bits, link.served_bits, link.busy_ticks) == ([0], [0], [0])
+        assert link.queue_samples == []
+
+
 # ------------------------------------------------------------------ routing
 
 def test_control_routes_to_dmr_even_with_lte_up():

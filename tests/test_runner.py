@@ -79,6 +79,15 @@ def test_link_log_columns(tmp_path, small_run):
     assert links == {"lte-0", "lte-1", "dmr"}
 
 
+def test_link_rows_report_an_interval_the_run_ended_inside():
+    result = run_scenario(small_cfg(duration_s=60.0, lte_fail_at_s=10.0))
+    dmr = [row for row in result.link_rows if row[1] == "dmr"]
+    assert [row[0] for row in dmr] == [0.0, 25.0, 50.0]
+    assert dmr[1][2] > 0  # sampled at 50 s, with the failover backlog queued
+    assert dmr[2][2:4] == (0, 0)  # the run ended before this sample
+    assert dmr[2][4] > 0
+
+
 def test_topology_dump(tmp_path, small_run):
     write_outputs(tmp_path, small_run, dump_topology=True)
     lines = (tmp_path / "topology.csv").read_text().splitlines()
