@@ -6,6 +6,8 @@ order.  All times on the wire are integer ticks; no floats ever cross a
 federate boundary, so both transports observe bit-identical state.
 A granted slot is one frame each way: ``GRANT`` carries the federate's
 inbox, and ``ACK_SLOT`` its publishes, its lookahead and whether it is done.
+A message travels as the positional list of ``SimMessage.to_wire``, and a
+publish as the list ``[at, to, msg]``: no key is repeated per message.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ class FederateEnvelope:
 
 
 _ENVELOPE_TYPES = {member.value: member for member in EnvelopeType}
+_TYPE_VALUE = {member: value for value, member in _ENVELOPE_TYPES.items()}
 _FIELDS = frozenset(("t", "slot", "body"))
 # Built once: json.dumps(..., separators=...) would build an encoder per
 # frame and json.loads(bytes) would detect the encoding of every frame.
@@ -43,7 +46,7 @@ _DECODER = json.JSONDecoder()
 
 
 def encode_envelope(env: FederateEnvelope) -> bytes:
-    frame = {"t": env.type.value, "slot": env.slot, "body": env.body}
+    frame = {"t": _TYPE_VALUE[env.type], "slot": env.slot, "body": env.body}
     return _ENCODER.encode(frame).encode() + b"\n"
 
 
@@ -100,7 +103,7 @@ def ack_slot(slot: int, out: list[tuple[int, str, SimMessage]], next_tick: int |
     """Slot acknowledgment carrying the federate's ``(at_tick, to_name, msg)``
     publishes, its lookahead ``next_tick`` if it declares one, and whether
     it is done."""
-    body = {"out": [{"at": at, "to": to, "msg": msg.to_wire()} for at, to, msg in out]}
+    body = {"out": [[at, to, msg.to_wire()] for at, to, msg in out]}
     if next_tick is not None:
         body["next"] = next_tick
     if done:

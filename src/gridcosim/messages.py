@@ -40,12 +40,11 @@ class NodeKind(enum.Enum):
     __hash__ = object.__hash__
 
 
-#: Wire value to member, for decoding without a Python-level ``Enum`` call.
+#: Wire value to member and back, without a Python-level ``Enum.value`` call.
 _CLASS_BY_VALUE = {member.value: member for member in MessageClass}
 _KIND_BY_VALUE = {member.value: member for member in MessageKind}
-#: Wire fields that must be ``int``, and those that may also be ``None``.
-_INT_FIELDS = ("id", "src", "dst", "len", "ct")
-_OPTIONAL_INT_FIELDS = ("sct", "dct", "corr", "ppt")
+_CLASS_VALUE = {member: value for value, member in _CLASS_BY_VALUE.items()}
+_KIND_VALUE = {member: value for value, member in _KIND_BY_VALUE.items()}
 
 
 @dataclass(slots=True)
@@ -72,50 +71,34 @@ class SimMessage:
     correlation_id: int | None = None
     poll_period_ticks: int | None = None
 
-    def to_wire(self) -> dict:
-        """Wire form: integers and strings only, times in ticks."""
-        return {
-            "id": self.id,
-            "cls": self.msg_class.value,
-            "kind": self.kind.value,
-            "src": self.src,
-            "dst": self.dst,
-            "len": self.payload_bytes,
-            "ct": self.created_tick,
-            "sct": self.sent_comm_tick,
-            "dct": self.delivered_comm_tick,
-            "corr": self.correlation_id,
-            "ppt": self.poll_period_ticks,
-        }
+    def to_wire(self) -> list:
+        """Wire form: the fields in order, integers and strings only, times in ticks."""
+        return [self.id, _CLASS_VALUE[self.msg_class], _KIND_VALUE[self.kind], self.src,
+                self.dst, self.payload_bytes, self.created_tick, self.sent_comm_tick,
+                self.delivered_comm_tick, self.correlation_id, self.poll_period_ticks]
 
     @classmethod
-    def from_wire(cls, data: dict) -> "SimMessage":
+    def from_wire(cls, data: list) -> "SimMessage":
         """Inverse of ``to_wire``.
 
-        A missing field or an unknown class or kind raises ``KeyError``; a
-        value of the wrong type raises ``TypeError``.  Integer fields must be
-        exactly ``int`` (a float or bool tick would reach the outputs).
+        Anything but a list of 11 items, or a value of the wrong type, raises
+        ``TypeError``; an unknown class or kind raises ``KeyError``.  ``id``,
+        ``src``, ``dst``, ``len`` and ``ct`` must be exactly ``int`` (a float
+        or bool tick would reach the outputs); ``sct``, ``dct``, ``corr`` and
+        ``ppt`` may also be ``None``.
         """
-        for key in _INT_FIELDS:
-            if type(data[key]) is not int:
-                raise TypeError(f"message field {key!r} must be an integer, got {data[key]!r}")
-        for key in _OPTIONAL_INT_FIELDS:
-            value = data.get(key)
+        if type(data) is not list or len(data) != 11:
+            shape = f"a list of {len(data)}" if type(data) is list else f"a {type(data).__name__}"
+            raise TypeError(f"message must be a list of 11 fields, not {shape}")
+        mid, cls_value, kind_value, src, dst, size, ct, sct, dct, corr, ppt = data
+        for value in (mid, src, dst, size, ct):
+            if type(value) is not int:
+                raise TypeError(f"message id, src, dst, len and ct must be integers, not {value!r}")
+        for value in (sct, dct, corr, ppt):
             if value is not None and type(value) is not int:
-                raise TypeError(f"message field {key!r} must be an integer or null, got {value!r}")
-        return cls(
-            id=data["id"],
-            msg_class=_CLASS_BY_VALUE[data["cls"]],
-            kind=_KIND_BY_VALUE[data["kind"]],
-            src=data["src"],
-            dst=data["dst"],
-            payload_bytes=data["len"],
-            created_tick=data["ct"],
-            sent_comm_tick=data.get("sct"),
-            delivered_comm_tick=data.get("dct"),
-            correlation_id=data.get("corr"),
-            poll_period_ticks=data.get("ppt"),
-        )
+                raise TypeError(f"message sct, dct, corr and ppt must be integers or null, not {value!r}")
+        return cls(mid, _CLASS_BY_VALUE[cls_value], _KIND_BY_VALUE[kind_value], src, dst, size,
+                   ct, sct, dct, corr, ppt)
 
 
 @dataclass(slots=True)

@@ -72,13 +72,11 @@ class _FrameStream:
     def __init__(self, sock: socket.socket):
         self.sock = sock
         self.reader = sock.makefile("rb")
-        self.writer = sock.makefile("wb")
         self.offset = 0
 
     def send(self, envelope: FederateEnvelope) -> None:
-        """Write one frame and flush it: the peer waits for every frame."""
-        self.writer.write(encode_envelope(envelope))
-        self.writer.flush()
+        """Write one whole frame: the peer waits for every frame."""
+        self.sock.sendall(encode_envelope(envelope))
 
     def recv(self) -> FederateEnvelope | None:
         """Next envelope, or None at a clean end of stream."""
@@ -95,7 +93,7 @@ class _FrameStream:
         return decoded
 
     def close(self) -> None:
-        for closer in (self.writer, self.reader, self.sock):
+        for closer in (self.reader, self.sock):
             try:
                 closer.close()
             except OSError:
@@ -144,8 +142,11 @@ class SocketEndpoint:
             raise self._malformed(f"with done {done!r}, not a boolean")
         outbox: list[tuple[int, str, SimMessage]] = []
         for entry in out:
+            if type(entry) is not list or len(entry) != 3:
+                raise self._malformed("with a malformed out entry, not [at, to, msg]")
+            at, to, wire = entry
             try:
-                at, to, msg = entry["at"], entry["to"], SimMessage.from_wire(entry["msg"])
+                msg = SimMessage.from_wire(wire)
             except (KeyError, TypeError) as exc:
                 raise self._malformed(
                     f"with a malformed out entry ({type(exc).__name__}: {exc})"
@@ -192,10 +193,15 @@ def run_federate_client(address: tuple[str, int], federate: LocalFederate,
                 return
             if received.type is not EnvelopeType.GRANT:
                 raise ProtocolViolation(f"unexpected {received.type.value} from coordinator")
-            slot = received.slot
+            slot, body = received.slot, received.body
+            end_ticks, inbox = body.get("end_ticks"), body.get("inbox")
             try:
-                inbox = [SimMessage.from_wire(msg) for msg in received.body["inbox"]]
-                outbox, finished = federate.step(slot, received.body["end_ticks"], inbox)
+                if type(end_ticks) is not int or type(inbox) is not list:
+                    raise ProtocolViolation(
+                        f"GRANT with end_ticks {end_ticks!r} and a {type(inbox).__name__} inbox"
+                    )
+                inbox = [SimMessage.from_wire(msg) for msg in inbox]
+                outbox, finished = federate.step(slot, end_ticks, inbox)
                 next_tick = lookahead() if lookahead is not None else None
             except Exception as exc:  # surface federate failures to the RTI
                 logger.exception("federate %s failed in slot %d", federate.name, slot)

@@ -14,18 +14,28 @@ from gridcosim.errors import DecodeError
 from gridcosim.messages import MessageClass, MessageKind, SimMessage
 
 
+# A monitoring poll as the wire carries it: the fields in SimMessage order,
+# with the optional ticks the poll does not use sent as null.
+_POLL = SimMessage(8, MessageClass.MONITORING, MessageKind.REQUEST, 0, 5, 64, 123_456,
+                   sent_comm_tick=123_500, poll_period_ticks=100_000)
+
+
 def test_grant_frame_bytes():
     frame = encode_envelope(env.grant(5, 600_000, []))
     assert frame == b'{"t":"GRANT","slot":5,"body":{"end_ticks":600000,"inbox":[]}}\n'
+    frame = encode_envelope(env.grant(5, 600_000, [_POLL]))
+    assert frame == (
+        b'{"t":"GRANT","slot":5,"body":{"end_ticks":600000,"inbox":'
+        b'[[8,"monitoring","request",0,5,64,123456,123500,null,null,100000]]}}\n'
+    )
 
 
 def test_ack_slot_frame_bytes():
-    msg = SimMessage(8, MessageClass.MONITORING, MessageKind.REQUEST, 0, 5, 64, 123_456)
-    frame = encode_envelope(env.ack_slot(5, [(123_456, "comm", msg)], 950_000, done=True))
+    frame = encode_envelope(env.ack_slot(5, [(123_456, "comm", _POLL)], 950_000, done=True))
     assert frame == (
-        b'{"t":"ACK_SLOT","slot":5,"body":{"out":[{"at":123456,"to":"comm","msg":'
-        + json.dumps(msg.to_wire(), separators=(",", ":")).encode()
-        + b'}],"next":950000,"done":true}}\n'
+        b'{"t":"ACK_SLOT","slot":5,"body":{"out":[[123456,"comm",'
+        b'[8,"monitoring","request",0,5,64,123456,123500,null,null,100000]]],'
+        b'"next":950000,"done":true}}\n'
     )
     assert env.ack_slot(5, []).body == {"out": []}
 
@@ -144,8 +154,8 @@ def test_envelope_round_trip_property(envelope):
         assert [SimMessage.from_wire(m) for m in decoded.body["inbox"]] == [
             SimMessage.from_wire(m) for m in envelope.body["inbox"]]
     if decoded.type is EnvelopeType.ACK_SLOT:
-        assert [SimMessage.from_wire(e["msg"]) for e in decoded.body["out"]] == [
-            SimMessage.from_wire(e["msg"]) for e in envelope.body["out"]]
+        assert [SimMessage.from_wire(e[2]) for e in decoded.body["out"]] == [
+            SimMessage.from_wire(e[2]) for e in envelope.body["out"]]
 
 
 @given(_envelopes)

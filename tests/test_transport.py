@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import socket
+import threading
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -85,6 +86,37 @@ def test_transport_equivalence_on_full_scenario():
         (m.interval, m.msg_class, m.mean) for m in socketed.reliability
     ]
     assert inproc.conservation == socketed.conservation
+
+
+def _floats_and_bools(value, path=()):
+    """Paths to every float and bool inside decoded JSON ``value``."""
+    if isinstance(value, (bool, float)):
+        yield path
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _floats_and_bools(item, path + (index,))
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _floats_and_bools(item, path + (key,))
+
+
+def test_socket_frames_hold_no_float_and_no_bool_but_done(monkeypatch):
+    frames = []
+    encode = transport.encode_envelope
+
+    def recording_encode(envelope):
+        frames.append(encode(envelope))
+        return frames[-1]
+
+    monkeypatch.setattr(transport, "encode_envelope", recording_encode)
+    cfg = dataclasses.replace(ScenarioConfig(), duration_s=20.0, qos="wfq-ra", lte_fail_at_s=10.0)
+    cfg.validate()
+    run_scenario(cfg, transport="socket")
+    decoded = [json.loads(frame) for frame in frames]
+    assert {"JOIN", "JOIN_ACK", "GRANT", "ACK_SLOT"} <= {frame["t"] for frame in decoded}
+    assert any(frame["body"].get("inbox") for frame in decoded)
+    for frame in decoded:
+        assert [path for path in _floats_and_bools(frame) if path != ("body", "done")] == []
 
 
 class FinishingFederate(EchoFederate):
@@ -217,24 +249,38 @@ def _expect_malformed_ack(monkeypatch, ack_body):
 _WIRE_MSG = make_msg(1, 100).to_wire()
 
 
+def _wire_msg(index: int, value) -> list:
+    """``_WIRE_MSG`` with the field at ``index`` set to ``value``."""
+    msg = list(_WIRE_MSG)
+    msg[index] = value
+    return msg
+
+
 @pytest.mark.parametrize("entry", [
-    {"to": "good", "msg": _WIRE_MSG},
-    {"at": 100, "msg": _WIRE_MSG},
-    {"at": 100, "to": "good", "msg": {"cls": "x"}},
-    {"at": 100, "to": "good", "msg": {**_WIRE_MSG, "cls": "x"}},
-    {"at": 100, "to": "good", "msg": {**_WIRE_MSG, "kind": ["request"]}},
-    {"at": 100, "to": "good", "msg": 7},
-    {"at": "100", "to": "good", "msg": _WIRE_MSG},
-    {"at": 100, "to": ["good"], "msg": _WIRE_MSG},
-    {"at": 100, "to": "good", "msg": {**_WIRE_MSG, "id": "x"}},
-    {"at": 100, "to": "good", "msg": {**_WIRE_MSG, "src": 0.0}},
-    {"at": 100, "to": "good", "msg": {**_WIRE_MSG, "len": True}},
-    {"at": 100, "to": "good", "msg": {**_WIRE_MSG, "ct": 100.0}},
-    {"at": 100, "to": "good", "msg": {**_WIRE_MSG, "dct": 5.5}},
-    {"at": 100, "to": "good", "msg": {**_WIRE_MSG, "corr": "1"}},
+    [None, "good", _WIRE_MSG],
+    [100, None, _WIRE_MSG],
+    [100, "good", _wire_msg(0, None)],
+    [100, "good", _wire_msg(1, "x")],
+    [100, "good", _wire_msg(2, ["request"])],
+    [100, "good", 7],
+    ["100", "good", _WIRE_MSG],
+    [100, ["good"], _WIRE_MSG],
+    [100, "good", _wire_msg(0, "x")],
+    [100, "good", _wire_msg(3, 0.0)],
+    [100, "good", _wire_msg(5, True)],
+    [100, "good", _wire_msg(6, 100.0)],
+    [100, "good", _wire_msg(8, 5.5)],
+    [100, "good", _wire_msg(9, "1")],
     7,
+    [100, "good", _WIRE_MSG[:10]],
+    [100, "good", _WIRE_MSG + [0]],
+    [100, "good"],
+    [100, "good", dict(zip(["id", "cls", "kind", "src", "dst", "len", "ct", "sct", "dct", "corr",
+                            "ppt"], _WIRE_MSG))],
+    {"at": 100, "to": "good", "msg": _WIRE_MSG},
 ], ids=["no-at", "no-to", "no-id", "bad-cls", "unhashable-kind", "msg-not-object", "str-at", "list-to",
-        "str-id", "float-src", "bool-len", "float-ct", "float-dct", "str-corr", "entry-not-object"])
+        "str-id", "float-src", "bool-len", "float-ct", "float-dct", "str-corr", "entry-not-object",
+        "10-item-msg", "12-item-msg", "2-item-entry", "dict-msg", "dict-entry"])
 def test_malformed_publish_is_protocol_violation(monkeypatch, entry):
     _expect_malformed_ack(monkeypatch, {"out": [entry]})
 
@@ -260,6 +306,50 @@ def test_malformed_join_is_protocol_violation(monkeypatch, join_body):
                        timeout_s=5.0)
 
 
+class RecordingFederate:
+    name = "rec"
+    peer_name = "coordinator"
+
+    def __init__(self):
+        self.steps = []
+
+    def step(self, slot, slot_end_tick, inbox):
+        self.steps.append((slot, slot_end_tick, inbox))
+        return [], False
+
+
+@pytest.mark.parametrize("grant_body", [
+    {"end_ticks": 5000.0, "inbox": []},
+    {"end_ticks": True, "inbox": []},
+    {"end_ticks": "5000", "inbox": []},
+    {"inbox": []},
+    {"end_ticks": 5000},
+    {"end_ticks": 5000, "inbox": None},
+    {"end_ticks": 5000, "inbox": {"0": _WIRE_MSG}},
+    {"end_ticks": 5000, "inbox": [_wire_msg(6, 100.0)]},
+], ids=["float-end", "bool-end", "str-end", "no-end", "no-inbox", "null-inbox", "object-inbox",
+        "float-msg"])
+def test_malformed_grant_is_answered_with_error(monkeypatch, grant_body):
+    coordinator, federate_side = socket.socketpair()
+    monkeypatch.setattr(transport.socket, "create_connection", lambda address, timeout: federate_side)
+    federate = RecordingFederate()
+    client = threading.Thread(target=transport.run_federate_client, args=(("raw", 0), federate))
+    client.start()
+    try:
+        with coordinator.makefile("rb") as reader:
+            assert json.loads(reader.readline()) == {"t": "JOIN", "slot": 0, "body": {"name": "rec"}}
+            coordinator.sendall(b'{"t":"JOIN_ACK","slot":0,"body":{"fid":0}}\n')
+            _send_frame(coordinator, "GRANT", grant_body)
+            reply = json.loads(reader.readline())
+    finally:
+        coordinator.close()
+        client.join(timeout=5.0)
+    assert not client.is_alive()
+    assert reply["t"] == "ERROR" and reply["slot"] == 0
+    assert reply["body"]["code"] in ("ProtocolViolation", "TypeError")
+    assert federate.steps == []
+
+
 # ------------------------------------------------ any frame on the wire
 
 _JSON = st.recursive(
@@ -267,6 +357,21 @@ _JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=8,
 )
+
+
+def _mutated_list(draw, valid: list) -> list:
+    """``valid`` with up to two of its items set to random JSON, or one
+    item dropped or appended."""
+    out = list(valid)
+    action = draw(st.sampled_from(["set"] * 4 + ["drop", "append"]))
+    if action == "drop":
+        del out[draw(st.integers(0, len(out) - 1))]
+    elif action == "append":
+        out.append(draw(_JSON))
+    else:
+        for index in draw(st.lists(st.integers(0, len(out) - 1), max_size=2, unique=True)):
+            out[index] = draw(_JSON)
+    return out
 
 
 def _mutated(draw, valid: dict) -> dict:
@@ -284,7 +389,7 @@ def _mutated(draw, valid: dict) -> dict:
 def _ack_frames(draw):
     """An ACK_SLOT for the granted slot with random faults; now and then
     cut short, or random bytes instead."""
-    entry = _mutated(draw, {"at": 4000, "to": "peer", "msg": _mutated(draw, _WIRE_MSG)})
+    entry = _mutated_list(draw, [4000, "peer", _mutated_list(draw, _WIRE_MSG)])
     body = _mutated(draw, {"out": [entry] * draw(st.integers(0, 2)), "next": 9000, "done": False})
     frame = json.dumps(_mutated(draw, {"t": "ACK_SLOT", "slot": 4, "body": body})).encode() + b"\n"
     kind = draw(st.sampled_from(["whole"] * 6 + ["cut", "bytes"]))
