@@ -5,9 +5,10 @@ the fields ``{"t": <type>, "slot": <int>, "body": <object>}``, in that
 order.  All times on the wire are integer ticks; no floats ever cross a
 federate boundary, so both transports observe bit-identical state.
 A granted slot is one frame each way: ``GRANT`` carries the federate's
-inbox, and ``ACK_SLOT`` its publishes, its lookahead and whether it is done.
-A message travels as the positional list of ``SimMessage.to_wire``, and a
-publish as the list ``[at, to, msg]``: no key is repeated per message.
+inbox, and ``ACK_SLOT`` exactly its publishes and its lookahead, both
+required.  A message travels as the positional list of
+``SimMessage.to_wire``, and a publish as the list ``[at, to, msg]``: no key
+is repeated per message.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import enum
 import json
 from dataclasses import dataclass
 
-from .errors import DecodeError
+from .errors import DecodeError, shape
 from .messages import SimMessage
 
 
@@ -61,6 +62,8 @@ def decode_envelope(frame: bytes, offset: int = 0) -> FederateEnvelope:
     except json.JSONDecodeError as exc:
         at = offset + len(text[: exc.pos].encode())
         raise DecodeError(f"invalid JSON: {exc.msg}", at) from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise DecodeError(f"invalid JSON: {exc}", offset) from exc
     except RecursionError:
         raise DecodeError("JSON nested too deeply", offset) from None
     if type(data) is not dict:
@@ -70,7 +73,7 @@ def decode_envelope(frame: bytes, offset: int = 0) -> FederateEnvelope:
     try:
         env_type = _ENVELOPE_TYPES[data["t"]]
     except (KeyError, TypeError):
-        raise DecodeError(f"unknown envelope type {data['t']!r}", offset) from None
+        raise DecodeError(f"unknown envelope type: {shape(data['t'])}", offset) from None
     slot = data["slot"]
     if type(slot) is not int:
         raise DecodeError("slot must be an integer", offset)
@@ -98,17 +101,11 @@ def grant(slot: int, end_ticks: int, inbox: list[SimMessage]) -> FederateEnvelop
     )
 
 
-def ack_slot(slot: int, out: list[tuple[int, str, SimMessage]], next_tick: int | None = None,
-             done: bool = False) -> FederateEnvelope:
+def ack_slot(slot: int, out: list[tuple[int, str, SimMessage]], next_tick: int) -> FederateEnvelope:
     """Slot acknowledgment carrying the federate's ``(at_tick, to_name, msg)``
-    publishes, its lookahead ``next_tick`` if it declares one, and whether
-    it is done."""
-    body = {"out": [[at, to, msg.to_wire()] for at, to, msg in out]}
-    if next_tick is not None:
-        body["next"] = next_tick
-    if done:
-        body["done"] = True
-    return FederateEnvelope(EnvelopeType.ACK_SLOT, slot, body)
+    publishes and its lookahead ``next_tick``, -1 for every slot."""
+    return FederateEnvelope(EnvelopeType.ACK_SLOT, slot, {
+        "out": [[at, to, msg.to_wire()] for at, to, msg in out], "next": next_tick})
 
 
 def error(slot: int, code: str, detail: str) -> FederateEnvelope:

@@ -1,6 +1,14 @@
 """Exception types shared across the simulator."""
 
 
+def shape(value) -> str:
+    """What a peer sent, for an error message: its type, and the length of a
+    str, list or dict, but never the value, so the text stays bounded."""
+    if type(value) in (str, list, dict):
+        return f"a {type(value).__name__} of {len(value)}"
+    return f"a {type(value).__name__}"
+
+
 class GridCoSimError(Exception):
     """Base class for all simulator errors."""
 

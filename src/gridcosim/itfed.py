@@ -97,7 +97,6 @@ class ITFederate:
     def __init__(self, cfg: ScenarioConfig, nodes: list[NodeDescriptor]):
         self.cfg = cfg
         self._tau = cfg.tau_ticks
-        self._duration = cfg.duration_ticks
         self._interval_ticks = cfg.interval_ticks
         self._limit_ticks = {cls: cfg.delay_limit_ticks(cls) for cls in MessageClass}
 
@@ -263,7 +262,7 @@ class ITFederate:
 
     # ------------------------------------------------------------ stepping
 
-    def step(self, slot: int, slot_end_tick: int, inbox: list[SimMessage]) -> tuple[list[tuple[int, SimMessage]], bool]:
+    def step(self, slot: int, slot_end_tick: int, inbox: list[SimMessage]) -> tuple[list[tuple[int, SimMessage]], int]:
         now = slot * self._tau
         out: list[tuple[int, SimMessage]] = []
         for msg in inbox:
@@ -272,17 +271,17 @@ class ITFederate:
         if (self._poll_heap and self._poll_heap[0][0] < slot_end_tick) or self._next_control < slot_end_tick:
             for msg in self.generate_slot_traffic(slot):
                 out.append((msg.created_tick, msg))
-        return out, slot_end_tick >= self._duration
+        return out, self.next_event_tick()
 
     def next_event_tick(self) -> int:
         """Earliest tick whose slot must be granted even with an empty inbox.
 
-        That is the next poll or control burst, or the last tick of the run,
-        whichever comes first: a step in any earlier slot with an empty inbox
-        would emit nothing, change no state and not report done.  Scoring
-        waits for ``finalize_run``, so no slot is granted for bookkeeping.
+        That is the next poll or control burst, whichever comes first: a step
+        in any earlier slot with an empty inbox would emit nothing and change
+        no state.  Scoring waits for ``finalize_run``, so no slot is granted
+        for bookkeeping.
         """
-        tick = min(self._next_control, self._duration - 1)
+        tick = self._next_control
         if self._poll_heap and self._poll_heap[0][0] < tick:
             return self._poll_heap[0][0]
         return tick
@@ -302,6 +301,5 @@ class ITFederate:
             d_it = None if rec.delivered_tick is None else rec.delivered_tick - rec.created_tick
             rec.score = exchange_score(d_it, rec.created_tick, limits[rec.msg_class], end_tick)
         w = self._interval_ticks
-        rank = {cls: i for i, cls in enumerate(MessageClass)}
         # A stable sort keeps creation order within each (interval, class).
-        self.exchange_rows.sort(key=lambda rec: (rec.created_tick // w, rank[rec.msg_class]))
+        self.exchange_rows.sort(key=lambda rec: (rec.created_tick // w, _CLASS_CODE[rec.msg_class]))

@@ -5,6 +5,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from .errors import shape
+
 
 class MessageClass(enum.Enum):
     """Traffic class of an application message."""
@@ -88,17 +90,19 @@ class SimMessage:
         ``ppt`` may also be ``None``.
         """
         if type(data) is not list or len(data) != 11:
-            shape = f"a list of {len(data)}" if type(data) is list else f"a {type(data).__name__}"
-            raise TypeError(f"message must be a list of 11 fields, not {shape}")
+            raise TypeError(f"message must be a list of 11 fields, not {shape(data)}")
         mid, cls_value, kind_value, src, dst, size, ct, sct, dct, corr, ppt = data
         for value in (mid, src, dst, size, ct):
             if type(value) is not int:
-                raise TypeError(f"message id, src, dst, len and ct must be integers, not {value!r}")
+                raise TypeError(f"message id, src, dst, len and ct must be integers, not {shape(value)}")
         for value in (sct, dct, corr, ppt):
             if value is not None and type(value) is not int:
-                raise TypeError(f"message sct, dct, corr and ppt must be integers or null, not {value!r}")
-        return cls(mid, _CLASS_BY_VALUE[cls_value], _KIND_BY_VALUE[kind_value], src, dst, size,
-                   ct, sct, dct, corr, ppt)
+                raise TypeError(f"message sct, dct, corr and ppt must be integers or null, not {shape(value)}")
+        try:
+            msg_class, kind = _CLASS_BY_VALUE[cls_value], _KIND_BY_VALUE[kind_value]
+        except (KeyError, TypeError):
+            raise KeyError(f"unknown message class {shape(cls_value)} or kind {shape(kind_value)}") from None
+        return cls(mid, msg_class, kind, src, dst, size, ct, sct, dct, corr, ppt)
 
 
 @dataclass(slots=True)

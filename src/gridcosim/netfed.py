@@ -67,7 +67,6 @@ class NetFederate:
     def __init__(self, cfg: ScenarioConfig, nodes: list[NodeDescriptor]):
         self.cfg = cfg
         self._tau = cfg.tau_ticks
-        self._duration = cfg.duration_ticks
         self._interval_ticks = cfg.interval_ticks
 
         self._dms_id = next(n.id for n in nodes if n.kind is NodeKind.DMS)
@@ -144,7 +143,7 @@ class NetFederate:
 
     # ---------------------------------------------------------- federation
 
-    def step(self, slot: int, slot_end_tick: int, inbox: list[SimMessage]) -> tuple[list[tuple[int, SimMessage]], bool]:
+    def step(self, slot: int, slot_end_tick: int, inbox: list[SimMessage]) -> tuple[list[tuple[int, SimMessage]], int]:
         now = slot * self._tau
         events = self._events
 
@@ -174,16 +173,15 @@ class NetFederate:
             self._close_interval()
         out = self._out
         self._out = []
-        return out, slot_end_tick >= self._duration
+        return out, self.next_event_tick()
 
     def next_event_tick(self) -> int:
         """Earliest tick whose slot must be granted even with an empty inbox.
 
-        That is the next event, the last tick of the open interval (the
-        slot ending there closes it) or the last tick of the run, whichever
-        comes first.
+        That is the next event or the last tick of the open interval (the
+        slot ending there closes it), whichever comes first.
         """
-        tick = min(len(self._dmr_link.served_bits) * self._interval_ticks - 1, self._duration - 1)
+        tick = len(self._dmr_link.served_bits) * self._interval_ticks - 1
         if self._events and self._events[0][0] < tick:
             return self._events[0][0]
         return tick

@@ -13,15 +13,18 @@ transport-independent.  A publisher never repeats an id, so the order is
 total however many federates publish to one destination.
 
 Grants are conservative and lookahead-based, in the manner of HLA's Next
-Event Request and Chandy-Misra-Bryant simulation: after each step a
-federate declares ``next_event_tick()``, the earliest tick whose slot it
-must be granted even with an empty inbox.  Every slot is still a barrier
-and ``advance_slot`` still runs once per slot, but a federate is granted
-only the slots in which its inbox holds messages or its declared tick
-falls; a slot in which no federate is due costs a compare and a counter
-increment, and allocates nothing.  A federate is not stepped, and sees no
-grant, in the slots it declared no event for, so its state must change
-only when it is stepped.  A lookahead of -1 asks for every slot.
+Event Request and Chandy-Misra-Bryant simulation: each step returns the
+federate's outbox and its lookahead, the earliest tick whose slot it must
+be granted even with an empty inbox.  Every slot is still a barrier and
+``advance_slot`` still runs once per slot, but a federate is granted only
+the slots in which its inbox holds messages or its declared tick falls; a
+slot in which no federate is due costs a compare and a counter increment,
+and allocates nothing.  A federate is not stepped, and sees no grant, in
+the slots it declared no event for, so its state must change only when it
+is stepped.  A lookahead of -1 asks for every slot.
+
+The coordinator alone ends the run: ``run(n_slots)`` advances exactly
+``n_slots`` slots, and no federate is granted a slot for the horizon's sake.
 """
 
 from __future__ import annotations
@@ -40,16 +43,13 @@ class FederateEndpoint(Protocol):
 
     ``begin_step`` hands over the inbox and the grant; ``finish_step``
     blocks until the federate acknowledged the slot and returns
-    (outbox, done) where outbox items are (at_tick, to_name, message).
-    ``next_event_tick`` returns the federate's lookahead as of its last
-    step (see the module docstring); -1 asks for every slot.
+    (outbox, next_tick): outbox items are (at_tick, to_name, message), and
+    next_tick is the federate's lookahead (see the module docstring).
     """
 
     def begin_step(self, slot: int, slot_end_tick: int, inbox: list[SimMessage]) -> None: ...
 
-    def finish_step(self) -> tuple[list[tuple[int, str, SimMessage]], bool]: ...
-
-    def next_event_tick(self) -> int: ...
+    def finish_step(self) -> tuple[list[tuple[int, str, SimMessage]], int]: ...
 
 
 @dataclass(slots=True, eq=False)
@@ -111,9 +111,8 @@ class Rti:
         self.current_slot = 0
         self._started = False
         self._handles: list[_FederateHandle] = []
-        self._live: list[_FederateHandle] = []  # registered and not yet done
-        # Earliest cached lookahead of a live federate, or -1 while any
-        # inbox holds messages: no slot ending at or before it grants anyone.
+        # Earliest cached lookahead, or -1 while any inbox holds messages:
+        # no slot ending at or before it grants anyone.
         self._wake = -1
         self._by_name: dict[str, _FederateHandle] = {}
         self.published_total = 0
@@ -130,7 +129,6 @@ class Rti:
             raise DuplicateName(name)
         handle = _FederateHandle(len(self._handles), endpoint)
         self._handles.append(handle)
-        self._live.append(handle)
         self._by_name[name] = handle
         return handle.fid
 
@@ -184,20 +182,16 @@ class Rti:
         # The first slot always lands here: _wake starts at -1.
         self._started = True
         granted = []
-        for h in self._live:
+        for h in self._handles:
             inbox = h.inbox
             if inbox or h.next_tick < slot_end:
                 h.inbox = []
                 h.endpoint.begin_step(slot, slot_end, inbox)
                 granted.append(h)
         for h in granted:
-            outbox, done = h.endpoint.finish_step()
+            outbox, h.next_tick = h.endpoint.finish_step()
             for at_tick, to_name, msg in outbox:
                 self.publish(h.fid, msg, at_tick, to_name)
-            if done:
-                self._live.remove(h)
-            else:
-                h.next_tick = h.endpoint.next_event_tick()
 
         # Synchronization point: everything queued this slot is handed over,
         # ordered by (timestamp, id, publisher).  Nothing is ever held back.
@@ -219,13 +213,7 @@ class Rti:
             self.delivered_total += delivered
             self._wake = -1
             return SyncReport(delivered)
-        # The earliest lookahead of a live federate, -1 if none is live.
-        live = self._live
-        wake = live[0].next_tick if live else -1
-        for h in live:
-            if h.next_tick < wake:
-                wake = h.next_tick
-        self._wake = wake
+        self._wake = min(h.next_tick for h in self._handles)
         return _NOTHING_DELIVERED
 
     def run(self, n_slots: int) -> FederationResult:
@@ -235,13 +223,10 @@ class Rti:
         # One call per slot, looked up on the class once, so a wrapper set
         # on Rti.advance_slot before the run sees every slot.
         advance_slot = self.advance_slot
-        live = self._live  # shrinks in place as federates finish
-        slots = 0
-        while slots < n_slots and live:
+        for _ in range(n_slots):
             advance_slot()
-            slots += 1
         return FederationResult(
-            slots_run=slots,
+            slots_run=n_slots,
             messages_published=self.published_total,
             messages_delivered=self.delivered_total,
             wallclock_s=time.perf_counter() - t0,

@@ -16,7 +16,7 @@ from typing import Protocol
 
 from . import envelope as env
 from .envelope import EnvelopeType, FederateEnvelope, decode_envelope, encode_envelope
-from .errors import DecodeError, FederateTimeout, ProtocolViolation, UsageError
+from .errors import DecodeError, FederateTimeout, ProtocolViolation, UsageError, shape
 from .messages import SimMessage
 from .rti import FederationResult, Rti
 
@@ -28,10 +28,10 @@ DEFAULT_TIMEOUT_S = 30.0
 class LocalFederate(Protocol):
     """What a federate model must implement to join a federation.
 
-    A federate may also define ``next_event_tick() -> int``: the earliest
-    tick whose slot it must be granted even with an empty inbox.  The
-    coordinator then skips it in earlier slots without messages for it.
-    A federate without the method is granted every slot.
+    ``step`` returns the slot's ``(at_tick, message)`` publishes, all sent
+    to ``peer_name``, and the federate's lookahead: the earliest tick whose
+    slot it must be granted even with an empty inbox, -1 for every slot.
+    The coordinator skips it in earlier slots without messages for it.
     """
 
     name: str
@@ -39,12 +39,7 @@ class LocalFederate(Protocol):
 
     def step(
         self, slot: int, slot_end_tick: int, inbox: list[SimMessage]
-    ) -> tuple[list[tuple[int, SimMessage]], bool]: ...
-
-
-def _every_slot() -> int:
-    """Lookahead of a federate that declares none."""
-    return -1
+    ) -> tuple[list[tuple[int, SimMessage]], int]: ...
 
 
 class InprocEndpoint:
@@ -53,7 +48,6 @@ class InprocEndpoint:
     def __init__(self, federate: LocalFederate):
         self.federate = federate
         self._pending = None
-        self.next_event_tick = getattr(federate, "next_event_tick", _every_slot)
 
     def begin_step(self, slot: int, slot_end_tick: int, inbox: list[SimMessage]) -> None:
         self._pending = (slot, slot_end_tick, inbox)
@@ -62,8 +56,8 @@ class InprocEndpoint:
         slot, slot_end_tick, inbox = self._pending
         self._pending = None
         peer = self.federate.peer_name
-        outbox, done = self.federate.step(slot, slot_end_tick, inbox)
-        return [(at, peer, msg) for at, msg in outbox], done
+        outbox, next_tick = self.federate.step(slot, slot_end_tick, inbox)
+        return [(at, peer, msg) for at, msg in outbox], next_tick
 
 
 class _FrameStream:
@@ -107,11 +101,6 @@ class SocketEndpoint:
         self.stream = stream
         self.name = name
         self._slot = 0
-        self._next_tick = -1
-
-    def next_event_tick(self) -> int:
-        """The lookahead the federate sent with its last slot acknowledgment."""
-        return self._next_tick
 
     def begin_step(self, slot: int, slot_end_tick: int, inbox: list[SimMessage]) -> None:
         self._slot = slot
@@ -133,13 +122,11 @@ class SocketEndpoint:
             raise ProtocolViolation(f"unexpected {received.type.value} from federate {self.name}")
         if received.slot != self._slot:
             raise self._malformed(f"for slot {received.slot}, expected {self._slot}")
-        out, next_tick, done = body.get("out"), body.get("next", -1), body.get("done", False)
+        out, next_tick = body.get("out"), body.get("next")
         if type(out) is not list:
-            raise self._malformed(f"with out {out!r}, not a list")
+            raise self._malformed(f"with out {shape(out)}, not a list")
         if type(next_tick) is not int:
-            raise self._malformed(f"with lookahead {next_tick!r}")
-        if type(done) is not bool:
-            raise self._malformed(f"with done {done!r}, not a boolean")
+            raise self._malformed(f"with next {shape(next_tick)}, not an integer")
         outbox: list[tuple[int, str, SimMessage]] = []
         for entry in out:
             if type(entry) is not list or len(entry) != 3:
@@ -152,10 +139,9 @@ class SocketEndpoint:
                     f"with a malformed out entry ({type(exc).__name__}: {exc})"
                 ) from exc
             if type(at) is not int or type(to) is not str:
-                raise self._malformed(f"with an out entry at tick {at!r} to {to!r}")
+                raise self._malformed(f"with an out entry at {shape(at)} to {shape(to)}")
             outbox.append((at, to, msg))
-        self._next_tick = next_tick
-        return outbox, done
+        return outbox, next_tick
 
     def _malformed(self, detail: str) -> ProtocolViolation:
         return ProtocolViolation(
@@ -173,7 +159,6 @@ def run_federate_client(address: tuple[str, int], federate: LocalFederate,
     """
     sock = socket.create_connection(address, timeout=timeout_s)
     stream = _FrameStream(sock)
-    lookahead = getattr(federate, "next_event_tick", None)
     try:
         stream.send(env.join(federate.name))
         ack = stream.recv()
@@ -198,17 +183,16 @@ def run_federate_client(address: tuple[str, int], federate: LocalFederate,
             try:
                 if type(end_ticks) is not int or type(inbox) is not list:
                     raise ProtocolViolation(
-                        f"GRANT with end_ticks {end_ticks!r} and a {type(inbox).__name__} inbox"
+                        f"GRANT with end_ticks {shape(end_ticks)} and inbox {shape(inbox)}"
                     )
                 inbox = [SimMessage.from_wire(msg) for msg in inbox]
-                outbox, finished = federate.step(slot, end_ticks, inbox)
-                next_tick = lookahead() if lookahead is not None else None
+                outbox, next_tick = federate.step(slot, end_ticks, inbox)
             except Exception as exc:  # surface federate failures to the RTI
                 logger.exception("federate %s failed in slot %d", federate.name, slot)
                 stream.send(env.error(slot, type(exc).__name__, str(exc)))
                 return
             out = [(at_tick, peer, msg) for at_tick, msg in outbox]
-            stream.send(env.ack_slot(slot, out, next_tick, finished))
+            stream.send(env.ack_slot(slot, out, next_tick))
     finally:
         stream.close()
 
@@ -268,7 +252,7 @@ def run_federation(
                 raise ProtocolViolation("expected JOIN")
             name = joined.body.get("name")
             if type(name) is not str:
-                raise ProtocolViolation(f"JOIN must name the federate with a string, got {name!r}")
+                raise ProtocolViolation(f"JOIN must name the federate with a string, got {shape(name)}")
             fid = rti.register_federate(name, SocketEndpoint(stream, name))
             stream.send(env.join_ack(fid))
         result = rti.run(n_slots)

@@ -31,13 +31,13 @@ def test_grant_frame_bytes():
 
 
 def test_ack_slot_frame_bytes():
-    frame = encode_envelope(env.ack_slot(5, [(123_456, "comm", _POLL)], 950_000, done=True))
+    frame = encode_envelope(env.ack_slot(5, [(123_456, "comm", _POLL)], 950_000))
     assert frame == (
         b'{"t":"ACK_SLOT","slot":5,"body":{"out":[[123456,"comm",'
         b'[8,"monitoring","request",0,5,64,123456,123500,null,null,100000]]],'
-        b'"next":950000,"done":true}}\n'
+        b'"next":950000}}\n'
     )
-    assert env.ack_slot(5, []).body == {"out": []}
+    assert env.ack_slot(5, [], -1).body == {"out": [], "next": -1}
 
 
 def test_protocol_has_five_frame_types():
@@ -49,8 +49,8 @@ def test_round_trip_simple():
         env.join("it"),
         env.join_ack(0),
         env.grant(3, 4000, []),
-        env.ack_slot(3, []),
-        env.ack_slot(9, [], done=True),
+        env.ack_slot(3, [], -1),
+        env.ack_slot(9, [], 12_000),
         env.error(2, "boom", "detail text"),
     ):
         assert decode_envelope(encode_envelope(e)) == e
@@ -81,6 +81,19 @@ def test_wrong_fields_rejected():
         decode_envelope(b'{"t":[1],"slot":5,"body":{}}\n')
     with pytest.raises(DecodeError):
         decode_envelope(b'{"t":{},"slot":5,"body":{}}\n')
+
+
+@pytest.mark.parametrize("frame", [
+    b'{"t":"ACK_SLOT","slot":' + b"7" * 5000 + b',"body":{"out":[],"next":-1}}\n',
+    b'{"t":"ACK_SLOT","slot":4,"body":{"out":[[' + b"7" * 5000 + b',"comm",[]]],"next":-1}}\n',
+], ids=["huge-slot", "huge-at"])
+def test_huge_integer_decodes_or_is_decode_error(frame):
+    # Python 3.11 refuses to convert an integer literal of more than 4,300
+    # digits with a ValueError; 3.10 decodes it.  Nothing else may escape.
+    try:
+        decode_envelope(frame, offset=100)
+    except DecodeError as err:
+        assert err.offset == 100
 
 
 def test_decode_error_carries_offset():
@@ -140,8 +153,7 @@ _envelopes = st.one_of(
         env.ack_slot,
         _slots,
         st.lists(st.tuples(_ticks, st.sampled_from(["it", "comm"]), _messages), max_size=3),
-        st.none() | st.integers(min_value=-1, max_value=10**14),
-        st.booleans(),
+        st.integers(min_value=-1, max_value=10**14),
     ),
 )
 

@@ -213,16 +213,6 @@ def test_rate_update_rebuilds_schedule_evenly():
     assert first and first[0].created_tick == dues[0]
 
 
-def test_done_when_granted_past_horizon():
-    fed, cfg, _ = build_federate(duration_s=1.0)
-    tau = cfg.tau_ticks
-    _, done = fed.step(0, tau, [])
-    assert not done
-    last = cfg.n_slots - 1
-    _, done = fed.step(last, (last + 1) * tau, [])
-    assert done
-
-
 def test_poisson_arrivals_behind_config_switch():
     fed, cfg, _ = build_federate(duration_s=600.0, count_hva_lv=30, count_switch=0,
                                  monitor_ders=False, arrival_model="poisson")

@@ -27,16 +27,19 @@ NEVER = 1 << 62
 
 
 class EverySlot:
-    """Hides a federate's ``next_event_tick``, so it is granted every slot."""
+    """Replaces a federate's lookahead with -1, so it is granted every slot,
+    and counts its steps."""
 
     def __init__(self, federate):
         self.name = federate.name
         self.peer_name = federate.peer_name
-        self.step = federate.step
+        self.federate = federate
+        self.steps = 0
 
-
-def run_federation_every_slot(tau_ticks, n_slots, federates, **kwargs):
-    return run_federation(tau_ticks, n_slots, [EverySlot(f) for f in federates], **kwargs)
+    def step(self, slot, slot_end_tick, inbox):
+        self.steps += 1
+        outbox, _ = self.federate.step(slot, slot_end_tick, inbox)
+        return outbox, -1
 
 
 def outputs(cfg, **kwargs):
@@ -80,8 +83,15 @@ def small_configs(draw):
 @given(cfg=small_configs())
 def test_lookahead_grants_match_grant_every_slot(cfg):
     with_lookahead = outputs(cfg)
+    wrapped = []
+
+    def run_federation_every_slot(tau_ticks, n_slots, federates, **kwargs):
+        wrapped.extend(EverySlot(f) for f in federates)
+        return run_federation(tau_ticks, n_slots, wrapped, **kwargs)
+
     with mock.patch.object(runner, "run_federation", run_federation_every_slot):
         every_slot = outputs(cfg)
+    assert [f.steps for f in wrapped] == [cfg.n_slots, cfg.n_slots]
     assert with_lookahead == every_slot
 
 
@@ -107,8 +117,7 @@ def test_idle_steps_before_lookahead_are_no_ops(cfg, warmup):
             continue
         state = pickle.dumps(vars(federate))
         for slot in range(n, min(due_slot, n + 3000)):
-            assert federate.step(slot, (slot + 1) * tau, []) == ([], False)
-            assert federate.next_event_tick() == lookahead
+            assert federate.step(slot, (slot + 1) * tau, []) == ([], lookahead)
         assert pickle.dumps(vars(federate)) == state
 
 
@@ -123,14 +132,10 @@ class LookaheadFederate:
         self.slots_seen = []
         self.received = []
 
-    def next_event_tick(self):
-        end = (self.slots_seen[-1] + 1) * TAU
-        return next((t for t in self.events if t >= end), NEVER)
-
     def step(self, slot, slot_end_tick, inbox):
         self.slots_seen.append(slot)
         self.received.extend((slot, msg.id) for msg in inbox)
-        return self.script.get(slot, []), False
+        return self.script.get(slot, []), next((t for t in self.events if t >= slot_end_tick), NEVER)
 
 
 def test_only_due_federates_are_granted_but_every_slot_is_a_barrier():
@@ -170,6 +175,44 @@ def test_case_study_skips_most_grants():
     assert steps["comm"] < cfg.n_slots // 2
 
 
+def _horizon_off_the_slot_grid():
+    # The run ends at 200.005 s, inside its last 10 ms slot.
+    cfg = dataclasses.replace(ScenarioConfig(), duration_s=200.005, qos="wfq-ra", lte_fail_at_s=100.0)
+    cfg.validate()
+    return cfg
+
+
+def test_no_federate_is_granted_the_last_slot_for_the_horizon():
+    cfg = _horizon_off_the_slot_grid()
+    last = cfg.n_slots - 1
+    idle_in_last_slot = []
+
+    def watching(cls):
+        original = cls.step
+
+        def step(self, slot, slot_end_tick, inbox):
+            if slot != last:
+                return original(self, slot, slot_end_tick, inbox)
+            state = pickle.dumps(vars(self))
+            outbox, next_tick = original(self, slot, slot_end_tick, inbox)
+            if not inbox and not outbox and pickle.dumps(vars(self)) == state:
+                idle_in_last_slot.append(self.name)
+            return outbox, next_tick
+        return step
+
+    with mock.patch.object(ITFederate, "step", watching(ITFederate)), \
+            mock.patch.object(NetFederate, "step", watching(NetFederate)):
+        result = runner.run_scenario(cfg)
+    assert result.federation.slots_run == cfg.n_slots
+    # A step there with nothing due would receive, send and change nothing.
+    assert idle_in_last_slot == []
+
+
+def test_horizon_off_the_slot_grid_matches_across_transports():
+    cfg = _horizon_off_the_slot_grid()
+    assert outputs(cfg, transport="socket") == outputs(cfg)
+
+
 def test_run_calls_advance_slot_on_the_class_once_per_slot():
     # The layer trace wraps Rti.advance_slot on the class and reads each
     # report; criterion 7 needs a call on every slot, idle ones included.
@@ -194,7 +237,7 @@ def test_ack_slot_carries_lookahead():
     frame = encode_envelope(env.ack_slot(7, [], 123_000))
     assert frame == b'{"t":"ACK_SLOT","slot":7,"body":{"out":[],"next":123000}}\n'
     assert decode_envelope(frame) == env.ack_slot(7, [], 123_000)
-    assert env.ack_slot(7, []).body == {"out": []}
+    assert env.ack_slot(7, [], -1).body == {"out": [], "next": -1}
 
 
 def _ack_through_socket(ack):
@@ -204,8 +247,7 @@ def _ack_through_socket(ack):
     try:
         endpoint.begin_step(4, 5 * TAU, [])
         far.send(ack)
-        endpoint.finish_step()
-        return endpoint.next_event_tick()
+        return endpoint.finish_step()[1]
     finally:
         endpoint.stream.close()
         far.close()
@@ -213,8 +255,8 @@ def _ack_through_socket(ack):
 
 def test_socket_endpoint_caches_lookahead():
     assert _ack_through_socket(env.ack_slot(4, [], 9 * TAU)) == 9 * TAU
-    # A federate declaring no lookahead is granted every slot.
-    assert _ack_through_socket(env.ack_slot(4, [])) == -1
+    # A federate that wants every slot sends -1.
+    assert _ack_through_socket(env.ack_slot(4, [], -1)) == -1
 
 
 def test_socket_endpoint_rejects_malformed_lookahead():
@@ -226,4 +268,4 @@ def test_socket_endpoint_rejects_malformed_lookahead():
 
 def test_socket_endpoint_rejects_ack_for_another_slot():
     with pytest.raises(ProtocolViolation, match="ACK_SLOT ending at byte .* for slot 5, expected 4"):
-        _ack_through_socket(env.ack_slot(5, []))
+        _ack_through_socket(env.ack_slot(5, [], -1))

@@ -22,11 +22,10 @@ def make_msg(mid: int, created: int) -> SimMessage:
 class ScriptedFederate:
     """Publishes a fixed per-slot script and logs what it receives."""
 
-    def __init__(self, name: str, peer: str, script=None, done_at=None):
+    def __init__(self, name: str, peer: str, script=None):
         self.name = name
         self.peer_name = peer
         self.script = script or {}
-        self.done_at = done_at
         self.received: list[tuple[int, int]] = []  # (now_tick, message id)
         self.slots_seen: list[int] = []
 
@@ -35,12 +34,11 @@ class ScriptedFederate:
         self.slots_seen.append(slot)
         for msg in inbox:
             self.received.append((now, msg.id))
-        outbox = self.script.get(slot, [])
-        return outbox, self.done_at is not None and slot >= self.done_at
+        return self.script.get(slot, []), -1
 
 
-def run_pair(script_a=None, script_b=None, n_slots=4, done_at=None):
-    fed_a = ScriptedFederate("a", "b", script_a, done_at=done_at)
+def run_pair(script_a=None, script_b=None, n_slots=4):
+    fed_a = ScriptedFederate("a", "b", script_a)
     fed_b = ScriptedFederate("b", "a", script_b)
     result = run_federation(TAU, n_slots, [fed_a, fed_b])
     return fed_a, fed_b, result
@@ -105,14 +103,13 @@ class StubEndpoint:
 
     ``outbox`` is published when first granted, and ``script`` maps a slot
     to the outbox published when granted in it; items are (at_tick,
-    to_name, message).  From slot ``done_at`` on the endpoint is done.
+    to_name, message).  Every step declares ``lookahead``.
     """
 
-    def __init__(self, outbox=(), lookahead=-1, script=None, done_at=None):
+    def __init__(self, outbox=(), lookahead=-1, script=None):
         self.outbox = list(outbox)
         self.lookahead = lookahead
         self.script = script or {}
-        self.done_at = done_at
         self.inboxes: list[list[SimMessage]] = []
         self.slot = None
 
@@ -122,10 +119,7 @@ class StubEndpoint:
 
     def finish_step(self):
         outbox, self.outbox = self.outbox + self.script.get(self.slot, []), []
-        return outbox, self.done_at is not None and self.slot >= self.done_at
-
-    def next_event_tick(self):
-        return self.lookahead
+        return outbox, self.lookahead
 
 
 def stub_rti(endpoints: dict[str, StubEndpoint]) -> Rti:
@@ -149,7 +143,7 @@ def test_same_tick_and_id_from_two_publishers_delivered_in_publisher_order(publi
 
 @st.composite
 def _stub_scripts(draw):
-    """2-3 stub endpoints with random outboxes and random done slots.
+    """2-3 stub endpoints with random outboxes.
 
     Each case draws which faults it may hold (ticks outside the slot,
     unknown destinations, ids repeated by one publisher), so that runs
@@ -172,54 +166,47 @@ def _stub_scripts(draw):
             # with one (tick, id) differ, and a sort reaching them would fail.
             msg = dataclasses.replace(make_msg(mid, at), payload_bytes=64 + fid)
             script[slot].append((at, dest, msg))
-        done_at = draw(st.none() | st.integers(min_value=0, max_value=n_slots - 1))
-        endpoints[name] = StubEndpoint(script=dict(script), done_at=done_at)
+        endpoints[name] = StubEndpoint(script=dict(script))
     return n_slots, endpoints
 
 
 def reference_delivery(n_slots, endpoints):
-    """Replay stub scripts as the coordinator must: every live endpoint is
+    """Replay stub scripts as the coordinator must: every endpoint is
     granted every slot, its publishes are checked in order, and each
     destination's queue is delivered sorted by (tick, id, publisher fid).
 
-    Returns (the first violation's wording or None, slots run, the messages
-    each endpoint is handed, in order).
+    Returns (the first violation's wording or None, the messages each
+    endpoint is handed, in order).
     """
     names = list(endpoints)
-    live = list(names)
     inbox = {name: [] for name in names}
     handed = {name: [] for name in names}
     seen = set()
-    slot = 0
-    while slot < n_slots and live:
-        for name in live:
+    for slot in range(n_slots):
+        for name in names:
             handed[name] += inbox[name]
             inbox[name] = []
         queues = defaultdict(list)
-        for name in list(live):
-            fid = names.index(name)
+        for fid, name in enumerate(names):
             for at, to, msg in endpoints[name].script.get(slot, []):
                 if not slot * TAU <= at < (slot + 1) * TAU:
-                    return "outside granted slot", slot, handed
+                    return "outside granted slot", handed
                 if to not in names:
-                    return "unknown destination", slot, handed
+                    return "unknown destination", handed
                 if (fid, msg.id) in seen:
-                    return "republished message id", slot, handed
+                    return "republished message id", handed
                 seen.add((fid, msg.id))
                 queues[to].append(((at, msg.id, fid), msg))
-            if endpoints[name].done_at is not None and slot >= endpoints[name].done_at:
-                live.remove(name)
         for to, queue in queues.items():
             inbox[to] += [msg for _, msg in sorted(queue, key=lambda item: item[0])]
-        slot += 1
-    return None, slot, handed
+    return None, handed
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=_stub_scripts())
 def test_any_outbox_runs_or_is_a_protocol_violation_and_delivery_is_totally_ordered(case):
     n_slots, endpoints = case
-    violation, slots_run, handed = reference_delivery(n_slots, endpoints)
+    violation, handed = reference_delivery(n_slots, endpoints)
     rti = stub_rti(endpoints)
     try:
         result = rti.run(n_slots)
@@ -227,7 +214,7 @@ def test_any_outbox_runs_or_is_a_protocol_violation_and_delivery_is_totally_orde
         assert violation is not None and violation in str(exc)
     else:
         assert violation is None
-        assert result.slots_run == slots_run
+        assert result.slots_run == n_slots
     for name, endpoint in endpoints.items():
         assert [msg for inbox in endpoint.inboxes for msg in inbox] == handed[name]
 
@@ -290,20 +277,6 @@ def test_exactly_once_counts():
     assert result.messages_delivered == 4
     assert len(fed_b.received) == 4
     assert len({mid for _, mid in fed_b.received}) == 4
-
-
-def test_done_federate_does_not_stop_federation():
-    fed_a, fed_b, result = run_pair(n_slots=5, done_at=1)
-    assert result.slots_run == 5
-    assert fed_a.slots_seen == [0, 1]
-    assert fed_b.slots_seen == [0, 1, 2, 3, 4]
-
-
-def test_all_done_ends_run_early():
-    fed_a = ScriptedFederate("a", "b", done_at=1)
-    fed_b = ScriptedFederate("b", "a", done_at=1)
-    result = run_federation(TAU, 100, [fed_a, fed_b])
-    assert result.slots_run == 2
 
 
 def test_federation_requires_two_federates():
@@ -371,7 +344,7 @@ class ForwardingFederate:
                 value = self.received[value % len(self.received)]
             at = slot * TAU + pos
             outbox.append((at, make_msg(value, at)))
-        return outbox, False
+        return outbox, -1
 
 
 class LoggingRti(Rti):
@@ -474,7 +447,7 @@ class _Forwarder:
     name, peer_name = "forwarder", "source"
 
     def step(self, slot, slot_end_tick, inbox):
-        return [(slot * TAU, msg) for msg in inbox], False
+        return [(slot * TAU, msg) for msg in inbox], -1
 
 
 def test_duplicate_id_check_memory_stays_small_for_dense_ids():

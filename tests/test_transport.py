@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from gridcosim import transport
 from gridcosim.config import ScenarioConfig
-from gridcosim.errors import DecodeError, ProtocolViolation
+from gridcosim.errors import DecodeError, GridCoSimError, ProtocolViolation
 from gridcosim.messages import MessageClass, MessageKind, SimMessage
 from gridcosim.runner import run_scenario
 from gridcosim.transport import parse_listen_address, run_federation
@@ -37,7 +37,7 @@ class EchoFederate:
                 self._next_id += 1
                 outbox.append((now, SimMessage(self._next_id, msg.msg_class, MessageKind.CONTROL_ACK,
                                                msg.dst, msg.src, 100, now, correlation_id=msg.id)))
-        return outbox, False
+        return outbox, -1
 
 
 class FailingFederate:
@@ -101,6 +101,7 @@ def _floats_and_bools(value, path=()):
 
 
 def test_socket_frames_hold_no_float_and_no_bool_but_done(monkeypatch):
+    # No frame holds a bool at all: the lookahead is an int, -1 for every slot.
     frames = []
     encode = transport.encode_envelope
 
@@ -116,26 +117,7 @@ def test_socket_frames_hold_no_float_and_no_bool_but_done(monkeypatch):
     assert {"JOIN", "JOIN_ACK", "GRANT", "ACK_SLOT"} <= {frame["t"] for frame in decoded}
     assert any(frame["body"].get("inbox") for frame in decoded)
     for frame in decoded:
-        assert [path for path in _floats_and_bools(frame) if path != ("body", "done")] == []
-
-
-class FinishingFederate(EchoFederate):
-    """Echoes like its parent and reports itself done from slot 3 on."""
-
-    def step(self, slot, slot_end_tick, inbox):
-        outbox, _ = super().step(slot, slot_end_tick, inbox)
-        return outbox, slot >= 3
-
-
-def test_done_flag_ends_the_run_on_both_transports():
-    inproc, socketed = [
-        run_federation(1000, 10, [FinishingFederate("a", "b", _script()),
-                                  FinishingFederate("b", "a")], transport=kind)
-        for kind in ("inproc", "socket")
-    ]
-    assert inproc.slots_run == socketed.slots_run == 4
-    assert inproc.trace_digest == socketed.trace_digest
-    assert inproc.messages_published == socketed.messages_published
+        assert list(_floats_and_bools(frame)) == []
 
 
 def test_federate_crash_surfaces_as_protocol_error():
@@ -158,7 +140,7 @@ class StalledFederate:
         import time
 
         time.sleep(2.0)
-        return [], False
+        return [], -1
 
 
 def test_slow_federate_times_out():
@@ -179,12 +161,9 @@ class LateFederate:
     def __init__(self):
         self.slots_seen = []
 
-    def next_event_tick(self):
-        return 50_000 if 50 not in self.slots_seen else 1 << 62
-
     def step(self, slot, slot_end_tick, inbox):
         self.slots_seen.append(slot)
-        return [], False
+        return [], 50_000 if slot < 50 else 1 << 62
 
 
 class BusyFederate:
@@ -195,7 +174,7 @@ class BusyFederate:
         import time
 
         time.sleep(0.01)
-        return [], False
+        return [], -1
 
 
 def test_ungranted_socket_federate_outlasts_timeout():
@@ -208,7 +187,8 @@ def test_ungranted_socket_federate_outlasts_timeout():
 
 
 class RawFederate:
-    """Stands for a client that writes its own frames on a raw socket."""
+    """Stands for a client that writes its own frames on a raw socket;
+    ``ack_body`` may also be the whole ACK_SLOT frame as bytes."""
 
     name = "raw"
     peer_name = "good"
@@ -235,15 +215,23 @@ def _raw_client(address, federate, *, timeout_s):
             return  # the coordinator refused the join and closed the stream
         while not reader.readline().startswith(b'{"t":"GRANT"'):
             pass
-        _send_frame(sock, "ACK_SLOT", federate.ack_body)
+        if isinstance(federate.ack_body, bytes):
+            sock.sendall(federate.ack_body)
+        else:
+            _send_frame(sock, "ACK_SLOT", federate.ack_body)
         reader.read()
 
 
-def _expect_malformed_ack(monkeypatch, ack_body):
+def _run_with_raw_ack(monkeypatch, ack_body):
     monkeypatch.setattr(transport, "run_federate_client", _raw_client)
     good = EchoFederate("good", "raw")
-    with pytest.raises(ProtocolViolation, match=r"federate raw .*ACK_SLOT ending at byte \d+"):
-        run_federation(1000, 3, [RawFederate(ack_body), good], transport="socket", timeout_s=5.0)
+    run_federation(1000, 3, [RawFederate(ack_body), good], transport="socket", timeout_s=5.0)
+
+
+def _expect_malformed_ack(monkeypatch, ack_body):
+    with pytest.raises(ProtocolViolation, match=r"federate raw .*ACK_SLOT ending at byte \d+") as err:
+        _run_with_raw_ack(monkeypatch, ack_body)
+    return err.value
 
 
 _WIRE_MSG = make_msg(1, 100).to_wire()
@@ -282,7 +270,7 @@ def _wire_msg(index: int, value) -> list:
         "str-id", "float-src", "bool-len", "float-ct", "float-dct", "str-corr", "entry-not-object",
         "10-item-msg", "12-item-msg", "2-item-entry", "dict-msg", "dict-entry"])
 def test_malformed_publish_is_protocol_violation(monkeypatch, entry):
-    _expect_malformed_ack(monkeypatch, {"out": [entry]})
+    _expect_malformed_ack(monkeypatch, {"out": [entry], "next": -1})
 
 
 @pytest.mark.parametrize("ack_body", [
@@ -292,9 +280,35 @@ def test_malformed_publish_is_protocol_violation(monkeypatch, entry):
     {"out": [], "done": 1},
     {"out": [], "done": "true"},
     {"out": [], "next": 5.0},
-], ids=["no-out", "object-out", "null-out", "int-done", "str-done", "float-next"])
+    {"out": []},
+    {"out": [], "next": None},
+    {"out": [], "next": True},
+], ids=["no-out", "object-out", "null-out", "int-done", "str-done", "float-next", "no-next",
+        "null-next", "bool-next"])
 def test_malformed_ack_slot_is_protocol_violation(monkeypatch, ack_body):
     _expect_malformed_ack(monkeypatch, ack_body)
+
+
+@pytest.mark.parametrize("ack_body", [
+    {"out": "x" * 1_000_000, "next": -1},
+    {"out": [], "next": "x" * 1_000_000},
+    {"out": [[100, ["x"] * 200_000, _WIRE_MSG]], "next": -1},
+    {"out": [[100, "good", _wire_msg(0, "x" * 1_000_000)]], "next": -1},
+    {"out": [[100, "good", _wire_msg(1, "x" * 1_000_000)]], "next": -1},
+], ids=["str-out", "str-next", "list-to", "str-id", "str-cls"])
+def test_protocol_violation_text_is_bounded(monkeypatch, ack_body):
+    # What the peer sent is named by its type and length, never copied.
+    assert len(str(_expect_malformed_ack(monkeypatch, ack_body))) < 500
+
+
+def test_huge_integer_in_ack_slot_ends_the_run_with_a_simulator_error(monkeypatch):
+    # Python 3.11 refuses the 5,000-digit literal while decoding; 3.10
+    # decodes it, and the tick then lies outside the granted slot.
+    msg = json.dumps(_WIRE_MSG, separators=(",", ":")).encode()
+    frame = (b'{"t":"ACK_SLOT","slot":0,"body":{"out":[[' + b"7" * 5000 + b',"good",' + msg
+             + b']],"next":-1}}\n')
+    with pytest.raises(GridCoSimError):
+        _run_with_raw_ack(monkeypatch, frame)
 
 
 @pytest.mark.parametrize("join_body", [{}, {"name": ["raw"]}], ids=["no-name", "list-name"])
@@ -315,7 +329,7 @@ class RecordingFederate:
 
     def step(self, slot, slot_end_tick, inbox):
         self.steps.append((slot, slot_end_tick, inbox))
-        return [], False
+        return [], -1
 
 
 @pytest.mark.parametrize("grant_body", [
@@ -390,7 +404,7 @@ def _ack_frames(draw):
     """An ACK_SLOT for the granted slot with random faults; now and then
     cut short, or random bytes instead."""
     entry = _mutated_list(draw, [4000, "peer", _mutated_list(draw, _WIRE_MSG)])
-    body = _mutated(draw, {"out": [entry] * draw(st.integers(0, 2)), "next": 9000, "done": False})
+    body = _mutated(draw, {"out": [entry] * draw(st.integers(0, 2)), "next": 9000})
     frame = json.dumps(_mutated(draw, {"t": "ACK_SLOT", "slot": 4, "body": body})).encode() + b"\n"
     kind = draw(st.sampled_from(["whole"] * 6 + ["cut", "bytes"]))
     if kind == "bytes":
