@@ -9,6 +9,21 @@ def shape(value) -> str:
     return f"a {type(value).__name__}"
 
 
+# The longest peer string an error message quotes.
+QUOTE_LIMIT = 200
+
+
+def quotable(value) -> bool:
+    """Whether an error message may quote a peer value: a printable str of at
+    most ``QUOTE_LIMIT`` characters, whose repr stays bounded and on one line."""
+    return type(value) is str and len(value) <= QUOTE_LIMIT and value.isprintable()
+
+
+def quote(value) -> str:
+    """What a peer sent, for an error message: its repr if ``quotable``, else its ``shape``."""
+    return repr(value) if quotable(value) else shape(value)
+
+
 class GridCoSimError(Exception):
     """Base class for all simulator errors."""
 

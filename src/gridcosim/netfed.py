@@ -12,6 +12,12 @@ last segment's acknowledgement has come back.
 With the rate-adapting discipline, the LTE failure additionally emits an
 application-layer notification telling the management system the polling
 period that fits the remaining DMR budget.
+
+The federate's lookahead is the earliest tick at which it may publish or
+must close a reporting interval, not its next internal event: a segment's
+completion or landing only leads to a delivery at least one link latency
+later.  The events in between wait and run at the next grant, before its
+arrivals, in the same order.
 """
 
 from __future__ import annotations
@@ -32,12 +38,11 @@ from .messages import (
 from .simtime import TICKS_PER_SECOND, ticks_from_seconds
 from .topology import monitored_nodes
 
-# Event kinds, run in this order within a tick.  A frame lands one latency
-# after its completion: a data segment, whose ACK then enters the same link,
-# or a last ACK, which delivers its message.  One kind serves both exactly: a
-# delivery pushes no event and touches only its message and ``_out``, which
-# ``Rti`` sorts by (tick, id, fid), so it commutes with the other landings at
-# its tick.  ``_eseq`` makes heap keys unique: two links are never compared.
+# Event kinds, run in this order within a tick.  A data segment lands one
+# latency after its completion, and its ACK then enters the same link.  A
+# last ACK delivers its message one latency after its completion; that goes
+# to ``_deliveries``, not here.  ``_eseq`` makes heap keys unique: two links
+# are never compared.
 _LTE_FAIL = 0
 _LTE_RESTORE = 1
 _COMPLETION = 2
@@ -90,6 +95,9 @@ class NetFederate:
         # (tick, kind, seq, link, frame); the outage events carry None, None.
         self._events: list[tuple[int, int, int, LinkModel | None, TransportFrame | None]] = []
         self._eseq = 0
+        # (tick, id, message) of each message whose last ACK has completed.
+        self._deliveries: list[tuple[int, int, SimMessage]] = []
+        self._min_latency = min(link.latency_ticks for link in self.links)
         self._fseq = 0
         self._next_msg_id = 1  # odd ids; the application federate uses even ones
         # Messages in the network by id, from ingress until delivered or lost.
@@ -107,6 +115,9 @@ class NetFederate:
             self._push(ticks_from_seconds(cfg.lte_fail_at_s), _LTE_FAIL, None, None)
         if cfg.lte_restore_at_s is not None:
             self._push(ticks_from_seconds(cfg.lte_restore_at_s), _LTE_RESTORE, None, None)
+        # The ticks of the outage events still to run, in firing order.
+        self._outages = sorted(event[0] for event in self._events)
+        self._lookahead = self.next_event_tick()
 
     # --------------------------------------------------------------- setup
 
@@ -144,28 +155,22 @@ class NetFederate:
     # ---------------------------------------------------------- federation
 
     def step(self, slot: int, slot_end_tick: int, inbox: list[SimMessage]) -> tuple[list[tuple[int, SimMessage]], int]:
+        if not inbox and slot_end_tick <= self._lookahead:
+            return [], self._lookahead
         now = slot * self._tau
-        events = self._events
-
-        # Link state changes scheduled exactly at the slot boundary take
-        # effect before this slot's arrivals are routed.
-        while events and events[0][0] == now and events[0][1] <= _LTE_RESTORE:
-            if heapq.heappop(events)[1] == _LTE_FAIL:
-                self._on_lte_failure(now)
-            else:
-                self._on_lte_restore()
+        # The events that waited since the last grant, and link state changes
+        # exactly at the slot boundary, run before this slot's arrivals are routed.
+        self._run_events((now, _COMPLETION))
         for msg in inbox:
             self._ingress(msg, now)
-        while events and events[0][0] < slot_end_tick:
-            tick, kind, _seq, link, frame = heapq.heappop(events)
-            if kind == _LANDING:
-                self._on_landing(tick, link, frame)
-            elif kind == _COMPLETION:
-                self._on_completion(tick, link, frame)
-            elif kind == _LTE_FAIL:
-                self._on_lte_failure(tick)
-            else:
-                self._on_lte_restore()
+        self._run_events((slot_end_tick,))
+        deliveries = self._deliveries
+        while deliveries and deliveries[0][0] < slot_end_tick:
+            tick, _id, msg = heapq.heappop(deliveries)
+            msg.delivered_comm_tick = tick
+            self.delivered[msg.msg_class] += 1
+            del self._transfers[msg.id]
+            self._out.append((tick, msg))
 
         # An interval is whole slots and the lookahead grants the slot ending
         # at its end, so every later event books into the entry opened here.
@@ -173,18 +178,49 @@ class NetFederate:
             self._close_interval()
         out = self._out
         self._out = []
-        return out, self.next_event_tick()
+        self._lookahead = self.next_event_tick()
+        return out, self._lookahead
 
     def next_event_tick(self) -> int:
-        """Earliest tick whose slot must be granted even with an empty inbox.
+        """Earliest tick at which this federate may publish or must close an
+        interval, so its slot must be granted even with an empty inbox.
 
-        That is the next event or the last tick of the open interval (the
-        slot ending there closes it), whichever comes first.
+        That is the next delivery, the next outage (the rate-adapting
+        discipline publishes there), the last tick of the open interval (the
+        slot ending there closes it), or the next event plus the shortest
+        link latency, whichever comes first: a completion or landing leads
+        to a delivery at least one latency later.
         """
         tick = len(self._dmr_link.served_bits) * self._interval_ticks - 1
-        if self._events and self._events[0][0] < tick:
-            return self._events[0][0]
+        if self._events and self._events[0][0] + self._min_latency < tick:
+            tick = self._events[0][0] + self._min_latency
+        if self._deliveries and self._deliveries[0][0] < tick:
+            tick = self._deliveries[0][0]
+        if self._outages and self._outages[0] < tick:
+            tick = self._outages[0]
         return tick
+
+    def finalize_run(self, end_tick: int) -> None:
+        """Run the events before ``end_tick`` that no grant reached, so that
+        the open interval's link records hold them.  None of them delivers
+        before ``end_tick``: the lookahead bounds every delivery from below."""
+        self._run_events((end_tick,))
+
+    def _run_events(self, until: tuple[int, ...]) -> None:
+        """Run the events whose (tick, kind) key is ordered before ``until``."""
+        events = self._events
+        while events and events[0] < until:
+            tick, kind, _seq, link, frame = heapq.heappop(events)
+            if kind == _LANDING:
+                self._on_landing(tick, link, frame)
+            elif kind == _COMPLETION:
+                self._on_completion(tick, link, frame)
+            else:
+                self._outages.pop(0)
+                if kind == _LTE_FAIL:
+                    self._on_lte_failure(tick)
+                else:
+                    self._on_lte_restore()
 
     def _push(self, tick: int, kind: int, link: LinkModel | None, frame: TransportFrame | None) -> None:
         self._eseq += 1
@@ -248,21 +284,20 @@ class NetFederate:
                 i += 1
         # A class is served first-in first-out, so the last ACK is the
         # message's last frame on the link: a failure from here on finds none
-        # of its frames and cannot lose it.
-        if (frame.last or not frame.is_ack) and frame.msg_id in self._transfers:
-            self._push(tick + link.latency_ticks, _LANDING, link, frame)
+        # of its frames and cannot lose it, and it is delivered for certain.
+        msg = self._transfers.get(frame.msg_id)
+        if msg is not None:
+            if not frame.is_ack:
+                self._push(tick + link.latency_ticks, _LANDING, link, frame)
+            elif frame.last:
+                heapq.heappush(self._deliveries, (tick + link.latency_ticks, msg.id, msg))
         self._serve(link, tick)
 
     def _on_landing(self, tick: int, link: LinkModel, frame: TransportFrame) -> None:
         msg = self._transfers.get(frame.msg_id)
         if msg is None:
             return  # lost to a failure while the segment was in flight
-        if frame.is_ack:
-            msg.delivered_comm_tick = tick
-            self.delivered[msg.msg_class] += 1
-            del self._transfers[msg.id]
-            self._out.append((tick, msg))
-        elif not link.up:
+        if not link.up:
             # The ACK would go back over a link that has since failed.
             self.lost_failure[msg.msg_class] += 1
             del self._transfers[msg.id]

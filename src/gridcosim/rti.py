@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from .errors import DuplicateName, FederationStarted, ProtocolViolation
+from .errors import DuplicateName, FederationStarted, ProtocolViolation, quote
 from .messages import SimMessage
 
 
@@ -148,7 +148,7 @@ class Rti:
             )
         to = self._by_name.get(to_name)
         if to is None:
-            raise ProtocolViolation(f"unknown destination federate {to_name!r}")
+            raise ProtocolViolation(f"unknown destination federate {quote(to_name)}")
         # The same application message may cross the barrier once per hop
         # (request out, delivery notification back), but a single federate
         # republishing an id indicates a bookkeeping bug.  The check is exact

@@ -62,6 +62,7 @@ def run_scenario(
     )
     end_tick = federation.slots_run * cfg.tau_ticks
     it_federate.finalize_run(end_tick)
+    net_federate.finalize_run(end_tick)
 
     legs = it_federate.comm_legs
     return RunResult(

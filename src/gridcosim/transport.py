@@ -16,7 +16,8 @@ from typing import Protocol
 
 from . import envelope as env
 from .envelope import EnvelopeType, FederateEnvelope, decode_envelope, encode_envelope
-from .errors import DecodeError, FederateTimeout, ProtocolViolation, UsageError, shape
+from .errors import (QUOTE_LIMIT, DecodeError, FederateTimeout, ProtocolViolation, UsageError,
+                     quotable, quote, shape)
 from .messages import SimMessage
 from .rti import FederationResult, Rti
 
@@ -116,7 +117,7 @@ class SocketEndpoint:
         body = received.body
         if received.type is EnvelopeType.ERROR:
             raise ProtocolViolation(
-                f"federate {self.name} failed: {body.get('code')}: {body.get('detail')}"
+                f"federate {self.name} failed: {quote(body.get('code'))}: {quote(body.get('detail'))}"
             )
         if received.type is not EnvelopeType.ACK_SLOT:
             raise ProtocolViolation(f"unexpected {received.type.value} from federate {self.name}")
@@ -127,6 +128,8 @@ class SocketEndpoint:
             raise self._malformed(f"with out {shape(out)}, not a list")
         if type(next_tick) is not int:
             raise self._malformed(f"with next {shape(next_tick)}, not an integer")
+        if len(body) != 2:
+            raise self._malformed(f"with {len(body) - 2} keys besides out and next")
         outbox: list[tuple[int, str, SimMessage]] = []
         for entry in out:
             if type(entry) is not list or len(entry) != 3:
@@ -251,8 +254,9 @@ def run_federation(
             if joined is None or joined.type is not EnvelopeType.JOIN:
                 raise ProtocolViolation("expected JOIN")
             name = joined.body.get("name")
-            if type(name) is not str:
-                raise ProtocolViolation(f"JOIN must name the federate with a string, got {shape(name)}")
+            if not quotable(name):  # every later error about the federate repeats it
+                raise ProtocolViolation(f"JOIN must name the federate with a printable string of at "
+                                        f"most {QUOTE_LIMIT} characters, got {shape(name)}")
             fid = rti.register_federate(name, SocketEndpoint(stream, name))
             stream.send(env.join_ack(fid))
         result = rti.run(n_slots)

@@ -175,6 +175,45 @@ def test_case_study_skips_most_grants():
     assert steps["comm"] < cfg.n_slots // 2
 
 
+def test_few_comm_grants_are_idle():
+    # The comm federate's lookahead is its next publish or interval close,
+    # not its next internal event, so few grants find nothing to do.
+    cfg = dataclasses.replace(ScenarioConfig(), duration_s=200.0, qos="wfq-ra", lte_fail_at_s=50.0)
+    cfg.validate()
+    steps = []
+    original = NetFederate.step
+
+    def step(self, slot, slot_end_tick, inbox):
+        outbox, next_tick = original(self, slot, slot_end_tick, inbox)
+        steps.append(bool(inbox or outbox or slot_end_tick % cfg.interval_ticks == 0))
+        return outbox, next_tick
+
+    with mock.patch.object(NetFederate, "step", step):
+        runner.run_scenario(cfg)
+    assert steps.count(False) * 4 < len(steps)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cfg=small_configs())
+def test_comm_publishes_no_earlier_than_its_lookahead(cfg):
+    # A grant with an empty inbox comes only from the declared lookahead,
+    # which must bound every publish the federate makes there from below.
+    declared = [-1]
+    early = []
+    original = NetFederate.step
+
+    def step(self, slot, slot_end_tick, inbox):
+        outbox, next_tick = original(self, slot, slot_end_tick, inbox)
+        if not inbox:
+            early.extend((at, declared[0]) for at, _msg in outbox if at < declared[0])
+        declared[0] = next_tick
+        return outbox, next_tick
+
+    with mock.patch.object(NetFederate, "step", step):
+        runner.run_scenario(cfg)
+    assert early == []
+
+
 def _horizon_off_the_slot_grid():
     # The run ends at 200.005 s, inside its last 10 ms slot.
     cfg = dataclasses.replace(ScenarioConfig(), duration_s=200.005, qos="wfq-ra", lte_fail_at_s=100.0)

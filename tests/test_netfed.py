@@ -113,6 +113,23 @@ def test_single_message_delivery_time_on_dmr():
     assert served_bits(fed) == {(0, "dmr"): (540 + 40) * 8}
 
 
+def test_finalize_run_books_the_completions_no_grant_reached():
+    # The data segment completes at 225,000 and its ACK delivers the message
+    # at 251,667.  In a run ending at 230,000, between the two, no slot after
+    # the first is due (the later steps are no-ops), and only finalize_run
+    # books the completion into the open interval.
+    fed, cfg, nodes = build_net(qos="fifo", lte_bs_count=0, metrics_interval_s=10.0)
+    node = next(n for n in nodes if n.kind is NodeKind.SWITCH)
+    msg = SimMessage(2, CTL, MessageKind.RESPONSE, node.id, fed._dms_id, 500, 0)
+    end_tick = 230 * cfg.tau_ticks
+    assert pump(fed, cfg, {0: [msg]}, n_slots=230) == []
+    assert fed.next_event_tick() >= end_tick
+    assert (fed._dmr_link.served_bits, fed._dmr_link.busy_ticks) == ([0], [0])
+    fed.finalize_run(end_tick)
+    assert (fed._dmr_link.served_bits, fed._dmr_link.busy_ticks) == ([540 * 8], [225_000])
+    assert fed.conservation()[CTL]["in_flight_at_end"] == 1
+
+
 @pytest.mark.parametrize("response_bytes", [500, 5000])
 def test_exchange_wire_bits_match_bits_served(response_bytes):
     # One request and its response over an idle DMR link book exactly the

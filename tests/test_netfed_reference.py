@@ -88,6 +88,7 @@ def check_against_reference(cfg, nodes, n_slots, arrivals):
     out = []
     for slot in range(n_slots):
         out += fed.step(slot, (slot + 1) * tau, inboxes.get(slot, []))[0]
+    fed.finalize_run(n_slots * tau)
 
     ref = ReferenceNet(cfg, nodes)
     ref.run([(slot, dataclasses.replace(msg)) for slot, msg in arrivals], n_slots)

@@ -283,8 +283,10 @@ def test_malformed_publish_is_protocol_violation(monkeypatch, entry):
     {"out": []},
     {"out": [], "next": None},
     {"out": [], "next": True},
+    {"out": [], "next": -1, "done": True},
+    {"out": [], "next": -1, "x": 1},
 ], ids=["no-out", "object-out", "null-out", "int-done", "str-done", "float-next", "no-next",
-        "null-next", "bool-next"])
+        "null-next", "bool-next", "done-beside-next", "unknown-key"])
 def test_malformed_ack_slot_is_protocol_violation(monkeypatch, ack_body):
     _expect_malformed_ack(monkeypatch, ack_body)
 
@@ -295,10 +297,40 @@ def test_malformed_ack_slot_is_protocol_violation(monkeypatch, ack_body):
     {"out": [[100, ["x"] * 200_000, _WIRE_MSG]], "next": -1},
     {"out": [[100, "good", _wire_msg(0, "x" * 1_000_000)]], "next": -1},
     {"out": [[100, "good", _wire_msg(1, "x" * 1_000_000)]], "next": -1},
-], ids=["str-out", "str-next", "list-to", "str-id", "str-cls"])
+    {"out": [], "next": -1, "x" * 1_000_000: 1},
+], ids=["str-out", "str-next", "list-to", "str-id", "str-cls", "str-key"])
 def test_protocol_violation_text_is_bounded(monkeypatch, ack_body):
     # What the peer sent is named by its type and length, never copied.
     assert len(str(_expect_malformed_ack(monkeypatch, ack_body))) < 500
+
+
+_HUGE = "x" * 1_000_000
+
+
+@pytest.mark.parametrize("raw", [
+    RawFederate(ack_body={"out": [[100, _HUGE, _WIRE_MSG]], "next": -1}),
+    RawFederate(join_body={"name": _HUGE}),
+    RawFederate(ack_body=json.dumps({"t": "ERROR", "slot": 0,
+                                     "body": {"code": "E", "detail": _HUGE}}).encode() + b"\n"),
+], ids=["str-to", "str-join-name", "str-error-detail"])
+def test_peer_text_beyond_the_ack_slot_checks_is_bounded(monkeypatch, raw):
+    # An unknown destination, a JOIN name and an ERROR frame's text are
+    # quoted only when short; a 1 MB string is named by its type and length.
+    monkeypatch.setattr(transport, "run_federate_client", _raw_client)
+    with pytest.raises(ProtocolViolation) as err:
+        run_federation(1000, 3, [raw, EchoFederate("good", "raw")], transport="socket", timeout_s=5.0)
+    assert "a str of 1000000" in str(err.value)
+    assert len(str(err.value)) < 500
+
+
+def test_short_peer_text_is_quoted(monkeypatch):
+    monkeypatch.setattr(transport, "run_federate_client", _raw_client)
+    error = json.dumps({"t": "ERROR", "slot": 0, "body": {"code": "ValueError", "detail": "boom"}})
+    with pytest.raises(ProtocolViolation, match="federate raw failed: 'ValueError': 'boom'"):
+        run_federation(1000, 3, [RawFederate(ack_body=error.encode() + b"\n"), EchoFederate("good", "raw")],
+                       transport="socket", timeout_s=5.0)
+    with pytest.raises(ProtocolViolation, match="unknown destination federate 'nowhere'"):
+        _run_with_raw_ack(monkeypatch, {"out": [[100, "nowhere", _WIRE_MSG]], "next": -1})
 
 
 def test_huge_integer_in_ack_slot_ends_the_run_with_a_simulator_error(monkeypatch):
@@ -311,7 +343,8 @@ def test_huge_integer_in_ack_slot_ends_the_run_with_a_simulator_error(monkeypatc
         _run_with_raw_ack(monkeypatch, frame)
 
 
-@pytest.mark.parametrize("join_body", [{}, {"name": ["raw"]}], ids=["no-name", "list-name"])
+@pytest.mark.parametrize("join_body", [{}, {"name": ["raw"]}, {"name": "r" * 201}, {"name": "r\naw"}],
+                         ids=["no-name", "list-name", "long-name", "multiline-name"])
 def test_malformed_join_is_protocol_violation(monkeypatch, join_body):
     monkeypatch.setattr(transport, "run_federate_client", _raw_client)
     good = EchoFederate("good", "raw")
