@@ -16,6 +16,10 @@ from .transport import parse_listen_address
 
 #: Flags that override the config field of the same name.
 _OVERRIDES = ("tau_s", "qos", "lte_fail_at_s", "duration_s", "seed")
+#: What a command may fail with, each reported the same way: an output file
+#: that cannot be written raises OSError, and a config too large for the
+#: host MemoryError.  One constant, so that matching one allocates nothing.
+_FAILURES = (GridCoSimError, OSError, MemoryError)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -132,22 +136,25 @@ def main(argv: list[str] | None = None) -> int:
             status="ok",
             trace_digest=trace_digest,
         )
-    except (GridCoSimError, OSError) as exc:
-        # An output file that cannot be written raises OSError; it fails like the rest.
-        usage = isinstance(exc, UsageError)
-        print(f"{'usage error' if usage else 'error'}: {exc}", file=sys.stderr)
-        try:
-            write_manifest(
-                out_dir / "manifest.json", cfg,
-                outputs=["manifest.json"],
-                wallclock_s=time.perf_counter() - t0,
-                experiments={args.command: "failed"},
-                status="error",
-                error=str(exc),
-            )
-        except OSError as write_exc:
-            print(f"error: manifest not written: {write_exc}", file=sys.stderr)
-            return 1
-        return 2 if usage else 1
-    print("\n".join(report))
-    return 0
+    except _FAILURES as exc:
+        # Kept without its traceback, which holds the failed run's frames:
+        # after a MemoryError, the report below needs what they hold.
+        failure = exc.with_traceback(None)
+    else:
+        print("\n".join(report))
+        return 0
+    usage, detail = isinstance(failure, UsageError), str(failure) or type(failure).__name__
+    print(f"{'usage error' if usage else 'error'}: {detail}", file=sys.stderr)
+    try:
+        write_manifest(
+            out_dir / "manifest.json", cfg,
+            outputs=["manifest.json"],
+            wallclock_s=time.perf_counter() - t0,
+            experiments={args.command: "failed"},
+            status="error",
+            error=detail,
+        )
+    except OSError as write_exc:
+        print(f"error: manifest not written: {write_exc}", file=sys.stderr)
+        return 1
+    return 2 if usage else 1

@@ -8,7 +8,9 @@ A granted slot is one frame each way: ``GRANT`` carries the federate's
 inbox, and ``ACK_SLOT`` exactly its publishes and its lookahead, both
 required.  A message travels as the positional list of
 ``SimMessage.to_wire``, and a publish as the list ``[at, to, msg]``: no key
-is repeated per message.
+is repeated per message.  Frames are written from one template per type
+and read with one scan of the JSON scanner; both give exactly the bytes
+and results of ``json.dumps`` and ``json.loads``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _text
 
 from .errors import DecodeError, shape
 from .messages import SimMessage
@@ -44,10 +47,77 @@ _FIELDS = frozenset(("t", "slot", "body"))
 # Neither object keeps state between calls, so every stream shares them.
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 _DECODER = json.JSONDecoder()
+_scan = _DECODER.scan_once
+# Read once: an enum member is a class attribute lookup on every access.
+_GRANT_TYPE, _ACK_SLOT_TYPE = EnvelopeType.GRANT, EnvelopeType.ACK_SLOT
+
+# What json.dumps writes for each frame type.  A %d takes only a value
+# checked to be an exact int, and a %s only text the JSON escaper or the
+# JSON encoder wrote, or a message's optional int or "null": a float, bool
+# or null is never coerced into an integer position.
+_GRANT = '{"t":"GRANT","slot":%d,"body":{"end_ticks":%d,"inbox":[%s]}}\n'
+_ACK_SLOT = '{"t":"ACK_SLOT","slot":%d,"body":{"out":[%s],"next":%d}}\n'
+_JOIN = '{"t":"JOIN","slot":%d,"body":{"name":%s}}\n'
+_JOIN_ACK = '{"t":"JOIN_ACK","slot":%d,"body":{"fid":%d}}\n'
+_ERROR = '{"t":"ERROR","slot":%d,"body":{"code":%s,"detail":%s}}\n'
+_MESSAGE = "[%d,%s,%s,%d,%d,%d,%d,%s,%s,%s,%s]"
+_OUT_ENTRY = "[%d,%s,%s]"
+
+
+def _message(msg) -> str:
+    """One wire message as json.dumps writes it; an ill-typed one goes through the encoder."""
+    if type(msg) is list and len(msg) == 11:
+        mid, cls, kind, src, dst, size, ct, sct, dct, corr, ppt = msg
+        if (type(mid) is int and type(src) is int and type(dst) is int and type(size) is int
+                and type(ct) is int and type(cls) is str and type(kind) is str
+                and (sct is None or type(sct) is int) and (dct is None or type(dct) is int)
+                and (corr is None or type(corr) is int) and (ppt is None or type(ppt) is int)):
+            return _MESSAGE % (mid, _text(cls), _text(kind), src, dst, size, ct,
+                               "null" if sct is None else sct, "null" if dct is None else dct,
+                               "null" if corr is None else corr, "null" if ppt is None else ppt)
+    return _ENCODER.encode(msg)
+
+
+def _out_entry(entry) -> str:
+    if type(entry) is list and len(entry) == 3:
+        at, to, msg = entry
+        if type(at) is int and type(to) is str:
+            return _OUT_ENTRY % (at, _text(to), _message(msg))
+    return _ENCODER.encode(entry)
 
 
 def encode_envelope(env: FederateEnvelope) -> bytes:
-    frame = {"t": _TYPE_VALUE[env.type], "slot": env.slot, "body": env.body}
+    """The bytes of ``json.dumps(frame, separators=(",", ":"))`` plus a newline.
+
+    A frame whose body has its type's keys, in order, and a value of the
+    position's type at each position is written from its type's template in
+    one ``%``; any other frame goes through the JSON encoder whole, and so
+    does a message or ``out`` entry of the wrong shape on its own.
+    """
+    env_type, slot, body = env.type, env.slot, env.body
+    if type(slot) is int:
+        keys = tuple(body)
+        if env_type is _GRANT_TYPE and keys == ("end_ticks", "inbox"):
+            end_ticks, inbox = body["end_ticks"], body["inbox"]
+            if type(end_ticks) is int and type(inbox) is list:
+                inbox = ",".join(map(_message, inbox)) if inbox else ""
+                return (_GRANT % (slot, end_ticks, inbox)).encode()
+        elif env_type is _ACK_SLOT_TYPE and keys == ("out", "next"):
+            out, next_tick = body["out"], body["next"]
+            if type(out) is list and type(next_tick) is int:
+                out = ",".join(map(_out_entry, out)) if out else ""
+                return (_ACK_SLOT % (slot, out, next_tick)).encode()
+        elif env_type is EnvelopeType.JOIN and keys == ("name",):
+            if type(body["name"]) is str:
+                return (_JOIN % (slot, _text(body["name"]))).encode()
+        elif env_type is EnvelopeType.JOIN_ACK and keys == ("fid",):
+            if type(body["fid"]) is int:
+                return (_JOIN_ACK % (slot, body["fid"])).encode()
+        elif env_type is EnvelopeType.ERROR and keys == ("code", "detail"):
+            code, detail = body["code"], body["detail"]
+            if type(code) is str and type(detail) is str:
+                return (_ERROR % (slot, _text(code), _text(detail))).encode()
+    frame = {"t": _TYPE_VALUE[env_type], "slot": slot, "body": body}
     return _ENCODER.encode(frame).encode() + b"\n"
 
 
@@ -58,7 +128,16 @@ def decode_envelope(frame: bytes, offset: int = 0) -> FederateEnvelope:
     except UnicodeDecodeError as exc:
         raise DecodeError(f"frame is not UTF-8: {exc.reason}", offset + exc.start) from exc
     try:
-        data = _DECODER.decode(text)
+        # One scan reads a frame that is a JSON value from its first byte to
+        # at most a newline.  Whitespace around the value, or no value, takes
+        # the whole decoder, which accepts or refuses it as it always has.
+        try:
+            data, end = _scan(text, 0)
+            whole = end == len(text) or text[end:] == "\n"
+        except StopIteration:
+            whole = False
+        if not whole:
+            data = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         at = offset + len(text[: exc.pos].encode())
         raise DecodeError(f"invalid JSON: {exc.msg}", at) from exc

@@ -24,6 +24,8 @@ from .rti import FederationResult, Rti
 logger = logging.getLogger(__name__)
 
 DEFAULT_TIMEOUT_S = 30.0
+# Bytes asked of one recv; a frame longer than this takes several.
+_RECV_BYTES = 65536
 
 
 class LocalFederate(Protocol):
@@ -66,7 +68,7 @@ class _FrameStream:
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
-        self.reader = sock.makefile("rb")
+        self._buffer = b""  # bytes received past the last whole frame
         self.offset = 0
 
     def send(self, envelope: FederateEnvelope) -> None:
@@ -75,24 +77,31 @@ class _FrameStream:
 
     def recv(self) -> FederateEnvelope | None:
         """Next envelope, or None at a clean end of stream."""
-        try:
-            line = self.reader.readline()
-        except (TimeoutError, socket.timeout) as exc:
-            raise FederateTimeout(str(exc)) from exc
-        if not line:
-            return None
-        if not line.endswith(b"\n"):
-            raise DecodeError("truncated frame", self.offset + len(line))
+        buffer = self._buffer
+        end = buffer.find(b"\n") + 1
+        while not end:
+            try:
+                chunk = self.sock.recv(_RECV_BYTES)
+            except (TimeoutError, socket.timeout) as exc:
+                raise FederateTimeout(str(exc)) from exc
+            if not chunk:
+                if buffer:
+                    raise DecodeError("truncated frame", self.offset + len(buffer))
+                return None
+            searched = len(buffer)
+            buffer = self._buffer = buffer + chunk
+            end = buffer.find(b"\n", searched) + 1
+        # Most reads hold one whole frame, which both slices return uncopied.
+        line, self._buffer = buffer[:end], buffer[end:]
         decoded = decode_envelope(line, self.offset)
-        self.offset += len(line)
+        self.offset += end
         return decoded
 
     def close(self) -> None:
-        for closer in (self.reader, self.sock):
-            try:
-                closer.close()
-            except OSError:
-                pass
+        try:
+            self.sock.close()
+        except OSError:
+            pass
 
 
 class SocketEndpoint:

@@ -4,10 +4,12 @@ import os
 import socket
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
+from gridcosim import cli, runner
 from gridcosim.cli import main
 from gridcosim.config import ScenarioConfig
 from gridcosim.runner import run_scenario
@@ -258,3 +260,31 @@ def test_huge_region_runs(tmp_path):
     out = tmp_path / "wide"
     assert run_cli("run", "--config", config, "--duration", "5", "--out", out) == 0
     assert json.loads((out / "manifest.json").read_text())["status"] == "ok"
+
+
+def test_memory_error_is_an_error_with_manifest(tmp_path, capsys, monkeypatch):
+    # A config too large for the host (count_hva_lv = 10**9) ends here.  The
+    # error is raised, not allocated, so that the test needs no memory limit.
+    # What the failed run held must be freed before the failure is reported,
+    # which after a real MemoryError needs memory of its own.
+    held = []
+
+    def exhausted(*args, **kwargs):
+        block = set()
+        held.append(weakref.ref(block))
+        raise MemoryError
+
+    freed = []
+
+    def write_manifest(*args, **kwargs):
+        freed.append(held[0]() is None)
+        return runner.write_manifest(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_scenario", exhausted)
+    monkeypatch.setattr(cli, "write_manifest", write_manifest)
+    out = tmp_path / "o"
+    assert run_cli("run", "--duration", "5", "--out", out) == 1
+    assert capsys.readouterr().err == "error: MemoryError\n"
+    assert freed == [True]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["status"], manifest["error"]) == ("error", "MemoryError")

@@ -1,7 +1,8 @@
 import json
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gridcosim import envelope as env
 from gridcosim.envelope import (
@@ -12,6 +13,8 @@ from gridcosim.envelope import (
 )
 from gridcosim.errors import DecodeError
 from gridcosim.messages import MessageClass, MessageKind, SimMessage
+
+import reference_envelope
 
 
 # A monitoring poll as the wire carries it: the fields in SimMessage order,
@@ -170,10 +173,100 @@ def test_envelope_round_trip_property(envelope):
             SimMessage.from_wire(e[2]) for e in envelope.body["out"]]
 
 
-@given(_envelopes)
+# The same builders with any value in an integer position (a bool, float,
+# null or string the encoder must write as json.dumps does, never coerce)
+# and any text, with quotes, backslashes, control characters, surrogates
+# and non-ASCII characters, in the JOIN name, the ACK "to" and ERROR text.
+_free_text = st.text(st.sampled_from('"\\\n\x00\x1f\x7f\u00e9\u2028\U0001f600')
+                     | st.characters(exclude_categories=()), max_size=12)
+_misfits = st.booleans() | st.floats() | st.none() | _free_text
+
+
+def _loose(ints):
+    return ints | _misfits
+
+
+_loose_messages = st.builds(
+    SimMessage,
+    id=_loose(st.integers()),
+    msg_class=st.sampled_from(list(MessageClass)),
+    kind=st.sampled_from(list(MessageKind)),
+    src=_loose(st.integers()),
+    dst=_loose(st.integers()),
+    payload_bytes=_loose(st.integers()),
+    created_tick=_loose(_ticks),
+    sent_comm_tick=_loose(_ticks),
+    delivered_comm_tick=_loose(_ticks),
+    correlation_id=_loose(st.integers()),
+    poll_period_ticks=_loose(_ticks),
+)
+_loose_envelopes = st.one_of(
+    st.builds(env.join, _free_text),
+    st.builds(env.error, _loose(_slots), _free_text, _free_text),
+    st.builds(env.join_ack, _loose(st.integers())),
+    st.builds(env.grant, _loose(_slots), _loose(_ticks), st.lists(_loose_messages, max_size=3)),
+    st.builds(
+        env.ack_slot,
+        _loose(_slots),
+        st.lists(st.tuples(_loose(_ticks), _free_text, _loose_messages), max_size=3),
+        _loose(st.integers(min_value=-1)),
+    ),
+)
+
+
+@given(_envelopes | _loose_envelopes)
 def test_encoding_is_compact_json_in_field_order(envelope):
     expected = {"t": envelope.type.value, "slot": envelope.slot, "body": envelope.body}
     assert encode_envelope(envelope) == json.dumps(expected, separators=(",", ":")).encode() + b"\n"
+
+
+def _outcome(decode, frame: bytes, offset: int):
+    try:
+        return decode(frame, offset)
+    except DecodeError as err:
+        return str(err), err.offset
+
+
+_blank = st.text(" \t\n\r", max_size=3).map(str.encode)
+
+
+@st.composite
+def _frames(draw):
+    """A canonical frame, cut at any byte or mutated the ways a peer might get it wrong."""
+    frame = encode_envelope(draw(_envelopes))
+    how = draw(st.sampled_from(["cut", "blank", "key", "byte", "nest", "digits"]))
+    if how == "cut":
+        return frame[: draw(st.integers(min_value=0, max_value=len(frame)))]
+    if how == "blank":
+        return draw(_blank) + frame.rstrip(b"\n") + draw(_blank)
+    if how == "key":  # a duplicate or an extra key, first or last
+        pair = draw(st.sampled_from([b'"t"', b'"slot"', b'"body"', b'"x"'])) + b":" + draw(
+            st.sampled_from([b'"GRANT"', b"1", b"{}", b"null", b"[]", b"1.5"]))
+        return b"{" + pair + b"," + frame[1:] if draw(st.booleans()) else frame[:-2] + b"," + pair + b"}\n"
+    if how == "byte":  # not UTF-8: a stray continuation, a cut sequence, a surrogate, past U+10FFFF
+        at = draw(st.integers(min_value=0, max_value=len(frame)))
+        stray = draw(st.sampled_from([b"\x80", b"\xc3", b"\xff", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"]))
+        return frame[:at] + stray + frame[at:]
+    if how == "nest":
+        depth = draw(st.sampled_from([3, 900, 100_000]))
+        value = b"[" * depth + b"]" * depth
+    else:
+        value = b"7" * draw(st.sampled_from([4300, 4301, 10_000]))
+    return re.sub(rb'"slot":\d+', b'"slot":' + value, frame, count=1)
+
+
+_CANONICAL = encode_envelope(env.ack_slot(4, [], -1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame=st.binary(max_size=80) | _frames(), offset=st.integers(min_value=0, max_value=10**6))
+@example(frame=b" " + _CANONICAL, offset=0)
+@example(frame=b"\t" + _CANONICAL[:-1] + b" \r\n", offset=7)
+@example(frame=b"", offset=3)
+@example(frame=b"\n", offset=3)
+def test_decoder_matches_its_frozen_reference(frame, offset):
+    """Every frame is accepted with an equal envelope or refused with the same error."""
+    assert _outcome(decode_envelope, frame, offset) == _outcome(reference_envelope.decode_envelope, frame, offset)
 
 
 def test_stream_splits_unambiguously():

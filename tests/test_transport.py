@@ -1,4 +1,6 @@
+import bisect
 import dataclasses
+import itertools
 import json
 import socket
 import threading
@@ -6,9 +8,10 @@ import threading
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gridcosim import envelope as env
 from gridcosim import transport
 from gridcosim.config import ScenarioConfig
-from gridcosim.errors import DecodeError, GridCoSimError, ProtocolViolation
+from gridcosim.errors import DecodeError, FederateTimeout, GridCoSimError, ProtocolViolation
 from gridcosim.messages import MessageClass, MessageKind, SimMessage
 from gridcosim.runner import run_scenario
 from gridcosim.transport import parse_listen_address, run_federation
@@ -474,3 +477,66 @@ def test_any_frame_is_an_acknowledgment_or_a_protocol_or_decode_error(frame, rea
         _finish_step_after(frame, reads_grant)
     except (ProtocolViolation, DecodeError):
         pass
+
+
+# ------------------------------------------------ framing over a socket
+
+_stream_messages = st.builds(make_msg, st.integers(0, 10**6), st.integers(0, 10**9))
+_stream_envelopes = st.one_of(
+    st.builds(env.join, st.text(max_size=8)),
+    st.builds(env.grant, st.integers(0, 10**6), st.integers(0, 10**9), st.lists(_stream_messages, max_size=2)),
+    st.builds(env.ack_slot, st.integers(0, 10**6),
+              st.lists(st.tuples(st.integers(0, 10**9), st.just("comm"), _stream_messages), max_size=2),
+              st.integers(-1, 10**9)),
+    st.builds(env.error, st.integers(0, 10**6), st.text(max_size=8), st.text(max_size=30)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(envelopes=st.lists(_stream_envelopes, min_size=1, max_size=5), data=st.data())
+def test_frames_come_out_whole_however_the_stream_is_split_or_cut(envelopes, data):
+    """Frames written in chunks of any size, from one byte to all at once,
+    and the stream then closed at any byte: every whole frame is read back,
+    ``offset`` moves by each frame's length, and what follows is None at a
+    frame boundary or a truncated frame at the byte of the cut."""
+    frames = [env.encode_envelope(e) for e in envelopes]
+    blob = b"".join(frames)
+    ends = list(itertools.accumulate(map(len, frames)))
+    cut = data.draw(st.just(len(blob)) | st.integers(0, len(blob)), label="cut")
+    writer, reader = socket.socketpair()
+    reader.settimeout(5.0)  # a read that waited for bytes never sent would fail, not hang
+    stream = transport._FrameStream(reader)
+    received, sent = [], 0
+    try:
+        while sent < cut:
+            chunk_end = min(cut, sent + data.draw(st.integers(1, len(blob)), label="chunk"))
+            writer.sendall(blob[sent:chunk_end])
+            sent = chunk_end
+            # Read each frame once it is whole, so that no read waits.
+            while len(received) < bisect.bisect_right(ends, sent):
+                received.append(stream.recv())
+                assert stream.offset == ends[len(received) - 1]
+        writer.close()
+        if cut in (0, *ends):
+            assert stream.recv() is None
+        else:
+            with pytest.raises(DecodeError) as err:
+                stream.recv()
+            assert (str(err.value), err.value.offset) == (f"truncated frame (byte {cut})", cut)
+    finally:
+        writer.close()
+        stream.close()
+    assert received == envelopes[:bisect.bisect_right(ends, cut)]
+
+
+def test_a_silent_peer_is_a_federate_timeout():
+    writer, reader = socket.socketpair()
+    reader.settimeout(0.05)
+    stream = transport._FrameStream(reader)
+    try:
+        writer.sendall(b'{"t":')  # half a frame, then nothing
+        with pytest.raises(FederateTimeout):
+            stream.recv()
+    finally:
+        writer.close()
+        stream.close()
