@@ -8,9 +8,10 @@ A granted slot is one frame each way: ``GRANT`` carries the federate's
 inbox, and ``ACK_SLOT`` exactly its publishes and its lookahead, both
 required.  A message travels as the positional list of
 ``SimMessage.to_wire``, and a publish as the list ``[at, to, msg]``: no key
-is repeated per message.  Frames are written from one template per type
-and read with one scan of the JSON scanner; both give exactly the bytes
-and results of ``json.dumps`` and ``json.loads``.
+is repeated per message.  The GRANT and ACK_SLOT frames of every slot are
+written from one template each, and frames are read with one scan of the
+JSON scanner; both give exactly the bytes and results of ``json.dumps`` and
+``json.loads``.
 """
 
 from __future__ import annotations
@@ -48,18 +49,16 @@ _FIELDS = frozenset(("t", "slot", "body"))
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 _DECODER = json.JSONDecoder()
 _scan = _DECODER.scan_once
-# Read once: an enum member is a class attribute lookup on every access.
+# Read once: an enum member is a class attribute lookup on every access,
+# about 0.16 us each on Python 3.11, and an ACK_SLOT passes two checks.
 _GRANT_TYPE, _ACK_SLOT_TYPE = EnvelopeType.GRANT, EnvelopeType.ACK_SLOT
 
-# What json.dumps writes for each frame type.  A %d takes only a value
-# checked to be an exact int, and a %s only text the JSON escaper or the
-# JSON encoder wrote, or a message's optional int or "null": a float, bool
-# or null is never coerced into an integer position.
+# What json.dumps writes for the two frames of every granted slot.  A %d
+# takes only a value checked to be an exact int, and a %s only text the
+# JSON escaper or the JSON encoder wrote, or a message's optional int or
+# "null": a float, bool or null is never coerced into an integer position.
 _GRANT = '{"t":"GRANT","slot":%d,"body":{"end_ticks":%d,"inbox":[%s]}}\n'
 _ACK_SLOT = '{"t":"ACK_SLOT","slot":%d,"body":{"out":[%s],"next":%d}}\n'
-_JOIN = '{"t":"JOIN","slot":%d,"body":{"name":%s}}\n'
-_JOIN_ACK = '{"t":"JOIN_ACK","slot":%d,"body":{"fid":%d}}\n'
-_ERROR = '{"t":"ERROR","slot":%d,"body":{"code":%s,"detail":%s}}\n'
 _MESSAGE = "[%d,%s,%s,%d,%d,%d,%d,%s,%s,%s,%s]"
 _OUT_ENTRY = "[%d,%s,%s]"
 
@@ -89,10 +88,11 @@ def _out_entry(entry) -> str:
 def encode_envelope(env: FederateEnvelope) -> bytes:
     """The bytes of ``json.dumps(frame, separators=(",", ":"))`` plus a newline.
 
-    A frame whose body has its type's keys, in order, and a value of the
-    position's type at each position is written from its type's template in
-    one ``%``; any other frame goes through the JSON encoder whole, and so
-    does a message or ``out`` entry of the wrong shape on its own.
+    A GRANT or ACK_SLOT whose body has its type's keys, in order, and a
+    value of the position's type at each position is written from its
+    type's template in one ``%``; any other frame goes through the JSON
+    encoder whole, and so does a message or ``out`` entry of the wrong shape
+    on its own.
     """
     env_type, slot, body = env.type, env.slot, env.body
     if type(slot) is int:
@@ -107,16 +107,6 @@ def encode_envelope(env: FederateEnvelope) -> bytes:
             if type(out) is list and type(next_tick) is int:
                 out = ",".join(map(_out_entry, out)) if out else ""
                 return (_ACK_SLOT % (slot, out, next_tick)).encode()
-        elif env_type is EnvelopeType.JOIN and keys == ("name",):
-            if type(body["name"]) is str:
-                return (_JOIN % (slot, _text(body["name"]))).encode()
-        elif env_type is EnvelopeType.JOIN_ACK and keys == ("fid",):
-            if type(body["fid"]) is int:
-                return (_JOIN_ACK % (slot, body["fid"])).encode()
-        elif env_type is EnvelopeType.ERROR and keys == ("code", "detail"):
-            code, detail = body["code"], body["detail"]
-            if type(code) is str and type(detail) is str:
-                return (_ERROR % (slot, _text(code), _text(detail))).encode()
     frame = {"t": _TYPE_VALUE[env_type], "slot": slot, "body": body}
     return _ENCODER.encode(frame).encode() + b"\n"
 

@@ -79,19 +79,27 @@ class _FrameStream:
         """Next envelope, or None at a clean end of stream."""
         buffer = self._buffer
         end = buffer.find(b"\n") + 1
-        while not end:
-            try:
-                chunk = self.sock.recv(_RECV_BYTES)
-            except (TimeoutError, socket.timeout) as exc:
-                raise FederateTimeout(str(exc)) from exc
-            if not chunk:
-                if buffer:
-                    raise DecodeError("truncated frame", self.offset + len(buffer))
-                return None
-            searched = len(buffer)
-            buffer = self._buffer = buffer + chunk
-            end = buffer.find(b"\n", searched) + 1
-        # Most reads hold one whole frame, which both slices return uncopied.
+        if not end:
+            # A frame several reads long is joined once, when its newline comes.
+            chunks = [buffer] if buffer else []
+            size = len(buffer)
+            while not end:
+                try:
+                    chunk = self.sock.recv(_RECV_BYTES)
+                except (TimeoutError, socket.timeout) as exc:
+                    self._buffer = b"".join(chunks)
+                    raise FederateTimeout(str(exc)) from exc
+                if not chunk:
+                    if size:
+                        raise DecodeError("truncated frame", self.offset + size)
+                    return None
+                chunks.append(chunk)
+                end = chunk.find(b"\n") + 1
+                if end:
+                    end += size
+                size += len(chunk)
+            buffer = b"".join(chunks)
+        # Most reads hold one whole frame, which join and both slices return uncopied.
         line, self._buffer = buffer[:end], buffer[end:]
         decoded = decode_envelope(line, self.offset)
         self.offset += end

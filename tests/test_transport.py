@@ -529,6 +529,37 @@ def test_frames_come_out_whole_however_the_stream_is_split_or_cut(envelopes, dat
     assert received == envelopes[:bisect.bisect_right(ends, cut)]
 
 
+def test_a_frame_longer_than_one_read_comes_out_whole():
+    """A frame spanning several ``recv`` calls, sent in small pieces and
+    followed by a frame cut short: the long frame is read back whole and
+    the cut is a truncated frame at its byte."""
+    long_grant = env.grant(3, 4000, [make_msg(i, i) for i in range(3000)])
+    frames = [env.encode_envelope(long_grant), env.encode_envelope(env.join_ack(1))]
+    assert len(frames[0]) > 2 * transport._RECV_BYTES
+    blob = b"".join(frames)[:-5]
+    writer, reader = socket.socketpair()
+    reader.settimeout(5.0)
+    stream = transport._FrameStream(reader)
+
+    def write():
+        for start in range(0, len(blob), 1000):
+            writer.sendall(blob[start:start + 1000])
+        writer.close()
+
+    thread = threading.Thread(target=write)
+    thread.start()
+    try:
+        assert stream.recv() == long_grant
+        assert stream.offset == len(frames[0])
+        with pytest.raises(DecodeError) as err:
+            stream.recv()
+        assert (str(err.value), err.value.offset) == (f"truncated frame (byte {len(blob)})", len(blob))
+    finally:
+        thread.join()
+        writer.close()
+        stream.close()
+
+
 def test_a_silent_peer_is_a_federate_timeout():
     writer, reader = socket.socketpair()
     reader.settimeout(0.05)
