@@ -153,7 +153,10 @@ class ScenarioConfig:
                     "payload_hva_lv_bytes", "payload_substation_bytes",
                     "payload_der_bytes", "payload_switch_ack_bytes"):
             positive(key, getattr(self, key))
-        for key in ("header_bytes", "ack_bytes", "lte_bs_count", "count_hva_lv",
+        # A zero-byte ACK would be served in no ticks, so that two
+        # completions on one link could share a tick.
+        positive("ack_bytes", self.ack_bytes)
+        for key in ("header_bytes", "lte_bs_count", "count_hva_lv",
                     "count_switch", "count_substation", "count_pv_plant",
                     "count_wind_farm", "access_latency_lte_s", "access_latency_dmr_s"):
             if getattr(self, key) < 0:

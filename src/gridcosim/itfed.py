@@ -4,8 +4,11 @@ The management system polls every monitored endpoint on a fixed period with
 a seeded random phase, and sends a burst of commands to randomly chosen
 switches once per control period.  Each request opens an exchange; the
 response closes it and fixes the application-side round-trip delay.
-Each exchange is scored once, after the run, by ``metrics.exchange_score``;
-the federate only records, and ``metrics`` builds the reports.
+Exchanges and completed legs are kept as ``array`` columns, with no Python
+object per record; the federate collects them in flat lists and moves them
+into the columns a block at a time.  Each exchange is scored once, after
+the run, by ``metrics.exchange_scores``; the federate only records, and
+``metrics`` builds the reports.
 
 On receiving a rate-update notification the polling schedule is rebuilt:
 the new period applies to every monitored node, with nodes spread evenly
@@ -18,27 +21,44 @@ import heapq
 import logging
 import random
 from array import array
+from bisect import bisect_left
 from collections.abc import Sequence
-from dataclasses import dataclass
+from itertools import compress
+from typing import NamedTuple
 
 from .config import ScenarioConfig
-from .messages import MessageClass, MessageKind, NodeDescriptor, NodeKind, SimMessage
-from .metrics import exchange_score
+from .messages import (_CLASS_CODE, _CLASSES, _KIND_CODE, _KINDS, MISSING, MessageClass, MessageKind,
+                       NodeDescriptor, NodeKind, SimMessage)
+from .metrics import exchange_scores
 from .simtime import TICKS_PER_SECOND
 from .topology import monitored_nodes
 
 logger = logging.getLogger(__name__)
 
+_MONITORING = _CLASS_CODE[MessageClass.MONITORING]
+_CONTROL = _CLASS_CODE[MessageClass.CONTROL]
+# Per class code, a ``bytes.translate`` table over class codes: 1 for that code, else 0.
+_SELECT_CLASS = [bytes(code) + b"\x01" + bytes(255 - code) for code in range(len(_CLASSES))]
+# Records collected before they move into their columns: an array filled
+# from a whole list costs less than half as much per value as ``append``.
+_BLOCK = 256
 
-@dataclass(slots=True)
-class Exchange:
-    """A request/response pair between the management system and one node.
+
+def _move(flat: list[int], columns: tuple[array, ...]) -> None:
+    """Append records held flat, one value per column in turn, to the columns."""
+    for i, column in enumerate(columns):
+        column.fromlist(flat[i::len(columns)])
+    flat.clear()
+
+
+class Exchange(NamedTuple):
+    """A request/response pair between the management system and one node,
+    as ``Exchanges`` reads it back: a read-only row.
 
     ``delivered_tick`` is when the response reached the management system.
-    ``d_comm_ticks`` is the network delay of both legs; while the exchange
-    is open it holds the request leg's alone, and it is None when a leg has
+    ``d_comm_ticks`` is the network delay of both legs, None when a leg has
     no network timestamps or no response came.  ``score`` is set once by
-    ``ITFederate.finalize_run`` from ``metrics.exchange_score``: 1 when the
+    ``ITFederate.finalize_run`` from ``metrics.exchange_scores``: 1 when the
     round trip met the class delay limit, 0 when it did not, and None when
     the run ended before that was decided.
     """
@@ -52,19 +72,60 @@ class Exchange:
     score: int | None = None
 
 
-_CLASSES = tuple(MessageClass)
-_KINDS = tuple(MessageKind)
-_CLASS_CODE = {cls: code for code, cls in enumerate(_CLASSES)}
-_KIND_CODE = {kind: code for code, kind in enumerate(_KINDS)}
+def _exchange(mid: int, code: int, node: int, created: int, delivered: int, d_comm: int,
+              score: int) -> Exchange:
+    return Exchange(mid, _CLASSES[code], node, created,
+                    None if delivered == MISSING else delivered,
+                    None if d_comm == MISSING else d_comm,
+                    None if score == MISSING else score)
+
+
+class Exchanges(Sequence):
+    """Every exchange, kept as columns and read as ``Exchange`` rows.
+
+    The view is read-only; ``ITFederate`` fills the columns, which are
+    complete once its ``finalize_run`` has run: id, node and ticks as 64-bit
+    ints, class as its code (``messages._CLASS_CODE``) and score as bytes,
+    with ``MISSING`` (-1) where the row reads None; about 42 bytes an
+    exchange.  Rows are built only when read.
+    """
+
+    __slots__ = ("ids", "classes", "nodes", "created", "delivered", "d_comm", "scores")
+
+    def __init__(self):
+        self.ids = array("q")
+        self.classes = array("b")
+        self.nodes = array("q")
+        self.created = array("q")
+        self.delivered = array("q")
+        self.d_comm = array("q")
+        self.scores = array("b")
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i: int) -> Exchange:
+        return _exchange(self.ids[i], self.classes[i], self.nodes[i], self.created[i],
+                         self.delivered[i], self.d_comm[i], self.scores[i])
+
+    def __iter__(self):
+        return map(_exchange, self.ids, self.classes, self.nodes, self.created,
+                   self.delivered, self.d_comm, self.scores)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Exchanges):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
 
 class CommLegs(Sequence):
     """Completed message legs, kept as columns and read as tuples.
 
     Each item is (class, kind, d_it_ticks, d_comm_ticks, delivered_comm_tick).
-    The view is read-only; ``ITFederate`` appends to the columns: class and
-    kind as their index in ``MessageClass`` and ``MessageKind``, ticks as
-    64-bit ints, about 26 bytes a leg.
+    The view is read-only; ``ITFederate`` fills the columns, which are
+    complete once its ``finalize_run`` has run: class and kind as their codes
+    (``messages._CLASS_CODE``, ``_KIND_CODE``), ticks as 64-bit ints, about
+    26 bytes a leg.
     """
 
     __slots__ = ("classes", "kinds", "d_it", "d_comm", "delivered")
@@ -128,10 +189,20 @@ class ITFederate:
         self._control_period = max(1, round(cfg.control_burst_size / cfg.lambda_c_hz * TICKS_PER_SECOND))
         self._next_control = self._control_period if self._switch_ids else 1 << 62
 
-        self._open: dict[int, Exchange] = {}
-        # Every exchange, in creation order until ``finalize_run`` sorts it.
-        self.exchange_rows: list[Exchange] = []
+        # Every exchange, in creation order until ``finalize_run`` orders it,
+        # and every completed leg.
+        self.exchange_rows = Exchanges()
         self.comm_legs = CommLegs()
+        # Records not yet in their columns, held flat: id, class code, node
+        # and created tick of each new exchange; row, delivered tick and
+        # d_comm of each answered one; the five fields of each leg.
+        self._opened: list[int] = []
+        self._answered: list[int] = []
+        self._legs: list[int] = []
+        self._rows = 0  # exchanges opened
+        # Open exchange id to its row, and to its request leg's network delay.
+        self._open: dict[int, int] = {}
+        self._request_d_comm: dict[int, int] = {}
 
     # ------------------------------------------------------------- traffic
 
@@ -150,16 +221,10 @@ class ITFederate:
         heap = self._poll_heap
         while heap and heap[0][0] < slot_end:
             due, order, node_id = heapq.heappop(heap)
-            req = SimMessage(
-                id=self._alloc_id(),
-                msg_class=MessageClass.MONITORING,
-                kind=MessageKind.REQUEST,
-                src=self._dms_id,
-                dst=node_id,
-                payload_bytes=self.cfg.payload_poll_request_bytes,
-                created_tick=due,
-            )
-            self._open_exchange(req)
+            mid = self._alloc_id()
+            req = SimMessage(mid, MessageClass.MONITORING, MessageKind.REQUEST, self._dms_id, node_id,
+                             self.cfg.payload_poll_request_bytes, due)
+            self._open_exchange(mid, _MONITORING, node_id, due)
             out.append(req)
             gap = self._poisson_gap() if self._poisson else self.poll_period_ticks
             heapq.heappush(heap, (due + gap, order, node_id))
@@ -167,24 +232,33 @@ class ITFederate:
             due = self._next_control
             burst = min(self.cfg.control_burst_size, len(self._switch_ids))
             for switch_id in self._control_rng.sample(self._switch_ids, burst):
-                cmd = SimMessage(
-                    id=self._alloc_id(),
-                    msg_class=MessageClass.CONTROL,
-                    kind=MessageKind.CONTROL_COMMAND,
-                    src=self._dms_id,
-                    dst=switch_id,
-                    payload_bytes=self.cfg.payload_control_command_bytes,
-                    created_tick=due,
-                )
-                self._open_exchange(cmd)
+                mid = self._alloc_id()
+                cmd = SimMessage(mid, MessageClass.CONTROL, MessageKind.CONTROL_COMMAND, self._dms_id,
+                                 switch_id, self.cfg.payload_control_command_bytes, due)
+                self._open_exchange(mid, _CONTROL, switch_id, due)
                 out.append(cmd)
             self._next_control += self._control_period
         return out
 
-    def _open_exchange(self, request: SimMessage) -> None:
-        record = Exchange(request.id, request.msg_class, request.dst, request.created_tick)
-        self._open[request.id] = record
-        self.exchange_rows.append(record)
+    def _open_exchange(self, mid: int, code: int, node: int, created: int) -> None:
+        if len(self._opened) >= 4 * _BLOCK:
+            self._store_exchanges()
+        self._opened += (mid, code, node, created)
+        self._open[mid] = self._rows
+        self._rows += 1
+
+    def _store_exchanges(self) -> None:
+        """Move the collected exchanges and answers into ``exchange_rows``."""
+        rows = self.exchange_rows
+        missing = array("q", [MISSING]) * (len(self._opened) // 4)
+        _move(self._opened, (rows.ids, rows.classes, rows.nodes, rows.created))
+        rows.delivered.extend(missing)
+        rows.d_comm.extend(missing)
+        answered = iter(self._answered)
+        for row, delivered, d_comm in zip(answered, answered, answered):
+            rows.delivered[row] = delivered
+            rows.d_comm[row] = d_comm
+        self._answered.clear()
 
     # ------------------------------------------------------------ delivery
 
@@ -200,32 +274,24 @@ class ITFederate:
             return []
         d_comm = self._record_leg(msg, now_tick)
         if msg.dst == self._dms_id:
-            record = self._open.pop(msg.correlation_id, None)
-            if record is None:
+            row = self._open.pop(msg.correlation_id, None)
+            if row is None:
                 logger.warning("response %d has no open request %s", msg.id, msg.correlation_id)
                 return []
-            record.delivered_tick = now_tick
-            if record.d_comm_ticks is not None:
-                record.d_comm_ticks = None if d_comm is None else record.d_comm_ticks + d_comm
+            request_d_comm = self._request_d_comm.pop(msg.correlation_id, None)
+            both = MISSING if request_d_comm is None or d_comm is None else request_d_comm + d_comm
+            self._answered += (row, now_tick, both)
             return []
         # Request or command arriving at a node: keep its network delay and
         # answer.
-        record = self._open.get(msg.id)
-        if record is not None:
-            record.d_comm_ticks = d_comm
+        if d_comm is not None and msg.id in self._open:
+            self._request_d_comm[msg.id] = d_comm
         reply_kind = (
             MessageKind.RESPONSE if msg.kind is MessageKind.REQUEST else MessageKind.CONTROL_ACK
         )
-        reply = SimMessage(
-            id=self._alloc_id(),
-            msg_class=msg.msg_class,
-            kind=reply_kind,
-            src=msg.dst,
-            dst=msg.src,
-            payload_bytes=self._reply_bytes[self._kind_by_id[msg.dst]],
-            created_tick=now_tick,
-            correlation_id=msg.id,
-        )
+        reply = SimMessage(self._alloc_id(), msg.msg_class, reply_kind, msg.dst, msg.src,
+                           self._reply_bytes[self._kind_by_id[msg.dst]], now_tick,
+                           correlation_id=msg.id)
         return [reply]
 
     def _record_leg(self, msg: SimMessage, now_tick: int) -> int | None:
@@ -234,13 +300,15 @@ class ITFederate:
         if sent is None or delivered is None:
             return None
         d_comm = delivered - sent
-        legs = self.comm_legs
-        legs.classes.append(_CLASS_CODE[msg.msg_class])
-        legs.kinds.append(_KIND_CODE[msg.kind])
-        legs.d_it.append(now_tick - msg.created_tick)
-        legs.d_comm.append(d_comm)
-        legs.delivered.append(delivered)
+        if len(self._legs) >= 5 * _BLOCK:
+            self._store_legs()
+        self._legs += (_CLASS_CODE[msg.msg_class], _KIND_CODE[msg.kind], now_tick - msg.created_tick,
+                       d_comm, delivered)
         return d_comm
+
+    def _store_legs(self) -> None:
+        legs = self.comm_legs
+        _move(self._legs, (legs.classes, legs.kinds, legs.d_it, legs.d_comm, legs.delivered))
 
     def _apply_rate_update(self, period_ticks: int, now_tick: int) -> None:
         """Rebuild the polling schedule at the adapted period.
@@ -289,17 +357,35 @@ class ITFederate:
     # ----------------------------------------------------------- reporting
 
     def finalize_run(self, end_tick: int) -> None:
-        """Score every exchange once, after the run ended at ``end_tick``.
+        """Complete the record columns and score every exchange once, after
+        the run ended at ``end_tick``.
 
         ``exchange_rows`` then lists exchanges by creation interval, then
-        class in ``MessageClass`` order, then creation order.
+        class in ``MessageClass`` order, then creation order.  Exchanges are
+        created slot by slot and an interval is a whole number of slots, so
+        creation intervals never decrease along the rows: each interval is
+        one run of rows, and ordering it is a stable partition by class.
         """
-        for record in self._open.values():
-            record.d_comm_ticks = None  # the response leg never completed
-        limits = self._limit_ticks
-        for rec in self.exchange_rows:
-            d_it = None if rec.delivered_tick is None else rec.delivered_tick - rec.created_tick
-            rec.score = exchange_score(d_it, rec.created_tick, limits[rec.msg_class], end_tick)
+        self._store_exchanges()
+        self._store_legs()
+        # An exchange still open keeps delivered and d_comm ``MISSING``: its
+        # response leg never completed.
+        rows = self.exchange_rows
         w = self._interval_ticks
-        # A stable sort keeps creation order within each (interval, class).
-        self.exchange_rows.sort(key=lambda rec: (rec.created_tick // w, _CLASS_CODE[rec.msg_class]))
+        created, classes = rows.created, rows.classes
+        lo, n = 0, len(created)
+        while lo < n:
+            hi = bisect_left(created, (created[lo] // w + 1) * w, lo)
+            codes = classes[lo:hi].tobytes()
+            ordered = b"".join(bytes((code,)) * codes.count(code) for code in range(len(_CLASSES)))
+            if codes != ordered:
+                selectors = [codes.translate(table) for table in _SELECT_CLASS]
+                for column in (rows.ids, rows.nodes, created, rows.delivered, rows.d_comm):
+                    run, reordered = column[lo:hi], array("q")
+                    for selector in selectors:
+                        reordered.extend(compress(run, selector))
+                    column[lo:hi] = reordered
+                classes[lo:hi] = array("b", ordered)
+            lo = hi
+        limits = [self._limit_ticks[cls] for cls in _CLASSES]
+        rows.scores = exchange_scores(classes, created, rows.delivered, limits, end_tick)

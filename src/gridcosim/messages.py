@@ -48,6 +48,16 @@ _KIND_BY_VALUE = {member.value: member for member in MessageKind}
 _CLASS_VALUE = {member: value for value, member in _CLASS_BY_VALUE.items()}
 _KIND_VALUE = {member: value for value, member in _KIND_BY_VALUE.items()}
 
+#: Member to its code in the record columns (``itfed.CommLegs``,
+#: ``itfed.Exchanges``): its index in declaration order, and back.
+_CLASSES = tuple(MessageClass)
+_KINDS = tuple(MessageKind)
+_CLASS_CODE = {cls: code for code, cls in enumerate(_CLASSES)}
+_KIND_CODE = {kind: code for code, kind in enumerate(_KINDS)}
+#: Stands for None in the record columns, whose ticks, ids and scores are
+#: never negative.
+MISSING = -1
+
 
 @dataclass(slots=True)
 class SimMessage:

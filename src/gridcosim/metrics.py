@@ -1,30 +1,37 @@
 """Reliability, confidence-interval and delay-mismatch metrics.
 
-``exchange_score`` is the one place a round trip meets its class delay
+``exchange_scores`` is the one place a round trip meets its class delay
 limit: an exchange scores 1 when its application-side round trip, in ticks,
-met the limit, 0 when it did not or was never answered, and None when the
-run ended before that was decided.  Reliability of a node over an interval
-is the mean of its stored scores.  Class reliability aggregates the
+met the limit, 0 when it did not or was never answered, and ``MISSING``
+when the run ended before that was decided.  Reliability of a node over an
+interval is the mean of its stored scores.  Class reliability aggregates the
 per-node values into a mean with a 95% confidence interval using the sample
 standard deviation.  The delay-mismatch figure (in percent) is the mean
 relative gap between application-side and network-side delays over
 completed messages; it gauges how much error the timeslot synchronization
 introduces.
+
+The reports read the federate's record columns (``itfed.Exchanges``,
+``itfed.CommLegs``) in one pass, keep only the intervals still open, and
+build no Python object per record.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import EmptyDistribution
-from .messages import MessageClass, MessageKind
+from .errors import EmptyDistribution, GridCoSimError
+from .messages import _CLASSES, MISSING, MessageClass
 from .simtime import TICKS_PER_SECOND
 
 #: Two-sided 95% normal quantile.
 CI_FACTOR = 1.96
+
+# Class codes in the order report rows list classes: by class name.
+_CODES_BY_NAME = sorted(range(len(_CLASSES)), key=lambda code: _CLASSES[code].value)
 
 
 @dataclass(slots=True)
@@ -67,17 +74,22 @@ class DelayStats:
     p95_s: float
 
 
-def exchange_score(d_it_ticks: int | None, created_tick: int, limit_ticks: int,
-                   end_tick: int) -> int | None:
-    """1 when the round trip met the limit, else 0; None while undecided.
+def exchange_scores(classes: Sequence[int], created: Sequence[int], delivered: Sequence[int],
+                    limits: Sequence[int], end_tick: int) -> array:
+    """Score of each exchange, from its columns: 1 when the round trip met the
+    limit, else 0; ``MISSING`` while undecided.
 
-    The limit is inclusive.  An exchange never answered (``d_it_ticks`` None)
-    scores 0 once its limit has run out by ``end_tick``, the end of the run;
-    before that its outcome is unknowable.
+    ``classes`` holds class codes, ``limits`` the delay limit in ticks of
+    each code, and ``delivered`` the response tick, ``MISSING`` when never
+    answered.  The limit is inclusive.  An exchange never answered scores 0
+    once its limit has run out by ``end_tick``, the end of the run; before
+    that its outcome is unknowable.
     """
-    if d_it_ticks is not None:
-        return 1 if d_it_ticks <= limit_ticks else 0
-    return None if created_tick + limit_ticks > end_tick else 0
+    return array("b", (
+        (1 if done - start <= limits[code] else 0) if done != MISSING
+        else (MISSING if start + limits[code] > end_tick else 0)
+        for code, start, done in zip(classes, created, delivered)
+    ))
 
 
 def class_reliability_ci(per_node: Mapping[int, float]) -> tuple[float, float]:
@@ -125,38 +137,97 @@ def percentile_nearest_rank(values: Sequence[float], q: float) -> float:
     return ordered[rank - 1]
 
 
-def reliability_series(exchanges: Iterable, interval_ticks: int) -> list[IntervalMetrics]:
-    """Class reliability per (creation interval, class) of scored ``itfed.Exchange``s.
+def reliability_series(exchanges, interval_ticks: int) -> list[IntervalMetrics]:
+    """Class reliability per (creation interval, class) of scored exchanges.
 
-    A node's reliability is the mean of its stored scores; undecided
-    exchanges (score None) are left out.  Rows are ordered by interval, then class name.
+    ``exchanges`` is an ``itfed.Exchanges`` whose creation intervals never
+    decrease along the rows.  A node's reliability is the mean of its stored
+    scores; undecided exchanges (``MISSING``) are left out.  Only the current
+    interval's per-node score sums and counts are kept: its rows are emitted
+    when the next interval starts.  A scored exchange created in an interval
+    already emitted raises ``GridCoSimError``.  Rows are ordered by interval,
+    then class name.
     """
-    scores: dict[tuple[int, MessageClass], dict[int, list[int]]] = defaultdict(lambda: defaultdict(list))
-    for ex in exchanges:
-        if ex.score is not None:
-            scores[(ex.created_tick // interval_ticks, ex.msg_class)][ex.node].append(ex.score)
-    series = []
-    for (interval, msg_class), by_node in scores.items():
-        mean, half = class_reliability_ci({node: sum(s) / len(s) for node, s in by_node.items()})
-        series.append(IntervalMetrics(interval, msg_class, mean, half))
-    series.sort(key=lambda m: (m.interval, m.msg_class.value))
+    series: list[IntervalMetrics] = []
+    interval = start = end = 0
+    # Per class code, node to its score sum and count in the current interval.
+    totals: list[dict[int, int]] = [{} for _ in _CLASSES]
+    counts: list[dict[int, int]] = [{} for _ in _CLASSES]
+    for created, code, node, score in zip(exchanges.created, exchanges.classes,
+                                          exchanges.nodes, exchanges.scores):
+        if score == MISSING:
+            continue
+        if not start <= created < end:
+            if created < start:
+                raise GridCoSimError(f"exchange created at tick {created} after interval "
+                                     f"{created // interval_ticks} was reported")
+            _emit_reliability(series, interval, totals, counts)
+            interval = created // interval_ticks
+            start, end = interval * interval_ticks, (interval + 1) * interval_ticks
+            totals = [{} for _ in _CLASSES]
+            counts = [{} for _ in _CLASSES]
+        node_totals, node_counts = totals[code], counts[code]
+        node_totals[node] = node_totals.get(node, 0) + score
+        node_counts[node] = node_counts.get(node, 0) + 1
+    _emit_reliability(series, interval, totals, counts)
     return series
 
 
-def delay_series(
-    legs: Iterable[tuple[MessageClass, MessageKind, int, int, int]], interval_ticks: int
-) -> list[DelayStats]:
+def _emit_reliability(series: list[IntervalMetrics], interval: int,
+                      totals: list[dict[int, int]], counts: list[dict[int, int]]) -> None:
+    for code in _CODES_BY_NAME:
+        if counts[code]:
+            node_totals = totals[code]
+            mean, half = class_reliability_ci(
+                {node: node_totals[node] / n for node, n in counts[code].items()})
+            series.append(IntervalMetrics(interval, _CLASSES[code], mean, half))
+
+
+def delay_series(legs, interval_ticks: int, tau_ticks: int) -> list[DelayStats]:
     """Network delay mean and p95 per (delivery interval, class).
 
-    ``legs`` are (class, kind, d_it_ticks, d_comm_ticks, delivered_comm_tick)
-    records; rows are ordered by interval, then class name.
+    ``legs`` is an ``itfed.CommLegs``, in the order the legs were recorded:
+    each at most ``2 * tau_ticks`` after its comm delivery, the per-leg sync
+    bound.  Once a leg delivered at tick ``t`` is read, no later leg is
+    delivered before ``t - 2 * tau_ticks``, so every interval that ended by
+    then is complete: its rows are emitted and its values dropped.  A leg
+    delivered in an interval already emitted breaks the bound and raises
+    ``GridCoSimError``.  Rows are ordered by interval, then class name.
     """
-    by_key: dict[tuple[int, MessageClass], list[float]] = defaultdict(list)
-    for msg_class, _kind, _d_it, d_comm, delivered_tick in legs:
-        by_key[(delivered_tick // interval_ticks, msg_class)].append(d_comm / TICKS_PER_SECOND)
-    series = [
-        DelayStats(interval, msg_class, sum(values) / len(values), percentile_nearest_rank(values, 95.0))
-        for (interval, msg_class), values in by_key.items()
-    ]
-    series.sort(key=lambda d: (d.interval, d.msg_class.value))
+    lag = 2 * tau_ticks
+    series: list[DelayStats] = []
+    # Interval to its d_comm ticks per class code, in leg order; ``group``
+    # is the one of the interval [start, end) that the last leg landed in.
+    groups: dict[int, list[list[int]]] = {}
+    group: list[list[int]] = []
+    start = end = 0
+    emitted = 0  # every interval below this one is emitted
+    close_at = interval_ticks + lag  # the first delivery tick that completes interval ``emitted``
+    for code, d_comm, delivered in zip(legs.classes, legs.d_comm, legs.delivered):
+        if not start <= delivered < end:
+            interval = delivered // interval_ticks
+            if interval not in groups:
+                if interval < emitted:
+                    raise GridCoSimError(f"leg delivered at tick {delivered} after interval "
+                                         f"{interval} was reported")
+                groups[interval] = [[] for _ in _CLASSES]
+            group = groups[interval]
+            start, end = interval * interval_ticks, (interval + 1) * interval_ticks
+        group[code].append(d_comm)
+        if delivered >= close_at:
+            done = (delivered - lag) // interval_ticks
+            for closed in sorted(i for i in groups if i < done):
+                _emit_delays(series, closed, groups.pop(closed))
+            emitted = done
+            close_at = (done + 1) * interval_ticks + lag
+    for closed in sorted(groups):
+        _emit_delays(series, closed, groups[closed])
     return series
+
+
+def _emit_delays(series: list[DelayStats], interval: int, group: list[list[int]]) -> None:
+    for code in _CODES_BY_NAME:
+        if group[code]:
+            values = [d_comm / TICKS_PER_SECOND for d_comm in group[code]]
+            series.append(DelayStats(interval, _CLASSES[code], sum(values) / len(values),
+                                     percentile_nearest_rank(values, 95.0)))

@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__
 from .config import ScenarioConfig, serialize_config
 from .errors import UsageError
-from .itfed import CommLegs, Exchange, ITFederate
+from .itfed import CommLegs, Exchanges, ITFederate
 from .messages import MessageClass, NodeDescriptor
 from .metrics import DelayStats, IntervalMetrics, ddf, delay_series, reliability_series
 from .netfed import NetFederate
@@ -38,7 +38,7 @@ class RunResult:
     delays: list[DelayStats]
     ddf: float | None
     conservation: dict[MessageClass, dict[str, int]]
-    exchange_rows: list[Exchange]
+    exchange_rows: Exchanges
     comm_legs: CommLegs
     link_rows: list[tuple[float, str, int, int, int, int, int]]
     adapted_period_ticks: int | None
@@ -70,7 +70,7 @@ def run_scenario(
         federation=federation,
         nodes=nodes,
         reliability=reliability_series(it_federate.exchange_rows, cfg.interval_ticks),
-        delays=delay_series(legs, cfg.interval_ticks),
+        delays=delay_series(legs, cfg.interval_ticks, cfg.tau_ticks),
         ddf=ddf(zip(legs.d_it, legs.d_comm)) if legs else None,
         conservation=net_federate.conservation(),
         exchange_rows=it_federate.exchange_rows,

@@ -129,6 +129,11 @@ class SocketEndpoint:
             received = self.stream.recv()
         except ConnectionError:  # the federate hung up with its grant unread
             received = None
+        except FederateTimeout as exc:
+            raise FederateTimeout(
+                f"federate {self.name} sent no ACK_SLOT for slot {self._slot} "
+                f"within {self.stream.sock.gettimeout():g} s"
+            ) from exc
         if received is None:
             raise ProtocolViolation(f"federate {self.name} closed its stream mid-slot")
         body = received.body

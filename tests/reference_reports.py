@@ -1,0 +1,50 @@
+"""The reports as they were built from whole-run lists, kept for comparison.
+
+These are the list-based ``exchange_score``, ``reliability_series`` and
+``delay_series`` that ``gridcosim.metrics`` replaced with column readers
+that keep one interval at a time.  They group every record of the run in a
+dict and sort at the end, so their result does not depend on the order of
+the records; the streaming versions must give equal rows on any input that
+keeps their ordering rules.  Only the statistics helpers are shared.
+"""
+
+from __future__ import annotations
+
+from collections import defaultdict
+
+from gridcosim.metrics import DelayStats, IntervalMetrics, class_reliability_ci, percentile_nearest_rank
+from gridcosim.simtime import TICKS_PER_SECOND
+
+
+def exchange_score(d_it_ticks, created_tick, limit_ticks, end_tick):
+    """1 when the round trip met the limit, else 0; None while undecided."""
+    if d_it_ticks is not None:
+        return 1 if d_it_ticks <= limit_ticks else 0
+    return None if created_tick + limit_ticks > end_tick else 0
+
+
+def reliability_series(exchanges, interval_ticks):
+    """Class reliability per (creation interval, class) of ``itfed.Exchange`` rows."""
+    scores = defaultdict(lambda: defaultdict(list))
+    for ex in exchanges:
+        if ex.score is not None:
+            scores[(ex.created_tick // interval_ticks, ex.msg_class)][ex.node].append(ex.score)
+    series = []
+    for (interval, msg_class), by_node in scores.items():
+        mean, half = class_reliability_ci({node: sum(s) / len(s) for node, s in by_node.items()})
+        series.append(IntervalMetrics(interval, msg_class, mean, half))
+    series.sort(key=lambda m: (m.interval, m.msg_class.value))
+    return series
+
+
+def delay_series(legs, interval_ticks):
+    """Network delay mean and p95 per (delivery interval, class) of leg tuples."""
+    by_key = defaultdict(list)
+    for msg_class, _kind, _d_it, d_comm, delivered_tick in legs:
+        by_key[(delivered_tick // interval_ticks, msg_class)].append(d_comm / TICKS_PER_SECOND)
+    series = [
+        DelayStats(interval, msg_class, sum(values) / len(values), percentile_nearest_rank(values, 95.0))
+        for (interval, msg_class), values in by_key.items()
+    ]
+    series.sort(key=lambda d: (d.interval, d.msg_class.value))
+    return series

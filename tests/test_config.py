@@ -113,6 +113,13 @@ def test_times_must_fit_64_bit_ticks(key, seconds, ok):
         assert err.value.key == key
 
 
+def test_zero_byte_ack_rejected_by_key():
+    with pytest.raises(ValidationError) as err:
+        loads_config("ack_bytes = 0\n")
+    assert err.value.key == "ack_bytes"
+    assert loads_config("ack_bytes = 1\n").ack_bytes == 1
+
+
 def test_alpha_bounds():
     with pytest.raises(ValidationError) as err:
         loads_config("alpha_e = 1.0\n")

@@ -156,7 +156,7 @@ def test_duplicate_response_counts_unknown_correlation(caplog):
         f"response 101 has no open request {request.id}"
     ]
     # The duplicate leaves the exchange the first response closed untouched.
-    record = next(rec for rec in fed.exchange_rows if rec.id == request.id)
+    record = next(rec for rec in _finalized_rows(fed, cfg) if rec.id == request.id)
     assert record.delivered_tick == 2000
 
 
@@ -236,6 +236,7 @@ def test_application_delay_dominates_network_delay():
     now = 10 * cfg.tau_ticks
     msg = _request_via_network(fed, cfg, hva.id, 100, now)
     fed.on_deliver(msg, now)
+    fed.finalize_run(now)
     ((_, _, d_it, d_comm, _),) = fed.comm_legs
     assert d_it >= d_comm > 0
     assert d_it == now - 100

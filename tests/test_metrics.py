@@ -3,8 +3,9 @@
 The confidence-interval oracle is the statistics module (sample standard
 deviation); the implementation under test does its own arithmetic.
 Reliability is checked end to end from round trips: each exchange is scored
-by ``exchange_score`` and the node value is read back from
-``reliability_series``.
+by ``exchange_scores`` and the node value is read back from
+``reliability_series``.  The column-reading reports are also compared with
+the list-based ones they replaced, kept in ``reference_reports``.
 """
 
 import math
@@ -14,18 +15,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 import gridcosim
-from gridcosim.errors import EmptyDistribution
+from gridcosim.errors import EmptyDistribution, GridCoSimError
 from gridcosim.itfed import Exchange
-from gridcosim.messages import MessageClass, MessageKind
+from gridcosim.messages import _CLASSES, MISSING, MessageClass, MessageKind
 from gridcosim.metrics import (
     class_reliability_ci,
     ddf,
     delay_series,
-    exchange_score,
+    exchange_scores,
     percentile_nearest_rank,
     reliability_series,
 )
 from gridcosim.simtime import TICKS_PER_SECOND
+from tests import records, reference_reports
 
 # Frozen from the independent oracle below (statistics.stdev, n-1 form).
 CI_CASE_VALUES = [1, 1, 0.5, 0.5]
@@ -37,6 +39,14 @@ LIMIT_30_S = 30 * TICKS_PER_SECOND
 INTERVAL_TICKS = 25 * TICKS_PER_SECOND
 # Late enough that every exchange created at tick 0 has its outcome decided.
 END_TICK = 100 * TICKS_PER_SECOND
+TAU_TICKS = TICKS_PER_SECOND // 100
+
+
+def _score(d_it: int | None, created_tick: int) -> int | None:
+    """``exchange_scores`` of one exchange under a 30 s limit, None while undecided."""
+    delivered = MISSING if d_it is None else created_tick + d_it
+    [score] = exchange_scores([0], [created_tick], [delivered], [LIMIT_30_S], END_TICK)
+    return None if score == MISSING else score
 
 
 def _exchange(d_it_s: float | None, node: int = 1, created_tick: int = 0) -> Exchange:
@@ -44,12 +54,12 @@ def _exchange(d_it_s: float | None, node: int = 1, created_tick: int = 0) -> Exc
     d_it = None if d_it_s is None else round(d_it_s * TICKS_PER_SECOND)
     delivered = None if d_it is None else created_tick + d_it
     return Exchange(0, MessageClass.MONITORING, node, created_tick, delivered,
-                    score=exchange_score(d_it, created_tick, LIMIT_30_S, END_TICK))
+                    score=_score(d_it, created_tick))
 
 
 def _node_reliability(exchanges: list[Exchange]) -> float | None:
     """Reliability of the one node ``exchanges`` belong to; None when none is scored."""
-    series = reliability_series(exchanges, INTERVAL_TICKS)
+    series = reliability_series(records.exchanges(exchanges), INTERVAL_TICKS)
     assert len(series) <= 1
     return series[0].mean if series else None
 
@@ -108,13 +118,13 @@ def test_node_reliability_empty_is_absent():
 def test_node_reliability_limit_inclusive():
     assert _node_reliability([_exchange(30.0)]) == 1.0
     assert _node_reliability([_exchange((LIMIT_30_S + 1) / TICKS_PER_SECOND)]) == 0.0
-    assert exchange_score(LIMIT_30_S, 0, LIMIT_30_S, END_TICK) == 1
-    assert exchange_score(LIMIT_30_S + 1, 0, LIMIT_30_S, END_TICK) == 0
+    assert _score(LIMIT_30_S, 0) == 1
+    assert _score(LIMIT_30_S + 1, 0) == 0
     # An unanswered exchange is decided once its limit has run out exactly.
-    assert exchange_score(None, END_TICK - LIMIT_30_S, LIMIT_30_S, END_TICK) == 0
-    assert exchange_score(None, END_TICK - LIMIT_30_S + 1, LIMIT_30_S, END_TICK) is None
+    assert _score(None, END_TICK - LIMIT_30_S) == 0
+    assert _score(None, END_TICK - LIMIT_30_S + 1) is None
     # A response that arrived in time is scored even close to the end.
-    assert exchange_score(5, END_TICK - 1, LIMIT_30_S, END_TICK) == 1
+    assert _score(5, END_TICK - 1) == 1
 
 
 def test_ddf_constant_gap():
@@ -148,7 +158,7 @@ def test_delay_stats():
     legs = [(MessageClass.CONTROL, MessageKind.CONTROL_ACK, 0, s * TICKS_PER_SECOND, start + s)
             for s in (1, 2, 3)]
     legs.append((MessageClass.MONITORING, MessageKind.RESPONSE, 0, 7, start - 1))
-    first, stats = delay_series(legs, INTERVAL_TICKS)
+    first, stats = delay_series(records.comm_legs(legs), INTERVAL_TICKS, TAU_TICKS)
     assert (first.interval, first.msg_class, first.mean_s) == (3, MessageClass.MONITORING, 7e-5)
     assert (stats.interval, stats.msg_class) == (4, MessageClass.CONTROL)
     assert stats.mean_s == pytest.approx(2.0)
@@ -162,7 +172,7 @@ def test_interval_metrics_aggregates_nodes():
         _exchange(50.0, node=3), _exchange(None, node=3),
         _exchange(None, node=4, created_tick=END_TICK - 1),  # undecided: no value
     ]
-    [snapshot] = reliability_series(exchanges, INTERVAL_TICKS)
+    [snapshot] = reliability_series(records.exchanges(exchanges), INTERVAL_TICKS)
     assert (snapshot.interval, snapshot.msg_class) == (0, MessageClass.MONITORING)
     oracle_mean = statistics.fmean([1.0, 1.0, 0.0])
     oracle_half = 1.96 * statistics.stdev([1.0, 1.0, 0.0]) / math.sqrt(3)
@@ -175,9 +185,97 @@ def test_interval_metrics_aggregates_nodes():
 
 
 def test_interval_metrics_empty_is_none():
-    assert reliability_series([], INTERVAL_TICKS) == []
+    assert reliability_series(records.exchanges([]), INTERVAL_TICKS) == []
     undecided = Exchange(0, MessageClass.CONTROL, 5, 0)
-    assert reliability_series([undecided], INTERVAL_TICKS) == []
+    assert reliability_series(records.exchanges([undecided]), INTERVAL_TICKS) == []
+
+
+# Short intervals, so that a few hundred records span many of them; ticks
+# are drawn on a coarse grid, so that records often fall on an interval end.
+SMALL_INTERVAL = 4 * TAU_TICKS
+LIMITS = [3 * TAU_TICKS, 5 * TAU_TICKS]
+
+
+def _half_taus(most: int):
+    return st.integers(0, most).map(lambda k: k * TAU_TICKS // 2)
+
+
+@st.composite
+def scored_exchanges(draw):
+    """Exchanges with creation intervals that never decrease, scored at a random run end."""
+    drawn = draw(st.lists(st.tuples(
+        _half_taus(4),                                    # ticks since the previous creation
+        st.sampled_from(range(len(_CLASSES))),            # class code
+        st.integers(1, 6),                                # node
+        st.none() | _half_taus(16),                       # round trip, None if never answered
+    ), max_size=150))
+    created, tick = [], 0
+    for step, _code, _node, _wait in drawn:
+        tick += step
+        created.append(tick)
+    end_tick = tick + draw(_half_taus(12))
+    codes = [code for _step, code, _node, _wait in drawn]
+    delivered = [MISSING if wait is None or start + wait > end_tick else start + wait
+                 for start, (_step, _code, _node, wait) in zip(created, drawn)]
+    scores = exchange_scores(codes, created, delivered, LIMITS, end_tick)
+    rows = [Exchange(2 * i, _CLASSES[code], node, start, None if done == MISSING else done,
+                     score=None if score == MISSING else score)
+            for i, ((_step, code, node, _wait), start, done, score)
+            in enumerate(zip(drawn, created, delivered, scores))]
+    return rows, end_tick
+
+
+@given(scored_exchanges())
+def test_scores_and_reliability_match_the_list_reference(case):
+    rows, end_tick = case
+    for row in rows:
+        d_it = None if row.delivered_tick is None else row.delivered_tick - row.created_tick
+        limit = LIMITS[_CLASSES.index(row.msg_class)]
+        assert row.score == reference_reports.exchange_score(d_it, row.created_tick, limit, end_tick)
+    assert (reliability_series(records.exchanges(rows), SMALL_INTERVAL)
+            == reference_reports.reliability_series(rows, SMALL_INTERVAL))
+
+
+@st.composite
+def bounded_legs(draw):
+    """Legs in record order, each recorded at most 2 tau after its comm delivery."""
+    drawn = draw(st.lists(st.tuples(
+        st.integers(0, 12).map(lambda k: k * TAU_TICKS // 4),  # ticks since the previous record
+        st.integers(0, 8).map(lambda k: k * TAU_TICKS // 4),   # record tick minus delivery tick
+        st.sampled_from(list(MessageKind)),
+        st.integers(1, 50 * TAU_TICKS),                        # d_comm
+    ), max_size=200))
+    legs, record_tick = [], 2 * TAU_TICKS
+    for step, lag, kind, d_comm in drawn:
+        record_tick += step
+        msg_class = MessageClass.CONTROL if kind.value.startswith("control") else MessageClass.MONITORING
+        legs.append((msg_class, kind, d_comm + lag, d_comm, record_tick - lag))
+    return legs
+
+
+@given(bounded_legs(), st.sampled_from([1, 2, 4, 7]))
+def test_delay_series_matches_the_list_reference(legs, slots_per_interval):
+    interval_ticks = slots_per_interval * TAU_TICKS
+    assert (delay_series(records.comm_legs(legs), interval_ticks, TAU_TICKS)
+            == reference_reports.delay_series(legs, interval_ticks))
+
+
+def test_leg_for_an_emitted_interval_raises():
+    mon, resp = MessageClass.MONITORING, MessageKind.RESPONSE
+    # The second leg completes interval 0 (it is more than 2 tau into
+    # interval 1); the third was delivered in interval 0, beyond the bound.
+    legs = [(mon, resp, 9, 5, INTERVAL_TICKS - 1),
+            (mon, resp, 9, 5, INTERVAL_TICKS + 2 * TAU_TICKS),
+            (mon, resp, 9, 5, INTERVAL_TICKS - 1)]
+    assert len(delay_series(records.comm_legs(legs[:2]), INTERVAL_TICKS, TAU_TICKS)) == 2
+    with pytest.raises(GridCoSimError, match="interval 0"):
+        delay_series(records.comm_legs(legs), INTERVAL_TICKS, TAU_TICKS)
+
+
+def test_exchange_for_an_emitted_interval_raises():
+    rows = [_exchange(1.0, created_tick=INTERVAL_TICKS), _exchange(1.0)]
+    with pytest.raises(GridCoSimError, match="interval 0"):
+        reliability_series(records.exchanges(rows), INTERVAL_TICKS)
 
 
 def test_package_exports_resolve():

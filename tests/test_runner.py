@@ -5,6 +5,7 @@ import gc
 import json
 import math
 import statistics
+import sys
 import types
 from collections import defaultdict
 
@@ -12,10 +13,12 @@ import pytest
 
 from gridcosim.config import ScenarioConfig
 from gridcosim.errors import UsageError
+from gridcosim.itfed import Exchange
 from gridcosim.messages import MessageClass, MessageKind, SimMessage
-from gridcosim.metrics import delay_series
+from gridcosim.metrics import delay_series, reliability_series
 from gridcosim.runner import run_scenario, run_tau_sweep, write_manifest, write_outputs
 from gridcosim.simtime import TICKS_PER_SECOND
+from tests import records, reference_reports
 
 
 def small_cfg(**overrides):
@@ -162,7 +165,40 @@ def test_comm_legs_read_as_a_sequence_of_leg_tuples(small_run):
         assert isinstance(cls, MessageClass) and isinstance(kind, MessageKind)
         assert 0 < d_comm < d_it and 0 < tick
     w = small_run.cfg.interval_ticks
-    assert delay_series(legs, w) == delay_series(listed, w) == small_run.delays
+    assert delay_series(legs, w, small_run.cfg.tau_ticks) == small_run.delays
+    assert reference_reports.delay_series(listed, w) == small_run.delays
+
+
+def test_exchange_rows_read_as_a_sequence_of_exchanges():
+    # A control burst every 10 s, so that both classes share each interval.
+    run = run_scenario(small_cfg(lambda_c_hz=0.2))
+    rows = run.exchange_rows
+    listed = list(rows)
+    assert len(rows) == len(listed) > 0
+    assert [rows[i] for i in range(len(rows))] == listed
+    assert rows[-1] == listed[-1] and rows[-len(rows)] == listed[0]
+    for index in (len(rows), -len(rows) - 1):
+        with pytest.raises(IndexError):
+            rows[index]
+    assert all(isinstance(row, Exchange) and isinstance(row.msg_class, MessageClass) for row in listed)
+    assert {row.score for row in listed} <= {0, 1, None}
+    # Ordered by creation interval, then class, then creation order (ids grow with it).
+    w = run.cfg.interval_ticks
+    order = list(MessageClass)
+    keys = [(row.created_tick // w, order.index(row.msg_class), row.id) for row in listed]
+    assert keys == sorted(keys)
+    assert {(interval, cls) for interval, cls, _id in keys} == {
+        (interval, cls) for interval in range(4) for cls in range(len(order))}
+    assert sorted(keys, key=lambda key: key[2]) != keys
+    assert rows == records.exchanges(listed)
+    assert run.reliability == reference_reports.reliability_series(listed, w)
+
+
+def test_exchange_columns_take_at_most_64_bytes_an_exchange():
+    rows = run_scenario(dataclasses.replace(ScenarioConfig(), duration_s=120.0)).exchange_rows
+    columns = [getattr(rows, name) for name in rows.__slots__]
+    assert len(rows) > 1000
+    assert sum(sys.getsizeof(column) for column in columns) / len(rows) <= 64
 
 
 def test_reliability_csv_recomputed_from_exchange_log(tmp_path):
@@ -208,7 +244,7 @@ def test_run_result_holds_no_message(small_run):
         if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType, enum.Enum)):
             continue
         seen.add(id(obj))
-        assert not isinstance(obj, SimMessage), obj
+        assert not isinstance(obj, (SimMessage, Exchange)), obj
         stack.extend(gc.get_referents(obj))
     assert len(seen) > len(small_run.exchange_rows)
 

@@ -150,7 +150,7 @@ def test_slow_federate_times_out():
     from gridcosim.errors import FederateTimeout
 
     good = EchoFederate("good", "stalled")
-    with pytest.raises(FederateTimeout):
+    with pytest.raises(FederateTimeout, match="^federate stalled sent no ACK_SLOT for slot 0 within 0.3 s$"):
         run_federation(1000, 2, [StalledFederate(), good],
                        transport="socket", timeout_s=0.3)
 
