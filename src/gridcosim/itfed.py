@@ -21,9 +21,7 @@ import heapq
 import logging
 import random
 from array import array
-from bisect import bisect_left
 from collections.abc import Sequence
-from itertools import compress
 from typing import NamedTuple
 
 from .config import ScenarioConfig
@@ -37,8 +35,6 @@ logger = logging.getLogger(__name__)
 
 _MONITORING = _CLASS_CODE[MessageClass.MONITORING]
 _CONTROL = _CLASS_CODE[MessageClass.CONTROL]
-# Per class code, a ``bytes.translate`` table over class codes: 1 for that code, else 0.
-_SELECT_CLASS = [bytes(code) + b"\x01" + bytes(255 - code) for code in range(len(_CLASSES))]
 # Records collected before they move into their columns: an array filled
 # from a whole list costs less than half as much per value as ``append``.
 _BLOCK = 256
@@ -55,6 +51,7 @@ class Exchange(NamedTuple):
     """A request/response pair between the management system and one node,
     as ``Exchanges`` reads it back: a read-only row.
 
+    ``id`` is the request's, so ids rise in creation order.
     ``delivered_tick`` is when the response reached the management system.
     ``d_comm_ticks`` is the network delay of both legs, None when a leg has
     no network timestamps or no response came.  ``score`` is set once by
@@ -87,7 +84,8 @@ class Exchanges(Sequence):
     complete once its ``finalize_run`` has run: id, node and ticks as 64-bit
     ints, class as its code (``messages._CLASS_CODE``) and score as bytes,
     with ``MISSING`` (-1) where the row reads None; about 42 bytes an
-    exchange.  Rows are built only when read.
+    exchange.  Rows are built only when read, in creation order: ids rise,
+    and creation intervals never decrease, an interval being whole slots.
     """
 
     __slots__ = ("ids", "classes", "nodes", "created", "delivered", "d_comm", "scores")
@@ -158,14 +156,12 @@ class ITFederate:
     def __init__(self, cfg: ScenarioConfig, nodes: list[NodeDescriptor]):
         self.cfg = cfg
         self._tau = cfg.tau_ticks
-        self._interval_ticks = cfg.interval_ticks
         self._limit_ticks = {cls: cfg.delay_limit_ticks(cls) for cls in MessageClass}
 
         self._dms_id = next(n.id for n in nodes if n.kind is NodeKind.DMS)
-        self._kind_by_id = {n.id: n.kind for n in nodes}
-        # Requests reach monitored nodes and commands reach switches.
-        self._reply_bytes = {kind: cfg.response_payload_bytes(kind)
-                             for kind in (*cfg.monitored_counts(), NodeKind.SWITCH)}
+        # Requests reach monitored nodes and commands reach switches: node id to its reply's bytes.
+        reply_bytes = {kind: cfg.response_payload_bytes(kind) for kind in (*cfg.monitored_counts(), NodeKind.SWITCH)}
+        self._reply_bytes = {n.id: reply_bytes[n.kind] for n in nodes if n.kind in reply_bytes}
         self.monitored = monitored_nodes(nodes, cfg)
         self._switch_ids = [n.id for n in nodes if n.kind is NodeKind.SWITCH]
 
@@ -189,8 +185,7 @@ class ITFederate:
         self._control_period = max(1, round(cfg.control_burst_size / cfg.lambda_c_hz * TICKS_PER_SECOND))
         self._next_control = self._control_period if self._switch_ids else 1 << 62
 
-        # Every exchange, in creation order until ``finalize_run`` orders it,
-        # and every completed leg.
+        # Every exchange, in creation order, and every completed leg.
         self.exchange_rows = Exchanges()
         self.comm_legs = CommLegs()
         # Records not yet in their columns, held flat: id, class code, node
@@ -290,7 +285,7 @@ class ITFederate:
             MessageKind.RESPONSE if msg.kind is MessageKind.REQUEST else MessageKind.CONTROL_ACK
         )
         reply = SimMessage(self._alloc_id(), msg.msg_class, reply_kind, msg.dst, msg.src,
-                           self._reply_bytes[self._kind_by_id[msg.dst]], now_tick,
+                           self._reply_bytes[msg.dst], now_tick,
                            correlation_id=msg.id)
         return [reply]
 
@@ -357,35 +352,13 @@ class ITFederate:
     # ----------------------------------------------------------- reporting
 
     def finalize_run(self, end_tick: int) -> None:
-        """Complete the record columns and score every exchange once, after
-        the run ended at ``end_tick``.
-
-        ``exchange_rows`` then lists exchanges by creation interval, then
-        class in ``MessageClass`` order, then creation order.  Exchanges are
-        created slot by slot and an interval is a whole number of slots, so
-        creation intervals never decrease along the rows: each interval is
-        one run of rows, and ordering it is a stable partition by class.
-        """
+        """Move the collected records into their columns and score every
+        exchange once, after the run ended at ``end_tick``; the rows keep
+        their creation order."""
         self._store_exchanges()
         self._store_legs()
         # An exchange still open keeps delivered and d_comm ``MISSING``: its
         # response leg never completed.
         rows = self.exchange_rows
-        w = self._interval_ticks
-        created, classes = rows.created, rows.classes
-        lo, n = 0, len(created)
-        while lo < n:
-            hi = bisect_left(created, (created[lo] // w + 1) * w, lo)
-            codes = classes[lo:hi].tobytes()
-            ordered = b"".join(bytes((code,)) * codes.count(code) for code in range(len(_CLASSES)))
-            if codes != ordered:
-                selectors = [codes.translate(table) for table in _SELECT_CLASS]
-                for column in (rows.ids, rows.nodes, created, rows.delivered, rows.d_comm):
-                    run, reordered = column[lo:hi], array("q")
-                    for selector in selectors:
-                        reordered.extend(compress(run, selector))
-                    column[lo:hi] = reordered
-                classes[lo:hi] = array("b", ordered)
-            lo = hi
         limits = [self._limit_ticks[cls] for cls in _CLASSES]
-        rows.scores = exchange_scores(classes, created, rows.delivered, limits, end_tick)
+        rows.scores = exchange_scores(rows.classes, rows.created, rows.delivered, limits, end_tick)

@@ -140,8 +140,8 @@ def percentile_nearest_rank(values: Sequence[float], q: float) -> float:
 def reliability_series(exchanges, interval_ticks: int) -> list[IntervalMetrics]:
     """Class reliability per (creation interval, class) of scored exchanges.
 
-    ``exchanges`` is an ``itfed.Exchanges`` whose creation intervals never
-    decrease along the rows.  A node's reliability is the mean of its stored
+    ``exchanges`` is an ``itfed.Exchanges``, in creation order, so creation
+    intervals never decrease along the rows.  A node's reliability is the mean of its stored
     scores; undecided exchanges (``MISSING``) are left out.  Only the current
     interval's per-node score sums and counts are kept: its rows are emitted
     when the next interval starts.  A scored exchange created in an interval

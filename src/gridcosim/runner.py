@@ -137,6 +137,10 @@ def write_ddf_csv(path: Path, rows: list[tuple[float, float, float]]) -> None:
 
 
 def write_exchange_log(path: Path, result: RunResult) -> None:
+    """One row per exchange, by creation interval, then class in
+    ``MessageClass`` order, then creation order (the sort is stable)."""
+    rows, w = result.exchange_rows, result.cfg.interval_ticks
+    order = sorted(range(len(rows)), key=lambda i: (rows.created[i] // w, rows.classes[i]))
     _write_csv(path, ["id", "class", "node", "created_s", "delivered_s",
                       "d_it_s", "d_comm_s", "within_limit"], ([
         rec.id,
@@ -147,7 +151,7 @@ def write_exchange_log(path: Path, result: RunResult) -> None:
         "" if rec.delivered_tick is None else _fmt((rec.delivered_tick - rec.created_tick) / TICKS_PER_SECOND),
         "" if rec.d_comm_ticks is None else _fmt(rec.d_comm_ticks / TICKS_PER_SECOND),
         "" if rec.score is None else rec.score,
-    ] for rec in result.exchange_rows))
+    ] for rec in map(rows.__getitem__, order)))
 
 
 def write_link_log(path: Path, result: RunResult) -> None:

@@ -211,9 +211,12 @@ def test_criterion_7_tau_tradeoff():
             lambda_m_hz=1 / 200,
         )
         cfg.validate()
-        rows = run_tau_sweep(cfg, [1.0, 0.1, 0.01, 0.001])
-        ddf_values = [row[1] for row in rows]
-        wallclocks = [row[2] for row in rows]
+        sweeps = [run_tau_sweep(cfg, [1.0, 0.1, 0.01, 0.001]) for _ in range(3)]
+        ddf_values = [row[1] for row in sweeps[0]]
+        assert all([row[1] for row in rows] == ddf_values for rows in sweeps[1:])
+        # The fastest of three runs per tau: the runs take milliseconds, so
+        # one host stall could reorder single runs.
+        wallclocks = [min(timings) for timings in zip(*([row[2] for row in rows] for rows in sweeps))]
         assert all(a >= b for a, b in zip(ddf_values, ddf_values[1:])), ddf_values
         assert all(a < b for a, b in zip(wallclocks, wallclocks[1:])), wallclocks
 

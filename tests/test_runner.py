@@ -169,7 +169,7 @@ def test_comm_legs_read_as_a_sequence_of_leg_tuples(small_run):
     assert reference_reports.delay_series(listed, w) == small_run.delays
 
 
-def test_exchange_rows_read_as_a_sequence_of_exchanges():
+def test_exchange_rows_read_as_a_sequence_of_exchanges(tmp_path):
     # A control burst every 10 s, so that both classes share each interval.
     run = run_scenario(small_cfg(lambda_c_hz=0.2))
     rows = run.exchange_rows
@@ -182,10 +182,19 @@ def test_exchange_rows_read_as_a_sequence_of_exchanges():
             rows[index]
     assert all(isinstance(row, Exchange) and isinstance(row.msg_class, MessageClass) for row in listed)
     assert {row.score for row in listed} <= {0, 1, None}
-    # Ordered by creation interval, then class, then creation order (ids grow with it).
+    # The rows keep creation order, and ids grow with it.
+    assert all(a.id < b.id for a, b in zip(listed, listed[1:]))
+    # The log lists each exchange once, by creation interval, then class, then creation order.
+    write_outputs(tmp_path, run, exchange_log=True)
+    with (tmp_path / "exchange_log.csv").open(newline="") as handle:
+        log = list(csv.DictReader(handle))
+    by_id = {row.id: row for row in listed}
+    logged = [by_id[int(entry["id"])] for entry in log]
+    assert sorted(row.id for row in logged) == [row.id for row in listed]
+    assert [entry["class"] for entry in log] == [row.msg_class.value for row in logged]
     w = run.cfg.interval_ticks
     order = list(MessageClass)
-    keys = [(row.created_tick // w, order.index(row.msg_class), row.id) for row in listed]
+    keys = [(row.created_tick // w, order.index(row.msg_class), row.id) for row in logged]
     assert keys == sorted(keys)
     assert {(interval, cls) for interval, cls, _id in keys} == {
         (interval, cls) for interval in range(4) for cls in range(len(order))}

@@ -13,7 +13,7 @@ from gridcosim import transport
 from gridcosim.config import ScenarioConfig
 from gridcosim.errors import DecodeError, FederateTimeout, GridCoSimError, ProtocolViolation
 from gridcosim.messages import MessageClass, MessageKind, SimMessage
-from gridcosim.runner import run_scenario
+from gridcosim.runner import run_scenario, write_outputs
 from gridcosim.transport import parse_listen_address, run_federation
 
 
@@ -78,17 +78,29 @@ def test_transport_equivalence_on_scripted_federates():
     assert inproc.messages_published == socketed.messages_published == 8
 
 
-def test_transport_equivalence_on_full_scenario():
-    cfg = dataclasses.replace(ScenarioConfig(), duration_s=30.0, qos="wfq-ra", lte_fail_at_s=10.0)
-    cfg.validate()
-    inproc = run_scenario(cfg)
-    socketed = run_scenario(cfg, transport="socket")
-    assert inproc.federation.trace_digest == socketed.federation.trace_digest
-    assert inproc.exchange_rows == socketed.exchange_rows
-    assert [(m.interval, m.msg_class, m.mean) for m in inproc.reliability] == [
-        (m.interval, m.msg_class, m.mean) for m in socketed.reliability
-    ]
-    assert inproc.conservation == socketed.conservation
+def test_transport_equivalence_on_full_scenario(tmp_path):
+    # The second input sends a control burst every 10 s, so control commands
+    # and acks cross the transport interleaved with polls.
+    for lambda_c_hz in (ScenarioConfig.lambda_c_hz, 0.2):
+        cfg = dataclasses.replace(ScenarioConfig(), duration_s=30.0, qos="wfq-ra", lte_fail_at_s=10.0,
+                                  lambda_c_hz=lambda_c_hz)
+        cfg.validate()
+        inproc = run_scenario(cfg)
+        socketed = run_scenario(cfg, transport="socket")
+        assert inproc.federation.trace_digest == socketed.federation.trace_digest
+        assert inproc.exchange_rows == socketed.exchange_rows
+        assert [(m.interval, m.msg_class, m.mean) for m in inproc.reliability] == [
+            (m.interval, m.msg_class, m.mean) for m in socketed.reliability
+        ]
+        assert inproc.conservation == socketed.conservation
+        logs = []
+        for name, result in (("inproc", inproc), ("socket", socketed)):
+            out = tmp_path / f"{name}-{lambda_c_hz}"
+            write_outputs(out, result, exchange_log=True)
+            logs.append((out / "exchange_log.csv").read_bytes())
+        assert logs[0] == logs[1]
+    kinds = {kind for _cls, kind, *_ticks in inproc.comm_legs}
+    assert {MessageKind.CONTROL_COMMAND, MessageKind.CONTROL_ACK} <= kinds
 
 
 def _floats_and_bools(value, path=()):
