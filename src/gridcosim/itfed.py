@@ -110,11 +110,6 @@ class Exchanges(Sequence):
         return map(_exchange, self.ids, self.classes, self.nodes, self.created,
                    self.delivered, self.d_comm, self.scores)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Exchanges):
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
-
 
 class CommLegs(Sequence):
     """Completed message legs, kept as columns and read as tuples.
@@ -123,7 +118,10 @@ class CommLegs(Sequence):
     The view is read-only; ``ITFederate`` fills the columns, which are
     complete once its ``finalize_run`` has run: class and kind as their codes
     (``messages._CLASS_CODE``, ``_KIND_CODE``), ticks as 64-bit ints, about
-    26 bytes a leg.
+    26 bytes a leg.  Legs are in delivery order, comm delivery ticks never
+    decreasing: the comm federate publishes each message at its delivery
+    tick, and the IT federate is granted the slot after any that delivered
+    to it, with that slot's deliveries in its inbox sorted by tick.
     """
 
     __slots__ = ("classes", "kinds", "d_it", "d_comm", "delivered")

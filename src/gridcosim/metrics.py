@@ -12,15 +12,17 @@ completed messages; it gauges how much error the timeslot synchronization
 introduces.
 
 The reports read the federate's record columns (``itfed.Exchanges``,
-``itfed.CommLegs``) in one pass, keep only the intervals still open, and
-build no Python object per record.
+``itfed.CommLegs``) one interval at a time, in the order the run recorded
+them, and build no Python object per record.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 from .errors import EmptyDistribution, GridCoSimError
@@ -137,97 +139,72 @@ def percentile_nearest_rank(values: Sequence[float], q: float) -> float:
     return ordered[rank - 1]
 
 
+def _interval_runs(ticks, interval_ticks: int, what: str):
+    """``(interval, lo, hi)`` for each run ``ticks[lo:hi]`` of rows in one interval.
+
+    A row in an interval below one already read raises ``GridCoSimError``.
+    Each run's end is bisected and its rows are checked by their least and
+    greatest tick, with no Python step per row.
+    """
+    lo = 0
+    while lo < len(ticks):
+        interval = ticks[lo] // interval_ticks
+        hi = bisect_left(ticks, (interval + 1) * interval_ticks, lo)
+        run = ticks[lo:hi]
+        if min(run) // interval_ticks != max(run) // interval_ticks:
+            # The first row in an interval below that of a row before it.
+            tick = next(tick for tick, top in zip(run[1:], accumulate(run, max))
+                        if tick // interval_ticks < top // interval_ticks)
+            raise GridCoSimError(f"{what} at tick {tick} after interval "
+                                 f"{tick // interval_ticks} was reported")
+        yield interval, lo, hi
+        lo = hi
+
+
 def reliability_series(exchanges, interval_ticks: int) -> list[IntervalMetrics]:
     """Class reliability per (creation interval, class) of scored exchanges.
 
-    ``exchanges`` is an ``itfed.Exchanges``, in creation order, so creation
-    intervals never decrease along the rows.  A node's reliability is the mean of its stored
-    scores; undecided exchanges (``MISSING``) are left out.  Only the current
-    interval's per-node score sums and counts are kept: its rows are emitted
-    when the next interval starts.  A scored exchange created in an interval
-    already emitted raises ``GridCoSimError``.  Rows are ordered by interval,
-    then class name.
+    ``exchanges`` is an ``itfed.Exchanges``, in creation order: creation
+    intervals never decrease along the rows, though ticks within one may (a
+    slot creates its polls before its commands).  An exchange created in an
+    interval already read raises ``GridCoSimError``, scored or not.  A
+    node's reliability is the mean of its stored scores; undecided exchanges
+    (``MISSING``) are left out.  Rows are ordered by interval, then class name.
     """
     series: list[IntervalMetrics] = []
-    interval = start = end = 0
-    # Per class code, node to its score sum and count in the current interval.
-    totals: list[dict[int, int]] = [{} for _ in _CLASSES]
-    counts: list[dict[int, int]] = [{} for _ in _CLASSES]
-    for created, code, node, score in zip(exchanges.created, exchanges.classes,
-                                          exchanges.nodes, exchanges.scores):
-        if score == MISSING:
-            continue
-        if not start <= created < end:
-            if created < start:
-                raise GridCoSimError(f"exchange created at tick {created} after interval "
-                                     f"{created // interval_ticks} was reported")
-            _emit_reliability(series, interval, totals, counts)
-            interval = created // interval_ticks
-            start, end = interval * interval_ticks, (interval + 1) * interval_ticks
-            totals = [{} for _ in _CLASSES]
-            counts = [{} for _ in _CLASSES]
-        node_totals, node_counts = totals[code], counts[code]
-        node_totals[node] = node_totals.get(node, 0) + score
-        node_counts[node] = node_counts.get(node, 0) + 1
-    _emit_reliability(series, interval, totals, counts)
+    classes, nodes, scores = exchanges.classes, exchanges.nodes, exchanges.scores
+    for interval, lo, hi in _interval_runs(exchanges.created, interval_ticks, "exchange created"):
+        # Per class code, node to its score sum and count in this interval.
+        totals: list[dict[int, int]] = [{} for _ in _CLASSES]
+        counts: list[dict[int, int]] = [{} for _ in _CLASSES]
+        for code, node, score in zip(classes[lo:hi], nodes[lo:hi], scores[lo:hi]):
+            if score != MISSING:
+                node_totals, node_counts = totals[code], counts[code]
+                node_totals[node] = node_totals.get(node, 0) + score
+                node_counts[node] = node_counts.get(node, 0) + 1
+        for code in _CODES_BY_NAME:
+            if counts[code]:
+                mean, half = class_reliability_ci(
+                    {node: totals[code][node] / n for node, n in counts[code].items()})
+                series.append(IntervalMetrics(interval, _CLASSES[code], mean, half))
     return series
 
 
-def _emit_reliability(series: list[IntervalMetrics], interval: int,
-                      totals: list[dict[int, int]], counts: list[dict[int, int]]) -> None:
-    for code in _CODES_BY_NAME:
-        if counts[code]:
-            node_totals = totals[code]
-            mean, half = class_reliability_ci(
-                {node: node_totals[node] / n for node, n in counts[code].items()})
-            series.append(IntervalMetrics(interval, _CLASSES[code], mean, half))
-
-
-def delay_series(legs, interval_ticks: int, tau_ticks: int) -> list[DelayStats]:
+def delay_series(legs, interval_ticks: int) -> list[DelayStats]:
     """Network delay mean and p95 per (delivery interval, class).
 
-    ``legs`` is an ``itfed.CommLegs``, in the order the legs were recorded:
-    each at most ``2 * tau_ticks`` after its comm delivery, the per-leg sync
-    bound.  Once a leg delivered at tick ``t`` is read, no later leg is
-    delivered before ``t - 2 * tau_ticks``, so every interval that ended by
-    then is complete: its rows are emitted and its values dropped.  A leg
-    delivered in an interval already emitted breaks the bound and raises
+    ``legs`` is an ``itfed.CommLegs``, whose comm delivery ticks never
+    decrease; a leg delivered in an interval already read raises
     ``GridCoSimError``.  Rows are ordered by interval, then class name.
     """
-    lag = 2 * tau_ticks
     series: list[DelayStats] = []
-    # Interval to its d_comm ticks per class code, in leg order; ``group``
-    # is the one of the interval [start, end) that the last leg landed in.
-    groups: dict[int, list[list[int]]] = {}
-    group: list[list[int]] = []
-    start = end = 0
-    emitted = 0  # every interval below this one is emitted
-    close_at = interval_ticks + lag  # the first delivery tick that completes interval ``emitted``
-    for code, d_comm, delivered in zip(legs.classes, legs.d_comm, legs.delivered):
-        if not start <= delivered < end:
-            interval = delivered // interval_ticks
-            if interval not in groups:
-                if interval < emitted:
-                    raise GridCoSimError(f"leg delivered at tick {delivered} after interval "
-                                         f"{interval} was reported")
-                groups[interval] = [[] for _ in _CLASSES]
-            group = groups[interval]
-            start, end = interval * interval_ticks, (interval + 1) * interval_ticks
-        group[code].append(d_comm)
-        if delivered >= close_at:
-            done = (delivered - lag) // interval_ticks
-            for closed in sorted(i for i in groups if i < done):
-                _emit_delays(series, closed, groups.pop(closed))
-            emitted = done
-            close_at = (done + 1) * interval_ticks + lag
-    for closed in sorted(groups):
-        _emit_delays(series, closed, groups[closed])
+    for interval, lo, hi in _interval_runs(legs.delivered, interval_ticks, "leg delivered"):
+        values: list[list[float]] = [[] for _ in _CLASSES]
+        for code, d_comm in zip(legs.classes[lo:hi], legs.d_comm[lo:hi]):
+            values[code].append(d_comm / TICKS_PER_SECOND)
+        for code in _CODES_BY_NAME:
+            seconds = values[code]
+            if seconds:
+                series.append(DelayStats(interval, _CLASSES[code], sum(seconds) / len(seconds),
+                                         percentile_nearest_rank(seconds, 95.0)))
     return series
-
-
-def _emit_delays(series: list[DelayStats], interval: int, group: list[list[int]]) -> None:
-    for code in _CODES_BY_NAME:
-        if group[code]:
-            values = [d_comm / TICKS_PER_SECOND for d_comm in group[code]]
-            series.append(DelayStats(interval, _CLASSES[code], sum(values) / len(values),
-                                     percentile_nearest_rank(values, 95.0)))

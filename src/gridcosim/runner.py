@@ -70,7 +70,7 @@ def run_scenario(
         federation=federation,
         nodes=nodes,
         reliability=reliability_series(it_federate.exchange_rows, cfg.interval_ticks),
-        delays=delay_series(legs, cfg.interval_ticks, cfg.tau_ticks),
+        delays=delay_series(legs, cfg.interval_ticks),
         ddf=ddf(zip(legs.d_it, legs.d_comm)) if legs else None,
         conservation=net_federate.conservation(),
         exchange_rows=it_federate.exchange_rows,

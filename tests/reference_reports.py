@@ -2,10 +2,12 @@
 
 These are the list-based ``exchange_score``, ``reliability_series`` and
 ``delay_series`` that ``gridcosim.metrics`` replaced with column readers
-that keep one interval at a time.  They group every record of the run in a
-dict and sort at the end, so their result does not depend on the order of
-the records; the streaming versions must give equal rows on any input that
-keeps their ordering rules.  Only the statistics helpers are shared.
+that read one interval's run of rows at a time.  They group every record of
+the run in a dict and sort at the end, so their result does not depend on
+the order of the records; the column readers must give equal rows on any
+input in the order a run records them: exchanges with creation intervals
+that never decrease, legs with delivery ticks that never decrease.  Only the
+statistics helpers are shared.
 """
 
 from __future__ import annotations

@@ -155,10 +155,10 @@ def test_percentile_nearest_rank():
 
 def test_delay_stats():
     start = 4 * INTERVAL_TICKS
-    legs = [(MessageClass.CONTROL, MessageKind.CONTROL_ACK, 0, s * TICKS_PER_SECOND, start + s)
-            for s in (1, 2, 3)]
-    legs.append((MessageClass.MONITORING, MessageKind.RESPONSE, 0, 7, start - 1))
-    first, stats = delay_series(records.comm_legs(legs), INTERVAL_TICKS, TAU_TICKS)
+    legs = [(MessageClass.MONITORING, MessageKind.RESPONSE, 0, 7, start - 1)]
+    legs += [(MessageClass.CONTROL, MessageKind.CONTROL_ACK, 0, s * TICKS_PER_SECOND, start + s)
+             for s in (1, 2, 3)]
+    first, stats = delay_series(records.comm_legs(legs), INTERVAL_TICKS)
     assert (first.interval, first.msg_class, first.mean_s) == (3, MessageClass.MONITORING, 7e-5)
     assert (stats.interval, stats.msg_class) == (4, MessageClass.CONTROL)
     assert stats.mean_s == pytest.approx(2.0)
@@ -202,25 +202,30 @@ def _half_taus(most: int):
 
 @st.composite
 def scored_exchanges(draw):
-    """Exchanges with creation intervals that never decrease, scored at a random run end."""
+    """Exchanges with creation intervals that never decrease, scored at a random run end.
+
+    Creation ticks may step back within an interval, as when a slot creates
+    its polls before its commands.
+    """
     drawn = draw(st.lists(st.tuples(
         _half_taus(4),                                    # ticks since the previous creation
+        _half_taus(4),                                    # ticks created before that, in its interval
         st.sampled_from(range(len(_CLASSES))),            # class code
         st.integers(1, 6),                                # node
         st.none() | _half_taus(16),                       # round trip, None if never answered
     ), max_size=150))
     created, tick = [], 0
-    for step, _code, _node, _wait in drawn:
+    for step, back, _code, _node, _wait in drawn:
         tick += step
-        created.append(tick)
+        created.append(tick - min(back, tick % SMALL_INTERVAL))
     end_tick = tick + draw(_half_taus(12))
-    codes = [code for _step, code, _node, _wait in drawn]
+    codes = [code for _step, _back, code, _node, _wait in drawn]
     delivered = [MISSING if wait is None or start + wait > end_tick else start + wait
-                 for start, (_step, _code, _node, wait) in zip(created, drawn)]
+                 for start, (_step, _back, _code, _node, wait) in zip(created, drawn)]
     scores = exchange_scores(codes, created, delivered, LIMITS, end_tick)
     rows = [Exchange(2 * i, _CLASSES[code], node, start, None if done == MISSING else done,
                      score=None if score == MISSING else score)
-            for i, ((_step, code, node, _wait), start, done, score)
+            for i, ((_step, _back, code, node, _wait), start, done, score)
             in enumerate(zip(drawn, created, delivered, scores))]
     return rows, end_tick
 
@@ -237,45 +242,51 @@ def test_scores_and_reliability_match_the_list_reference(case):
 
 
 @st.composite
-def bounded_legs(draw):
-    """Legs in record order, each recorded at most 2 tau after its comm delivery."""
+def delivered_legs(draw):
+    """Legs in delivery order: delivery ticks never decrease, often tie and
+    often fall on an interval end."""
     drawn = draw(st.lists(st.tuples(
-        st.integers(0, 12).map(lambda k: k * TAU_TICKS // 4),  # ticks since the previous record
-        st.integers(0, 8).map(lambda k: k * TAU_TICKS // 4),   # record tick minus delivery tick
+        st.integers(0, 12).map(lambda k: k * TAU_TICKS // 4),  # ticks since the previous delivery
+        st.integers(1, 2 * TAU_TICKS),                         # d_it minus d_comm
         st.sampled_from(list(MessageKind)),
         st.integers(1, 50 * TAU_TICKS),                        # d_comm
     ), max_size=200))
-    legs, record_tick = [], 2 * TAU_TICKS
+    legs, tick = [], 0
     for step, lag, kind, d_comm in drawn:
-        record_tick += step
+        tick += step
         msg_class = MessageClass.CONTROL if kind.value.startswith("control") else MessageClass.MONITORING
-        legs.append((msg_class, kind, d_comm + lag, d_comm, record_tick - lag))
+        legs.append((msg_class, kind, d_comm + lag, d_comm, tick))
     return legs
 
 
-@given(bounded_legs(), st.sampled_from([1, 2, 4, 7]))
+@given(delivered_legs(), st.sampled_from([1, 2, 4, 7]))
 def test_delay_series_matches_the_list_reference(legs, slots_per_interval):
     interval_ticks = slots_per_interval * TAU_TICKS
-    assert (delay_series(records.comm_legs(legs), interval_ticks, TAU_TICKS)
+    assert (delay_series(records.comm_legs(legs), interval_ticks)
             == reference_reports.delay_series(legs, interval_ticks))
 
 
 def test_leg_for_an_emitted_interval_raises():
     mon, resp = MessageClass.MONITORING, MessageKind.RESPONSE
-    # The second leg completes interval 0 (it is more than 2 tau into
-    # interval 1); the third was delivered in interval 0, beyond the bound.
+    # Interval 0 is reported once a leg of interval 1 is read: a later leg
+    # delivered in interval 0 raises, even one within 2 tau of that leg.
     legs = [(mon, resp, 9, 5, INTERVAL_TICKS - 1),
             (mon, resp, 9, 5, INTERVAL_TICKS + 2 * TAU_TICKS),
             (mon, resp, 9, 5, INTERVAL_TICKS - 1)]
-    assert len(delay_series(records.comm_legs(legs[:2]), INTERVAL_TICKS, TAU_TICKS)) == 2
-    with pytest.raises(GridCoSimError, match="interval 0"):
-        delay_series(records.comm_legs(legs), INTERVAL_TICKS, TAU_TICKS)
+    assert len(delay_series(records.comm_legs(legs[:2]), INTERVAL_TICKS)) == 2
+    one_tick_in = [(mon, resp, 9, 5, 0), (mon, resp, 9, 5, INTERVAL_TICKS + 1),
+                   (mon, resp, 9, 5, INTERVAL_TICKS - 1)]
+    for case in (legs, one_tick_in):
+        with pytest.raises(GridCoSimError, match=f"tick {INTERVAL_TICKS - 1} after interval 0"):
+            delay_series(records.comm_legs(case), INTERVAL_TICKS)
 
 
 def test_exchange_for_an_emitted_interval_raises():
-    rows = [_exchange(1.0, created_tick=INTERVAL_TICKS), _exchange(1.0)]
-    with pytest.raises(GridCoSimError, match="interval 0"):
-        reliability_series(records.exchanges(rows), INTERVAL_TICKS)
+    undecided = Exchange(2, MessageClass.CONTROL, 5, INTERVAL_TICKS - 1)
+    for late in (_exchange(1.0), undecided):
+        rows = [_exchange(1.0, created_tick=INTERVAL_TICKS), late]
+        with pytest.raises(GridCoSimError, match="after interval 0"):
+            reliability_series(records.exchanges(rows), INTERVAL_TICKS)
 
 
 def test_package_exports_resolve():

@@ -165,7 +165,7 @@ def test_comm_legs_read_as_a_sequence_of_leg_tuples(small_run):
         assert isinstance(cls, MessageClass) and isinstance(kind, MessageKind)
         assert 0 < d_comm < d_it and 0 < tick
     w = small_run.cfg.interval_ticks
-    assert delay_series(legs, w, small_run.cfg.tau_ticks) == small_run.delays
+    assert delay_series(legs, w) == small_run.delays
     assert reference_reports.delay_series(listed, w) == small_run.delays
 
 
@@ -199,8 +199,25 @@ def test_exchange_rows_read_as_a_sequence_of_exchanges(tmp_path):
     assert {(interval, cls) for interval, cls, _id in keys} == {
         (interval, cls) for interval in range(4) for cls in range(len(order))}
     assert sorted(keys, key=lambda key: key[2]) != keys
-    assert rows == records.exchanges(listed)
+    rebuilt = records.exchanges(listed)
+    assert all(getattr(rows, name) == getattr(rebuilt, name) for name in rows.__slots__)
     assert run.reliability == reference_reports.reliability_series(listed, w)
+
+
+@pytest.mark.parametrize("overrides", [{}, dict(arrival_model="poisson", tau_s=0.5, lambda_c_hz=0.2)])
+def test_records_come_in_interval_order(overrides):
+    # The reports read each interval's records as one run: legs in delivery
+    # order, exchanges in creation intervals that never decrease.  A slot
+    # creates its polls before its commands, so with Poisson polls in 0.5 s
+    # slots creation ticks step back within an interval.
+    run = run_scenario(small_cfg(**overrides))
+    delivered, created = run.comm_legs.delivered, run.exchange_rows.created
+    w = run.cfg.interval_ticks
+    assert len(delivered) > 100 and len(created) > 100
+    assert all(a <= b for a, b in zip(delivered, delivered[1:]))
+    assert all(a // w <= b // w for a, b in zip(created, created[1:]))
+    if overrides:
+        assert any(b < a for a, b in zip(created, created[1:]))
 
 
 def test_exchange_columns_take_at_most_64_bytes_an_exchange():
