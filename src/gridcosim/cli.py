@@ -9,7 +9,7 @@ import sys
 import time
 from pathlib import Path
 
-from .config import ScenarioConfig, load_config
+from .config import QOS_MODES, ScenarioConfig, load_config
 from .errors import GridCoSimError, UsageError
 from .runner import run_scenario, run_tau_sweep, write_ddf_csv, write_manifest, write_outputs
 from .transport import parse_listen_address
@@ -26,7 +26,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="scenario file (defaults are built in)")
     parser.add_argument("--tau", dest="tau_s", metavar="TAU", type=float,
                         help="slot duration in seconds")
-    parser.add_argument("--qos", choices=("fifo", "wfq", "wfq-ra"), help="queueing discipline")
+    parser.add_argument("--qos", choices=QOS_MODES, help="queueing discipline")
     parser.add_argument("--fail-at", dest="lte_fail_at_s", metavar="FAIL_AT", type=float,
                         help="simulated second at which every LTE base station fails")
     parser.add_argument("--duration", dest="duration_s", metavar="DURATION", type=float,

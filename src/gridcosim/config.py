@@ -297,6 +297,8 @@ def loads_config(text: str) -> ScenarioConfig:
         value = value.strip()
         if key not in _PARSERS:
             raise ValidationError(key, "unknown configuration key")
+        if key in values:
+            raise ParseError(f"line {lineno}: {key} is set twice")
         try:
             values[key] = _PARSERS[key](value)
         except (ValueError, ZeroDivisionError) as exc:

@@ -171,8 +171,8 @@ def grant(slot: int, end_ticks: int, inbox: list[SimMessage]) -> FederateEnvelop
 
 
 def ack_slot(slot: int, out: list[tuple[int, str, SimMessage]], next_tick: int) -> FederateEnvelope:
-    """Slot acknowledgment carrying the federate's ``(at_tick, to_name, msg)``
-    publishes and its lookahead ``next_tick``, -1 for every slot."""
+    """Slot acknowledgment carrying the outbox of the federate's ``step`` as
+    is, ``(at_tick, to_name, msg)`` publishes, and its lookahead ``next_tick``."""
     return FederateEnvelope(EnvelopeType.ACK_SLOT, slot, {
         "out": [[at, to, msg.to_wire()] for at, to, msg in out], "next": next_tick})
 

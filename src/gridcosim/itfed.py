@@ -149,7 +149,6 @@ class ITFederate:
     """The information-system perspective of the federation."""
 
     name = "it"
-    peer_name = "comm"
 
     def __init__(self, cfg: ScenarioConfig, nodes: list[NodeDescriptor]):
         self.cfg = cfg
@@ -207,10 +206,8 @@ class ITFederate:
         self._next_id += 2
         return mid
 
-    def generate_slot_traffic(self, slot: int) -> list[SimMessage]:
-        """Requests and commands falling due inside the granted slot."""
-        slot_end = (slot + 1) * self._tau
-        out: list[SimMessage] = []
+    def generate_slot_traffic(self, slot_end: int, out: list[tuple[int, str, SimMessage]]) -> None:
+        """Append the requests and commands falling due before ``slot_end`` to ``out``."""
         heap = self._poll_heap
         while heap and heap[0][0] < slot_end:
             due, order, node_id = heapq.heappop(heap)
@@ -218,7 +215,7 @@ class ITFederate:
             req = SimMessage(mid, MessageClass.MONITORING, MessageKind.REQUEST, self._dms_id, node_id,
                              self.cfg.payload_poll_request_bytes, due)
             self._open_exchange(mid, _MONITORING, node_id, due)
-            out.append(req)
+            out.append((due, "comm", req))
             gap = self._poisson_gap() if self._poisson else self.poll_period_ticks
             heapq.heappush(heap, (due + gap, order, node_id))
         while self._next_control < slot_end:
@@ -229,9 +226,8 @@ class ITFederate:
                 cmd = SimMessage(mid, MessageClass.CONTROL, MessageKind.CONTROL_COMMAND, self._dms_id,
                                  switch_id, self.cfg.payload_control_command_bytes, due)
                 self._open_exchange(mid, _CONTROL, switch_id, due)
-                out.append(cmd)
+                out.append((due, "comm", cmd))
             self._next_control += self._control_period
-        return out
 
     def _open_exchange(self, mid: int, code: int, node: int, created: int) -> None:
         if len(self._opened) >= 4 * _BLOCK:
@@ -255,8 +251,8 @@ class ITFederate:
 
     # ------------------------------------------------------------ delivery
 
-    def on_deliver(self, msg: SimMessage, now_tick: int) -> list[SimMessage]:
-        """Handle a message reaching its application endpoint; maybe reply.
+    def on_deliver(self, msg: SimMessage, now_tick: int) -> SimMessage | None:
+        """Handle a message reaching its application endpoint; return its reply or None.
 
         No message is referenced after this call: an exchange keeps only
         the ticks it reports.
@@ -264,17 +260,17 @@ class ITFederate:
         if msg.kind is MessageKind.RATE_UPDATE:
             if msg.poll_period_ticks:
                 self._apply_rate_update(msg.poll_period_ticks, now_tick)
-            return []
+            return None
         d_comm = self._record_leg(msg, now_tick)
         if msg.dst == self._dms_id:
             row = self._open.pop(msg.correlation_id, None)
             if row is None:
                 logger.warning("response %d has no open request %s", msg.id, msg.correlation_id)
-                return []
+                return None
             request_d_comm = self._request_d_comm.pop(msg.correlation_id, None)
             both = MISSING if request_d_comm is None or d_comm is None else request_d_comm + d_comm
             self._answered += (row, now_tick, both)
-            return []
+            return None
         # Request or command arriving at a node: keep its network delay and
         # answer.
         if d_comm is not None and msg.id in self._open:
@@ -285,7 +281,7 @@ class ITFederate:
         reply = SimMessage(self._alloc_id(), msg.msg_class, reply_kind, msg.dst, msg.src,
                            self._reply_bytes[msg.dst], now_tick,
                            correlation_id=msg.id)
-        return [reply]
+        return reply
 
     def _record_leg(self, msg: SimMessage, now_tick: int) -> int | None:
         """Log a completed leg; return its network delay, None without one."""
@@ -323,15 +319,14 @@ class ITFederate:
 
     # ------------------------------------------------------------ stepping
 
-    def step(self, slot: int, slot_end_tick: int, inbox: list[SimMessage]) -> tuple[list[tuple[int, SimMessage]], int]:
+    def step(self, slot: int, slot_end_tick: int, inbox: list[SimMessage]) -> tuple[list[tuple[int, str, SimMessage]], int]:
         now = slot * self._tau
-        out: list[tuple[int, SimMessage]] = []
+        out: list[tuple[int, str, SimMessage]] = []
         for msg in inbox:
-            for reply in self.on_deliver(msg, now):
-                out.append((reply.created_tick, reply))
-        if (self._poll_heap and self._poll_heap[0][0] < slot_end_tick) or self._next_control < slot_end_tick:
-            for msg in self.generate_slot_traffic(slot):
-                out.append((msg.created_tick, msg))
+            reply = self.on_deliver(msg, now)
+            if reply is not None:
+                out.append((now, "comm", reply))
+        self.generate_slot_traffic(slot_end_tick, out)
         return out, self.next_event_tick()
 
     def next_event_tick(self) -> int:

@@ -67,7 +67,6 @@ class NetFederate:
     """The communication perspective of the federation."""
 
     name = "comm"
-    peer_name = "it"
 
     def __init__(self, cfg: ScenarioConfig, nodes: list[NodeDescriptor]):
         self.cfg = cfg
@@ -103,7 +102,7 @@ class NetFederate:
         # Messages in the network by id, from ingress until delivered or lost.
         self._transfers: dict[int, SimMessage] = {}
         self._sizes_by_payload: dict[int, list[int]] = {}
-        self._out: list[tuple[int, SimMessage]] = []
+        self._out: list[tuple[int, str, SimMessage]] = []
         self.adapted_period_ticks: int | None = None
 
         self.received = dict.fromkeys(MessageClass, 0)
@@ -154,7 +153,7 @@ class NetFederate:
 
     # ---------------------------------------------------------- federation
 
-    def step(self, slot: int, slot_end_tick: int, inbox: list[SimMessage]) -> tuple[list[tuple[int, SimMessage]], int]:
+    def step(self, slot: int, slot_end_tick: int, inbox: list[SimMessage]) -> tuple[list[tuple[int, str, SimMessage]], int]:
         if not inbox and slot_end_tick <= self._lookahead:
             return [], self._lookahead
         now = slot * self._tau
@@ -170,7 +169,7 @@ class NetFederate:
             msg.delivered_comm_tick = tick
             self.delivered[msg.msg_class] += 1
             del self._transfers[msg.id]
-            self._out.append((tick, msg))
+            self._out.append((tick, "it", msg))
 
         # An interval is whole slots and the lookahead grants the slot ending
         # at its end, so every later event books into the entry opened here.
@@ -313,7 +312,7 @@ class NetFederate:
                 if msg is not None:
                     self.lost_failure[msg.msg_class] += 1
         if self.cfg.qos == "wfq-ra":
-            self._out.append((tick, self._rate_update_message(tick)))
+            self._out.append((tick, "it", self._rate_update_message(tick)))
 
     def _on_lte_restore(self) -> None:
         for link in self._lte_links:

@@ -42,9 +42,9 @@ class FederateEndpoint(Protocol):
     """Transport-side handle the coordinator drives in the slots it grants.
 
     ``begin_step`` hands over the inbox and the grant; ``finish_step``
-    blocks until the federate acknowledged the slot and returns
-    (outbox, next_tick): outbox items are (at_tick, to_name, message), and
-    next_tick is the federate's lookahead (see the module docstring).
+    blocks until the federate acknowledged the slot and returns its step's
+    (outbox, next_tick) as is: outbox items are (at_tick, to_name, message),
+    as in ACK_SLOT, and next_tick is its lookahead (see the module docstring).
     """
 
     def begin_step(self, slot: int, slot_end_tick: int, inbox: list[SimMessage]) -> None: ...

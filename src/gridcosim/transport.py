@@ -31,18 +31,18 @@ _RECV_BYTES = 65536
 class LocalFederate(Protocol):
     """What a federate model must implement to join a federation.
 
-    ``step`` returns the slot's ``(at_tick, message)`` publishes, all sent
-    to ``peer_name``, and the federate's lookahead: the earliest tick whose
-    slot it must be granted even with an empty inbox, -1 for every slot.
-    The coordinator skips it in earlier slots without messages for it.
+    ``step`` returns the slot's outbox, in the ``(at_tick, to_name, msg)``
+    form of ``FederateEndpoint.finish_step`` and an ``ACK_SLOT``'s ``out``,
+    and the federate's lookahead: the earliest tick whose slot it must be
+    granted even with an empty inbox, -1 for every slot.  The coordinator
+    skips it in earlier slots without messages for it.
     """
 
     name: str
-    peer_name: str
 
     def step(
         self, slot: int, slot_end_tick: int, inbox: list[SimMessage]
-    ) -> tuple[list[tuple[int, SimMessage]], int]: ...
+    ) -> tuple[list[tuple[int, str, SimMessage]], int]: ...
 
 
 class InprocEndpoint:
@@ -58,9 +58,7 @@ class InprocEndpoint:
     def finish_step(self):
         slot, slot_end_tick, inbox = self._pending
         self._pending = None
-        peer = self.federate.peer_name
-        outbox, next_tick = self.federate.step(slot, slot_end_tick, inbox)
-        return [(at, peer, msg) for at, msg in outbox], next_tick
+        return self.federate.step(slot, slot_end_tick, inbox)
 
 
 class _FrameStream:
@@ -190,7 +188,6 @@ def run_federate_client(address: tuple[str, int], federate: LocalFederate,
         if ack is None or ack.type is not EnvelopeType.JOIN_ACK:
             raise ProtocolViolation("expected JOIN_ACK")
         sock.settimeout(None)
-        peer = federate.peer_name
         while True:
             try:
                 received = stream.recv()
@@ -216,8 +213,7 @@ def run_federate_client(address: tuple[str, int], federate: LocalFederate,
                 logger.exception("federate %s failed in slot %d", federate.name, slot)
                 stream.send(env.error(slot, type(exc).__name__, str(exc)))
                 return
-            out = [(at_tick, peer, msg) for at_tick, msg in outbox]
-            stream.send(env.ack_slot(slot, out, next_tick))
+            stream.send(env.ack_slot(slot, outbox, next_tick))
     finally:
         stream.close()
 

@@ -11,7 +11,7 @@ import pytest
 
 from gridcosim import cli, runner
 from gridcosim.cli import main
-from gridcosim.config import ScenarioConfig
+from gridcosim.config import QOS_MODES, ScenarioConfig
 from gridcosim.runner import run_scenario
 
 REPO = Path(__file__).resolve().parents[1]
@@ -20,6 +20,15 @@ SCENARIO_FILE = REPO / "scenarios" / "lte_failover_case_study.cfg"
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def test_qos_flag_takes_exactly_the_config_modes(capsys):
+    parser = cli.build_parser()
+    for command in (["run"], ["tau-sweep", "--taus", "0.1,0.01"]):
+        for mode in QOS_MODES:
+            assert parser.parse_args([*command, "--qos", mode]).qos == mode
+        with pytest.raises(SystemExit):
+            parser.parse_args([*command, "--qos", "priority"])
 
 
 def test_run_command_writes_outputs(tmp_path, capsys):

@@ -63,6 +63,14 @@ def test_malformed_line_is_parse_error():
         loads_config("seed = not-a-number\n")
 
 
+def test_key_set_twice_is_parse_error():
+    with pytest.raises(ParseError, match=r"^line 3: tau_s is set twice$"):
+        loads_config("tau_s = 0.01\n# the same key again\ntau_s = 0.02\n")
+    # A key repeated with the same value is still refused.
+    with pytest.raises(ParseError, match=r"^line 2: seed is set twice$"):
+        loads_config("seed = 7\nseed = 7\n")
+
+
 def test_fraction_literals():
     cfg = loads_config("lambda_m_hz = 1/60\n")
     assert cfg.lambda_m_hz == pytest.approx(1 / 60)

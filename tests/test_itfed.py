@@ -21,15 +21,18 @@ def build_federate(**overrides):
 def drain_traffic(fed, n_slots, tau_ticks):
     out = []
     for slot in range(n_slots):
-        out.extend(fed.generate_slot_traffic(slot))
-    return out
+        fed.generate_slot_traffic((slot + 1) * tau_ticks, out)
+    return [msg for _, _, msg in out]
 
 
 def test_requests_timestamped_at_due_tick_within_slot():
     fed, cfg, _ = build_federate(duration_s=120.0)
     tau = cfg.tau_ticks
     for slot in range(cfg.n_slots):
-        for msg in fed.generate_slot_traffic(slot):
+        out = []
+        fed.generate_slot_traffic((slot + 1) * tau, out)
+        for at, to, msg in out:
+            assert (at, to) == (msg.created_tick, "comm")
             assert slot * tau <= msg.created_tick < (slot + 1) * tau
 
 
@@ -74,7 +77,9 @@ def test_no_due_events_empty_list():
     fed, cfg, _ = build_federate()
     fed._poll_heap = [(10**12, 0, fed.monitored[0].id)]
     fed._next_control = 10**12
-    assert fed.generate_slot_traffic(0) == []
+    out = []
+    fed.generate_slot_traffic(cfg.tau_ticks, out)
+    assert out == []
 
 
 def _request_via_network(fed, cfg, node_id, created_tick, now_tick, kind=MessageKind.REQUEST,
@@ -92,12 +97,12 @@ def test_request_delivery_produces_kind_specific_response():
     hva = next(n for n in nodes if n.kind is NodeKind.HVA_LV)
     sub = next(n for n in nodes if n.kind is NodeKind.SUBSTATION)
     now = 5 * cfg.tau_ticks
-    (resp,) = fed.on_deliver(_request_via_network(fed, cfg, hva.id, 100, now), now)
+    resp = fed.on_deliver(_request_via_network(fed, cfg, hva.id, 100, now), now)
     assert resp.kind is MessageKind.RESPONSE
     assert resp.payload_bytes == 500
     assert resp.created_tick == now
     assert resp.src == hva.id and resp.dst == fed._dms_id
-    (resp2,) = fed.on_deliver(_request_via_network(fed, cfg, sub.id, 150, now, mid=4), now)
+    resp2 = fed.on_deliver(_request_via_network(fed, cfg, sub.id, 150, now, mid=4), now)
     assert resp2.payload_bytes == 5000
 
 
@@ -107,17 +112,31 @@ def test_control_command_yields_switch_ack():
     now = 3 * cfg.tau_ticks
     command = _request_via_network(fed, cfg, switch.id, 80, now, kind=MessageKind.CONTROL_COMMAND,
                                    msg_class=MessageClass.CONTROL)
-    (ack,) = fed.on_deliver(command, now)
+    ack = fed.on_deliver(command, now)
     assert ack.kind is MessageKind.CONTROL_ACK
     assert ack.payload_bytes == cfg.payload_switch_ack_bytes
     assert ack.correlation_id == command.id
 
 
+def test_step_publishes_reply_then_due_traffic_to_comm():
+    fed, cfg, nodes = build_federate()
+    hva = next(n for n in nodes if n.kind is NodeKind.HVA_LV)
+    slot = fed.next_event_tick() // cfg.tau_ticks
+    now = slot * cfg.tau_ticks
+    request = _request_via_network(fed, cfg, hva.id, 100, now, mid=4)
+    out, _ = fed.step(slot, now + cfg.tau_ticks, [request])
+    assert len(out) > 1
+    assert all((at, to) == (msg.created_tick, "comm") for at, to, msg in out)
+    assert out[0][2].correlation_id == request.id and out[0][0] == now
+    assert all(msg.kind is MessageKind.REQUEST for _, _, msg in out[1:])
+
+
 def first_request(fed, cfg):
     for slot in range(cfg.n_slots):
-        traffic = fed.generate_slot_traffic(slot)
+        traffic = []
+        fed.generate_slot_traffic((slot + 1) * cfg.tau_ticks, traffic)
         if traffic:
-            return traffic[0]
+            return traffic[0][2]
     raise AssertionError("no traffic generated")
 
 
@@ -147,11 +166,11 @@ def test_duplicate_response_counts_unknown_correlation(caplog):
     resp = SimMessage(99, MessageClass.MONITORING, MessageKind.RESPONSE, request.dst, fed._dms_id,
                       500, 1000, correlation_id=request.id)
     with caplog.at_level(logging.WARNING, logger="gridcosim.itfed"):
-        assert fed.on_deliver(resp, 2000) == []
+        assert fed.on_deliver(resp, 2000) is None
         assert not caplog.records
         duplicate = SimMessage(101, MessageClass.MONITORING, MessageKind.RESPONSE, request.dst,
                                fed._dms_id, 500, 1500, correlation_id=request.id)
-        assert fed.on_deliver(duplicate, 2500) == []
+        assert fed.on_deliver(duplicate, 2500) is None
     assert [r.getMessage() for r in caplog.records] == [
         f"response 101 has no open request {request.id}"
     ]
@@ -200,7 +219,7 @@ def test_rate_update_rebuilds_schedule_evenly():
     now = 42 * cfg.tau_ticks
     update = SimMessage(7, MessageClass.CONTROL, MessageKind.RATE_UPDATE, 400, fed._dms_id,
                         40, now - 1000, poll_period_ticks=new_period)
-    assert fed.on_deliver(update, now) == []
+    assert fed.on_deliver(update, now) is None
     assert fed.poll_period_ticks == new_period
     dues = sorted(due for due, _, _ in fed._poll_heap)
     assert len(dues) == n
@@ -209,8 +228,9 @@ def test_rate_update_rebuilds_schedule_evenly():
     # Consecutive first polls sit one stride apart: the adapted load is smooth.
     strides = {b - a for a, b in zip(dues, dues[1:])}
     assert strides <= {new_period // n, new_period // n + 1}
-    first = fed.generate_slot_traffic(dues[0] // cfg.tau_ticks)
-    assert first and first[0].created_tick == dues[0]
+    first = []
+    fed.generate_slot_traffic((dues[0] // cfg.tau_ticks + 1) * cfg.tau_ticks, first)
+    assert first and first[0][2].created_tick == dues[0]
 
 
 def test_poisson_arrivals_behind_config_switch():

@@ -32,7 +32,6 @@ class EverySlot:
 
     def __init__(self, federate):
         self.name = federate.name
-        self.peer_name = federate.peer_name
         self.federate = federate
         self.steps = 0
 
@@ -124,9 +123,8 @@ def test_idle_steps_before_lookahead_are_no_ops(cfg, warmup):
 class LookaheadFederate:
     """Steps only when told: declares the given event ticks as its lookahead."""
 
-    def __init__(self, name, peer, events=(), script=None):
+    def __init__(self, name, events=(), script=None):
         self.name = name
-        self.peer_name = peer
         self.events = sorted(events)
         self.script = script or {}
         self.slots_seen = []
@@ -140,8 +138,8 @@ class LookaheadFederate:
 
 def test_only_due_federates_are_granted_but_every_slot_is_a_barrier():
     msg = SimMessage(5, MessageClass.MONITORING, MessageKind.REQUEST, 0, 1, 64, 2500)
-    fed_a = LookaheadFederate("a", "b", events=[2500, 7000], script={2: [(2500, msg)]})
-    fed_b = LookaheadFederate("b", "a")
+    fed_a = LookaheadFederate("a", events=[2500, 7000], script={2: [(2500, "b", msg)]})
+    fed_b = LookaheadFederate("b")
     rti = Rti(TAU)
     for fed in (fed_a, fed_b):
         rti.register_federate(fed.name, InprocEndpoint(fed))
@@ -205,7 +203,7 @@ def test_comm_publishes_no_earlier_than_its_lookahead(cfg):
     def step(self, slot, slot_end_tick, inbox):
         outbox, next_tick = original(self, slot, slot_end_tick, inbox)
         if not inbox:
-            early.extend((at, declared[0]) for at, _msg in outbox if at < declared[0])
+            early.extend((at, declared[0]) for at, _to, _msg in outbox if at < declared[0])
         declared[0] = next_tick
         return outbox, next_tick
 

@@ -40,6 +40,7 @@ def pump(fed, cfg, inboxes, n_slots):
     for slot in range(n_slots):
         out, _ = fed.step(slot, (slot + 1) * cfg.tau_ticks, inboxes.get(slot, []))
         delivered.extend(out)
+    assert all(to == "it" for _, to, _ in delivered)
     return delivered
 
 
@@ -104,7 +105,7 @@ def test_single_message_delivery_time_on_dmr():
     node = next(n for n in nodes if n.kind is NodeKind.SWITCH)
     msg = SimMessage(2, CTL, MessageKind.RESPONSE, node.id, fed._dms_id, 500, 0)
     delivered = pump(fed, cfg, {0: [msg]}, n_slots=300)
-    ((tick, out),) = delivered
+    ((tick, _to, out),) = delivered
     expected = 225_000 + 5_000 + 16_667 + 5_000
     assert tick == expected
     assert out.delivered_comm_tick == expected
@@ -151,7 +152,7 @@ def test_multi_segment_message_counts_all_overhead():
     for link in fed._lte_links:
         link.fail()  # force the big response onto the slow link
     delivered = pump(fed, cfg, {0: [msg]}, n_slots=3000)
-    ((tick, out),) = delivered
+    ((tick, _to, out),) = delivered
     # Data: (1500+1500+1500+660)*8/1920 s; acks interleave after each segment.
     assert out.delivered_comm_tick - out.sent_comm_tick == tick
     data_ticks = sum(fed._dmr_link.service_ticks(b) for b in (1500, 1500, 1500, 660))
@@ -211,8 +212,8 @@ def test_failure_loses_in_flight_and_reroutes():
     late = poll_request(fed, node.id, 51_000, mid=4)
     delivered = pump(fed, cfg, {49: [doomed], 51: [late]}, n_slots=2000)
     assert fed.lost_failure[MON] == 1
-    assert [m.id for _, m in delivered] == [4]
-    ((tick, out),) = delivered
+    assert [m.id for _, _to, m in delivered] == [4]
+    ((tick, _to, out),) = delivered
     assert not any(link.up for link in fed._lte_links)
     assert out.delivered_comm_tick > 51_000
     # 104 B data + 40 B ack on the 1920 bps channel, plus two access legs.
@@ -231,7 +232,7 @@ def test_stale_completion_neither_books_bits_nor_ends_the_next_service():
     second = poll_request(fed, node.id, 5_000, mid=4)
     delivered = pump(fed, cfg, {0: [first], 5: [second]}, n_slots=100)
     assert fed.lost_failure[MON] == 1
-    ((tick, out),) = delivered
+    ((tick, _to, out),) = delivered
     assert out.id == 4
     # 104 B data, access leg, 40 B ack (4,000 ticks), access leg back.
     assert tick == 5_000 + 10_400 + 2_000 + 4_000 + 2_000
@@ -252,7 +253,7 @@ def test_when_a_link_failure_loses_a_message(fail_s, restore_s, delivered_at, bi
     msg = poll_request(fed, node.id, 0)
     assert fed.route(msg).id == "lte-1"
     delivered = pump(fed, cfg, {0: [msg]}, n_slots=100)
-    assert [tick for tick, _ in delivered] == ([delivered_at] if delivered_at else [])
+    assert [tick for tick, _to, _msg in delivered] == ([delivered_at] if delivered_at else [])
     assert fed.lost_failure[MON] == (0 if delivered_at else 1)
     assert served_bits(fed) == {(0, "lte-1"): bits}
 
@@ -296,7 +297,7 @@ def test_restore_brings_lte_back():
 def test_rate_update_emitted_once_under_wfq_ra():
     fed, cfg, nodes = build_net(qos="wfq-ra", lte_fail_at_s=0.25)
     delivered = pump(fed, cfg, {}, n_slots=100)
-    updates = [m for _, m in delivered if m.kind is MessageKind.RATE_UPDATE]
+    updates = [m for _, _to, m in delivered if m.kind is MessageKind.RATE_UPDATE]
     assert len(updates) == 1
     (update,) = updates
     assert update.created_tick == 25_000
@@ -311,7 +312,7 @@ def test_rate_update_emitted_once_under_wfq_ra():
 def test_no_rate_update_without_ra_discipline():
     fed, cfg, nodes = build_net(qos="wfq", lte_fail_at_s=0.25)
     delivered = pump(fed, cfg, {}, n_slots=100)
-    assert not [m for _, m in delivered if m.kind is MessageKind.RATE_UPDATE]
+    assert not [m for _, _to, m in delivered if m.kind is MessageKind.RATE_UPDATE]
 
 
 # ---------------------------------------------------------- rate adaptation

@@ -93,9 +93,9 @@ def check_against_reference(cfg, nodes, n_slots, arrivals):
     ref = ReferenceNet(cfg, nodes)
     ref.run([(slot, dataclasses.replace(msg)) for slot, msg in arrivals], n_slots)
 
-    assert all(msg.delivered_comm_tick == tick for tick, msg in out if msg.kind is not MessageKind.RATE_UPDATE)
-    assert {msg.id: tick for tick, msg in out if msg.kind is not MessageKind.RATE_UPDATE} == ref.delivered_at
-    assert [(tick, msg.poll_period_ticks) for tick, msg in out
+    assert all(msg.delivered_comm_tick == tick for tick, _to, msg in out if msg.kind is not MessageKind.RATE_UPDATE)
+    assert {msg.id: tick for tick, _to, msg in out if msg.kind is not MessageKind.RATE_UPDATE} == ref.delivered_at
+    assert [(tick, msg.poll_period_ticks) for tick, _to, msg in out
             if msg.kind is MessageKind.RATE_UPDATE] == ref.rate_updates
     lost = {msg.id for _, msg in arrivals} - ref.delivered_at.keys() - fed._transfers.keys()
     assert lost == ref.lost

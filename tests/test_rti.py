@@ -24,7 +24,7 @@ class ScriptedFederate:
 
     def __init__(self, name: str, peer: str, script=None):
         self.name = name
-        self.peer_name = peer
+        self.peer = peer
         self.script = script or {}
         self.received: list[tuple[int, int]] = []  # (now_tick, message id)
         self.slots_seen: list[int] = []
@@ -34,7 +34,7 @@ class ScriptedFederate:
         self.slots_seen.append(slot)
         for msg in inbox:
             self.received.append((now, msg.id))
-        return self.script.get(slot, []), -1
+        return [(at, self.peer, msg) for at, msg in self.script.get(slot, [])], -1
 
 
 def run_pair(script_a=None, script_b=None, n_slots=4):
@@ -330,7 +330,7 @@ class ForwardingFederate:
 
     def __init__(self, name: str, peer: str, script):
         self.name = name
-        self.peer_name = peer
+        self.peer = peer
         self.script = script
         self.received: list[int] = []
 
@@ -343,7 +343,7 @@ class ForwardingFederate:
                     continue
                 value = self.received[value % len(self.received)]
             at = slot * TAU + pos
-            outbox.append((at, make_msg(value, at)))
+            outbox.append((at, self.peer, make_msg(value, at)))
         return outbox, -1
 
 
@@ -444,10 +444,10 @@ def test_every_id_in_a_window_is_told_apart(base):
 class _Forwarder:
     """Sends every message it receives back to the source."""
 
-    name, peer_name = "forwarder", "source"
+    name = "forwarder"
 
     def step(self, slot, slot_end_tick, inbox):
-        return [(slot * TAU, msg) for msg in inbox], -1
+        return [(slot * TAU, "source", msg) for msg in inbox], -1
 
 
 def test_duplicate_id_check_memory_stays_small_for_dense_ids():

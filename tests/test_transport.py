@@ -26,26 +26,26 @@ class EchoFederate:
 
     def __init__(self, name, peer, script=None):
         self.name = name
-        self.peer_name = peer
+        self.peer = peer
         self.script = script or {}
         self.received = []
         self._next_id = 10_000 if name > peer else 20_000
 
     def step(self, slot, slot_end_tick, inbox):
         now = slot_end_tick - 1000
-        outbox = list(self.script.get(slot, []))
+        outbox = [(at, self.peer, msg) for at, msg in self.script.get(slot, [])]
         for msg in inbox:
             self.received.append((now, msg.id))
             if msg.kind is MessageKind.CONTROL_COMMAND:
                 self._next_id += 1
-                outbox.append((now, SimMessage(self._next_id, msg.msg_class, MessageKind.CONTROL_ACK,
-                                               msg.dst, msg.src, 100, now, correlation_id=msg.id)))
+                ack = SimMessage(self._next_id, msg.msg_class, MessageKind.CONTROL_ACK,
+                                 msg.dst, msg.src, 100, now, correlation_id=msg.id)
+                outbox.append((now, self.peer, ack))
         return outbox, -1
 
 
 class FailingFederate:
     name = "bad"
-    peer_name = "good"
 
     def step(self, slot, slot_end_tick, inbox):
         raise RuntimeError("synthetic federate crash")
@@ -76,6 +76,36 @@ def test_transport_equivalence_on_scripted_federates():
     assert b_in.received == b_sock.received
     assert a_in.received == a_sock.received
     assert inproc.messages_published == socketed.messages_published == 8
+
+
+class FanOutFederate:
+    """Publishes a per-slot script whose entries each name their
+    destination, and logs every inbox it is granted."""
+
+    def __init__(self, name, script=None):
+        self.name = name
+        self.script = script or {}
+        self.inboxes = []
+
+    def step(self, slot, slot_end_tick, inbox):
+        self.inboxes.append((slot, [(msg.id, msg.created_tick) for msg in inbox]))
+        return self.script.get(slot, []), -1
+
+
+def test_one_federate_publishes_to_two_others_in_one_slot():
+    script = {1: [(1200, "b", make_msg(7, 1200)), (1300, "c", make_msg(8, 1300)),
+                  (1300, "b", make_msg(9, 1300))],
+              3: [(3000, "c", make_msg(10, 3000))]}
+    runs = []
+    for transport in ("inproc", "socket"):
+        feds = [FanOutFederate("a", script), FanOutFederate("b"), FanOutFederate("c")]
+        result = run_federation(1000, 5, feds, transport=transport)
+        runs.append(({fed.name: fed.inboxes for fed in feds}, result.trace_digest))
+    assert runs[0] == runs[1]
+    inboxes = runs[0][0]
+    assert inboxes["a"] == [(slot, []) for slot in range(5)]
+    assert inboxes["b"] == [(0, []), (1, []), (2, [(7, 1200), (9, 1300)]), (3, []), (4, [])]
+    assert inboxes["c"] == [(0, []), (1, []), (2, [(8, 1300)]), (3, []), (4, [(10, 3000)])]
 
 
 def test_transport_equivalence_on_full_scenario(tmp_path):
@@ -150,7 +180,6 @@ def test_unknown_transport_rejected():
 
 class StalledFederate:
     name = "stalled"
-    peer_name = "good"
 
     def step(self, slot, slot_end_tick, inbox):
         import time
@@ -172,7 +201,6 @@ class LateFederate:
     """Declares no event before slot 50, so it goes ungranted until then."""
 
     name = "late"
-    peer_name = "busy"
 
     def __init__(self):
         self.slots_seen = []
@@ -184,7 +212,6 @@ class LateFederate:
 
 class BusyFederate:
     name = "busy"
-    peer_name = "late"
 
     def step(self, slot, slot_end_tick, inbox):
         import time
@@ -207,7 +234,6 @@ class RawFederate:
     ``ack_body`` may also be the whole ACK_SLOT frame as bytes."""
 
     name = "raw"
-    peer_name = "good"
 
     def __init__(self, ack_body=None, join_body=None):
         self.ack_body = ack_body
@@ -371,7 +397,6 @@ def test_malformed_join_is_protocol_violation(monkeypatch, join_body):
 
 class RecordingFederate:
     name = "rec"
-    peer_name = "coordinator"
 
     def __init__(self):
         self.steps = []
