@@ -14,7 +14,7 @@ from .errors import GridCoSimError, UsageError
 from .runner import run_scenario, run_tau_sweep, write_ddf_csv, write_manifest, write_outputs
 from .transport import parse_listen_address
 
-#: Flags that override the config field of the same name.
+#: Flags that override the config field of the same name (``--tau`` on ``run`` only).
 _OVERRIDES = ("tau_s", "qos", "lte_fail_at_s", "duration_s", "seed")
 #: What a command may fail with, each reported the same way: an output file
 #: that cannot be written raises OSError, and a config too large for the
@@ -24,8 +24,6 @@ _FAILURES = (GridCoSimError, OSError, MemoryError)
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="scenario file (defaults are built in)")
-    parser.add_argument("--tau", dest="tau_s", metavar="TAU", type=float,
-                        help="slot duration in seconds")
     parser.add_argument("--qos", choices=QOS_MODES, help="queueing discipline")
     parser.add_argument("--fail-at", dest="lte_fail_at_s", metavar="FAIL_AT", type=float,
                         help="simulated second at which every LTE base station fails")
@@ -47,6 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = sub.add_parser("run", help="run one scenario")
     _add_common_flags(run_parser)
+    run_parser.add_argument("--tau", dest="tau_s", metavar="TAU", type=float,
+                            help="slot duration in seconds")
     run_parser.add_argument("--exchange-log", action="store_true",
                             help="also write per-exchange records to exchange_log.csv")
     run_parser.add_argument("--link-log", action="store_true",
@@ -54,7 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--dump-topology", action="store_true",
                             help="also write the generated topology to topology.csv")
 
-    sweep_parser = sub.add_parser("tau-sweep", help="run the same scenario over several slot durations")
+    # No abbreviations, so that --tau is refused rather than read as --taus.
+    sweep_parser = sub.add_parser("tau-sweep", help="run the same scenario over several slot durations",
+                                  allow_abbrev=False)
     _add_common_flags(sweep_parser)
     sweep_parser.add_argument("--taus", required=True,
                               help="comma-separated slot durations in seconds, at least two")
@@ -63,8 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_cfg(args: argparse.Namespace) -> ScenarioConfig:
     cfg = load_config(args.config) if args.config else ScenarioConfig()
-    cfg = dataclasses.replace(cfg, **{key: getattr(args, key) for key in _OVERRIDES
-                                      if getattr(args, key) is not None})
+    cfg = dataclasses.replace(cfg, **{key: value for key, value in vars(args).items()
+                                      if key in _OVERRIDES and value is not None})
     cfg.validate()
     for note in cfg.warnings():
         print(f"warning: {note}", file=sys.stderr)

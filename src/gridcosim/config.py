@@ -290,13 +290,13 @@ def loads_config(text: str) -> ScenarioConfig:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ParseError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
+        key, eq, value = line.partition("=")
         key = key.strip()
+        if not eq or not key:
+            raise ParseError(f"line {lineno}: expected 'key = value', got {raw!r}")
         value = value.strip()
         if key not in _PARSERS:
-            raise ValidationError(key, "unknown configuration key")
+            raise ValidationError(key, f"unknown configuration key (line {lineno})")
         if key in values:
             raise ParseError(f"line {lineno}: {key} is set twice")
         try:

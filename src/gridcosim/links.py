@@ -4,10 +4,14 @@ A link is a single shared-capacity server: data segments and their
 acknowledgements, both directions, drain the same bit budget.  Per-frame
 service time is the wire size divided by capacity, rounded up to the next
 clock tick so that accounted throughput can never exceed capacity.
+
+A queue discipline keeps its order itself (FIFO one deque, SCFQ one heap),
+so frames carry no scheduler fields.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -16,15 +20,13 @@ from .simtime import TICKS_PER_SECOND
 
 @dataclass(slots=True)
 class TransportFrame:
-    """One wire frame: a data segment of a message, or an acknowledgement."""
+    """One wire frame, a message's data segment or an ACK; its queue, not the frame, keeps its order."""
 
     msg_id: int
     last: bool  # the message's last segment, or that segment's ACK
     bytes_on_wire: int
     is_ack: bool
     msg_class: MessageClass
-    seq: int = 0
-    vfinish: float = 0.0
 
 
 def segment_sizes(payload_bytes: int, mss_bytes: int, header_bytes: int) -> list[int]:
@@ -64,13 +66,13 @@ class FifoQueue:
 class WfqQueue:
     """Weighted fair queueing over the two traffic classes.
 
-    Self-clocked fair queueing: each class keeps a virtual finish time
-    advanced by bits/weight on enqueue, anchored to the virtual time of the
-    frame last put in service; dequeue picks the head with the smallest
-    virtual finish.  Within a class, order stays first-in first-out, and any
-    positive weights keep both classes starvation-free.  With both classes
-    continuously backlogged the long-run service shares converge to the
-    weight proportions.
+    Self-clocked fair queueing as one heap of (virtual finish, push order,
+    frame).  A frame's virtual finish is its class's last finish, or the
+    virtual time if later, plus bits/weight; a pop serves the least key and
+    sets the virtual time to its finish.  A class's finishes never fall in
+    push order, so within a class order stays first-in first-out.  Any
+    positive weights keep both classes starvation-free, and with both classes
+    continuously backlogged the service shares converge to the weights.
     """
 
     def __init__(self, weights: dict[MessageClass, float]):
@@ -78,7 +80,8 @@ class WfqQueue:
             if w <= 0:
                 raise ValueError(f"weight for {cls.value} must be positive")
         self._weights = dict(weights)
-        self._queues: dict[MessageClass, deque[TransportFrame]] = {cls: deque() for cls in MessageClass}
+        self._heap: list[tuple[float, int, TransportFrame]] = []
+        self._pushes = 0
         self._finish = dict.fromkeys(MessageClass, 0.0)
         self._vtime = 0.0
 
@@ -89,35 +92,22 @@ class WfqQueue:
             start = self._vtime
         finish = start + frame.bytes_on_wire * 8 / self._weights[cls]
         self._finish[cls] = finish
-        frame.vfinish = finish
-        self._queues[cls].append(frame)
+        self._pushes += 1
+        heapq.heappush(self._heap, (finish, self._pushes, frame))
 
     def pop(self) -> TransportFrame | None:
-        best_cls = None
-        best_key = None
-        for cls, queue in self._queues.items():
-            if not queue:
-                continue
-            head = queue[0]
-            key = (head.vfinish, head.seq)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_cls = cls
-        if best_cls is None:
+        if not self._heap:
             return None
-        frame = self._queues[best_cls].popleft()
-        self._vtime = frame.vfinish
+        self._vtime, _, frame = heapq.heappop(self._heap)
         return frame
 
     def drain(self) -> list[TransportFrame]:
-        frames = []
-        for queue in self._queues.values():
-            frames.extend(queue)
-            queue.clear()
+        frames = [frame for _, _, frame in self._heap]
+        self._heap.clear()
         return frames
 
     def queued_bytes(self, msg_class: MessageClass) -> int:
-        return sum(frame.bytes_on_wire for frame in self._queues[msg_class])
+        return sum(frame.bytes_on_wire for _, _, frame in self._heap if frame.msg_class is msg_class)
 
 
 @dataclass(slots=True)

@@ -97,7 +97,6 @@ class NetFederate:
         # (tick, id, message) of each message whose last ACK has completed.
         self._deliveries: list[tuple[int, int, SimMessage]] = []
         self._min_latency = min(link.latency_ticks for link in self.links)
-        self._fseq = 0
         self._next_msg_id = 1  # odd ids; the application federate uses even ones
         # Messages in the network by id, from ingress until delivered or lost.
         self._transfers: dict[int, SimMessage] = {}
@@ -238,8 +237,7 @@ class NetFederate:
             self._sizes_by_payload[msg.payload_bytes] = sizes
         self._transfers[msg.id] = msg
         for n, size in enumerate(sizes, 1):
-            self._fseq += 1
-            self._serve(link, now_tick, TransportFrame(msg.id, n == len(sizes), size, False, cls, self._fseq))
+            self._serve(link, now_tick, TransportFrame(msg.id, n == len(sizes), size, False, cls))
 
     def _serve(self, link: LinkModel, now_tick: int, frame: TransportFrame | None = None) -> None:
         """The link's server: queue ``frame``, if given, booking its offered
@@ -301,9 +299,7 @@ class NetFederate:
             self.lost_failure[msg.msg_class] += 1
             del self._transfers[msg.id]
         else:
-            self._fseq += 1
-            self._serve(link, tick, TransportFrame(msg.id, frame.last, self.cfg.ack_bytes, True,
-                                                   msg.msg_class, self._fseq))
+            self._serve(link, tick, TransportFrame(msg.id, frame.last, self.cfg.ack_bytes, True, msg.msg_class))
 
     def _on_lte_failure(self, tick: int) -> None:
         for link in self._lte_links:

@@ -249,9 +249,9 @@ def test_criterion_9_wfq_fairness():
     with criterion(9, "both-backlogged 0.1/0.9 split serves frames 1:9 within 1%"):
         queue = WfqQueue({MON: 0.1, CTL: 0.9})
         total = 10_000
-        for seq in range(12_000):
-            queue.push(TransportFrame(1, 0, 100, False, MON, 2 * seq))
-            queue.push(TransportFrame(2, 0, 100, False, CTL, 2 * seq + 1))
+        for _ in range(12_000):
+            queue.push(TransportFrame(1, 0, 100, False, MON))
+            queue.push(TransportFrame(2, 0, 100, False, CTL))
         served = [queue.pop().msg_class for _ in range(total)]
         mon_share = sum(1 for cls in served if cls is MON)
         assert abs(mon_share - total * 0.1) <= total * 0.01

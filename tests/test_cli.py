@@ -117,6 +117,15 @@ def test_tau_sweep_writes_rows(tmp_path):
     assert manifest["experiments"] == {"tau=0.1": "ok", "tau=0.01": "ok"}
 
 
+def test_only_run_takes_tau(capsys):
+    parser = cli.build_parser()
+    assert parser.parse_args(["run", "--tau", "0.5"]).tau_s == 0.5
+    # A sweep's runs take their slot durations from --taus alone.
+    with pytest.raises(SystemExit):
+        parser.parse_args(["tau-sweep", "--taus", "0.1,0.01", "--tau", "0.5"])
+    assert "unrecognized arguments: --tau 0.5" in capsys.readouterr().err
+
+
 def test_tau_sweep_single_value_is_usage_error(tmp_path, capsys):
     assert run_cli("tau-sweep", "--taus", "0.01", "--out", tmp_path / "s") == 2
     assert "usage error" in capsys.readouterr().err

@@ -56,6 +56,17 @@ def test_unknown_key_rejected():
     assert err.value.key == "no_such_knob"
 
 
+def test_unknown_key_error_names_its_line():
+    with pytest.raises(ValidationError, match=r"^no_such: unknown configuration key \(line 2\)$") as err:
+        loads_config("seed = 1\nno_such = 3\n")
+    assert err.value.key == "no_such"
+
+
+def test_empty_key_is_parse_error_naming_its_line():
+    with pytest.raises(ParseError, match=r"^line 2: expected 'key = value', got '= 3'$"):
+        loads_config("seed = 1\n= 3\n")
+
+
 def test_malformed_line_is_parse_error():
     with pytest.raises(ParseError):
         loads_config("tau_s 0.01\n")

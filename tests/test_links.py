@@ -17,8 +17,8 @@ MON = MessageClass.MONITORING
 CTL = MessageClass.CONTROL
 
 
-def frame(bytes_on_wire, cls=MON, seq=0, is_ack=False):
-    return TransportFrame(1, 0, bytes_on_wire, is_ack, cls, seq)
+def frame(bytes_on_wire, cls=MON, msg_id=1, is_ack=False):
+    return TransportFrame(msg_id, 0, bytes_on_wire, is_ack, cls)
 
 
 def dmr_link(queue=None):
@@ -88,21 +88,21 @@ def test_empty_queue_frame_served_immediately():
 
 def test_busy_link_queues_followups():
     fed, link = dmr_server()
-    fed._serve(link, 0, frame(540, seq=1))
-    fed._serve(link, 100, frame(540, seq=2))
+    fed._serve(link, 0, frame(540, msg_id=1))
+    fed._serve(link, 100, frame(540, msg_id=2))
     ((end1, _, first),) = started_services(fed)
     fed._on_completion(end1, link, first)
     ((end2, _, second),) = started_services(fed)
-    assert second.seq == 2
+    assert second.msg_id == 2
     assert end2 == end1 + 225_000
 
 
 def test_fail_drops_queue_and_service():
     fed, link = dmr_server()
-    fed._serve(link, 0, frame(540, seq=1))
-    fed._serve(link, 0, frame(540, seq=2))
+    fed._serve(link, 0, frame(540, msg_id=1))
+    fed._serve(link, 0, frame(540, msg_id=2))
     lost = link.fail()
-    assert {f.seq for f in lost} == {1, 2}
+    assert {f.msg_id for f in lost} == {1, 2}
     assert not link.up and link.busy_frame is None
     link.restore()
     assert link.up
@@ -112,7 +112,7 @@ def test_fifo_preserves_order_across_classes():
     q = FifoQueue()
     for seq, cls in enumerate([MON, CTL, MON, CTL]):
         q.push(frame(100, cls, seq))
-    assert [q.pop().seq for _ in range(4)] == [0, 1, 2, 3]
+    assert [q.pop().msg_id for _ in range(4)] == [0, 1, 2, 3]
     assert q.pop() is None
 
 
@@ -138,7 +138,35 @@ def test_wfq_single_class_served_back_to_back():
     q = make_wfq()
     for seq in range(5):
         q.push(frame(100, CTL, seq))
-    assert [q.pop().seq for _ in range(5)] == [0, 1, 2, 3, 4]
+    assert [q.pop().msg_id for _ in range(5)] == [0, 1, 2, 3, 4]
+
+
+def test_wfq_ties_pop_in_push_order_after_the_clock_anchors():
+    for first, second in ((MON, CTL), (CTL, MON)):
+        q = make_wfq(w_mon=0.5, w_ctl=0.5)
+        q.push(frame(100, MON, msg_id=1))
+        assert q.pop().msg_id == 1
+        assert q._vtime == 1600.0  # 100 B * 8 / 0.5
+        # Both classes start at the virtual time, so both finish at 3200.
+        q.push(frame(100, first, msg_id=2))
+        q.push(frame(100, second, msg_id=3))
+        for msg_id in (2, 3):
+            assert q.pop().msg_id == msg_id
+            assert q._vtime == 3200.0
+        assert q.pop() is None
+
+    # Interleaved pushes and pops, then a drain of what is left.
+    q = make_wfq(w_mon=0.5, w_ctl=0.5)
+    q.push(frame(100, MON, msg_id=1))  # finishes at 1600
+    q.push(frame(70, CTL, msg_id=2))   # 1120
+    q.push(frame(300, MON, msg_id=3))  # 6400
+    assert q.pop().msg_id == 2
+    q.push(frame(40, CTL, msg_id=4))   # 1120 + 640 = 1760
+    assert q.pop().msg_id == 1
+    assert q.queued_bytes(MON) == 300 and q.queued_bytes(CTL) == 40
+    assert sorted(f.msg_id for f in q.drain()) == [3, 4]
+    assert q.queued_bytes(MON) == 0 and q.queued_bytes(CTL) == 0
+    assert q.pop() is None
 
 
 def test_wfq_fifo_within_each_class():
@@ -146,8 +174,8 @@ def test_wfq_fifo_within_each_class():
     for seq in range(6):
         q.push(frame(100, MON if seq % 2 else CTL, seq))
     popped = [q.pop() for _ in range(6)]
-    mon_order = [f.seq for f in popped if f.msg_class is MON]
-    ctl_order = [f.seq for f in popped if f.msg_class is CTL]
+    mon_order = [f.msg_id for f in popped if f.msg_class is MON]
+    ctl_order = [f.msg_id for f in popped if f.msg_class is CTL]
     assert mon_order == sorted(mon_order)
     assert ctl_order == sorted(ctl_order)
 
