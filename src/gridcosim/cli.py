@@ -63,14 +63,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_cfg(args: argparse.Namespace) -> ScenarioConfig:
+def _load_cfg(args: argparse.Namespace, taus: list[float] | None) -> ScenarioConfig:
+    """The command's config, validated as its runs see it: a sweep's runs take
+    their slot durations from ``taus``, which its manifest records as ``tau_s``."""
     cfg = load_config(args.config) if args.config else ScenarioConfig()
     cfg = dataclasses.replace(cfg, **{key: value for key, value in vars(args).items()
                                       if key in _OVERRIDES and value is not None})
-    cfg.validate()
-    for note in cfg.warnings():
+    runs = [cfg] if taus is None else [dataclasses.replace(cfg, tau_s=tau_s) for tau_s in taus]
+    for run_cfg in runs:
+        run_cfg.validate()
+    for note in runs[0].warnings():
         print(f"warning: {note}", file=sys.stderr)
-    return cfg
+    return cfg if taus is None else dataclasses.replace(cfg, tau_s=taus)
 
 
 def _listen_address(text: str) -> tuple[str, int]:
@@ -82,9 +86,12 @@ def _listen_address(text: str) -> tuple[str, int]:
 
 def _parse_taus(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part.strip()]
+        taus = [float(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise UsageError(f"--taus must be comma-separated numbers: {exc}") from exc
+    if len(taus) < 2:
+        raise UsageError("--taus needs at least two slot durations")
+    return taus
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -101,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         taus = _parse_taus(args.taus) if args.command == "tau-sweep" else None
-        cfg = _load_cfg(args)
+        cfg = _load_cfg(args, taus)
         listen = _listen_address(args.rti_listen)
         if args.command == "run":
             result = run_scenario(

@@ -284,7 +284,8 @@ for f in fields(ScenarioConfig):
 
 
 def loads_config(text: str) -> ScenarioConfig:
-    """Parse scenario text into a validated :class:`ScenarioConfig`."""
+    """Parse scenario text into a :class:`ScenarioConfig`, not yet validated:
+    callers validate the config they run, once they have overridden fields."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -303,9 +304,7 @@ def loads_config(text: str) -> ScenarioConfig:
             values[key] = _PARSERS[key](value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"line {lineno}: bad value for {key}: {exc}") from exc
-    cfg = ScenarioConfig(**values)
-    cfg.validate()
-    return cfg
+    return ScenarioConfig(**values)
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

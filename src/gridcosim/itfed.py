@@ -21,8 +21,6 @@ import heapq
 import logging
 import random
 from array import array
-from collections.abc import Sequence
-from typing import NamedTuple
 
 from .config import ScenarioConfig
 from .messages import (_CLASS_CODE, _CLASSES, _KIND_CODE, _KINDS, MISSING, MessageClass, MessageKind,
@@ -47,45 +45,17 @@ def _move(flat: list[int], columns: tuple[array, ...]) -> None:
     flat.clear()
 
 
-class Exchange(NamedTuple):
-    """A request/response pair between the management system and one node,
-    as ``Exchanges`` reads it back: a read-only row.
+class Exchanges:
+    """Every exchange, as columns in creation order.
 
-    ``id`` is the request's, so ids rise in creation order.
-    ``delivered_tick`` is when the response reached the management system.
-    ``d_comm_ticks`` is the network delay of both legs, None when a leg has
-    no network timestamps or no response came.  ``score`` is set once by
-    ``ITFederate.finalize_run`` from ``metrics.exchange_scores``: 1 when the
-    round trip met the class delay limit, 0 when it did not, and None when
-    the run ended before that was decided.
-    """
-
-    id: int
-    msg_class: MessageClass
-    node: int
-    created_tick: int
-    delivered_tick: int | None = None
-    d_comm_ticks: int | None = None
-    score: int | None = None
-
-
-def _exchange(mid: int, code: int, node: int, created: int, delivered: int, d_comm: int,
-              score: int) -> Exchange:
-    return Exchange(mid, _CLASSES[code], node, created,
-                    None if delivered == MISSING else delivered,
-                    None if d_comm == MISSING else d_comm,
-                    None if score == MISSING else score)
-
-
-class Exchanges(Sequence):
-    """Every exchange, kept as columns and read as ``Exchange`` rows.
-
-    The view is read-only; ``ITFederate`` fills the columns, which are
-    complete once its ``finalize_run`` has run: id, node and ticks as 64-bit
-    ints, class as its code (``messages._CLASS_CODE``) and score as bytes,
-    with ``MISSING`` (-1) where the row reads None; about 42 bytes an
-    exchange.  Rows are built only when read, in creation order: ids rise,
-    and creation intervals never decrease, an interval being whole slots.
+    ``ITFederate`` fills the columns, which are complete once its
+    ``finalize_run`` has run: id, node and ticks as 64-bit ints, class as its
+    code (``messages._CLASS_CODE``) and score as bytes, about 42 bytes an
+    exchange.  Ids rise along the columns and creation intervals never
+    decrease.  ``d_comm`` is the network delay of both legs; a score is 1
+    when the round trip met its class delay limit, else 0.  ``MISSING`` (-1)
+    stands for no response, no network timestamps on a leg, or a score the
+    run ended before deciding.
     """
 
     __slots__ = ("ids", "classes", "nodes", "created", "delivered", "d_comm", "scores")
@@ -102,21 +72,13 @@ class Exchanges(Sequence):
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __getitem__(self, i: int) -> Exchange:
-        return _exchange(self.ids[i], self.classes[i], self.nodes[i], self.created[i],
-                         self.delivered[i], self.d_comm[i], self.scores[i])
 
-    def __iter__(self):
-        return map(_exchange, self.ids, self.classes, self.nodes, self.created,
-                   self.delivered, self.d_comm, self.scores)
-
-
-class CommLegs(Sequence):
+class CommLegs:
     """Completed message legs, kept as columns and read as tuples.
 
     Each item is (class, kind, d_it_ticks, d_comm_ticks, delivered_comm_tick).
-    The view is read-only; ``ITFederate`` fills the columns, which are
-    complete once its ``finalize_run`` has run: class and kind as their codes
+    ``ITFederate`` fills the columns, which are complete once its
+    ``finalize_run`` has run: class and kind as their codes
     (``messages._CLASS_CODE``, ``_KIND_CODE``), ticks as 64-bit ints, about
     26 bytes a leg.  Legs are in delivery order, comm delivery ticks never
     decreasing: the comm federate publishes each message at its delivery
@@ -135,10 +97,6 @@ class CommLegs(Sequence):
 
     def __len__(self) -> int:
         return len(self.classes)
-
-    def __getitem__(self, i: int) -> tuple[MessageClass, MessageKind, int, int, int]:
-        return (_CLASSES[self.classes[i]], _KINDS[self.kinds[i]],
-                self.d_it[i], self.d_comm[i], self.delivered[i])
 
     def __iter__(self):
         return zip(map(_CLASSES.__getitem__, self.classes), map(_KINDS.__getitem__, self.kinds),

@@ -54,8 +54,8 @@ _CLASSES = tuple(MessageClass)
 _KINDS = tuple(MessageKind)
 _CLASS_CODE = {cls: code for code, cls in enumerate(_CLASSES)}
 _KIND_CODE = {kind: code for code, kind in enumerate(_KINDS)}
-#: Stands for None in the record columns, whose ticks, ids and scores are
-#: never negative.
+#: Stands for an absent value in the record columns, whose ticks, ids and
+#: scores are never negative.
 MISSING = -1
 
 

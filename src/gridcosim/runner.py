@@ -20,7 +20,7 @@ from . import __version__
 from .config import ScenarioConfig, serialize_config
 from .errors import UsageError
 from .itfed import CommLegs, Exchanges, ITFederate
-from .messages import MessageClass, NodeDescriptor
+from .messages import _CLASSES, MISSING, MessageClass, NodeDescriptor
 from .metrics import DelayStats, IntervalMetrics, ddf, delay_series, reliability_series
 from .netfed import NetFederate
 from .rti import FederationResult
@@ -136,22 +136,22 @@ def write_ddf_csv(path: Path, rows: list[tuple[float, float, float]]) -> None:
         [_fmt(tau_s), _fmt(ddf_percent), _fmt(wallclock_s)] for tau_s, ddf_percent, wallclock_s in rows))
 
 
+def _seconds(ticks: int, since: int = 0) -> str:
+    """Ticks after ``since`` in seconds; an empty cell when ``ticks`` is ``MISSING``."""
+    return "" if ticks == MISSING else _fmt((ticks - since) / TICKS_PER_SECOND)
+
+
 def write_exchange_log(path: Path, result: RunResult) -> None:
     """One row per exchange, by creation interval, then class in
     ``MessageClass`` order, then creation order (the sort is stable)."""
-    rows, w = result.exchange_rows, result.cfg.interval_ticks
-    order = sorted(range(len(rows)), key=lambda i: (rows.created[i] // w, rows.classes[i]))
+    ex, w = result.exchange_rows, result.cfg.interval_ticks
+    order = sorted(range(len(ex)), key=lambda i: (ex.created[i] // w, ex.classes[i]))
     _write_csv(path, ["id", "class", "node", "created_s", "delivered_s",
                       "d_it_s", "d_comm_s", "within_limit"], ([
-        rec.id,
-        rec.msg_class.value,
-        rec.node,
-        _fmt(rec.created_tick / TICKS_PER_SECOND),
-        "" if rec.delivered_tick is None else _fmt(rec.delivered_tick / TICKS_PER_SECOND),
-        "" if rec.delivered_tick is None else _fmt((rec.delivered_tick - rec.created_tick) / TICKS_PER_SECOND),
-        "" if rec.d_comm_ticks is None else _fmt(rec.d_comm_ticks / TICKS_PER_SECOND),
-        "" if rec.score is None else rec.score,
-    ] for rec in map(rows.__getitem__, order)))
+        ex.ids[i], _CLASSES[ex.classes[i]].value, ex.nodes[i], _seconds(ex.created[i]),
+        _seconds(ex.delivered[i]), _seconds(ex.delivered[i], ex.created[i]), _seconds(ex.d_comm[i]),
+        "" if ex.scores[i] == MISSING else ex.scores[i],
+    ] for i in order))
 
 
 def write_link_log(path: Path, result: RunResult) -> None:

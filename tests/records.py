@@ -1,13 +1,28 @@
-"""Build the federate's record columns from rows, as test input for ``metrics``."""
+"""The tests' exchange row type, and record columns built from rows as test input."""
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from gridcosim.itfed import CommLegs, Exchanges
-from gridcosim.messages import _CLASS_CODE, _KIND_CODE, MISSING
+from gridcosim.messages import _CLASS_CODE, _KIND_CODE, MISSING, MessageClass
+
+
+class Exchange(NamedTuple):
+    """One exchange as a row, the form the reference reports read; None
+    where the columns hold ``MISSING``."""
+
+    id: int
+    msg_class: MessageClass
+    node: int
+    created_tick: int
+    delivered_tick: int | None = None
+    d_comm_ticks: int | None = None
+    score: int | None = None
 
 
 def exchanges(rows) -> Exchanges:
-    """``itfed.Exchange`` rows as ``Exchanges`` columns, in the given order."""
+    """``Exchange`` rows as ``Exchanges`` columns, in the given order."""
     columns = Exchanges()
     for row in rows:
         columns.ids.append(row.id)

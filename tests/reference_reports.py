@@ -8,12 +8,18 @@ the order of the records; the column readers must give equal rows on any
 input in the order a run records them: exchanges with creation intervals
 that never decrease, legs with delivery ticks that never decrease.  Only the
 statistics helpers are shared.
+
+``write_exchange_log`` is the exchange log as it was written from one row
+object per exchange, before ``runner.write_exchange_log`` read the columns;
+from the same exchanges, in any order, the two must write the same bytes.
 """
 
 from __future__ import annotations
 
+import csv
 from collections import defaultdict
 
+from gridcosim.messages import MessageClass
 from gridcosim.metrics import DelayStats, IntervalMetrics, class_reliability_ci, percentile_nearest_rank
 from gridcosim.simtime import TICKS_PER_SECOND
 
@@ -26,7 +32,7 @@ def exchange_score(d_it_ticks, created_tick, limit_ticks, end_tick):
 
 
 def reliability_series(exchanges, interval_ticks):
-    """Class reliability per (creation interval, class) of ``itfed.Exchange`` rows."""
+    """Class reliability per (creation interval, class) of ``records.Exchange`` rows."""
     scores = defaultdict(lambda: defaultdict(list))
     for ex in exchanges:
         if ex.score is not None:
@@ -50,3 +56,30 @@ def delay_series(legs, interval_ticks):
     ]
     series.sort(key=lambda d: (d.interval, d.msg_class.value))
     return series
+
+
+def write_exchange_log(path, exchanges, interval_ticks):
+    """``exchange_log.csv`` of ``records.Exchange`` rows: by creation interval,
+    then class in ``MessageClass`` order, then the given order; None is an
+    empty cell."""
+    order = list(MessageClass)
+    rows = sorted(exchanges, key=lambda rec: (rec.created_tick // interval_ticks,
+                                              order.index(rec.msg_class)))
+
+    def seconds(ticks):
+        return format(ticks / TICKS_PER_SECOND, ".10g")
+
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["id", "class", "node", "created_s", "delivered_s",
+                         "d_it_s", "d_comm_s", "within_limit"])
+        writer.writerows([
+            rec.id,
+            rec.msg_class.value,
+            rec.node,
+            seconds(rec.created_tick),
+            "" if rec.delivered_tick is None else seconds(rec.delivered_tick),
+            "" if rec.delivered_tick is None else seconds(rec.delivered_tick - rec.created_tick),
+            "" if rec.d_comm_ticks is None else seconds(rec.d_comm_ticks),
+            "" if rec.score is None else rec.score,
+        ] for rec in rows)

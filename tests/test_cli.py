@@ -117,6 +117,26 @@ def test_tau_sweep_writes_rows(tmp_path):
     assert manifest["experiments"] == {"tau=0.1": "ok", "tau=0.01": "ok"}
 
 
+def test_tau_sweep_ignores_and_does_not_record_the_configs_own_tau(tmp_path):
+    # 0.3 s slots do not divide the 25 s metrics interval, but no run of
+    # the sweep uses them: each takes one of --taus.
+    config = tmp_path / "t.cfg"
+    config.write_text("tau_s = 0.3\n")
+    out = tmp_path / "sweep"
+    assert run_cli("tau-sweep", "--config", config, "--taus", "0.1,0.01", "--duration", "10",
+                   "--out", out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "ok"
+    assert manifest["config"]["tau_s"] == [0.1, 0.01]
+
+
+def test_tau_sweep_validates_each_swept_tau(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert run_cli("tau-sweep", "--taus", "0.1,0.3", "--duration", "10", "--out", out) == 1
+    assert "metrics_interval_s: must be a multiple of tau_s" in capsys.readouterr().err
+    assert not (out / "ddf.csv").exists()
+
+
 def test_only_run_takes_tau(capsys):
     parser = cli.build_parser()
     assert parser.parse_args(["run", "--tau", "0.5"]).tau_s == 0.5

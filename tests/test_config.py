@@ -38,7 +38,7 @@ def test_default_file_matches_case_study_values():
 
 def test_zero_tau_rejected_by_key():
     with pytest.raises(ValidationError) as err:
-        loads_config("tau_s = 0\n")
+        loads_config("tau_s = 0\n").validate()
     assert err.value.key == "tau_s"
 
 
@@ -46,7 +46,7 @@ def test_interval_must_divide_into_slots():
     cfg = loads_config("metrics_interval_s = 25\ntau_s = 0.01\n")
     assert cfg.interval_ticks // cfg.tau_ticks == 2500
     with pytest.raises(ValidationError) as err:
-        loads_config("metrics_interval_s = 25\ntau_s = 0.007\n")
+        loads_config("metrics_interval_s = 25\ntau_s = 0.007\n").validate()
     assert err.value.key == "metrics_interval_s"
 
 
@@ -134,14 +134,14 @@ def test_times_must_fit_64_bit_ticks(key, seconds, ok):
 
 def test_zero_byte_ack_rejected_by_key():
     with pytest.raises(ValidationError) as err:
-        loads_config("ack_bytes = 0\n")
+        loads_config("ack_bytes = 0\n").validate()
     assert err.value.key == "ack_bytes"
     assert loads_config("ack_bytes = 1\n").ack_bytes == 1
 
 
 def test_alpha_bounds():
     with pytest.raises(ValidationError) as err:
-        loads_config("alpha_e = 1.0\n")
+        loads_config("alpha_e = 1.0\n").validate()
     assert err.value.key == "alpha_e"
     assert loads_config("alpha_e = 0\n").alpha_e == 0.0
 

@@ -5,7 +5,7 @@ import pytest
 
 from gridcosim.config import ScenarioConfig
 from gridcosim.itfed import ITFederate
-from gridcosim.messages import MessageClass, MessageKind, NodeKind, SimMessage
+from gridcosim.messages import MISSING, MessageClass, MessageKind, NodeKind, SimMessage
 from gridcosim.metrics import reliability_series
 from gridcosim.simtime import TICKS_PER_SECOND
 from gridcosim.topology import generate_topology
@@ -150,14 +150,17 @@ def test_response_closes_exchange_and_records_roundtrip():
                       delivered_comm_tick=request.created_tick + 2000)
     now = request.created_tick + 230_000
     fed.on_deliver(resp, now)
-    record = next(rec for rec in _finalized_rows(fed, cfg) if rec.id == request.id)
-    assert record.delivered_tick is not None
-    assert record.delivered_tick - record.created_tick == now - request.created_tick
+    created, delivered = _finalized_ticks(fed, cfg, request.id)
+    assert delivered != MISSING
+    assert delivered - created == now - request.created_tick
 
 
-def _finalized_rows(fed, cfg):
+def _finalized_ticks(fed, cfg, mid):
+    """Created and delivered tick of exchange ``mid`` once the run is finalized."""
     fed.finalize_run(cfg.duration_ticks)
-    return fed.exchange_rows
+    rows = fed.exchange_rows
+    row = rows.ids.index(mid)
+    return rows.created[row], rows.delivered[row]
 
 
 def test_duplicate_response_counts_unknown_correlation(caplog):
@@ -175,8 +178,7 @@ def test_duplicate_response_counts_unknown_correlation(caplog):
         f"response 101 has no open request {request.id}"
     ]
     # The duplicate leaves the exchange the first response closed untouched.
-    record = next(rec for rec in _finalized_rows(fed, cfg) if rec.id == request.id)
-    assert record.delivered_tick == 2000
+    assert _finalized_ticks(fed, cfg, request.id)[1] == 2000
 
 
 def test_reliability_series_absent_versus_present():
@@ -202,14 +204,15 @@ def test_unanswered_exchanges_score_zero_at_close():
                                  monitor_ders=False)
     step_through(fed, cfg)
     fed.finalize_run(cfg.duration_ticks)
-    scored = [rec for rec in fed.exchange_rows if rec.score is not None]
-    undecided = [rec for rec in fed.exchange_rows if rec.score is None]
-    assert scored and all(rec.score == 0 for rec in scored)
+    rows = fed.exchange_rows
+    scored = [created for created, score in zip(rows.created, rows.scores) if score != MISSING]
+    undecided = [created for created, score in zip(rows.created, rows.scores) if score == MISSING]
+    assert scored and set(rows.scores) <= {0, MISSING}
     # Exchanges created within a delay limit of the horizon stay undecided.
     horizon = cfg.duration_ticks
     limit = cfg.delay_limit_ticks(MessageClass.MONITORING)
-    assert all(rec.created_tick + limit > horizon for rec in undecided)
-    assert all(rec.created_tick + limit <= horizon for rec in scored)
+    assert all(created + limit > horizon for created in undecided)
+    assert all(created + limit <= horizon for created in scored)
 
 
 def test_rate_update_rebuilds_schedule_evenly():

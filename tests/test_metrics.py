@@ -16,7 +16,6 @@ from hypothesis import given, strategies as st
 
 import gridcosim
 from gridcosim.errors import EmptyDistribution, GridCoSimError
-from gridcosim.itfed import Exchange
 from gridcosim.messages import _CLASSES, MISSING, MessageClass, MessageKind
 from gridcosim.metrics import (
     class_reliability_ci,
@@ -28,6 +27,7 @@ from gridcosim.metrics import (
 )
 from gridcosim.simtime import TICKS_PER_SECOND
 from tests import records, reference_reports
+from tests.records import Exchange
 
 # Frozen from the independent oracle below (statistics.stdev, n-1 form).
 CI_CASE_VALUES = [1, 1, 0.5, 0.5]

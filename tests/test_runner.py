@@ -6,17 +6,19 @@ import json
 import math
 import statistics
 import sys
+import tempfile
 import types
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from gridcosim.config import ScenarioConfig
 from gridcosim.errors import UsageError
-from gridcosim.itfed import Exchange
-from gridcosim.messages import MessageClass, MessageKind, SimMessage
-from gridcosim.metrics import delay_series, reliability_series
-from gridcosim.runner import run_scenario, run_tau_sweep, write_manifest, write_outputs
+from gridcosim.messages import _CLASSES, MISSING, MessageClass, MessageKind, SimMessage
+from gridcosim.metrics import delay_series
+from gridcosim.runner import run_scenario, run_tau_sweep, write_exchange_log, write_manifest, write_outputs
 from gridcosim.simtime import TICKS_PER_SECOND
 from tests import records, reference_reports
 
@@ -153,55 +155,82 @@ def test_delay_series_grouped_by_delivery_interval(small_run):
 
 
 def test_comm_legs_read_as_a_sequence_of_leg_tuples(small_run):
+    # bench/checks.py iterates the legs and reads each one's per-leg bound
+    # from leg[2] - leg[3] (d_it minus d_comm), so the tuple order is pinned.
     legs = small_run.comm_legs
     listed = list(legs)
     assert len(legs) == len(listed) > 0
-    assert [legs[i] for i in range(len(legs))] == listed
-    assert legs[-1] == listed[-1] and legs[-len(legs)] == listed[0]
-    for index in (len(legs), -len(legs) - 1):
-        with pytest.raises(IndexError):
-            legs[index]
     for cls, kind, d_it, d_comm, tick in listed:
         assert isinstance(cls, MessageClass) and isinstance(kind, MessageKind)
         assert 0 < d_comm < d_it and 0 < tick
+    assert [leg[2] - leg[3] for leg in listed] == [a - b for a, b in zip(legs.d_it, legs.d_comm)]
     w = small_run.cfg.interval_ticks
     assert delay_series(legs, w) == small_run.delays
     assert reference_reports.delay_series(listed, w) == small_run.delays
 
 
-def test_exchange_rows_read_as_a_sequence_of_exchanges(tmp_path):
+def test_exchange_log_lists_each_exchange_by_interval_then_class(tmp_path):
     # A control burst every 10 s, so that both classes share each interval.
     run = run_scenario(small_cfg(lambda_c_hz=0.2))
     rows = run.exchange_rows
-    listed = list(rows)
-    assert len(rows) == len(listed) > 0
-    assert [rows[i] for i in range(len(rows))] == listed
-    assert rows[-1] == listed[-1] and rows[-len(rows)] == listed[0]
-    for index in (len(rows), -len(rows) - 1):
-        with pytest.raises(IndexError):
-            rows[index]
-    assert all(isinstance(row, Exchange) and isinstance(row.msg_class, MessageClass) for row in listed)
-    assert {row.score for row in listed} <= {0, 1, None}
-    # The rows keep creation order, and ids grow with it.
-    assert all(a.id < b.id for a, b in zip(listed, listed[1:]))
+    assert len(rows) > 0
+    assert set(rows.scores) <= {0, 1, MISSING}
+    # The columns keep creation order, and ids grow with it.
+    assert all(a < b for a, b in zip(rows.ids, rows.ids[1:]))
     # The log lists each exchange once, by creation interval, then class, then creation order.
     write_outputs(tmp_path, run, exchange_log=True)
     with (tmp_path / "exchange_log.csv").open(newline="") as handle:
         log = list(csv.DictReader(handle))
-    by_id = {row.id: row for row in listed}
-    logged = [by_id[int(entry["id"])] for entry in log]
-    assert sorted(row.id for row in logged) == [row.id for row in listed]
-    assert [entry["class"] for entry in log] == [row.msg_class.value for row in logged]
+    row_of = {mid: row for row, mid in enumerate(rows.ids)}
+    logged = [row_of[int(entry["id"])] for entry in log]
+    assert sorted(logged) == list(range(len(rows)))
+    assert [entry["class"] for entry in log] == [_CLASSES[rows.classes[row]].value for row in logged]
     w = run.cfg.interval_ticks
-    order = list(MessageClass)
-    keys = [(row.created_tick // w, order.index(row.msg_class), row.id) for row in logged]
+    keys = [(rows.created[row] // w, rows.classes[row], rows.ids[row]) for row in logged]
     assert keys == sorted(keys)
     assert {(interval, cls) for interval, cls, _id in keys} == {
-        (interval, cls) for interval in range(4) for cls in range(len(order))}
+        (interval, cls) for interval in range(4) for cls in range(len(_CLASSES))}
     assert sorted(keys, key=lambda key: key[2]) != keys
-    rebuilt = records.exchanges(listed)
-    assert all(getattr(rows, name) == getattr(rebuilt, name) for name in rows.__slots__)
-    assert run.reliability == reference_reports.reliability_series(listed, w)
+
+
+_EXCHANGE_INTERVAL = 4 * TICKS_PER_SECOND
+
+
+@st.composite
+def exchange_rows(draw):
+    """Exchanges over several intervals and both classes, in any order, with
+    ``MISSING`` in any of delivered, d_comm and score, independently."""
+    ticks = st.integers(0, 6 * _EXCHANGE_INTERVAL) | st.sampled_from(
+        [0, _EXCHANGE_INTERVAL - 1, _EXCHANGE_INTERVAL, 3 * _EXCHANGE_INTERVAL + 7])
+    return draw(st.lists(st.builds(
+        records.Exchange,
+        st.integers(0, 2**40),
+        st.sampled_from(list(MessageClass)),
+        st.integers(0, 400),
+        ticks,
+        st.none() | ticks,
+        st.none() | st.integers(1, 2 * _EXCHANGE_INTERVAL),
+        st.sampled_from([None, 0, 1]),
+    ), max_size=60))
+
+
+# Delivered with d_comm missing, which no pinned run produces, next to every
+# other pattern of missing cells, over three intervals and both classes.
+@example([records.Exchange(8, MessageClass.CONTROL, 3, 2 * _EXCHANGE_INTERVAL + 1,
+                          2 * _EXCHANGE_INTERVAL + 9, None, 1),
+          records.Exchange(2, MessageClass.MONITORING, 7, _EXCHANGE_INTERVAL, None, None, 0),
+          records.Exchange(4, MessageClass.MONITORING, 7, 5, 123_457, 99_999, 0),
+          records.Exchange(6, MessageClass.CONTROL, 1, 3, None, None, None),
+          records.Exchange(10, MessageClass.MONITORING, 2, 4, 17, 11, None)])
+@given(exchange_rows())
+def test_exchange_log_matches_the_row_reference(rows):
+    result = types.SimpleNamespace(exchange_rows=records.exchanges(rows),
+                                   cfg=types.SimpleNamespace(interval_ticks=_EXCHANGE_INTERVAL))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        write_exchange_log(out / "columns.csv", result)
+        reference_reports.write_exchange_log(out / "rows.csv", rows, _EXCHANGE_INTERVAL)
+        assert (out / "columns.csv").read_bytes() == (out / "rows.csv").read_bytes()
 
 
 @pytest.mark.parametrize("overrides", [{}, dict(arrival_model="poisson", tau_s=0.5, lambda_c_hz=0.2)])
@@ -270,7 +299,7 @@ def test_run_result_holds_no_message(small_run):
         if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType, enum.Enum)):
             continue
         seen.add(id(obj))
-        assert not isinstance(obj, (SimMessage, Exchange)), obj
+        assert not isinstance(obj, SimMessage), obj
         stack.extend(gc.get_referents(obj))
     assert len(seen) > len(small_run.exchange_rows)
 

@@ -118,7 +118,8 @@ def test_transport_equivalence_on_full_scenario(tmp_path):
         inproc = run_scenario(cfg)
         socketed = run_scenario(cfg, transport="socket")
         assert inproc.federation.trace_digest == socketed.federation.trace_digest
-        assert list(inproc.exchange_rows) == list(socketed.exchange_rows)
+        assert all(getattr(inproc.exchange_rows, name) == getattr(socketed.exchange_rows, name)
+                   for name in inproc.exchange_rows.__slots__)
         assert list(inproc.comm_legs) == list(socketed.comm_legs)
         assert [(m.interval, m.msg_class, m.mean) for m in inproc.reliability] == [
             (m.interval, m.msg_class, m.mean) for m in socketed.reliability
