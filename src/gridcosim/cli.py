@@ -12,7 +12,6 @@ from pathlib import Path
 from .config import QOS_MODES, ScenarioConfig, load_config
 from .errors import GridCoSimError, UsageError
 from .runner import run_scenario, run_tau_sweep, write_ddf_csv, write_manifest, write_outputs
-from .transport import parse_listen_address
 
 #: Flags that override the config field of the same name (``--tau`` on ``run`` only).
 _OVERRIDES = ("tau_s", "qos", "lte_fail_at_s", "duration_s", "seed")
@@ -78,10 +77,11 @@ def _load_cfg(args: argparse.Namespace, taus: list[float] | None) -> ScenarioCon
 
 
 def _listen_address(text: str) -> tuple[str, int]:
-    try:
-        return parse_listen_address(text)
-    except ValueError as exc:
-        raise UsageError(f"--rti-listen: {exc}") from exc
+    host, _, port = text.rpartition(":")
+    if not host or not port.isdigit() or int(port) > 65535:
+        raise UsageError(f"--rti-listen: listen address must be host:port with a port up to 65535, "
+                         f"got {text!r}")
+    return host, int(port)
 
 
 def _parse_taus(text: str) -> list[float]:

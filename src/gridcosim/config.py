@@ -20,6 +20,12 @@ from .messages import MessageClass, NodeKind
 
 QOS_MODES = ("fifo", "wfq", "wfq-ra")
 ARRIVAL_MODELS = ("periodic", "poisson")
+#: The most nodes a topology may have, the DMS, the DMR access point and the
+#: LTE base stations counted.  Set-up time and memory grow with the node
+#: count; README says why the limit is here.
+MAX_NODES = 100_000
+_NODE_COUNTS = ("lte_bs_count", "count_hva_lv", "count_switch", "count_substation",
+                "count_pv_plant", "count_wind_farm")
 
 
 @dataclass
@@ -156,11 +162,13 @@ class ScenarioConfig:
         # A zero-byte ACK would be served in no ticks, so that two
         # completions on one link could share a tick.
         positive("ack_bytes", self.ack_bytes)
-        for key in ("header_bytes", "lte_bs_count", "count_hva_lv",
-                    "count_switch", "count_substation", "count_pv_plant",
-                    "count_wind_farm", "access_latency_lte_s", "access_latency_dmr_s"):
+        for key in ("header_bytes", *_NODE_COUNTS, "access_latency_lte_s", "access_latency_dmr_s"):
             if getattr(self, key) < 0:
                 raise ValidationError(key, "must be non-negative")
+        nodes = 2 + sum(getattr(self, key) for key in _NODE_COUNTS)
+        if nodes > MAX_NODES:
+            raise ValidationError(max(_NODE_COUNTS, key=lambda key: getattr(self, key)),
+                                  f"makes {nodes} nodes, more than the {MAX_NODES} allowed")
         if not 0 <= self.alpha_e < 1:
             raise ValidationError("alpha_e", "must lie in [0, 1)")
         if self.qos not in QOS_MODES:

@@ -40,7 +40,6 @@ class ValidationError(GridCoSimError):
 
     def __init__(self, key: str, detail: str = ""):
         self.key = key
-        self.detail = detail
         super().__init__(f"{key}: {detail}" if detail else key)
 
 

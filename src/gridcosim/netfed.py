@@ -97,7 +97,6 @@ class NetFederate:
         # (tick, id, message) of each message whose last ACK has completed.
         self._deliveries: list[tuple[int, int, SimMessage]] = []
         self._min_latency = min(link.latency_ticks for link in self.links)
-        self._next_msg_id = 1  # odd ids; the application federate uses even ones
         # Messages in the network by id, from ingress until delivered or lost.
         self._transfers: dict[int, SimMessage] = {}
         self._sizes_by_payload: dict[int, list[int]] = {}
@@ -332,10 +331,10 @@ class NetFederate:
         # Round the period up: a longer period can only lower the offered load.
         period_ticks = max(1, math.ceil(TICKS_PER_SECOND / rate_hz))
         self.adapted_period_ticks = period_ticks
-        msg_id = self._next_msg_id
-        self._next_msg_id += 2
         return SimMessage(
-            id=msg_id,
+            # The one message a run's single outage can make this federate
+            # send; the application federate's ids are even.
+            id=1,
             msg_class=MessageClass.CONTROL,
             kind=MessageKind.RATE_UPDATE,
             src=self._dmr_ap_id,

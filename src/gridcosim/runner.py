@@ -230,12 +230,14 @@ def run_tau_sweep(
     """One run per slot duration, identical seed; rows of (tau, ddf%, wallclock)."""
     if len(taus) < 2:
         raise UsageError("a sweep needs at least two slot durations")
-    rows = []
-    for tau_s in taus:
-        run_cfg = dataclasses.replace(cfg, tau_s=tau_s)
+    # Every run's config is checked before the first run starts.
+    run_cfgs = [dataclasses.replace(cfg, tau_s=tau_s) for tau_s in taus]
+    for run_cfg in run_cfgs:
         run_cfg.validate()
+    rows = []
+    for run_cfg in run_cfgs:
         result = run_scenario(run_cfg, transport=transport, listen=listen)
         if result.ddf is None:
             raise UsageError("sweep produced no completed exchanges; extend the duration")
-        rows.append((tau_s, result.ddf, result.federation.wallclock_s))
+        rows.append((run_cfg.tau_s, result.ddf, result.federation.wallclock_s))
     return rows

@@ -15,7 +15,7 @@ import threading
 from typing import Protocol
 
 from . import envelope as env
-from .envelope import EnvelopeType, FederateEnvelope, decode_envelope, encode_envelope
+from .envelope import ACK_SLOT, ERROR, GRANT, JOIN, JOIN_ACK, decode_envelope, encode_envelope
 from .errors import (QUOTE_LIMIT, DecodeError, FederateTimeout, ProtocolViolation, UsageError,
                      quotable, quote, shape)
 from .messages import SimMessage
@@ -69,12 +69,12 @@ class _FrameStream:
         self._buffer = b""  # bytes received past the last whole frame
         self.offset = 0
 
-    def send(self, envelope: FederateEnvelope) -> None:
+    def send(self, frame: dict) -> None:
         """Write one whole frame: the peer waits for every frame."""
-        self.sock.sendall(encode_envelope(envelope))
+        self.sock.sendall(encode_envelope(frame))
 
-    def recv(self) -> FederateEnvelope | None:
-        """Next envelope, or None at a clean end of stream."""
+    def recv(self) -> dict | None:
+        """Next frame, or None at a clean end of stream."""
         buffer = self._buffer
         end = buffer.find(b"\n") + 1
         if not end:
@@ -134,15 +134,15 @@ class SocketEndpoint:
             ) from exc
         if received is None:
             raise ProtocolViolation(f"federate {self.name} closed its stream mid-slot")
-        body = received.body
-        if received.type is EnvelopeType.ERROR:
+        frame_type, body = received["t"], received["body"]
+        if frame_type == ERROR:
             raise ProtocolViolation(
                 f"federate {self.name} failed: {quote(body.get('code'))}: {quote(body.get('detail'))}"
             )
-        if received.type is not EnvelopeType.ACK_SLOT:
-            raise ProtocolViolation(f"unexpected {received.type.value} from federate {self.name}")
-        if received.slot != self._slot:
-            raise self._malformed(f"for slot {received.slot}, expected {self._slot}")
+        if frame_type != ACK_SLOT:
+            raise ProtocolViolation(f"unexpected {frame_type} from federate {self.name}")
+        if received["slot"] != self._slot:
+            raise self._malformed(f"for slot {received['slot']}, expected {self._slot}")
         out, next_tick = body.get("out"), body.get("next")
         if type(out) is not list:
             raise self._malformed(f"with out {shape(out)}, not a list")
@@ -185,7 +185,7 @@ def run_federate_client(address: tuple[str, int], federate: LocalFederate,
     try:
         stream.send(env.join(federate.name))
         ack = stream.recv()
-        if ack is None or ack.type is not EnvelopeType.JOIN_ACK:
+        if ack is None or ack["t"] != JOIN_ACK:
             raise ProtocolViolation("expected JOIN_ACK")
         sock.settimeout(None)
         while True:
@@ -198,9 +198,9 @@ def run_federate_client(address: tuple[str, int], federate: LocalFederate,
                 return
             if received is None:
                 return
-            if received.type is not EnvelopeType.GRANT:
-                raise ProtocolViolation(f"unexpected {received.type.value} from coordinator")
-            slot, body = received.slot, received.body
+            if received["t"] != GRANT:
+                raise ProtocolViolation(f"unexpected {received['t']} from coordinator")
+            slot, body = received["slot"], received["body"]
             end_ticks, inbox = body.get("end_ticks"), body.get("inbox")
             try:
                 if type(end_ticks) is not int or type(inbox) is not list:
@@ -216,13 +216,6 @@ def run_federate_client(address: tuple[str, int], federate: LocalFederate,
             stream.send(env.ack_slot(slot, outbox, next_tick))
     finally:
         stream.close()
-
-
-def parse_listen_address(text: str) -> tuple[str, int]:
-    host, _, port = text.rpartition(":")
-    if not host or not port.isdigit() or int(port) > 65535:
-        raise ValueError(f"listen address must be host:port with a port up to 65535, got {text!r}")
-    return host, int(port)
 
 
 def run_federation(
@@ -269,9 +262,9 @@ def run_federation(
             stream = _FrameStream(conn)
             streams.append(stream)
             joined = stream.recv()
-            if joined is None or joined.type is not EnvelopeType.JOIN:
+            if joined is None or joined["t"] != JOIN:
                 raise ProtocolViolation("expected JOIN")
-            name = joined.body.get("name")
+            name = joined["body"].get("name")
             if not quotable(name):  # every later error about the federate repeats it
                 raise ProtocolViolation(f"JOIN must name the federate with a printable string of at "
                                         f"most {QUOTE_LIMIT} characters, got {shape(name)}")

@@ -12,6 +12,7 @@ import pytest
 from gridcosim import cli, runner
 from gridcosim.cli import main
 from gridcosim.config import QOS_MODES, ScenarioConfig
+from gridcosim.errors import UsageError
 from gridcosim.runner import run_scenario
 
 REPO = Path(__file__).resolve().parents[1]
@@ -149,6 +150,13 @@ def test_only_run_takes_tau(capsys):
 def test_tau_sweep_single_value_is_usage_error(tmp_path, capsys):
     assert run_cli("tau-sweep", "--taus", "0.01", "--out", tmp_path / "s") == 2
     assert "usage error" in capsys.readouterr().err
+
+
+def test_listen_address():
+    assert cli._listen_address("127.0.0.1:0") == ("127.0.0.1", 0)
+    assert cli._listen_address("localhost:9321") == ("localhost", 9321)
+    with pytest.raises(UsageError, match="--rti-listen: .*'9321'"):
+        cli._listen_address("9321")
 
 
 @pytest.fixture
@@ -301,8 +309,9 @@ def test_huge_region_runs(tmp_path):
 
 
 def test_memory_error_is_an_error_with_manifest(tmp_path, capsys, monkeypatch):
-    # A config too large for the host (count_hva_lv = 10**9) ends here.  The
-    # error is raised, not allocated, so that the test needs no memory limit.
+    # A config too large for the host, though within the node limit, ends
+    # here.  The error is raised, not allocated, so that the test needs no
+    # memory limit.
     # What the failed run held must be freed before the failure is reported,
     # which after a real MemoryError needs memory of its own.
     held = []

@@ -1,8 +1,10 @@
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from gridcosim import config
 from gridcosim.config import (
     ScenarioConfig,
     exchange_wire_bits,
@@ -12,6 +14,7 @@ from gridcosim.config import (
     serialize_config,
 )
 from gridcosim.errors import ParseError, ValidationError
+from gridcosim.topology import generate_topology
 
 SCENARIO_FILE = Path(__file__).resolve().parents[1] / "scenarios" / "lte_failover_case_study.cfg"
 
@@ -130,6 +133,33 @@ def test_times_must_fit_64_bit_ticks(key, seconds, ok):
         with pytest.raises(ValidationError) as err:
             cfg.validate()
         assert err.value.key == key
+
+
+@pytest.mark.parametrize("key", ["count_hva_lv", "count_switch", "lte_bs_count"])
+def test_node_count_is_bounded_by_key_before_anything_is_built(key):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError) as err:
+            ScenarioConfig(**{key: 10**9}).validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.key == key
+    assert peak < 1 << 20
+
+
+def test_node_limit_counts_the_topology_nodes(monkeypatch):
+    # Ten times the case study's topology, the largest the benchmark runs.
+    cfg = ScenarioConfig(count_hva_lv=3320, count_switch=260, lte_bs_count=20)
+    nodes = len(generate_topology(cfg))
+    assert nodes == 3605 <= config.MAX_NODES
+    cfg.validate()
+    monkeypatch.setattr(config, "MAX_NODES", nodes)
+    cfg.validate()
+    monkeypatch.setattr(config, "MAX_NODES", nodes - 1)
+    with pytest.raises(ValidationError) as err:
+        cfg.validate()
+    assert err.value.key == "count_hva_lv"
 
 
 def test_zero_byte_ack_rejected_by_key():

@@ -5,12 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gridcosim import envelope as env
-from gridcosim.envelope import (
-    EnvelopeType,
-    FederateEnvelope,
-    decode_envelope,
-    encode_envelope,
-)
+from gridcosim.envelope import decode_envelope, encode_envelope
 from gridcosim.errors import DecodeError
 from gridcosim.messages import MessageClass, MessageKind, SimMessage
 
@@ -40,11 +35,14 @@ def test_ack_slot_frame_bytes():
         b'[8,"monitoring","request",0,5,64,123456,123500,null,null,100000]]],'
         b'"next":950000}}\n'
     )
-    assert env.ack_slot(5, [], -1).body == {"out": [], "next": -1}
+    assert env.ack_slot(5, [], -1)["body"] == {"out": [], "next": -1}
 
 
 def test_protocol_has_five_frame_types():
-    assert [t.value for t in EnvelopeType] == ["JOIN", "JOIN_ACK", "GRANT", "ACK_SLOT", "ERROR"]
+    assert env.FRAME_TYPES == {"JOIN", "JOIN_ACK", "GRANT", "ACK_SLOT", "ERROR"}
+    assert [f["t"] for f in (env.join("it"), env.join_ack(0), env.grant(0, 0, []),
+                             env.ack_slot(0, [], -1), env.error(0, "", ""))] == [
+        env.JOIN, env.JOIN_ACK, env.GRANT, env.ACK_SLOT, env.ERROR]
 
 
 def test_round_trip_simple():
@@ -165,12 +163,12 @@ _envelopes = st.one_of(
 def test_envelope_round_trip_property(envelope):
     decoded = decode_envelope(encode_envelope(envelope))
     assert decoded == envelope
-    if decoded.type is EnvelopeType.GRANT:
-        assert [SimMessage.from_wire(m) for m in decoded.body["inbox"]] == [
-            SimMessage.from_wire(m) for m in envelope.body["inbox"]]
-    if decoded.type is EnvelopeType.ACK_SLOT:
-        assert [SimMessage.from_wire(e[2]) for e in decoded.body["out"]] == [
-            SimMessage.from_wire(e[2]) for e in envelope.body["out"]]
+    if decoded["t"] == env.GRANT:
+        assert [SimMessage.from_wire(m) for m in decoded["body"]["inbox"]] == [
+            SimMessage.from_wire(m) for m in envelope["body"]["inbox"]]
+    if decoded["t"] == env.ACK_SLOT:
+        assert [SimMessage.from_wire(e[2]) for e in decoded["body"]["out"]] == [
+            SimMessage.from_wire(e[2]) for e in envelope["body"]["out"]]
 
 
 # The same builders with any value in an integer position (a bool, float,
@@ -216,8 +214,49 @@ _loose_envelopes = st.one_of(
 
 @given(_envelopes | _loose_envelopes)
 def test_encoding_is_compact_json_in_field_order(envelope):
-    expected = {"t": envelope.type.value, "slot": envelope.slot, "body": envelope.body}
-    assert encode_envelope(envelope) == json.dumps(expected, separators=(",", ":")).encode() + b"\n"
+    assert list(envelope) == ["t", "slot", "body"]
+    assert encode_envelope(envelope) == json.dumps(envelope, separators=(",", ":")).encode() + b"\n"
+
+
+# Frames written as dict literals, not by the constructors: any type, and a
+# GRANT or ACK_SLOT body whose keys may be reordered, missing or extra.
+_BODY_KEYS = {env.GRANT: ("end_ticks", "inbox"), env.ACK_SLOT: ("out", "next")}
+_wire_messages = _messages.map(SimMessage.to_wire)
+_body_values = {
+    "end_ticks": _ticks,
+    "inbox": st.lists(_wire_messages, max_size=2),
+    "out": st.lists(st.tuples(_ticks, st.sampled_from(["it", "comm"]), _wire_messages).map(list),
+                    max_size=2),
+    "next": st.integers(min_value=-1, max_value=10**14),
+    "code": _free_text,
+}
+
+
+@st.composite
+def _plain_frames(draw):
+    frame_type = draw(st.sampled_from(sorted(env.FRAME_TYPES)) | st.text(max_size=8))
+    keys = list(_BODY_KEYS.get(frame_type, ()))
+    how = draw(st.sampled_from(["as is", "reordered", "missing", "extra"]))
+    if how == "reordered":
+        keys.reverse()
+    elif how == "missing" and keys:
+        del keys[draw(st.integers(min_value=0, max_value=len(keys) - 1))]
+    elif how == "extra":
+        extra = draw(st.sampled_from([key for key in _body_values if key not in keys]))
+        keys.insert(draw(st.integers(min_value=0, max_value=len(keys))), extra)
+    body = {key: draw(_body_values[key]) for key in keys}
+    return {"t": frame_type, "slot": draw(_slots), "body": body}
+
+
+@given(_plain_frames())
+def test_plain_dict_frames_encode_as_json_and_decode_to_themselves(frame):
+    encoded = encode_envelope(frame)
+    assert encoded == json.dumps(frame, separators=(",", ":")).encode() + b"\n"
+    if frame["t"] in env.FRAME_TYPES:
+        assert decode_envelope(encoded) == frame
+    else:
+        with pytest.raises(DecodeError, match="unknown envelope type"):
+            decode_envelope(encoded)
 
 
 def _outcome(decode, frame: bytes, offset: int):

@@ -274,7 +274,7 @@ def test_ack_slot_carries_lookahead():
     frame = encode_envelope(env.ack_slot(7, [], 123_000))
     assert frame == b'{"t":"ACK_SLOT","slot":7,"body":{"out":[],"next":123000}}\n'
     assert decode_envelope(frame) == env.ack_slot(7, [], 123_000)
-    assert env.ack_slot(7, [], -1).body == {"out": [], "next": -1}
+    assert env.ack_slot(7, [], -1)["body"] == {"out": [], "next": -1}
 
 
 def _ack_through_socket(ack):
@@ -299,7 +299,7 @@ def test_socket_endpoint_caches_lookahead():
 def test_socket_endpoint_rejects_malformed_lookahead():
     with pytest.raises(ProtocolViolation):
         _ack_through_socket(
-            env.FederateEnvelope(env.EnvelopeType.ACK_SLOT, 4, {"out": [], "next": "soon"})
+            {"t": env.ACK_SLOT, "slot": 4, "body": {"out": [], "next": "soon"}}
         )
 
 

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from gridcosim.config import ScenarioConfig
-from gridcosim.errors import UsageError
+from gridcosim import runner
+from gridcosim.errors import UsageError, ValidationError
 from gridcosim.messages import _CLASSES, MISSING, MessageClass, MessageKind, SimMessage
 from gridcosim.metrics import delay_series
 from gridcosim.runner import run_scenario, run_tau_sweep, write_exchange_log, write_manifest, write_outputs
@@ -307,6 +308,19 @@ def test_run_result_holds_no_message(small_run):
 def test_sweep_requires_two_taus():
     with pytest.raises(UsageError):
         run_tau_sweep(small_cfg(), [0.01])
+
+
+def test_sweep_validates_every_tau_before_the_first_run(monkeypatch):
+    calls = []
+
+    def run_scenario(cfg, **kwargs):
+        calls.append(cfg.tau_s)
+        raise AssertionError(f"ran tau_s={cfg.tau_s} before every swept config was validated")
+
+    monkeypatch.setattr(runner, "run_scenario", run_scenario)
+    with pytest.raises(ValidationError, match="metrics_interval_s: must be a multiple of tau_s"):
+        run_tau_sweep(small_cfg(), [0.1, 0.3])
+    assert calls == []
 
 
 def test_sweep_runs_each_tau_with_same_seed():

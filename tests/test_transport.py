@@ -14,7 +14,7 @@ from gridcosim.config import ScenarioConfig
 from gridcosim.errors import DecodeError, FederateTimeout, GridCoSimError, ProtocolViolation
 from gridcosim.messages import MessageClass, MessageKind, SimMessage
 from gridcosim.runner import run_scenario, write_outputs
-from gridcosim.transport import parse_listen_address, run_federation
+from gridcosim.transport import run_federation
 
 
 def make_msg(mid: int, created: int) -> SimMessage:
@@ -53,13 +53,6 @@ class FailingFederate:
 
 def _script():
     return {s: [(s * 1000 + 137, make_msg(50 + s, s * 1000 + 137))] for s in range(0, 8, 2)}
-
-
-def test_parse_listen_address():
-    assert parse_listen_address("127.0.0.1:0") == ("127.0.0.1", 0)
-    assert parse_listen_address("localhost:9321") == ("localhost", 9321)
-    with pytest.raises(ValueError):
-        parse_listen_address("9321")
 
 
 def _run(transport):
