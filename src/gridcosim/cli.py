@@ -31,8 +31,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="run seed")
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     parser.add_argument("--transport", choices=("inproc", "socket"), default="inproc")
-    parser.add_argument("--rti-listen", default="127.0.0.1:0", metavar="HOST:PORT",
-                        help="coordinator listen address for the socket transport")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,14 +74,6 @@ def _load_cfg(args: argparse.Namespace, taus: list[float] | None) -> ScenarioCon
     return cfg if taus is None else dataclasses.replace(cfg, tau_s=taus)
 
 
-def _listen_address(text: str) -> tuple[str, int]:
-    host, _, port = text.rpartition(":")
-    if not host or not port.isdigit() or int(port) > 65535:
-        raise UsageError(f"--rti-listen: listen address must be host:port with a port up to 65535, "
-                         f"got {text!r}")
-    return host, int(port)
-
-
 def _parse_taus(text: str) -> list[float]:
     try:
         taus = [float(part) for part in text.split(",") if part.strip()]
@@ -109,13 +99,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         taus = _parse_taus(args.taus) if args.command == "tau-sweep" else None
         cfg = _load_cfg(args, taus)
-        listen = _listen_address(args.rti_listen)
         if args.command == "run":
-            result = run_scenario(
-                cfg,
-                transport=args.transport,
-                listen=listen,
-            )
+            result = run_scenario(cfg, transport=args.transport)
             outputs = write_outputs(
                 out_dir, result,
                 exchange_log=args.exchange_log,
@@ -126,11 +111,7 @@ def main(argv: list[str] | None = None) -> int:
             trace_digest = result.federation.trace_digest
             report = [f"wrote {', '.join(sorted(outputs))} to {out_dir}"]
         else:
-            rows = run_tau_sweep(
-                cfg, taus,
-                transport=args.transport,
-                listen=listen,
-            )
+            rows = run_tau_sweep(cfg, taus, transport=args.transport)
             write_ddf_csv(out_dir / "ddf.csv", rows)
             outputs = ["ddf.csv"]
             experiments = {f"tau={tau_s:g}": "ok" for tau_s, _, _ in rows}

@@ -44,12 +44,7 @@ class RunResult:
     adapted_period_ticks: int | None
 
 
-def run_scenario(
-    cfg: ScenarioConfig,
-    *,
-    transport: str = "inproc",
-    listen: tuple[str, int] = ("127.0.0.1", 0),
-) -> RunResult:
+def run_scenario(cfg: ScenarioConfig, *, transport: str = "inproc") -> RunResult:
     nodes = generate_topology(cfg)
     it_federate = ITFederate(cfg, nodes)
     net_federate = NetFederate(cfg, nodes)
@@ -58,7 +53,6 @@ def run_scenario(
         cfg.n_slots,
         [it_federate, net_federate],
         transport=transport,
-        listen=listen,
     )
     end_tick = federation.slots_run * cfg.tau_ticks
     it_federate.finalize_run(end_tick)
@@ -225,7 +219,6 @@ def run_tau_sweep(
     taus: list[float],
     *,
     transport: str = "inproc",
-    listen: tuple[str, int] = ("127.0.0.1", 0),
 ) -> list[tuple[float, float, float]]:
     """One run per slot duration, identical seed; rows of (tau, ddf%, wallclock)."""
     if len(taus) < 2:
@@ -236,7 +229,7 @@ def run_tau_sweep(
         run_cfg.validate()
     rows = []
     for run_cfg in run_cfgs:
-        result = run_scenario(run_cfg, transport=transport, listen=listen)
+        result = run_scenario(run_cfg, transport=transport)
         if result.ddf is None:
             raise UsageError("sweep produced no completed exchanges; extend the duration")
         rows.append((run_cfg.tau_s, result.ddf, result.federation.wallclock_s))

@@ -1,10 +1,11 @@
 """Federate transports: direct in-process calls or a socket wire protocol.
 
 Both transports drive the same federate objects and produce identical
-delivered-message traces for identical inputs.  The socket transport runs
-the coordinator as a server with one duplex stream per federate; envelopes
-are newline-delimited JSON frames carrying only integers and strings, so a
-federate could equally well live in another process or language.
+delivered-message traces for identical inputs.  The socket transport gives
+each federate one end of its own socket pair and keeps the other end for the
+coordinator; envelopes are newline-delimited JSON frames carrying only
+integers and strings, so a federate could equally well live in another
+process or language.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from typing import Protocol
 
 from . import envelope as env
 from .envelope import ACK_SLOT, ERROR, GRANT, JOIN, JOIN_ACK, decode_envelope, encode_envelope
-from .errors import (QUOTE_LIMIT, DecodeError, FederateTimeout, ProtocolViolation, UsageError,
-                     quotable, quote, shape)
+from .errors import (QUOTE_LIMIT, DecodeError, FederateTimeout, ProtocolViolation, quotable, quote,
+                     shape)
 from .messages import SimMessage
 from .rti import FederationResult, Rti
 
@@ -120,7 +121,10 @@ class SocketEndpoint:
 
     def begin_step(self, slot: int, slot_end_tick: int, inbox: list[SimMessage]) -> None:
         self._slot = slot
-        self.stream.send(env.grant(slot, slot_end_tick, inbox))
+        try:
+            self.stream.send(env.grant(slot, slot_end_tick, inbox))
+        except ConnectionError as exc:  # the federate hung up before its grant
+            raise self._closed() from exc
 
     def finish_step(self):
         try:
@@ -133,7 +137,7 @@ class SocketEndpoint:
                 f"within {self.stream.sock.gettimeout():g} s"
             ) from exc
         if received is None:
-            raise ProtocolViolation(f"federate {self.name} closed its stream mid-slot")
+            raise self._closed()
         frame_type, body = received["t"], received["body"]
         if frame_type == ERROR:
             raise ProtocolViolation(
@@ -166,36 +170,32 @@ class SocketEndpoint:
             outbox.append((at, to, msg))
         return outbox, next_tick
 
+    def _closed(self) -> ProtocolViolation:
+        return ProtocolViolation(f"federate {self.name} closed its stream mid-slot")
+
     def _malformed(self, detail: str) -> ProtocolViolation:
         return ProtocolViolation(
             f"federate {self.name} sent an ACK_SLOT ending at byte {self.stream.offset} {detail}"
         )
 
 
-def run_federate_client(address: tuple[str, int], federate: LocalFederate,
-                        *, timeout_s: float = DEFAULT_TIMEOUT_S) -> None:
-    """Connect to a coordinator and drive ``federate`` until the stream ends.
+def run_federate_client(sock: socket.socket, federate: LocalFederate) -> None:
+    """Drive ``federate`` over its end of a coordinator stream until the stream ends.
 
-    ``timeout_s`` bounds the connection and the join handshake only: once
-    joined, the federate waits for its next grant however long that takes,
-    since it is not granted the slots it declared no event for.
+    The federate waits for its next grant however long that takes, since it
+    is not granted the slots it declared no event for; the coordinator alone
+    bounds the run.
     """
-    sock = socket.create_connection(address, timeout=timeout_s)
     stream = _FrameStream(sock)
     try:
         stream.send(env.join(federate.name))
         ack = stream.recv()
-        if ack is None or ack["t"] != JOIN_ACK:
+        if ack is None:  # the coordinator refused the join and ended the run
+            return
+        if ack["t"] != JOIN_ACK:
             raise ProtocolViolation("expected JOIN_ACK")
-        sock.settimeout(None)
         while True:
-            try:
-                received = stream.recv()
-            except OSError:
-                # The coordinator went away (reset or abort); the
-                # federation is over for this federate.
-                logger.debug("federate %s lost its coordinator connection", federate.name)
-                return
+            received = stream.recv()
             if received is None:
                 return
             if received["t"] != GRANT:
@@ -214,6 +214,10 @@ def run_federate_client(address: tuple[str, int], federate: LocalFederate,
                 stream.send(env.error(slot, type(exc).__name__, str(exc)))
                 return
             stream.send(env.ack_slot(slot, outbox, next_tick))
+    except OSError:
+        # The coordinator hung up, reset or aborted the stream; the
+        # federation is over for this federate.
+        logger.debug("federate %s lost its coordinator stream", federate.name)
     finally:
         stream.close()
 
@@ -224,10 +228,12 @@ def run_federation(
     federates: list[LocalFederate],
     *,
     transport: str = "inproc",
-    listen: tuple[str, int] = ("127.0.0.1", 0),
     timeout_s: float = DEFAULT_TIMEOUT_S,
 ) -> FederationResult:
-    """Couple the given federates under one coordinator and run to the horizon."""
+    """Couple the given federates under one coordinator and run to the horizon.
+
+    ``timeout_s`` bounds each wait of the coordinator for a JOIN or an ACK_SLOT.
+    """
     rti = Rti(tau_ticks)
     if transport == "inproc":
         for federate in federates:
@@ -236,31 +242,19 @@ def run_federation(
     if transport != "socket":
         raise ValueError(f"unknown transport {transport!r}")
 
-    try:
-        server = socket.create_server(listen)
-    except OSError as exc:
-        raise UsageError(f"cannot listen on {listen[0]}:{listen[1]}: {exc.strerror or exc}") from exc
-    server.settimeout(timeout_s)
-    address = server.getsockname()[:2]
     threads: list[threading.Thread] = []
     streams: list[_FrameStream] = []
     try:
-        # Start and join federates one at a time so ids are assigned in the
-        # listed order regardless of thread scheduling.
+        # Federates join one at a time, so ids follow the listed order.
         for federate in federates:
-            thread = threading.Thread(
-                target=run_federate_client, args=(address, federate),
-                kwargs={"timeout_s": timeout_s}, name=f"federate-{federate.name}", daemon=True,
-            )
+            ours, theirs = socket.socketpair()
+            ours.settimeout(timeout_s)
+            stream = _FrameStream(ours)
+            streams.append(stream)
+            thread = threading.Thread(target=run_federate_client, args=(theirs, federate),
+                                      name=f"federate-{federate.name}", daemon=True)
             thread.start()
             threads.append(thread)
-            try:
-                conn, _ = server.accept()
-            except (TimeoutError, socket.timeout) as exc:
-                raise FederateTimeout(f"federate {federate.name} never connected") from exc
-            conn.settimeout(timeout_s)
-            stream = _FrameStream(conn)
-            streams.append(stream)
             joined = stream.recv()
             if joined is None or joined["t"] != JOIN:
                 raise ProtocolViolation("expected JOIN")
@@ -274,7 +268,9 @@ def run_federation(
     finally:
         for stream in streams:
             stream.close()
-        server.close()
-        for thread in threads:
-            thread.join(timeout=timeout_s)
+    # Every federate has acknowledged its last slot and now reads the end of
+    # its stream.  After a failure no thread is waited for: one may be stalled
+    # in its step, and it ends on the closed stream when it next writes.
+    for thread in threads:
+        thread.join()
     return result

@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import os
-import socket
 import subprocess
 import sys
 import weakref
@@ -12,7 +11,6 @@ import pytest
 from gridcosim import cli, runner
 from gridcosim.cli import main
 from gridcosim.config import QOS_MODES, ScenarioConfig
-from gridcosim.errors import UsageError
 from gridcosim.runner import run_scenario
 
 REPO = Path(__file__).resolve().parents[1]
@@ -77,8 +75,7 @@ def test_socket_transport_from_cli(tmp_path):
     out_a = tmp_path / "inproc"
     out_b = tmp_path / "socket"
     assert run_cli("run", "--duration", "10", "--out", out_a) == 0
-    assert run_cli("run", "--duration", "10", "--out", out_b,
-                   "--transport", "socket", "--rti-listen", "127.0.0.1:0") == 0
+    assert run_cli("run", "--duration", "10", "--out", out_b, "--transport", "socket") == 0
     for name in ("reliability.csv", "delay.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
@@ -152,34 +149,14 @@ def test_tau_sweep_single_value_is_usage_error(tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
-def test_listen_address():
-    assert cli._listen_address("127.0.0.1:0") == ("127.0.0.1", 0)
-    assert cli._listen_address("localhost:9321") == ("localhost", 9321)
-    with pytest.raises(UsageError, match="--rti-listen: .*'9321'"):
-        cli._listen_address("9321")
-
-
-@pytest.fixture
-def busy_address():
-    """host:port of a socket that is already listening."""
-    with socket.create_server(("127.0.0.1", 0)) as server:
-        yield "%s:%d" % server.getsockname()[:2]
-
-
 @pytest.mark.parametrize("args", [
-    ("run", "--rti-listen", "nonsense"),
-    ("run", "--rti-listen", "127.0.0.1:99999"),
     ("tau-sweep", "--taus", "0.01,abc"),
-    ("run", "--transport", "socket", "--rti-listen", "{busy}"),
+    ("tau-sweep", "--taus", "0.01"),
 ])
-def test_bad_arguments_are_usage_errors_with_manifest(tmp_path, capsys, busy_address, args):
-    args = [arg.format(busy=busy_address) for arg in args]
+def test_bad_arguments_are_usage_errors_with_manifest(tmp_path, capsys, args):
     out = tmp_path / "bad"
     assert run_cli(*args, "--duration", "1", "--out", out) == 2
-    err = capsys.readouterr().err
-    assert "usage error" in err
-    if "--rti-listen" in args:
-        assert args[args.index("--rti-listen") + 1] in err
+    assert "usage error" in capsys.readouterr().err
     assert json.loads((out / "manifest.json").read_text())["status"] == "error"
 
 

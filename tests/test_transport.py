@@ -4,6 +4,7 @@ import itertools
 import json
 import socket
 import threading
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,7 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 from gridcosim import envelope as env
 from gridcosim import transport
 from gridcosim.config import ScenarioConfig
-from gridcosim.errors import DecodeError, FederateTimeout, GridCoSimError, ProtocolViolation
+from gridcosim.errors import (DecodeError, DuplicateName, FederateTimeout, GridCoSimError,
+                              ProtocolViolation)
 from gridcosim.messages import MessageClass, MessageKind, SimMessage
 from gridcosim.runner import run_scenario, write_outputs
 from gridcosim.transport import run_federation
@@ -69,6 +71,17 @@ def test_transport_equivalence_on_scripted_federates():
     assert b_in.received == b_sock.received
     assert a_in.received == a_sock.received
     assert inproc.messages_published == socketed.messages_published == 8
+
+
+def test_socket_federation_opens_no_listening_socket(monkeypatch):
+    # Each federate's stream is one end of a socket pair: no address is
+    # bound, listened on or connected to.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the socket transport needs no network address")
+
+    monkeypatch.setattr(transport.socket, "create_server", refuse)
+    monkeypatch.setattr(transport.socket, "create_connection", refuse)
+    assert _run("socket")[2].trace_digest == _run("inproc")[2].trace_digest
 
 
 class FanOutFederate:
@@ -191,6 +204,45 @@ def test_slow_federate_times_out():
                        transport="socket", timeout_s=0.3)
 
 
+class HeldFederate:
+    """Stalls in its first step until ``release`` is set."""
+
+    name = "held"
+
+    def __init__(self):
+        self.release = threading.Event()
+
+    def step(self, slot, slot_end_tick, inbox):
+        self.release.wait(5.0)
+        return [], -1
+
+
+def test_failed_run_does_not_wait_for_a_stalled_federate():
+    held = HeldFederate()
+    started = time.perf_counter()
+    with pytest.raises(FederateTimeout, match="federate held sent no ACK_SLOT for slot 0"):
+        run_federation(1000, 2, [held, EchoFederate("good", "held")], transport="socket",
+                       timeout_s=0.5)
+    assert time.perf_counter() - started < 0.8
+    # Released, the federate finds its stream closed and its thread ends quietly.
+    held.release.set()
+    thread = next(t for t in threading.enumerate() if t.name == "federate-held")
+    thread.join(timeout=5.0)
+    assert not thread.is_alive()
+
+
+def test_refused_join_ends_the_federate_thread_quietly(monkeypatch):
+    escaped = []
+    monkeypatch.setattr(threading, "excepthook", escaped.append)
+    with pytest.raises(DuplicateName):
+        run_federation(1000, 3, [EchoFederate("twin", "twin"), EchoFederate("twin", "twin")],
+                       transport="socket", timeout_s=5.0)
+    for thread in threading.enumerate():
+        if thread.name == "federate-twin":
+            thread.join(timeout=5.0)
+    assert escaped == []
+
+
 class LateFederate:
     """Declares no event before slot 50, so it goes ungranted until then."""
 
@@ -241,11 +293,11 @@ def _send_frame(sock, frame_type, body):
     sock.sendall(json.dumps({"t": frame_type, "slot": 0, "body": body}).encode() + b"\n")
 
 
-def _raw_client(address, federate, *, timeout_s):
+def _raw_client(sock, federate):
     """Join, wait for the first grant, send one ACK_SLOT, then wait for the close."""
     if not isinstance(federate, RawFederate):
-        return _real_client(address, federate, timeout_s=timeout_s)
-    with socket.create_connection(address, timeout=timeout_s) as sock, sock.makefile("rb") as reader:
+        return _real_client(sock, federate)
+    with sock, sock.makefile("rb") as reader:
         _send_frame(sock, "JOIN", federate.join_body)
         if not reader.readline().startswith(b'{"t":"JOIN_ACK"'):
             return  # the coordinator refused the join and closed the stream
@@ -359,6 +411,27 @@ def test_peer_text_beyond_the_ack_slot_checks_is_bounded(monkeypatch, raw):
     assert len(str(err.value)) < 500
 
 
+def test_federate_that_closes_after_join_ack_is_named(monkeypatch):
+    # The second federate joins only once the quitter has closed its end,
+    # so the coordinator's first grant to the quitter is the failing send.
+    closed = threading.Event()
+
+    def quitting_client(sock, federate):
+        if federate.name != "quitter":
+            closed.wait(5.0)
+            return _real_client(sock, federate)
+        with sock, sock.makefile("rb") as reader:
+            _send_frame(sock, "JOIN", {"name": "quitter"})
+            assert reader.readline().startswith(b'{"t":"JOIN_ACK"')
+        closed.set()
+
+    monkeypatch.setattr(transport, "run_federate_client", quitting_client)
+    quitter, good = EchoFederate("quitter", "good"), EchoFederate("good", "quitter")
+    with pytest.raises(ProtocolViolation, match="^federate quitter closed its stream mid-slot$") as err:
+        run_federation(1000, 3, [quitter, good], transport="socket", timeout_s=5.0)
+    assert isinstance(err.value.__cause__, ConnectionError)
+
+
 def test_short_peer_text_is_quoted(monkeypatch):
     monkeypatch.setattr(transport, "run_federate_client", _raw_client)
     error = json.dumps({"t": "ERROR", "slot": 0, "body": {"code": "ValueError", "detail": "boom"}})
@@ -411,11 +484,10 @@ class RecordingFederate:
     {"end_ticks": 5000, "inbox": [_wire_msg(6, 100.0)]},
 ], ids=["float-end", "bool-end", "str-end", "no-end", "no-inbox", "null-inbox", "object-inbox",
         "float-msg"])
-def test_malformed_grant_is_answered_with_error(monkeypatch, grant_body):
+def test_malformed_grant_is_answered_with_error(grant_body):
     coordinator, federate_side = socket.socketpair()
-    monkeypatch.setattr(transport.socket, "create_connection", lambda address, timeout: federate_side)
     federate = RecordingFederate()
-    client = threading.Thread(target=transport.run_federate_client, args=(("raw", 0), federate))
+    client = threading.Thread(target=transport.run_federate_client, args=(federate_side, federate))
     client.start()
     try:
         with coordinator.makefile("rb") as reader:
