@@ -150,8 +150,9 @@ def test_tau_sweep_single_value_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args", [
+    ("tau-sweep", "--taus", ""),
+    ("tau-sweep", "--taus", "0.01,"),
     ("tau-sweep", "--taus", "0.01,abc"),
-    ("tau-sweep", "--taus", "0.01"),
 ])
 def test_bad_arguments_are_usage_errors_with_manifest(tmp_path, capsys, args):
     out = tmp_path / "bad"
