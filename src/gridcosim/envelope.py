@@ -1,18 +1,18 @@
 """Wire protocol between federates and the coordinator.
 
-Frames are newline-delimited compact JSON objects in UTF-8 with exactly
-the fields ``{"t": <type>, "slot": <int>, "body": <object>}``, in that
-order; in the program a frame is that dict itself.  All times on the
-wire are integer ticks; no floats ever cross a federate boundary, so both
-transports observe bit-identical state.
-A granted slot is one frame each way: ``GRANT`` carries the federate's
-inbox, and ``ACK_SLOT`` exactly its publishes and its lookahead, both
-required.  A message travels as the positional list of
-``SimMessage.to_wire``, and a publish as the list ``[at, to, msg]``: no key
-is repeated per message.  The GRANT and ACK_SLOT frames of every slot are
-written from one template each, and frames are read with one scan of the
-JSON scanner; both give exactly the bytes and results of ``json.dumps`` and
-``json.loads``.
+Frames are newline-delimited compact JSON arrays in UTF-8, ``[type, slot,
+...fields]``, with a fixed number of items per type; in the program a frame
+is that list itself.  All times on the wire are integer ticks; no floats
+ever cross a federate boundary, so both transports observe bit-identical
+state.
+A granted slot is one frame each way: ``["GRANT", slot, end_ticks, inbox]``
+carries the federate's inbox, and ``["ACK_SLOT", slot, out, next]`` exactly
+its publishes and its lookahead.  A message travels as the positional list
+of ``SimMessage.to_wire``, and a publish as the list ``[at, to, msg]``: no
+key is repeated per frame or per message.  The GRANT and ACK_SLOT frames of
+every slot are written from one template each, and frames are read with one
+scan of the JSON scanner; both give exactly the bytes and results of
+``json.dumps`` and ``json.loads``.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from .errors import DecodeError, shape
 from .messages import SimMessage
 
 JOIN, JOIN_ACK, GRANT, ACK_SLOT, ERROR = "JOIN", "JOIN_ACK", "GRANT", "ACK_SLOT", "ERROR"
-FRAME_TYPES = frozenset((JOIN, JOIN_ACK, GRANT, ACK_SLOT, ERROR))
-_FIELDS = frozenset(("t", "slot", "body"))
+# The number of items in a frame of each type, its type and slot included.
+FRAME_LENGTHS = {JOIN: 3, JOIN_ACK: 3, GRANT: 4, ACK_SLOT: 4, ERROR: 4}
 # Built once: json.dumps(..., separators=...) would build an encoder per
 # frame and json.loads(bytes) would detect the encoding of every frame.
 # Neither object keeps state between calls, so every stream shares them.
@@ -37,8 +37,8 @@ _scan = _DECODER.scan_once
 # takes only a value checked to be an exact int, and a %s only text the
 # JSON escaper or the JSON encoder wrote, or a message's optional int or
 # "null": a float, bool or null is never coerced into an integer position.
-_GRANT = '{"t":"GRANT","slot":%d,"body":{"end_ticks":%d,"inbox":[%s]}}\n'
-_ACK_SLOT = '{"t":"ACK_SLOT","slot":%d,"body":{"out":[%s],"next":%d}}\n'
+_GRANT = '["GRANT",%d,%d,[%s]]\n'
+_ACK_SLOT = '["ACK_SLOT",%d,[%s],%d]\n'
 _MESSAGE = "[%d,%s,%s,%d,%d,%d,%d,%s,%s,%s,%s]"
 _OUT_ENTRY = "[%d,%s,%s]"
 
@@ -65,32 +65,27 @@ def _out_entry(entry) -> str:
     return _ENCODER.encode(entry)
 
 
-def encode_envelope(frame: dict) -> bytes:
+def encode_envelope(frame: list) -> bytes:
     """The bytes of ``json.dumps(frame, separators=(",", ":"))`` plus a newline.
 
-    A GRANT or ACK_SLOT whose body has its type's keys, in order, and a
-    value of the position's type at each position is written from its
-    type's template in one ``%``; any other frame goes through the JSON
-    encoder whole, and so does a message or ``out`` entry of the wrong shape
-    on its own.
+    A GRANT or ACK_SLOT with a value of the position's type at each position
+    is written from its type's template in one ``%``; any other frame goes
+    through the JSON encoder whole, and so does a message or ``out`` entry
+    of the wrong shape on its own.
     """
-    frame_type, slot, body = frame["t"], frame["slot"], frame["body"]
-    if type(slot) is int:
-        keys = tuple(body)
-        if frame_type == GRANT and keys == ("end_ticks", "inbox"):
-            end_ticks, inbox = body["end_ticks"], body["inbox"]
-            if type(end_ticks) is int and type(inbox) is list:
-                inbox = ",".join(map(_message, inbox)) if inbox else ""
-                return (_GRANT % (slot, end_ticks, inbox)).encode()
-        elif frame_type == ACK_SLOT and keys == ("out", "next"):
-            out, next_tick = body["out"], body["next"]
-            if type(out) is list and type(next_tick) is int:
-                out = ",".join(map(_out_entry, out)) if out else ""
-                return (_ACK_SLOT % (slot, out, next_tick)).encode()
+    if len(frame) == 4:
+        frame_type, slot, first, second = frame
+        if type(slot) is int:
+            if frame_type == GRANT and type(first) is int and type(second) is list:
+                inbox = ",".join(map(_message, second)) if second else ""
+                return (_GRANT % (slot, first, inbox)).encode()
+            if frame_type == ACK_SLOT and type(first) is list and type(second) is int:
+                out = ",".join(map(_out_entry, first)) if first else ""
+                return (_ACK_SLOT % (slot, out, second)).encode()
     return _ENCODER.encode(frame).encode() + b"\n"
 
 
-def decode_envelope(frame: bytes, offset: int = 0) -> dict:
+def decode_envelope(frame: bytes, offset: int = 0) -> list:
     """Decode one UTF-8 frame; ``offset`` is reported in errors for stream context."""
     try:
         text = frame.decode()
@@ -114,42 +109,39 @@ def decode_envelope(frame: bytes, offset: int = 0) -> dict:
         raise DecodeError(f"invalid JSON: {exc}", offset) from exc
     except RecursionError:
         raise DecodeError("JSON nested too deeply", offset) from None
-    if type(data) is not dict:
-        raise DecodeError("frame is not an object", offset)
-    if data.keys() != _FIELDS:
-        raise DecodeError(f"frame fields must be exactly t/slot/body, got {sorted(data)}", offset)
-    frame_type = data["t"]
-    if type(frame_type) is not str or frame_type not in FRAME_TYPES:
+    if type(data) is not list or not data:
+        raise DecodeError("frame is not a non-empty array", offset)
+    frame_type = data[0]
+    if type(frame_type) is not str or frame_type not in FRAME_LENGTHS:
         raise DecodeError(f"unknown envelope type: {shape(frame_type)}", offset)
-    if type(data["slot"]) is not int:
+    if len(data) != FRAME_LENGTHS[frame_type]:
+        raise DecodeError(f"{frame_type} frame must have {FRAME_LENGTHS[frame_type]} items, "
+                          f"got {len(data)}", offset)
+    if type(data[1]) is not int:
         raise DecodeError("slot must be an integer", offset)
-    if type(data["body"]) is not dict:
-        raise DecodeError("body must be an object", offset)
     return data
 
 
 # Convenience constructors for the frames the protocol actually sends.
 
-def join(name: str) -> dict:
-    return {"t": JOIN, "slot": 0, "body": {"name": name}}
+def join(name: str) -> list:
+    return [JOIN, 0, name]
 
 
-def join_ack(fid: int) -> dict:
-    return {"t": JOIN_ACK, "slot": 0, "body": {"fid": fid}}
+def join_ack(fid: int) -> list:
+    return [JOIN_ACK, 0, fid]
 
 
-def grant(slot: int, end_ticks: int, inbox: list[SimMessage]) -> dict:
+def grant(slot: int, end_ticks: int, inbox: list[SimMessage]) -> list:
     """Slot grant carrying the messages delivered to the federate since its last grant."""
-    return {"t": GRANT, "slot": slot,
-            "body": {"end_ticks": end_ticks, "inbox": [msg.to_wire() for msg in inbox]}}
+    return [GRANT, slot, end_ticks, [msg.to_wire() for msg in inbox]]
 
 
-def ack_slot(slot: int, out: list[tuple[int, str, SimMessage]], next_tick: int) -> dict:
+def ack_slot(slot: int, out: list[tuple[int, str, SimMessage]], next_tick: int) -> list:
     """Slot acknowledgment carrying the outbox of the federate's ``step`` as
     is, ``(at_tick, to_name, msg)`` publishes, and its lookahead ``next_tick``."""
-    return {"t": ACK_SLOT, "slot": slot,
-            "body": {"out": [[at, to, msg.to_wire()] for at, to, msg in out], "next": next_tick}}
+    return [ACK_SLOT, slot, [[at, to, msg.to_wire()] for at, to, msg in out], next_tick]
 
 
-def error(slot: int, code: str, detail: str) -> dict:
-    return {"t": ERROR, "slot": slot, "body": {"code": code, "detail": detail}}
+def error(slot: int, code: str, detail: str) -> list:
+    return [ERROR, slot, code, detail]

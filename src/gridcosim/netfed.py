@@ -36,7 +36,7 @@ from .messages import (
     SimMessage,
 )
 from .simtime import TICKS_PER_SECOND, ticks_from_seconds
-from .topology import monitored_nodes
+from .topology import monitored_nodes, nearest_sites
 
 # Event kinds, run in this order within a tick.  A data segment lands one
 # latency after its completion, and its ACK then enters the same link.  A
@@ -87,9 +87,10 @@ class NetFederate:
         sites = [(n.x_km, n.y_km) for n in nodes if n.kind is NodeKind.LTE_BS]
         self._nearest_lte: dict[int, LinkModel] = {}
         if sites:
-            for node in self._monitored:
-                distances = [math.dist(site, (node.x_km, node.y_km)) for site in sites]
-                self._nearest_lte[node.id] = self._lte_links[distances.index(min(distances))]
+            # Points one at a time: a list of them would raise the peak RSS.
+            nearest = nearest_sites(sites, ((n.x_km, n.y_km) for n in self._monitored))
+            for node, index in zip(self._monitored, nearest):
+                self._nearest_lte[node.id] = self._lte_links[index]
 
         # (tick, kind, seq, link, frame); the outage events carry None, None.
         self._events: list[tuple[int, int, int, LinkModel | None, TransportFrame | None]] = []

@@ -3,9 +3,9 @@
 Both transports drive the same federate objects and produce identical
 delivered-message traces for identical inputs.  The socket transport gives
 each federate one end of its own socket pair and keeps the other end for the
-coordinator; envelopes are newline-delimited JSON frames carrying only
-integers and strings, so a federate could equally well live in another
-process or language.
+coordinator; envelopes are newline-delimited JSON arrays carrying only
+integers and strings, read by position, so a federate could equally well
+live in another process or language.
 """
 
 from __future__ import annotations
@@ -70,11 +70,11 @@ class _FrameStream:
         self._buffer = b""  # bytes received past the last whole frame
         self.offset = 0
 
-    def send(self, frame: dict) -> None:
+    def send(self, frame: list) -> None:
         """Write one whole frame: the peer waits for every frame."""
         self.sock.sendall(encode_envelope(frame))
 
-    def recv(self) -> dict | None:
+    def recv(self) -> list | None:
         """Next frame, or None at a clean end of stream."""
         buffer = self._buffer
         end = buffer.find(b"\n") + 1
@@ -138,22 +138,20 @@ class SocketEndpoint:
             ) from exc
         if received is None:
             raise self._closed()
-        frame_type, body = received["t"], received["body"]
+        frame_type = received[0]
         if frame_type == ERROR:
             raise ProtocolViolation(
-                f"federate {self.name} failed: {quote(body.get('code'))}: {quote(body.get('detail'))}"
+                f"federate {self.name} failed: {quote(received[2])}: {quote(received[3])}"
             )
         if frame_type != ACK_SLOT:
             raise ProtocolViolation(f"unexpected {frame_type} from federate {self.name}")
-        if received["slot"] != self._slot:
-            raise self._malformed(f"for slot {received['slot']}, expected {self._slot}")
-        out, next_tick = body.get("out"), body.get("next")
+        _, slot, out, next_tick = received
+        if slot != self._slot:
+            raise self._malformed(f"for slot {slot}, expected {self._slot}")
         if type(out) is not list:
             raise self._malformed(f"with out {shape(out)}, not a list")
         if type(next_tick) is not int:
             raise self._malformed(f"with next {shape(next_tick)}, not an integer")
-        if len(body) != 2:
-            raise self._malformed(f"with {len(body) - 2} keys besides out and next")
         outbox: list[tuple[int, str, SimMessage]] = []
         for entry in out:
             if type(entry) is not list or len(entry) != 3:
@@ -187,21 +185,25 @@ def run_federate_client(sock: socket.socket, federate: LocalFederate) -> None:
     bounds the run.
     """
     stream = _FrameStream(sock)
+    slot = 0  # of the last grant, which an ERROR for an unreadable frame names
     try:
         stream.send(env.join(federate.name))
         ack = stream.recv()
         if ack is None:  # the coordinator refused the join and ended the run
             return
-        if ack["t"] != JOIN_ACK:
+        if ack[0] != JOIN_ACK:
             raise ProtocolViolation("expected JOIN_ACK")
         while True:
-            received = stream.recv()
+            try:
+                received = stream.recv()
+            except DecodeError as exc:  # answered like a malformed GRANT
+                stream.send(env.error(slot, type(exc).__name__, str(exc)))
+                return
             if received is None:
                 return
-            if received["t"] != GRANT:
-                raise ProtocolViolation(f"unexpected {received['t']} from coordinator")
-            slot, body = received["slot"], received["body"]
-            end_ticks, inbox = body.get("end_ticks"), body.get("inbox")
+            if received[0] != GRANT:
+                raise ProtocolViolation(f"unexpected {received[0]} from coordinator")
+            _, slot, end_ticks, inbox = received
             try:
                 if type(end_ticks) is not int or type(inbox) is not list:
                     raise ProtocolViolation(
@@ -246,7 +248,7 @@ def run_federation(
     streams: list[_FrameStream] = []
     try:
         # Federates join one at a time, so ids follow the listed order.
-        for federate in federates:
+        for position, federate in enumerate(federates, 1):
             ours, theirs = socket.socketpair()
             ours.settimeout(timeout_s)
             stream = _FrameStream(ours)
@@ -255,10 +257,14 @@ def run_federation(
                                       name=f"federate-{federate.name}", daemon=True)
             thread.start()
             threads.append(thread)
-            joined = stream.recv()
-            if joined is None or joined["t"] != JOIN:
+            try:
+                joined = stream.recv()
+            except FederateTimeout as exc:  # no name has arrived to call it by
+                raise FederateTimeout(f"federate {position} of {len(federates)} sent no JOIN "
+                                      f"within {timeout_s:g} s") from exc
+            if joined is None or joined[0] != JOIN:
                 raise ProtocolViolation("expected JOIN")
-            name = joined["body"].get("name")
+            name = joined[2]
             if not quotable(name):  # every later error about the federate repeats it
                 raise ProtocolViolation(f"JOIN must name the federate with a printable string of at "
                                         f"most {QUOTE_LIMIT} characters, got {shape(name)}")

@@ -2,10 +2,12 @@
 
 It decodes each frame with ``json.JSONDecoder.decode``, which skips
 whitespace around the value and refuses anything after it, and then checks
-the envelope's shape.  ``gridcosim.envelope.decode_envelope`` reads frames
-with one scan of the JSON scanner instead; it must accept exactly the frames
-this accepts, with an equal envelope, and refuse the others with the same
-``DecodeError`` text and offset.  It restates the five frame types and
+the envelope's shape: an array whose first item is a known type, with that
+type's number of items and an integer slot second.
+``gridcosim.envelope.decode_envelope`` reads frames with one scan of the
+JSON scanner instead; it must accept exactly the frames this accepts, with
+an equal envelope, and refuse the others with the same ``DecodeError`` text
+and offset.  It restates the five frame types and their item counts and
 shares no code with the package's decoder.
 """
 
@@ -15,8 +17,7 @@ import json
 
 from gridcosim.errors import DecodeError
 
-_TYPES = frozenset(("JOIN", "JOIN_ACK", "GRANT", "ACK_SLOT", "ERROR"))
-_FIELDS = frozenset(("t", "slot", "body"))
+_ITEMS = {"JOIN": 3, "JOIN_ACK": 3, "GRANT": 4, "ACK_SLOT": 4, "ERROR": 4}
 _DECODER = json.JSONDecoder()
 
 
@@ -26,7 +27,7 @@ def _shape(value) -> str:
     return f"a {type(value).__name__}"
 
 
-def decode_envelope(frame: bytes, offset: int = 0) -> dict:
+def decode_envelope(frame: bytes, offset: int = 0) -> list:
     try:
         text = frame.decode()
     except UnicodeDecodeError as exc:
@@ -40,18 +41,16 @@ def decode_envelope(frame: bytes, offset: int = 0) -> dict:
         raise DecodeError(f"invalid JSON: {exc}", offset) from exc
     except RecursionError:
         raise DecodeError("JSON nested too deeply", offset) from None
-    if type(data) is not dict:
-        raise DecodeError("frame is not an object", offset)
-    if data.keys() != _FIELDS:
-        raise DecodeError(f"frame fields must be exactly t/slot/body, got {sorted(data)}", offset)
+    if not isinstance(data, list) or len(data) == 0:
+        raise DecodeError("frame is not a non-empty array", offset)
     try:
-        known = data["t"] in _TYPES
+        items = _ITEMS.get(data[0])
     except TypeError:
-        known = False
-    if not known:
-        raise DecodeError(f"unknown envelope type: {_shape(data['t'])}", offset)
-    if type(data["slot"]) is not int:
+        items = None
+    if items is None:
+        raise DecodeError(f"unknown envelope type: {_shape(data[0])}", offset)
+    if len(data) != items:
+        raise DecodeError(f"{data[0]} frame must have {items} items, got {len(data)}", offset)
+    if type(data[1]) is not int:
         raise DecodeError("slot must be an integer", offset)
-    if type(data["body"]) is not dict:
-        raise DecodeError("body must be an object", offset)
     return data

@@ -20,27 +20,34 @@ _POLL = SimMessage(8, MessageClass.MONITORING, MessageKind.REQUEST, 0, 5, 64, 12
 
 def test_grant_frame_bytes():
     frame = encode_envelope(env.grant(5, 600_000, []))
-    assert frame == b'{"t":"GRANT","slot":5,"body":{"end_ticks":600000,"inbox":[]}}\n'
+    assert frame == b'["GRANT",5,600000,[]]\n'
     frame = encode_envelope(env.grant(5, 600_000, [_POLL]))
     assert frame == (
-        b'{"t":"GRANT","slot":5,"body":{"end_ticks":600000,"inbox":'
-        b'[[8,"monitoring","request",0,5,64,123456,123500,null,null,100000]]}}\n'
+        b'["GRANT",5,600000,'
+        b'[[8,"monitoring","request",0,5,64,123456,123500,null,null,100000]]]\n'
     )
 
 
 def test_ack_slot_frame_bytes():
     frame = encode_envelope(env.ack_slot(5, [(123_456, "comm", _POLL)], 950_000))
     assert frame == (
-        b'{"t":"ACK_SLOT","slot":5,"body":{"out":[[123456,"comm",'
+        b'["ACK_SLOT",5,[[123456,"comm",'
         b'[8,"monitoring","request",0,5,64,123456,123500,null,null,100000]]],'
-        b'"next":950000}}\n'
+        b'950000]\n'
     )
-    assert env.ack_slot(5, [], -1)["body"] == {"out": [], "next": -1}
+    assert env.ack_slot(5, [], -1) == ["ACK_SLOT", 5, [], -1]
+
+
+def test_every_frame_is_its_type_slot_and_fields():
+    assert env.join("it") == ["JOIN", 0, "it"]
+    assert env.join_ack(2) == ["JOIN_ACK", 0, 2]
+    assert env.error(3, "E", "boom") == ["ERROR", 3, "E", "boom"]
+    assert encode_envelope(env.join("it")) == b'["JOIN",0,"it"]\n'
 
 
 def test_protocol_has_five_frame_types():
-    assert env.FRAME_TYPES == {"JOIN", "JOIN_ACK", "GRANT", "ACK_SLOT", "ERROR"}
-    assert [f["t"] for f in (env.join("it"), env.join_ack(0), env.grant(0, 0, []),
+    assert env.FRAME_LENGTHS == {"JOIN": 3, "JOIN_ACK": 3, "GRANT": 4, "ACK_SLOT": 4, "ERROR": 4}
+    assert [f[0] for f in (env.join("it"), env.join_ack(0), env.grant(0, 0, []),
                              env.ack_slot(0, [], -1), env.error(0, "", ""))] == [
         env.JOIN, env.JOIN_ACK, env.GRANT, env.ACK_SLOT, env.ERROR]
 
@@ -64,29 +71,29 @@ def test_truncated_frame_is_decode_error():
 
 
 def test_wrong_fields_rejected():
-    with pytest.raises(DecodeError):
-        decode_envelope(b'{"t":"GRANT","slot":5}\n')
-    with pytest.raises(DecodeError):
-        decode_envelope(b'{"t":"GRANT","slot":5,"body":{},"extra":1}\n')
-    with pytest.raises(DecodeError):
-        decode_envelope(b'{"t":"NOPE","slot":5,"body":{}}\n')
-    with pytest.raises(DecodeError):
-        decode_envelope(b'{"t":"GRANT","slot":5.5,"body":{}}\n')
-    with pytest.raises(DecodeError):
-        decode_envelope(b'{"t":"GRANT","slot":1,"body":3}\n')
-    with pytest.raises(DecodeError):
-        decode_envelope(b'[1,2,3]\n')
-    with pytest.raises(DecodeError):
-        decode_envelope(b'{"t":"GRANT","slot":true,"body":{}}\n')
-    with pytest.raises(DecodeError):
-        decode_envelope(b'{"t":[1],"slot":5,"body":{}}\n')
-    with pytest.raises(DecodeError):
-        decode_envelope(b'{"t":{},"slot":5,"body":{}}\n')
+    for frame, error in [
+        (b'["GRANT",5,600000]\n', "GRANT frame must have 4 items, got 3"),
+        (b'["GRANT",5,600000,[],1]\n', "GRANT frame must have 4 items, got 5"),
+        (b'["NOPE",5,0,[]]\n', "unknown envelope type: a str of 4"),
+        (b'["GRANT",5.5,0,[]]\n', "slot must be an integer"),
+        (b'["GRANT",1,3]\n', "GRANT frame must have 4 items, got 3"),
+        (b'[1,2,3]\n', "unknown envelope type: a int"),
+        (b'["GRANT",true,0,[]]\n', "slot must be an integer"),
+        (b'[[1],5,0,[]]\n', "unknown envelope type: a list of 1"),
+        (b'[{},5,0,[]]\n', "unknown envelope type: a dict of 0"),
+        (b'{"t":"GRANT","slot":5,"body":{"end_ticks":0,"inbox":[]}}\n', "frame is not a non-empty array"),
+        (b'[]\n', "frame is not a non-empty array"),
+        (b'["JOIN",0]\n', "JOIN frame must have 3 items, got 2"),
+        (b'["ERROR",0,"E"]\n', "ERROR frame must have 4 items, got 3"),
+    ]:
+        with pytest.raises(DecodeError) as err:
+            decode_envelope(frame, offset=40)
+        assert str(err.value) == f"{error} (byte 40)"
 
 
 @pytest.mark.parametrize("frame", [
-    b'{"t":"ACK_SLOT","slot":' + b"7" * 5000 + b',"body":{"out":[],"next":-1}}\n',
-    b'{"t":"ACK_SLOT","slot":4,"body":{"out":[[' + b"7" * 5000 + b',"comm",[]]],"next":-1}}\n',
+    b'["ACK_SLOT",' + b"7" * 5000 + b',[],-1]\n',
+    b'["ACK_SLOT",4,[[' + b"7" * 5000 + b',"comm",[]]],-1]\n',
 ], ids=["huge-slot", "huge-at"])
 def test_huge_integer_decodes_or_is_decode_error(frame):
     # Python 3.11 refuses to convert an integer literal of more than 4,300
@@ -99,14 +106,16 @@ def test_huge_integer_decodes_or_is_decode_error(frame):
 
 def test_decode_error_carries_offset():
     with pytest.raises(DecodeError) as err:
-        decode_envelope(b'{"t":', offset=120)
+        decode_envelope(b'["GRANT",', offset=120)
     assert err.value.offset >= 120
 
 
 @pytest.mark.parametrize("frame, offset", [
     (b"\xff\n", 100),
     (b"\x00\x00\x00{\n", 100),  # UTF-32 by encoding detection, but frames are UTF-8
+    (b"\x00\x00\x00[\n", 100),
     (b'{"t":"\xff"}\n', 106),
+    (b'["JOIN",0,"\xff"]\n', 111),
 ])
 def test_non_utf8_frame_is_decode_error_at_its_byte(frame, offset):
     with pytest.raises(DecodeError) as err:
@@ -115,10 +124,10 @@ def test_non_utf8_frame_is_decode_error_at_its_byte(frame, offset):
 
 
 def test_json_error_offset_counts_bytes_not_characters():
-    # "\u00e9" is two bytes in UTF-8; the error sits after it, at byte 10.
+    # "\u00e9" is two bytes in UTF-8; the error sits after it, at byte 15.
     with pytest.raises(DecodeError) as err:
-        decode_envelope('{"t":"\u00e9",'.encode(), offset=100)
-    assert err.value.offset == 110
+        decode_envelope('["JOIN",0,"\u00e9",'.encode(), offset=100)
+    assert err.value.offset == 115
 
 
 _messages = st.builds(
@@ -163,12 +172,12 @@ _envelopes = st.one_of(
 def test_envelope_round_trip_property(envelope):
     decoded = decode_envelope(encode_envelope(envelope))
     assert decoded == envelope
-    if decoded["t"] == env.GRANT:
-        assert [SimMessage.from_wire(m) for m in decoded["body"]["inbox"]] == [
-            SimMessage.from_wire(m) for m in envelope["body"]["inbox"]]
-    if decoded["t"] == env.ACK_SLOT:
-        assert [SimMessage.from_wire(e[2]) for e in decoded["body"]["out"]] == [
-            SimMessage.from_wire(e[2]) for e in envelope["body"]["out"]]
+    if decoded[0] == env.GRANT:
+        assert [SimMessage.from_wire(m) for m in decoded[3]] == [
+            SimMessage.from_wire(m) for m in envelope[3]]
+    if decoded[0] == env.ACK_SLOT:
+        assert [SimMessage.from_wire(e[2]) for e in decoded[2]] == [
+            SimMessage.from_wire(e[2]) for e in envelope[2]]
 
 
 # The same builders with any value in an integer position (a bool, float,
@@ -214,49 +223,55 @@ _loose_envelopes = st.one_of(
 
 @given(_envelopes | _loose_envelopes)
 def test_encoding_is_compact_json_in_field_order(envelope):
-    assert list(envelope) == ["t", "slot", "body"]
+    assert type(envelope) is list and envelope[0] in env.FRAME_LENGTHS
     assert encode_envelope(envelope) == json.dumps(envelope, separators=(",", ":")).encode() + b"\n"
 
 
-# Frames written as dict literals, not by the constructors: any type, and a
-# GRANT or ACK_SLOT body whose keys may be reordered, missing or extra.
-_BODY_KEYS = {env.GRANT: ("end_ticks", "inbox"), env.ACK_SLOT: ("out", "next")}
+# Frames written as list literals, not by the constructors: any type, with
+# its fields in order, swapped, one missing or one extra.
+_FIELDS = {env.JOIN: ("name",), env.JOIN_ACK: ("fid",), env.GRANT: ("end_ticks", "inbox"),
+           env.ACK_SLOT: ("out", "next"), env.ERROR: ("code", "detail")}
 _wire_messages = _messages.map(SimMessage.to_wire)
-_body_values = {
+_field_values = {
+    "name": _free_text,
+    "fid": st.integers(min_value=0, max_value=64),
     "end_ticks": _ticks,
     "inbox": st.lists(_wire_messages, max_size=2),
     "out": st.lists(st.tuples(_ticks, st.sampled_from(["it", "comm"]), _wire_messages).map(list),
                     max_size=2),
     "next": st.integers(min_value=-1, max_value=10**14),
     "code": _free_text,
+    "detail": _free_text,
 }
 
 
 @st.composite
 def _plain_frames(draw):
-    frame_type = draw(st.sampled_from(sorted(env.FRAME_TYPES)) | st.text(max_size=8))
-    keys = list(_BODY_KEYS.get(frame_type, ()))
-    how = draw(st.sampled_from(["as is", "reordered", "missing", "extra"]))
-    if how == "reordered":
-        keys.reverse()
-    elif how == "missing" and keys:
-        del keys[draw(st.integers(min_value=0, max_value=len(keys) - 1))]
+    frame_type = draw(st.sampled_from(sorted(env.FRAME_LENGTHS)) | st.text(max_size=8))
+    fields = list(_FIELDS.get(frame_type, ()))
+    how = draw(st.sampled_from(["as is", "swapped", "missing", "extra"]))
+    if how == "swapped":
+        fields.reverse()
+    elif how == "missing" and fields:
+        del fields[draw(st.integers(min_value=0, max_value=len(fields) - 1))]
     elif how == "extra":
-        extra = draw(st.sampled_from([key for key in _body_values if key not in keys]))
-        keys.insert(draw(st.integers(min_value=0, max_value=len(keys))), extra)
-    body = {key: draw(_body_values[key]) for key in keys}
-    return {"t": frame_type, "slot": draw(_slots), "body": body}
+        fields.insert(draw(st.integers(min_value=0, max_value=len(fields))),
+                      draw(st.sampled_from(sorted(_field_values))))
+    return [frame_type, draw(_slots), *(draw(_field_values[field]) for field in fields)]
 
 
 @given(_plain_frames())
-def test_plain_dict_frames_encode_as_json_and_decode_to_themselves(frame):
+def test_plain_list_frames_encode_as_json_and_decode_to_themselves(frame):
     encoded = encode_envelope(frame)
     assert encoded == json.dumps(frame, separators=(",", ":")).encode() + b"\n"
-    if frame["t"] in env.FRAME_TYPES:
-        assert decode_envelope(encoded) == frame
-    else:
+    if frame[0] not in env.FRAME_LENGTHS:
         with pytest.raises(DecodeError, match="unknown envelope type"):
             decode_envelope(encoded)
+    elif len(frame) != 2 + len(_FIELDS[frame[0]]):
+        with pytest.raises(DecodeError, match=f"{frame[0]} frame must have"):
+            decode_envelope(encoded)
+    else:
+        assert decode_envelope(encoded) == frame
 
 
 def _outcome(decode, frame: bytes, offset: int):
@@ -273,15 +288,14 @@ _blank = st.text(" \t\n\r", max_size=3).map(str.encode)
 def _frames(draw):
     """A canonical frame, cut at any byte or mutated the ways a peer might get it wrong."""
     frame = encode_envelope(draw(_envelopes))
-    how = draw(st.sampled_from(["cut", "blank", "key", "byte", "nest", "digits"]))
+    how = draw(st.sampled_from(["cut", "blank", "item", "byte", "nest", "digits"]))
     if how == "cut":
         return frame[: draw(st.integers(min_value=0, max_value=len(frame)))]
     if how == "blank":
         return draw(_blank) + frame.rstrip(b"\n") + draw(_blank)
-    if how == "key":  # a duplicate or an extra key, first or last
-        pair = draw(st.sampled_from([b'"t"', b'"slot"', b'"body"', b'"x"'])) + b":" + draw(
-            st.sampled_from([b'"GRANT"', b"1", b"{}", b"null", b"[]", b"1.5"]))
-        return b"{" + pair + b"," + frame[1:] if draw(st.booleans()) else frame[:-2] + b"," + pair + b"}\n"
+    if how == "item":  # an extra item, first or last
+        item = draw(st.sampled_from([b'"GRANT"', b"1", b"{}", b"null", b"[]", b"1.5"]))
+        return b"[" + item + b"," + frame[1:] if draw(st.booleans()) else frame[:-2] + b"," + item + b"]\n"
     if how == "byte":  # not UTF-8: a stray continuation, a cut sequence, a surrogate, past U+10FFFF
         at = draw(st.integers(min_value=0, max_value=len(frame)))
         stray = draw(st.sampled_from([b"\x80", b"\xc3", b"\xff", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"]))
@@ -291,7 +305,7 @@ def _frames(draw):
         value = b"[" * depth + b"]" * depth
     else:
         value = b"7" * draw(st.sampled_from([4300, 4301, 10_000]))
-    return re.sub(rb'"slot":\d+', b'"slot":' + value, frame, count=1)
+    return re.sub(rb'^(\["[A-Z_]+",)\d+', lambda m: m[1] + value, frame, count=1)
 
 
 _CANONICAL = encode_envelope(env.ack_slot(4, [], -1))

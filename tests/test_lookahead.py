@@ -272,9 +272,9 @@ def test_run_calls_advance_slot_on_the_class_once_per_slot():
 
 def test_ack_slot_carries_lookahead():
     frame = encode_envelope(env.ack_slot(7, [], 123_000))
-    assert frame == b'{"t":"ACK_SLOT","slot":7,"body":{"out":[],"next":123000}}\n'
+    assert frame == b'["ACK_SLOT",7,[],123000]\n'
     assert decode_envelope(frame) == env.ack_slot(7, [], 123_000)
-    assert env.ack_slot(7, [], -1)["body"] == {"out": [], "next": -1}
+    assert env.ack_slot(7, [], -1)[2:] == [[], -1]
 
 
 def _ack_through_socket(ack):
@@ -298,9 +298,7 @@ def test_socket_endpoint_caches_lookahead():
 
 def test_socket_endpoint_rejects_malformed_lookahead():
     with pytest.raises(ProtocolViolation):
-        _ack_through_socket(
-            {"t": env.ACK_SLOT, "slot": 4, "body": {"out": [], "next": "soon"}}
-        )
+        _ack_through_socket([env.ACK_SLOT, 4, [], "soon"])
 
 
 def test_socket_endpoint_rejects_ack_for_another_slot():

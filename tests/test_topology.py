@@ -1,11 +1,12 @@
 import dataclasses
+import math
 
 from hypothesis import given, settings, strategies as st
 
 from gridcosim.config import ScenarioConfig
 from gridcosim.messages import MessageClass, MessageKind, NodeKind, SimMessage
 from gridcosim.netfed import NetFederate
-from gridcosim.topology import generate_topology, monitored_nodes
+from gridcosim.topology import generate_topology, monitored_nodes, nearest_sites
 
 
 def _counts(nodes):
@@ -91,3 +92,16 @@ def test_nearest_base_station_prefers_closest_then_lowest_id():
     assert station(west) == "lte-0"
     assert station(east) == "lte-1"
     assert station(tie) == "lte-0"
+
+
+# Positions on a coarse grid, so that points meet sites and ties are common.
+_grid = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).map(lambda p: (p[0] * 0.75, p[1] * 0.5))
+
+
+@given(sites=st.lists(_grid, min_size=1, max_size=12), points=st.lists(_grid, max_size=12))
+def test_nearest_sites_is_the_brute_force_nearest_lowest_index_first(sites, points):
+    expected = []
+    for point in points:
+        distances = [math.dist(site, point) for site in sites]
+        expected.append(distances.index(min(distances)))
+    assert nearest_sites(sites, points) == expected
