@@ -14,8 +14,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
-from .links import segment_sizes
-from .simtime import ticks_from_seconds
+from .simtime import TICKS_PER_SECOND, ticks_from_seconds
 from .messages import MessageClass, NodeKind
 
 QOS_MODES = ("fifo", "wfq", "wfq-ra")
@@ -26,6 +25,15 @@ ARRIVAL_MODELS = ("periodic", "poisson")
 MAX_NODES = 100_000
 _NODE_COUNTS = ("lte_bs_count", "count_hva_lv", "count_switch", "count_substation",
                 "count_pv_plant", "count_wind_farm")
+#: The most slots a run may have, and the most frames (data segments and
+#: their ACKs) it may be expected to put on the wire over its horizon.  A
+#: run's time grows with both; README says why the limits are here.
+MAX_SLOTS = 10**8
+MAX_FRAMES = 10**7
+#: The key of each replying node kind's response payload.
+_PAYLOAD_KEYS = {NodeKind.HVA_LV: "payload_hva_lv_bytes", NodeKind.SUBSTATION: "payload_substation_bytes",
+                 NodeKind.PV_PLANT: "payload_der_bytes", NodeKind.WIND_FARM: "payload_der_bytes",
+                 NodeKind.SWITCH: "payload_switch_ack_bytes"}
 
 
 @dataclass
@@ -112,14 +120,7 @@ class ScenarioConfig:
         return ticks_from_seconds(self.delay_limit_control_s)
 
     def response_payload_bytes(self, kind: NodeKind) -> int:
-        table = {
-            NodeKind.HVA_LV: self.payload_hva_lv_bytes,
-            NodeKind.SUBSTATION: self.payload_substation_bytes,
-            NodeKind.PV_PLANT: self.payload_der_bytes,
-            NodeKind.WIND_FARM: self.payload_der_bytes,
-            NodeKind.SWITCH: self.payload_switch_ack_bytes,
-        }
-        return table[kind]
+        return getattr(self, _PAYLOAD_KEYS[kind])
 
     def monitored_counts(self) -> dict[NodeKind, int]:
         counts = {NodeKind.HVA_LV: self.count_hva_lv, NodeKind.SUBSTATION: self.count_substation}
@@ -137,7 +138,11 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         def positive(key: str, value) -> None:
-            if value is None or not value > 0 or not math.isfinite(value):
+            try:
+                ok = value is not None and value > 0 and math.isfinite(value)
+            except OverflowError:  # an int past the float range
+                ok = False
+            if not ok:
                 raise ValidationError(key, "must be positive and finite")
 
         positive("tau_s", self.tau_s)
@@ -165,6 +170,10 @@ class ScenarioConfig:
         for key in ("header_bytes", *_NODE_COUNTS, "access_latency_lte_s", "access_latency_dmr_s"):
             if getattr(self, key) < 0:
                 raise ValidationError(key, "must be non-negative")
+        # A frame's bit count stays exact as a float, as the load estimates take it.
+        for key in ("header_bytes", "mss_bytes", "ack_bytes"):
+            if getattr(self, key) >= 2**50:
+                raise ValidationError(key, "must be less than 2**50 bytes")
         nodes = 2 + sum(getattr(self, key) for key in _NODE_COUNTS)
         if nodes > MAX_NODES:
             raise ValidationError(max(_NODE_COUNTS, key=lambda key: getattr(self, key)),
@@ -199,6 +208,12 @@ class ScenarioConfig:
                 raise ValidationError(key, str(exc)) from exc
             if ticks >= 2**63:
                 raise ValidationError(key, f"{value!r} s does not fit a 64-bit tick count")
+        # The IT federate rounds its poll and control periods to ticks too.
+        for key, period_s in (("lambda_m_hz", 1 / self.lambda_m_hz),
+                              ("lambda_c_hz", self.control_burst_size / self.lambda_c_hz)):
+            if not period_s * TICKS_PER_SECOND < 2**63:
+                raise ValidationError(key, f"makes a period of {period_s!r} s, which does not "
+                                      f"fit a 64-bit tick count")
         # One outage: a restore ends a failure, at or after its tick.
         if self.lte_restore_at_s is not None:
             if self.lte_fail_at_s is None:
@@ -207,6 +222,45 @@ class ScenarioConfig:
                 raise ValidationError("lte_restore_at_s", "must not be earlier than lte_fail_at_s")
         if self.interval_ticks % self.tau_ticks != 0:
             raise ValidationError("metrics_interval_s", "must be a multiple of tau_s")
+        self._bound_the_work()
+
+    def _bound_the_work(self) -> None:
+        """Refuse a run over ``MAX_SLOTS`` slots or ``MAX_FRAMES`` expected frames.
+
+        The traffic of the whole last slot counts, and every monitored node's
+        first poll in full; under ``wfq-ra`` with a failure, a node polls at
+        the adapted rate if that is the higher.  Segments are counted, never
+        listed, so a huge payload costs nothing here.
+        """
+        slots = self.n_slots
+        if slots > MAX_SLOTS:
+            raise ValidationError("duration_s", f"{self.duration_s!r} s makes {slots} slots of "
+                                  f"{self.tau_s!r} s, more than the {MAX_SLOTS} allowed")
+        horizon_s = slots * self.tau_ticks / TICKS_PER_SECOND
+        polled = {kind: count for kind, count in self.monitored_counts().items() if count > 0}
+        first_polls = {kind: count * _exchange_frames(self, self.payload_poll_request_bytes,
+                                                      self.response_payload_bytes(kind))
+                       for kind, count in polled.items()}
+        first = sum(first_polls.values())
+        if first > MAX_FRAMES:
+            raise ValidationError(_PAYLOAD_KEYS[max(first_polls, key=first_polls.get)],
+                                  f"makes the nodes' first polls alone put more than the "
+                                  f"{MAX_FRAMES} frames allowed on the wire")
+        rate_hz = self.lambda_m_hz
+        if polled and self.qos == "wfq-ra" and self.lte_fail_at_s is not None:
+            bits = max(exchange_wire_bits(self, self.response_payload_bytes(kind)) for kind in polled)
+            usable_bps = (1.0 - self.alpha_e) * self.dmr_capacity_bps
+            rate_hz = max(rate_hz, usable_bps / (sum(polled.values()) * bits))
+        frames = first * (1.0 + horizon_s * rate_hz) if polled else 0.0
+        if self.count_switch:
+            commands_hz = self.lambda_c_hz * min(1.0, self.count_switch / self.control_burst_size)
+            frames += horizon_s * commands_hz * _exchange_frames(
+                self, self.payload_control_command_bytes, self.payload_switch_ack_bytes)
+        if frames > MAX_FRAMES:
+            raise ValidationError("duration_s", f"{self.duration_s!r} s at lambda_m_hz = "
+                                  f"{self.lambda_m_hz!r} and lambda_c_hz = {self.lambda_c_hz!r} is "
+                                  f"expected to put {frames:.3g} frames on the wire, more than "
+                                  f"the {MAX_FRAMES} allowed")
 
     def warnings(self) -> list[str]:
         """Sanity notes about the configured traffic volume.
@@ -231,6 +285,17 @@ class ScenarioConfig:
         return out
 
 
+def _segments(payload: int, mss_bytes: int) -> int:
+    """How many data segments carry ``payload`` bytes, as ``links.segment_sizes`` cuts them."""
+    full, rest = divmod(payload, mss_bytes)
+    return full + (rest > 0)
+
+
+def _exchange_frames(cfg: ScenarioConfig, request_payload: int, response_payload: int) -> int:
+    """Frames on the wire for one exchange: every data segment both ways, and its ACK."""
+    return 2 * (_segments(request_payload, cfg.mss_bytes) + _segments(response_payload, cfg.mss_bytes))
+
+
 def exchange_wire_bits(cfg: ScenarioConfig, response_payload: int) -> int:
     """Bits on the wire for one full poll exchange with a given response size.
 
@@ -239,8 +304,7 @@ def exchange_wire_bits(cfg: ScenarioConfig, response_payload: int) -> int:
     """
     total_bytes = 0
     for payload in (cfg.payload_poll_request_bytes, response_payload):
-        sizes = segment_sizes(payload, cfg.mss_bytes, cfg.header_bytes)
-        total_bytes += sum(sizes) + len(sizes) * cfg.ack_bytes
+        total_bytes += payload + _segments(payload, cfg.mss_bytes) * (cfg.header_bytes + cfg.ack_bytes)
     return total_bytes * 8
 
 

@@ -5,7 +5,8 @@ Frames are newline-delimited compact JSON arrays in UTF-8, ``[type, slot,
 is that list itself.  All times on the wire are integer ticks; no floats
 ever cross a federate boundary, so both transports observe bit-identical
 state.
-A granted slot is one frame each way: ``["GRANT", slot, end_ticks, inbox]``
+A federate's ``["JOIN", 0, name]`` is the whole handshake, and no frame
+answers it.  A granted slot is one frame each way: ``["GRANT", slot, end_ticks, inbox]``
 carries the federate's inbox, and ``["ACK_SLOT", slot, out, next]`` exactly
 its publishes and its lookahead.  A message travels as the positional list
 of ``SimMessage.to_wire``, and a publish as the list ``[at, to, msg]``: no
@@ -23,9 +24,9 @@ from json.encoder import encode_basestring_ascii as _text
 from .errors import DecodeError, shape
 from .messages import SimMessage
 
-JOIN, JOIN_ACK, GRANT, ACK_SLOT, ERROR = "JOIN", "JOIN_ACK", "GRANT", "ACK_SLOT", "ERROR"
+JOIN, GRANT, ACK_SLOT, ERROR = "JOIN", "GRANT", "ACK_SLOT", "ERROR"
 # The number of items in a frame of each type, its type and slot included.
-FRAME_LENGTHS = {JOIN: 3, JOIN_ACK: 3, GRANT: 4, ACK_SLOT: 4, ERROR: 4}
+FRAME_LENGTHS = {JOIN: 3, GRANT: 4, ACK_SLOT: 4, ERROR: 4}
 # Built once: json.dumps(..., separators=...) would build an encoder per
 # frame and json.loads(bytes) would detect the encoding of every frame.
 # Neither object keeps state between calls, so every stream shares them.
@@ -126,10 +127,6 @@ def decode_envelope(frame: bytes, offset: int = 0) -> list:
 
 def join(name: str) -> list:
     return [JOIN, 0, name]
-
-
-def join_ack(fid: int) -> list:
-    return [JOIN_ACK, 0, fid]
 
 
 def grant(slot: int, end_ticks: int, inbox: list[SimMessage]) -> list:

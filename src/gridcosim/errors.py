@@ -51,12 +51,8 @@ class DecodeError(ParseError):
         super().__init__(f"{message} (byte {offset})")
 
 
-class FederationStarted(GridCoSimError):
-    """Registration attempted after the federation already started."""
-
-
 class DuplicateName(GridCoSimError):
-    """A federate name was registered twice."""
+    """Two federates of one federation share a name."""
 
 
 class ProtocolViolation(GridCoSimError):

@@ -23,7 +23,9 @@ and allocates nothing.  A federate is not stepped, and sees no grant, in
 the slots it declared no event for, so its state must change only when it
 is stepped.  A lookahead of -1 asks for every slot.
 
-The coordinator alone ends the run: ``run(n_slots)`` advances exactly
+The federation is fixed when the coordinator is built: ``Rti(tau_ticks,
+federates)`` takes every federate's name and endpoint, and fids follow that
+list.  The coordinator alone ends the run: ``run(n_slots)`` advances exactly
 ``n_slots`` slots, and no federate is granted a slot for the horizon's sake.
 """
 
@@ -34,7 +36,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from .errors import DuplicateName, FederationStarted, ProtocolViolation, quote
+from .errors import DuplicateName, ProtocolViolation, quote
 from .messages import SimMessage
 
 
@@ -104,33 +106,28 @@ class Rti:
     and by name in ``_by_name``.
     """
 
-    def __init__(self, tau_ticks: int):
+    def __init__(self, tau_ticks: int, federates: list[tuple[str, FederateEndpoint]]):
+        """Couple ``federates``, (name, endpoint) pairs whose fids follow the list."""
         if tau_ticks <= 0:
             raise ValueError("tau_ticks must be positive")
+        if len(federates) < 2:
+            raise ProtocolViolation("a federation needs at least 2 federates")
         self.tau_ticks = tau_ticks
         self.current_slot = 0
-        self._started = False
         self._handles: list[_FederateHandle] = []
+        self._by_name: dict[str, _FederateHandle] = {}
+        for name, endpoint in federates:
+            if name in self._by_name:
+                raise DuplicateName(name)
+            handle = _FederateHandle(len(self._handles), endpoint)
+            self._handles.append(handle)
+            self._by_name[name] = handle
         # Earliest cached lookahead, or -1 while any inbox holds messages:
         # no slot ending at or before it grants anyone.
         self._wake = -1
-        self._by_name: dict[str, _FederateHandle] = {}
         self.published_total = 0
         self.delivered_total = 0
         self._digest = hashlib.sha256()
-
-    # ------------------------------------------------------------ lifecycle
-
-    def register_federate(self, name: str, endpoint: FederateEndpoint) -> int:
-        """Join ``name``, driven through ``endpoint``; returns its fid."""
-        if self._started:
-            raise FederationStarted("cannot register after the federation started")
-        if name in self._by_name:
-            raise DuplicateName(name)
-        handle = _FederateHandle(len(self._handles), endpoint)
-        self._handles.append(handle)
-        self._by_name[name] = handle
-        return handle.fid
 
     # -------------------------------------------------------------- publish
 
@@ -179,8 +176,6 @@ class Rti:
             self.current_slot = slot + 1
             return _NOTHING_DELIVERED
 
-        # The first slot always lands here: _wake starts at -1.
-        self._started = True
         granted = []
         for h in self._handles:
             inbox = h.inbox
@@ -217,8 +212,6 @@ class Rti:
         return _NOTHING_DELIVERED
 
     def run(self, n_slots: int) -> FederationResult:
-        if len(self._handles) < 2:
-            raise ProtocolViolation("a federation needs at least 2 federates")
         t0 = time.perf_counter()
         # One call per slot, looked up on the class once, so a wrapper set
         # on Rti.advance_slot before the run sees every slot.

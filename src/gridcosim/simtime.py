@@ -24,6 +24,8 @@ def ticks_from_seconds(seconds: float, *, key: str = "time") -> int:
     if not math.isfinite(seconds):
         raise ValueError(f"{key}={seconds!r} is not a finite number of seconds")
     raw = seconds * TICKS_PER_SECOND
+    if not math.isfinite(raw):
+        raise ValueError(f"{key}={seconds!r} is too long to count in ticks")
     ticks = round(raw)
     tol = max(1e-6, abs(raw) * 1e-9)
     if abs(raw - ticks) > tol:

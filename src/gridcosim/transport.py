@@ -5,7 +5,9 @@ delivered-message traces for identical inputs.  The socket transport gives
 each federate one end of its own socket pair and keeps the other end for the
 coordinator; envelopes are newline-delimited JSON arrays carrying only
 integers and strings, read by position, so a federate could equally well
-live in another process or language.
+live in another process or language.  A federate's JOIN is answered by no
+frame: once every federate has joined, the coordinator is built and the
+federates read their GRANTs, and a refused federate sees its stream end.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import threading
 from typing import Protocol
 
 from . import envelope as env
-from .envelope import ACK_SLOT, ERROR, GRANT, JOIN, JOIN_ACK, decode_envelope, encode_envelope
+from .envelope import ACK_SLOT, ERROR, GRANT, JOIN, decode_envelope, encode_envelope
 from .errors import (QUOTE_LIMIT, DecodeError, FederateTimeout, ProtocolViolation, quotable, quote,
                      shape)
 from .messages import SimMessage
@@ -188,18 +190,13 @@ def run_federate_client(sock: socket.socket, federate: LocalFederate) -> None:
     slot = 0  # of the last grant, which an ERROR for an unreadable frame names
     try:
         stream.send(env.join(federate.name))
-        ack = stream.recv()
-        if ack is None:  # the coordinator refused the join and ended the run
-            return
-        if ack[0] != JOIN_ACK:
-            raise ProtocolViolation("expected JOIN_ACK")
         while True:
             try:
                 received = stream.recv()
             except DecodeError as exc:  # answered like a malformed GRANT
                 stream.send(env.error(slot, type(exc).__name__, str(exc)))
                 return
-            if received is None:
+            if received is None:  # the run ended, or the coordinator refused the join
                 return
             if received[0] != GRANT:
                 raise ProtocolViolation(f"unexpected {received[0]} from coordinator")
@@ -236,16 +233,14 @@ def run_federation(
 
     ``timeout_s`` bounds each wait of the coordinator for a JOIN or an ACK_SLOT.
     """
-    rti = Rti(tau_ticks)
     if transport == "inproc":
-        for federate in federates:
-            rti.register_federate(federate.name, InprocEndpoint(federate))
-        return rti.run(n_slots)
+        return Rti(tau_ticks, [(f.name, InprocEndpoint(f)) for f in federates]).run(n_slots)
     if transport != "socket":
         raise ValueError(f"unknown transport {transport!r}")
 
     threads: list[threading.Thread] = []
     streams: list[_FrameStream] = []
+    members: list[tuple[str, SocketEndpoint]] = []
     try:
         # Federates join one at a time, so ids follow the listed order.
         for position, federate in enumerate(federates, 1):
@@ -268,9 +263,8 @@ def run_federation(
             if not quotable(name):  # every later error about the federate repeats it
                 raise ProtocolViolation(f"JOIN must name the federate with a printable string of at "
                                         f"most {QUOTE_LIMIT} characters, got {shape(name)}")
-            fid = rti.register_federate(name, SocketEndpoint(stream, name))
-            stream.send(env.join_ack(fid))
-        result = rti.run(n_slots)
+            members.append((name, SocketEndpoint(stream, name)))
+        result = Rti(tau_ticks, members).run(n_slots)
     finally:
         for stream in streams:
             stream.close()

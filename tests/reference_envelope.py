@@ -7,7 +7,7 @@ type's number of items and an integer slot second.
 ``gridcosim.envelope.decode_envelope`` reads frames with one scan of the
 JSON scanner instead; it must accept exactly the frames this accepts, with
 an equal envelope, and refuse the others with the same ``DecodeError`` text
-and offset.  It restates the five frame types and their item counts and
+and offset.  It restates the four frame types and their item counts and
 shares no code with the package's decoder.
 """
 
@@ -17,7 +17,7 @@ import json
 
 from gridcosim.errors import DecodeError
 
-_ITEMS = {"JOIN": 3, "JOIN_ACK": 3, "GRANT": 4, "ACK_SLOT": 4, "ERROR": 4}
+_ITEMS = {"JOIN": 3, "GRANT": 4, "ACK_SLOT": 4, "ERROR": 4}
 _DECODER = json.JSONDecoder()
 
 

@@ -1,12 +1,16 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from gridcosim import cli, runner
 from gridcosim.cli import main
@@ -313,3 +317,49 @@ def test_memory_error_is_an_error_with_manifest(tmp_path, capsys, monkeypatch):
     assert freed == [True]
     manifest = json.loads((out / "manifest.json").read_text())
     assert (manifest["status"], manifest["error"]) == ("error", "MemoryError")
+
+
+# ------------------------------------------- any config file, through the CLI
+
+_KEYS = [f.name for f in dataclasses.fields(ScenarioConfig) if f.name != "duration_s"]
+# Zero, negatives, sub-tick values, powers of ten up to 1e308, non-finite
+# values and text, in the forms the parsers take.
+_EDGE_VALUES = st.one_of(
+    st.sampled_from(["0", "-1", "-0.5", "0.000001", "1e-300", "1/3", "nan", "inf", "-inf",
+                     "text", "", "true", "none"]),
+    st.integers(min_value=0, max_value=308).map(lambda k: str(10**k)),
+    st.integers(min_value=0, max_value=308).map(lambda k: f"1e{k}"),
+)
+# At most 30 s, so that the valid cases finish.
+_DURATIONS = st.sampled_from(["0", "0.000001", "0.01", "1", "30", "-1", "nan", "text"])
+_LINES = st.one_of(
+    st.builds("{} = {}".format, st.sampled_from(_KEYS), _EDGE_VALUES),
+    st.sampled_from(["no_such_key = 1", "= 3", "seed", "   "]),
+)
+
+
+@st.composite
+def _config_files(draw):
+    lines = [f"duration_s = {draw(_DURATIONS)}", *draw(st.lists(_LINES, max_size=4))]
+    if len(lines) > 1 and draw(st.booleans()):
+        lines.append(draw(st.sampled_from(lines)))  # a repeated key
+    return lines
+
+
+@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lines=_config_files())
+@example(lines=["duration_s = 1e14"])
+@example(lines=["duration_s = 1e300"])
+@example(lines=["duration_s = 1e9"])
+@example(lines=["payload_substation_bytes = 100000000000000000000"])
+@example(lines=["tau_s = 9e13", "metrics_interval_s = 9e13", "duration_s = 9e13"])
+def test_any_config_file_runs_or_fails_with_a_manifest(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "any.cfg", Path(tmp) / "out"
+        config.write_text("\n".join(lines) + "\n")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["run", "--config", str(config), "--out", str(out)])
+        assert code in (0, 1, 2)
+        if out.exists():
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["status"] == ("ok" if code == 0 else "error")

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from gridcosim.config import (
     serialize_config,
 )
 from gridcosim.errors import ParseError, ValidationError
+from gridcosim.links import segment_sizes
 from gridcosim.topology import generate_topology
 
 SCENARIO_FILE = Path(__file__).resolve().parents[1] / "scenarios" / "lte_failover_case_study.cfg"
@@ -126,13 +128,83 @@ def test_restore_must_end_a_failure(fail, restore, ok):
     ("delay_limit_control_s", 1e300, False),
 ])
 def test_times_must_fit_64_bit_ticks(key, seconds, ok):
-    cfg = ScenarioConfig(**{key: seconds})
+    # Slots of 1e6 s and rates of 1e-11 Hz keep a 9e13 s horizon within the
+    # work bounds: 9e7 slots and about 1.4e6 frames.
+    cfg = ScenarioConfig(**{"tau_s": 1e6, "metrics_interval_s": 1e6, "lambda_m_hz": 1e-11,
+                            "lambda_c_hz": 1e-11, key: seconds})
     if ok:
         cfg.validate()
     else:
         with pytest.raises(ValidationError) as err:
             cfg.validate()
         assert err.value.key == key
+
+
+@pytest.mark.parametrize("changes, key, error", [
+    (dict(duration_s=1e9), "duration_s", "makes 100000000000 slots of 0.01 s, more than the 100000000"),
+    (dict(payload_substation_bytes=10**20), "payload_substation_bytes",
+     "makes the nodes' first polls alone put more than the 10000000 frames allowed"),
+    (dict(tau_s=9e13, metrics_interval_s=9e13, duration_s=9e13), "duration_s",
+     "is expected to put 4.04e+15 frames on the wire, more than the 10000000"),
+    (dict(lambda_m_hz=1e300), "duration_s", "at lambda_m_hz = 1e+300 and"),
+    (dict(lambda_c_hz=1e300, duration_s=30.0), "duration_s", "lambda_c_hz = 1e+300 is expected"),
+    # No node is polled, so an infinite poll count must not hide the commands.
+    (dict(count_hva_lv=0, count_substation=0, monitor_ders=False, lambda_m_hz=1e300,
+          lambda_c_hz=1e300), "duration_s", "is expected to put 6.4e+303 frames"),
+    # Under wfq-ra a failover may raise every node's rate to the DMR budget.
+    (dict(qos="wfq-ra", lte_fail_at_s=0.0, dmr_capacity_bps=10**300, duration_s=30.0),
+     "duration_s", "is expected to put 1.93e+297 frames"),
+], ids=["slots", "first-polls", "one-slot", "poll-rate", "command-rate", "commands-only",
+        "adapted-rate"])
+def test_work_is_bounded_by_key_without_listing_segments(changes, key, error):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=re.escape(error)) as err:
+            ScenarioConfig(**changes).validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.key == key
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("changes, key", [
+    (dict(tau_s=1e304), "tau_s"),
+    (dict(control_burst_size=10**301), "lambda_c_hz"),
+    (dict(lambda_m_hz=1e-300), "lambda_m_hz"),
+    (dict(header_bytes=10**308), "header_bytes"),
+    (dict(ack_bytes=2**50), "ack_bytes"),
+    (dict(payload_hva_lv_bytes=10**400), "payload_hva_lv_bytes"),
+], ids=["tau-past-float-ticks", "burst-period", "poll-period", "header", "ack", "int-past-floats"])
+def test_values_past_the_float_range_are_validation_errors_by_key(changes, key):
+    with pytest.raises(ValidationError) as err:
+        ScenarioConfig(**changes).validate()
+    assert err.value.key == key
+
+
+@pytest.mark.parametrize("changes", [
+    dict(tau_s=0.001),
+    dict(duration_s=6400.0),
+    dict(duration_s=86400.0),
+    dict(count_hva_lv=3320, count_switch=260, lte_bs_count=20, duration_s=6400.0),
+    dict(qos="wfq-ra", lte_fail_at_s=500.0),
+], ids=["1ms-slots", "6400s", "one-day", "x10-6400s", "wfq-ra"])
+def test_work_bounds_keep_the_studied_runs_valid(changes):
+    ScenarioConfig(**changes).validate()
+
+
+def test_work_bound_counts_frames_as_the_network_sends_them(monkeypatch):
+    # The first polls alone: 332 one-segment and three DER exchanges of 4
+    # frames, one 4-segment substation exchange of 10.  The key is that of
+    # the kind whose first polls make the most frames.
+    cfg = ScenarioConfig(duration_s=0.0)
+    first = 334 * 4 + 10
+    monkeypatch.setattr(config, "MAX_FRAMES", first)
+    cfg.validate()
+    monkeypatch.setattr(config, "MAX_FRAMES", first - 1)
+    with pytest.raises(ValidationError) as err:
+        cfg.validate()
+    assert err.value.key == "payload_hva_lv_bytes"
 
 
 @pytest.mark.parametrize("key", ["count_hva_lv", "count_switch", "lte_bs_count"])
@@ -205,6 +277,15 @@ def test_exchange_wire_bits_multi_segment():
     # 5000 bytes split into 4 segments: 4 headers and 4 acks on the response.
     expected = (64 + 40 + 40) * 8 + (5000 + 4 * 40 + 4 * 40) * 8
     assert exchange_wire_bits(cfg, 5000) == expected == 43_712
+
+
+@given(request=st.integers(1, 10**5), response=st.integers(1, 10**5), mss=st.integers(1, 3000),
+       header=st.integers(0, 100), ack=st.integers(1, 100))
+def test_exchange_wire_bits_counts_the_segments_links_cuts(request, response, mss, header, ack):
+    cfg = ScenarioConfig(payload_poll_request_bytes=request, mss_bytes=mss, header_bytes=header,
+                         ack_bytes=ack)
+    listed = [segment_sizes(payload, mss, header) for payload in (request, response)]
+    assert exchange_wire_bits(cfg, response) == 8 * sum(sum(s) + len(s) * ack for s in listed)
 
 
 def test_overload_premise_holds_at_defaults():

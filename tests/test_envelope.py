@@ -40,22 +40,22 @@ def test_ack_slot_frame_bytes():
 
 def test_every_frame_is_its_type_slot_and_fields():
     assert env.join("it") == ["JOIN", 0, "it"]
-    assert env.join_ack(2) == ["JOIN_ACK", 0, 2]
     assert env.error(3, "E", "boom") == ["ERROR", 3, "E", "boom"]
     assert encode_envelope(env.join("it")) == b'["JOIN",0,"it"]\n'
 
 
-def test_protocol_has_five_frame_types():
-    assert env.FRAME_LENGTHS == {"JOIN": 3, "JOIN_ACK": 3, "GRANT": 4, "ACK_SLOT": 4, "ERROR": 4}
-    assert [f[0] for f in (env.join("it"), env.join_ack(0), env.grant(0, 0, []),
-                             env.ack_slot(0, [], -1), env.error(0, "", ""))] == [
-        env.JOIN, env.JOIN_ACK, env.GRANT, env.ACK_SLOT, env.ERROR]
+def test_protocol_has_four_frame_types():
+    assert env.FRAME_LENGTHS == {"JOIN": 3, "GRANT": 4, "ACK_SLOT": 4, "ERROR": 4}
+    assert [f[0] for f in (env.join("it"), env.grant(0, 0, []), env.ack_slot(0, [], -1),
+                             env.error(0, "", ""))] == [env.JOIN, env.GRANT, env.ACK_SLOT, env.ERROR]
+    # No frame answers a JOIN: a JOIN_ACK is a frame of no known type.
+    with pytest.raises(DecodeError, match=r"^unknown envelope type: a str of 8 \(byte 0\)$"):
+        decode_envelope(b'["JOIN_ACK",0,0]\n')
 
 
 def test_round_trip_simple():
     for e in (
         env.join("it"),
-        env.join_ack(0),
         env.grant(3, 4000, []),
         env.ack_slot(3, [], -1),
         env.ack_slot(9, [], 12_000),
@@ -157,7 +157,6 @@ _ticks = st.integers(min_value=0, max_value=10**14)
 _envelopes = st.one_of(
     st.builds(env.join, st.text(min_size=1, max_size=10)),
     st.builds(env.error, _slots, st.text(max_size=10), st.text(max_size=40)),
-    st.builds(env.join_ack, st.integers(min_value=0, max_value=64)),
     st.builds(env.grant, _slots, _ticks, st.lists(_messages, max_size=3)),
     st.builds(
         env.ack_slot,
@@ -210,7 +209,6 @@ _loose_messages = st.builds(
 _loose_envelopes = st.one_of(
     st.builds(env.join, _free_text),
     st.builds(env.error, _loose(_slots), _free_text, _free_text),
-    st.builds(env.join_ack, _loose(st.integers())),
     st.builds(env.grant, _loose(_slots), _loose(_ticks), st.lists(_loose_messages, max_size=3)),
     st.builds(
         env.ack_slot,
@@ -229,12 +227,11 @@ def test_encoding_is_compact_json_in_field_order(envelope):
 
 # Frames written as list literals, not by the constructors: any type, with
 # its fields in order, swapped, one missing or one extra.
-_FIELDS = {env.JOIN: ("name",), env.JOIN_ACK: ("fid",), env.GRANT: ("end_ticks", "inbox"),
-           env.ACK_SLOT: ("out", "next"), env.ERROR: ("code", "detail")}
+_FIELDS = {env.JOIN: ("name",), env.GRANT: ("end_ticks", "inbox"), env.ACK_SLOT: ("out", "next"),
+           env.ERROR: ("code", "detail")}
 _wire_messages = _messages.map(SimMessage.to_wire)
 _field_values = {
     "name": _free_text,
-    "fid": st.integers(min_value=0, max_value=64),
     "end_ticks": _ticks,
     "inbox": st.lists(_wire_messages, max_size=2),
     "out": st.lists(st.tuples(_ticks, st.sampled_from(["it", "comm"]), _wire_messages).map(list),

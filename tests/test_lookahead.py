@@ -140,9 +140,7 @@ def test_only_due_federates_are_granted_but_every_slot_is_a_barrier():
     msg = SimMessage(5, MessageClass.MONITORING, MessageKind.REQUEST, 0, 1, 64, 2500)
     fed_a = LookaheadFederate("a", events=[2500, 7000], script={2: [(2500, "b", msg)]})
     fed_b = LookaheadFederate("b")
-    rti = Rti(TAU)
-    for fed in (fed_a, fed_b):
-        rti.register_federate(fed.name, InprocEndpoint(fed))
+    rti = Rti(TAU, [(fed.name, InprocEndpoint(fed)) for fed in (fed_a, fed_b)])
     reports = [rti.advance_slot() for _ in range(10)]
     assert [r.messages_delivered for r in reports] == [0, 0, 1, 0, 0, 0, 0, 0, 0, 0]
     # Slot 0 is granted to everyone: nobody has declared a lookahead yet.

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gridcosim import rti as rti_module
-from gridcosim.errors import DuplicateName, FederationStarted, ProtocolViolation
+from gridcosim.errors import DuplicateName, ProtocolViolation
 from gridcosim.messages import MessageClass, MessageKind, SimMessage
 from gridcosim.rti import Rti
 from gridcosim.transport import InprocEndpoint, run_federation
@@ -45,27 +45,17 @@ def run_pair(script_a=None, script_b=None, n_slots=4):
 
 
 def test_register_assigns_sequential_ids():
-    rti = Rti(TAU)
-    assert rti.register_federate("it", StubEndpoint()) == 0
-    assert rti.register_federate("comm", StubEndpoint()) == 1
+    # Fids follow the list: the trace digest records each destination's fid.
+    rti = Rti(TAU, [("it", StubEndpoint([(5, "comm", make_msg(1, 5))])),
+                    ("comm", StubEndpoint([(7, "it", make_msg(2, 7))]))])
+    result = rti.run(1)
+    expected = hashlib.sha256(b"0|0|2|7" + b"0|1|1|5").hexdigest()
+    assert result.trace_digest == expected
 
 
 def test_duplicate_name_rejected():
-    rti = Rti(TAU)
-    rti.register_federate("it", StubEndpoint())
-    with pytest.raises(DuplicateName):
-        rti.register_federate("it", StubEndpoint())
-
-
-def test_register_after_start_rejected():
-    fed_a = ScriptedFederate("a", "b")
-    fed_b = ScriptedFederate("b", "a")
-    rti = Rti(TAU)
-    for fed in (fed_a, fed_b):
-        rti.register_federate(fed.name, InprocEndpoint(fed))
-    rti.advance_slot()
-    with pytest.raises(FederationStarted):
-        rti.register_federate("late", StubEndpoint())
+    with pytest.raises(DuplicateName, match="^it$"):
+        Rti(TAU, [("it", StubEndpoint()), ("comm", StubEndpoint()), ("it", StubEndpoint())])
 
 
 def test_mid_slot_publish_delivered_at_slot_end():
@@ -123,10 +113,7 @@ class StubEndpoint:
 
 
 def stub_rti(endpoints: dict[str, StubEndpoint]) -> Rti:
-    rti = Rti(TAU)
-    for name, endpoint in endpoints.items():
-        rti.register_federate(name, endpoint)
-    return rti
+    return Rti(TAU, list(endpoints.items()))
 
 
 @pytest.mark.parametrize("publishers", [("b", "c"), ("c", "b")])
@@ -262,9 +249,7 @@ def test_peer_may_forward_a_received_id_once():
 def test_empty_slot_still_advances_everyone():
     fed_a = ScriptedFederate("a", "b")
     fed_b = ScriptedFederate("b", "a")
-    rti = Rti(TAU)
-    for fed in (fed_a, fed_b):
-        rti.register_federate(fed.name, InprocEndpoint(fed))
+    rti = Rti(TAU, [(fed.name, InprocEndpoint(fed)) for fed in (fed_a, fed_b)])
     report = rti.advance_slot()
     assert report.messages_delivered == 0
     assert fed_a.slots_seen == fed_b.slots_seen == [0]
@@ -280,10 +265,8 @@ def test_exactly_once_counts():
 
 
 def test_federation_requires_two_federates():
-    rti = Rti(TAU)
-    rti.register_federate("solo", InprocEndpoint(ScriptedFederate("solo", "solo")))
-    with pytest.raises(ProtocolViolation):
-        rti.run(1)
+    with pytest.raises(ProtocolViolation, match="a federation needs at least 2 federates"):
+        Rti(TAU, [("solo", InprocEndpoint(ScriptedFederate("solo", "solo")))])
 
 
 def test_unknown_destination_rejected():
@@ -350,8 +333,8 @@ class ForwardingFederate:
 class LoggingRti(Rti):
     """The coordinator under test, logging every publish it is asked to check."""
 
-    def __init__(self, tau_ticks: int):
-        super().__init__(tau_ticks)
+    def __init__(self, tau_ticks: int, federates):
+        super().__init__(tau_ticks, federates)
         self.log: list[tuple[int, int, str, int, int]] = []  # (slot, fid, to, at, id)
 
     def publish(self, fid, msg, at_tick, to_name):
@@ -415,9 +398,7 @@ def test_duplicate_id_check_matches_a_set_of_fid_id_pairs(case):
     # back to its first publisher after len(names) forwards.
     feds = [ForwardingFederate(name, names[(i + 1) % len(names)], script)
             for i, (name, script) in enumerate(zip(names, scripts))]
-    rti = LoggingRti(TAU)
-    for fed in feds:
-        rti.register_federate(fed.name, InprocEndpoint(fed))
+    rti = LoggingRti(TAU, [(fed.name, InprocEndpoint(fed)) for fed in feds])
     try:
         result = rti.run(n_slots)
     except ProtocolViolation as exc:
@@ -459,9 +440,7 @@ def test_duplicate_id_check_memory_stays_small_for_dense_ids():
     feds = [ScriptedFederate("source", "forwarder", script), _Forwarder()]
     tracemalloc.start()
     try:
-        rti = Rti(TAU)
-        for fed in feds:
-            rti.register_federate(fed.name, InprocEndpoint(fed))
+        rti = Rti(TAU, [(fed.name, InprocEndpoint(fed)) for fed in feds])
         # Two slots past the last publish: the forwards go out, then the
         # source's inbox is drained, so no message is left in the coordinator.
         result = rti.run(slots + 2)

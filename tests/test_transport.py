@@ -84,6 +84,32 @@ def test_socket_federation_opens_no_listening_socket(monkeypatch):
     assert _run("socket")[2].trace_digest == _run("inproc")[2].trace_digest
 
 
+def test_a_raw_federate_reads_grants_straight_after_its_join(monkeypatch):
+    # A client of its own that sends JOIN and takes the very next frame as
+    # its first GRANT: no other frame is part of the handshake.
+    frames_read = []
+
+    def raw_client(sock, federate):
+        with sock, sock.makefile("rb") as reader:
+            sock.sendall(json.dumps(["JOIN", 0, federate.name]).encode() + b"\n")
+            for line in reader:
+                frame = json.loads(line)
+                frames_read.append(frame[0])
+                if frame[0] != "GRANT":
+                    return
+                _, slot, end_ticks, inbox = frame
+                out, next_tick = federate.step(slot, end_ticks, list(map(SimMessage.from_wire, inbox)))
+                out = [[at, to, msg.to_wire()] for at, to, msg in out]
+                sock.sendall(json.dumps(["ACK_SLOT", slot, out, next_tick]).encode() + b"\n")
+
+    monkeypatch.setattr(transport, "run_federate_client", raw_client)
+    a_raw, b_raw, raw = _run("socket")
+    a_in, b_in, inproc = _run("inproc")
+    assert frames_read == ["GRANT"] * 20  # both federates, every one of the 10 slots
+    assert raw.trace_digest == inproc.trace_digest
+    assert (a_raw.received, b_raw.received) == (a_in.received, b_in.received)
+
+
 class FanOutFederate:
     """Publishes a per-slot script whose entries each name their
     destination, and logs every inbox it is granted."""
@@ -172,7 +198,7 @@ def test_socket_frames_hold_no_float_and_no_bool_but_done(monkeypatch):
     cfg.validate()
     run_scenario(cfg, transport="socket")
     decoded = [json.loads(frame) for frame in frames]
-    assert {"JOIN", "JOIN_ACK", "GRANT", "ACK_SLOT"} <= {frame[0] for frame in decoded}
+    assert {frame[0] for frame in decoded} == {"JOIN", "GRANT", "ACK_SLOT"}
     assert any(frame[0] == "GRANT" and frame[3] for frame in decoded)
     for frame in decoded:
         assert type(frame) is list
@@ -338,10 +364,8 @@ def _raw_client(sock, federate):
         return _real_client(sock, federate)
     with sock, sock.makefile("rb") as reader:
         _send_frame(sock, "JOIN", federate.join_fields)
-        if not reader.readline().startswith(b'["JOIN_ACK"'):
+        if not reader.readline().startswith(b'["GRANT"'):
             return  # the coordinator refused the join and closed the stream
-        while not reader.readline().startswith(b'["GRANT"'):
-            pass
         if isinstance(federate.ack_fields, bytes):
             sock.sendall(federate.ack_fields)
         else:
@@ -458,7 +482,7 @@ def test_peer_text_beyond_the_ack_slot_checks_is_bounded(monkeypatch, raw):
     assert len(str(err.value)) < 500
 
 
-def test_federate_that_closes_after_join_ack_is_named(monkeypatch):
+def test_federate_that_closes_after_join_is_named(monkeypatch):
     # The second federate joins only once the quitter has closed its end,
     # so the coordinator's first grant to the quitter is the failing send.
     closed = threading.Event()
@@ -467,9 +491,8 @@ def test_federate_that_closes_after_join_ack_is_named(monkeypatch):
         if federate.name != "quitter":
             closed.wait(5.0)
             return _real_client(sock, federate)
-        with sock, sock.makefile("rb") as reader:
+        with sock:
             _send_frame(sock, "JOIN", ["quitter"])
-            assert reader.readline().startswith(b'["JOIN_ACK"')
         closed.set()
 
     monkeypatch.setattr(transport, "run_federate_client", quitting_client)
@@ -548,7 +571,6 @@ def test_malformed_grant_is_answered_with_error(grant_fields):
     try:
         with coordinator.makefile("rb") as reader:
             assert json.loads(reader.readline()) == ["JOIN", 0, "rec"]
-            coordinator.sendall(b'["JOIN_ACK",0,0]\n')
             _send_frame(coordinator, "GRANT", grant_fields)
             reply = json.loads(reader.readline())
     finally:
@@ -683,7 +705,7 @@ def test_a_frame_longer_than_one_read_comes_out_whole():
     followed by a frame cut short: the long frame is read back whole and
     the cut is a truncated frame at its byte."""
     long_grant = env.grant(3, 4000, [make_msg(i, i) for i in range(3000)])
-    frames = [env.encode_envelope(long_grant), env.encode_envelope(env.join_ack(1))]
+    frames = [env.encode_envelope(long_grant), env.encode_envelope(env.join("it"))]
     assert len(frames[0]) > 2 * transport._RECV_BYTES
     blob = b"".join(frames)[:-5]
     writer, reader = socket.socketpair()
