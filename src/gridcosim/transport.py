@@ -5,15 +5,18 @@ delivered-message traces for identical inputs.  The socket transport gives
 each federate one end of its own socket pair and keeps the other end for the
 coordinator; envelopes are newline-delimited JSON arrays carrying only
 integers and strings, read by position, so a federate could equally well
-live in another process or language.  A federate's JOIN is answered by no
-frame: once every federate has joined, the coordinator is built and the
-federates read their GRANTs, and a refused federate sees its stream end.
+live in another process or language.  The coordinator's ends stay blocking,
+with each read and write bounded by a kernel socket timeout, so that each is
+one system call.  A federate's JOIN is answered by no frame: once every
+federate has joined, the coordinator is built and the federates read their
+GRANTs, and a refused federate sees its stream end.
 """
 
 from __future__ import annotations
 
 import logging
 import socket
+import struct
 import threading
 from typing import Protocol
 
@@ -29,6 +32,27 @@ logger = logging.getLogger(__name__)
 DEFAULT_TIMEOUT_S = 30.0
 # Bytes asked of one recv; a frame longer than this takes several.
 _RECV_BYTES = 65536
+# A read or write past its bound: ``settimeout`` raises TimeoutError, a
+# kernel SO_RCVTIMEO or SO_SNDTIMEO the EAGAIN of BlockingIOError.
+_TIMEOUTS = (TimeoutError, BlockingIOError)
+
+
+def _coordinator_pair(timeout_s: float) -> tuple[socket.socket, socket.socket]:
+    """A socket pair whose first end, the coordinator's, stays blocking and
+    has each ``recv`` and ``send`` call bounded to ``timeout_s`` by the kernel.
+
+    Unlike ``settimeout``, which polls before every call, this leaves one
+    system call per read and per write.  A bound applies to one call: a
+    ``sendall`` that the peer drains slowly may take several.
+    """
+    micros = round(timeout_s * 1_000_000)
+    if micros <= 0:  # a zero timeval means no bound at all
+        raise ValueError(f"timeout_s must be at least 1 us, got {timeout_s!r}")
+    timeval = struct.pack("ll", *divmod(micros, 1_000_000))
+    ours, theirs = socket.socketpair()
+    ours.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
+    ours.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
+    return ours, theirs
 
 
 class LocalFederate(Protocol):
@@ -74,33 +98,48 @@ class _FrameStream:
 
     def send(self, frame: list) -> None:
         """Write one whole frame: the peer waits for every frame."""
-        self.sock.sendall(encode_envelope(frame))
+        try:
+            self.sock.sendall(encode_envelope(frame))
+        except _TIMEOUTS as exc:
+            raise FederateTimeout(str(exc)) from exc
 
     def recv(self) -> list | None:
         """Next frame, or None at a clean end of stream."""
         buffer = self._buffer
-        end = buffer.find(b"\n") + 1
+        if buffer:
+            end = buffer.find(b"\n") + 1
+        else:
+            try:
+                buffer = self.sock.recv(_RECV_BYTES)
+            except _TIMEOUTS as exc:
+                raise FederateTimeout(str(exc)) from exc
+            end = buffer.find(b"\n") + 1
+            if end == len(buffer):
+                # One read returned exactly one whole frame, or the clean end.
+                if not end:
+                    return None
+                decoded = decode_envelope(buffer, self.offset)
+                self.offset += end
+                return decoded
         if not end:
             # A frame several reads long is joined once, when its newline comes.
-            chunks = [buffer] if buffer else []
+            chunks = [buffer]
             size = len(buffer)
             while not end:
                 try:
                     chunk = self.sock.recv(_RECV_BYTES)
-                except (TimeoutError, socket.timeout) as exc:
+                except _TIMEOUTS as exc:
                     self._buffer = b"".join(chunks)
                     raise FederateTimeout(str(exc)) from exc
                 if not chunk:
-                    if size:
-                        raise DecodeError("truncated frame", self.offset + size)
-                    return None
+                    raise DecodeError("truncated frame", self.offset + size)
                 chunks.append(chunk)
                 end = chunk.find(b"\n") + 1
                 if end:
                     end += size
                 size += len(chunk)
             buffer = b"".join(chunks)
-        # Most reads hold one whole frame, which join and both slices return uncopied.
+        # A read holding more than one frame keeps the rest for the next call.
         line, self._buffer = buffer[:end], buffer[end:]
         decoded = decode_envelope(line, self.offset)
         self.offset += end
@@ -116,9 +155,10 @@ class _FrameStream:
 class SocketEndpoint:
     """Coordinator-side handle speaking the wire protocol to one federate."""
 
-    def __init__(self, stream: _FrameStream, name: str):
+    def __init__(self, stream: _FrameStream, name: str, timeout_s: float = DEFAULT_TIMEOUT_S):
         self.stream = stream
         self.name = name
+        self.timeout_s = timeout_s  # the bound set on the stream, for messages
         self._slot = 0
 
     def begin_step(self, slot: int, slot_end_tick: int, inbox: list[SimMessage]) -> None:
@@ -127,6 +167,11 @@ class SocketEndpoint:
             self.stream.send(env.grant(slot, slot_end_tick, inbox))
         except ConnectionError as exc:  # the federate hung up before its grant
             raise self._closed() from exc
+        except FederateTimeout as exc:  # the federate stopped reading
+            raise FederateTimeout(
+                f"federate {self.name} did not read its GRANT for slot {slot} "
+                f"within {self.timeout_s:g} s"
+            ) from exc
 
     def finish_step(self):
         try:
@@ -136,7 +181,7 @@ class SocketEndpoint:
         except FederateTimeout as exc:
             raise FederateTimeout(
                 f"federate {self.name} sent no ACK_SLOT for slot {self._slot} "
-                f"within {self.stream.sock.gettimeout():g} s"
+                f"within {self.timeout_s:g} s"
             ) from exc
         if received is None:
             raise self._closed()
@@ -231,7 +276,8 @@ def run_federation(
 ) -> FederationResult:
     """Couple the given federates under one coordinator and run to the horizon.
 
-    ``timeout_s`` bounds each wait of the coordinator for a JOIN or an ACK_SLOT.
+    ``timeout_s`` bounds each wait of the coordinator for a JOIN or an ACK_SLOT,
+    and each ``send`` call of a GRANT's write.
     """
     if transport == "inproc":
         return Rti(tau_ticks, [(f.name, InprocEndpoint(f)) for f in federates]).run(n_slots)
@@ -244,8 +290,7 @@ def run_federation(
     try:
         # Federates join one at a time, so ids follow the listed order.
         for position, federate in enumerate(federates, 1):
-            ours, theirs = socket.socketpair()
-            ours.settimeout(timeout_s)
+            ours, theirs = _coordinator_pair(timeout_s)
             stream = _FrameStream(ours)
             streams.append(stream)
             thread = threading.Thread(target=run_federate_client, args=(theirs, federate),
@@ -263,7 +308,7 @@ def run_federation(
             if not quotable(name):  # every later error about the federate repeats it
                 raise ProtocolViolation(f"JOIN must name the federate with a printable string of at "
                                         f"most {QUOTE_LIMIT} characters, got {shape(name)}")
-            members.append((name, SocketEndpoint(stream, name)))
+            members.append((name, SocketEndpoint(stream, name, timeout_s)))
         result = Rti(tau_ticks, members).run(n_slots)
     finally:
         for stream in streams:

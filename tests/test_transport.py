@@ -3,8 +3,10 @@ import dataclasses
 import itertools
 import json
 import socket
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -174,6 +176,46 @@ def test_transport_equivalence_on_full_scenario(tmp_path):
     assert {MessageKind.CONTROL_COMMAND, MessageKind.CONTROL_ACK} <= kinds
 
 
+@st.composite
+def _random_configs(draw):
+    """Horizons up to 30 s under each QoS mode and arrival model, with or
+    without an LTE failure and restore, 0-40 feeders and 1-3 stations."""
+    duration_s = draw(st.integers(1, 30)) + draw(st.sampled_from([0.0, 0.005]))
+    fail_at = draw(st.none() | st.integers(0, int(duration_s)))
+    restore_at = None if fail_at is None else draw(st.none() | st.integers(fail_at, fail_at + 15))
+    cfg = dataclasses.replace(
+        ScenarioConfig(),
+        seed=draw(st.integers(0, 10**6)),
+        duration_s=duration_s,
+        metrics_interval_s=draw(st.sampled_from([1.0, 5.0, 25.0])),
+        qos=draw(st.sampled_from(["fifo", "wfq", "wfq-ra"])),
+        arrival_model=draw(st.sampled_from(["periodic", "poisson"])),
+        lambda_m_hz=draw(st.sampled_from([1 / 30, 1.0])),
+        lambda_c_hz=draw(st.sampled_from([2 / 600, 0.5])),
+        count_hva_lv=draw(st.integers(0, 40)),
+        count_switch=draw(st.integers(0, 5)),
+        lte_bs_count=draw(st.integers(1, 3)),
+        lte_fail_at_s=None if fail_at is None else float(fail_at),
+        lte_restore_at_s=None if restore_at is None else float(restore_at),
+    )
+    cfg.validate()
+    return cfg
+
+
+def _digest_and_csvs(cfg, transport):
+    result = run_scenario(cfg, transport=transport)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_outputs(Path(tmp), result, link_log=True)
+        csvs = [(Path(tmp) / name).read_bytes() for name in ("reliability.csv", "delay.csv", "link_log.csv")]
+    return result.federation.trace_digest, csvs
+
+
+@settings(max_examples=15, deadline=None)
+@given(cfg=_random_configs())
+def test_transport_equivalence_on_random_configs(cfg):
+    assert _digest_and_csvs(cfg, "socket") == _digest_and_csvs(cfg, "inproc")
+
+
 def _floats_bools_and_objects(value, path=()):
     """Paths to every float, bool and object inside decoded JSON ``value``."""
     if isinstance(value, (bool, float, dict)):
@@ -234,6 +276,14 @@ def test_slow_federate_times_out():
     with pytest.raises(FederateTimeout, match="^federate stalled sent no ACK_SLOT for slot 0 within 0.3 s$"):
         run_federation(1000, 2, [StalledFederate(), good],
                        transport="socket", timeout_s=0.3)
+
+
+@pytest.mark.parametrize("timeout_s", [0.0, 1e-7, -1.0])
+def test_a_timeout_below_one_microsecond_is_refused(timeout_s):
+    # A zero kernel timeout would mean no bound at all, so the run would hang.
+    with pytest.raises(ValueError, match="^timeout_s must be at least 1 us"):
+        run_federation(1000, 1, [EchoFederate("a", "b"), EchoFederate("b", "a")],
+                       transport="socket", timeout_s=timeout_s)
 
 
 class SlowToJoinFederate:
@@ -377,6 +427,42 @@ def _run_with_raw_ack(monkeypatch, ack_fields):
     monkeypatch.setattr(transport, "run_federate_client", _raw_client)
     good = EchoFederate("good", "raw")
     run_federation(1000, 3, [RawFederate(ack_fields), good], transport="socket", timeout_s=5.0)
+
+
+class DeafFederate:
+    """Stands for a client that acknowledges slot 0, then stops reading
+    until ``release`` is set."""
+
+    name = "deaf"
+
+    def __init__(self):
+        self.release = threading.Event()
+
+
+def _deaf_client(sock, federate):
+    if not isinstance(federate, DeafFederate):
+        return _real_client(sock, federate)
+    with sock, sock.makefile("rb") as reader:
+        _send_frame(sock, "JOIN", ["deaf"])
+        reader.readline()
+        _send_frame(sock, "ACK_SLOT", [[], -1])
+        federate.release.wait(5.0)
+
+
+def test_a_grant_the_federate_does_not_read_is_a_named_timeout(monkeypatch):
+    # 20,000 messages published to it in slot 0 make a GRANT for slot 1 far
+    # larger than the socket buffers, so its write stalls.
+    monkeypatch.setattr(transport, "run_federate_client", _deaf_client)
+    deaf = DeafFederate()
+    flood = EchoFederate("flood", "deaf", {0: [(500, make_msg(i, 500)) for i in range(20_000)]})
+    with pytest.raises(FederateTimeout,
+                       match="^federate deaf did not read its GRANT for slot 1 within 0.3 s$") as err:
+        run_federation(1000, 3, [flood, deaf], transport="socket", timeout_s=0.3)
+    assert isinstance(err.value.__cause__.__cause__, BlockingIOError)  # the kernel's bound
+    deaf.release.set()
+    thread = next(t for t in threading.enumerate() if t.name == "federate-deaf")
+    thread.join(timeout=5.0)
+    assert not thread.is_alive()
 
 
 # An ACK_SLOT with a field missing or one too many is refused by the decoder;
@@ -663,6 +749,20 @@ _stream_envelopes = st.one_of(
 )
 
 
+_BOUNDS = ("kernel", "settimeout")
+
+
+def _bounded_pair(bound: str, timeout_s: float) -> tuple[socket.socket, socket.socket]:
+    """A writer and a reader whose reads fail after ``timeout_s``: bounded by
+    the kernel, as the coordinator's ends are, or by ``settimeout``."""
+    if bound == "kernel":
+        reader, writer = transport._coordinator_pair(timeout_s)
+    else:
+        writer, reader = socket.socketpair()
+        reader.settimeout(timeout_s)
+    return writer, reader
+
+
 @settings(max_examples=100, deadline=None)
 @given(envelopes=st.lists(_stream_envelopes, min_size=1, max_size=5), data=st.data())
 def test_frames_come_out_whole_however_the_stream_is_split_or_cut(envelopes, data):
@@ -674,8 +774,8 @@ def test_frames_come_out_whole_however_the_stream_is_split_or_cut(envelopes, dat
     blob = b"".join(frames)
     ends = list(itertools.accumulate(map(len, frames)))
     cut = data.draw(st.just(len(blob)) | st.integers(0, len(blob)), label="cut")
-    writer, reader = socket.socketpair()
-    reader.settimeout(5.0)  # a read that waited for bytes never sent would fail, not hang
+    # A read that waited for bytes never sent would fail, not hang.
+    writer, reader = _bounded_pair(data.draw(st.sampled_from(_BOUNDS), label="bound"), 5.0)
     stream = transport._FrameStream(reader)
     received, sent = [], 0
     try:
@@ -731,14 +831,45 @@ def test_a_frame_longer_than_one_read_comes_out_whole():
         stream.close()
 
 
-def test_a_silent_peer_is_a_federate_timeout():
-    writer, reader = socket.socketpair()
-    reader.settimeout(0.05)
+@settings(max_examples=50, deadline=None)
+@given(envelopes=st.lists(_stream_envelopes, min_size=1, max_size=5))
+def test_frames_written_one_at_a_time_are_read_one_at_a_time(envelopes):
+    """Each whole frame in its own ``sendall``, read before the next is sent,
+    so that one ``recv`` returns exactly one frame: each is read back with
+    the stream offset at its end, a frame that does not decode is the
+    decoder's error at the same offset, and a clean end is None."""
+    writer, reader = transport._coordinator_pair(5.0)
     stream = transport._FrameStream(reader)
+    offset = 0
     try:
-        writer.sendall(b'["JOIN",')  # half a frame, then nothing
-        with pytest.raises(FederateTimeout):
+        for envelope in envelopes:
+            frame = env.encode_envelope(envelope)
+            writer.sendall(frame)
+            assert stream.recv() == envelope
+            offset += len(frame)
+            assert stream.offset == offset
+        unknown = b'["NOPE",0]\n'
+        with pytest.raises(DecodeError) as expected:
+            env.decode_envelope(unknown, offset)
+        writer.sendall(unknown)
+        with pytest.raises(DecodeError) as err:
             stream.recv()
+        assert (str(err.value), err.value.offset) == (str(expected.value), expected.value.offset)
+        writer.close()
+        assert stream.recv() is None
     finally:
         writer.close()
         stream.close()
+
+
+def test_a_silent_peer_is_a_federate_timeout():
+    for bound in _BOUNDS:
+        writer, reader = _bounded_pair(bound, 0.05)
+        stream = transport._FrameStream(reader)
+        try:
+            writer.sendall(b'["JOIN",')  # half a frame, then nothing
+            with pytest.raises(FederateTimeout):
+                stream.recv()
+        finally:
+            writer.close()
+            stream.close()
