@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -248,9 +249,7 @@ class ScenarioConfig:
                                   f"{MAX_FRAMES} frames allowed on the wire")
         rate_hz = self.lambda_m_hz
         if polled and self.qos == "wfq-ra" and self.lte_fail_at_s is not None:
-            bits = max(exchange_wire_bits(self, self.response_payload_bytes(kind)) for kind in polled)
-            usable_bps = (1.0 - self.alpha_e) * self.dmr_capacity_bps
-            rate_hz = max(rate_hz, usable_bps / (sum(polled.values()) * bits))
+            rate_hz = max(rate_hz, failover_poll_rate_hz(self, polled))
         frames = first * (1.0 + horizon_s * rate_hz) if polled else 0.0
         if self.count_switch:
             commands_hz = self.lambda_c_hz * min(1.0, self.count_switch / self.control_burst_size)
@@ -306,6 +305,18 @@ def exchange_wire_bits(cfg: ScenarioConfig, response_payload: int) -> int:
     for payload in (cfg.payload_poll_request_bytes, response_payload):
         total_bytes += payload + _segments(payload, cfg.mss_bytes) * (cfg.header_bytes + cfg.ack_bytes)
     return total_bytes * 8
+
+
+def failover_poll_rate_hz(cfg: ScenarioConfig, polled: Mapping[NodeKind, int]) -> float:
+    """Per-node polling rate that ``wfq-ra`` adapts to once LTE fails, for
+    ``polled`` nodes counted per kind: the rate at which that many exchanges
+    of the largest kind's size offer at most (1 - alpha_e) * dmr_capacity.
+
+    Sizing on the largest exchange keeps the offered load under the budget
+    over any measurement window, not merely on long-run average.
+    """
+    bits = max(exchange_wire_bits(cfg, cfg.response_payload_bytes(kind)) for kind in polled)
+    return (1.0 - cfg.alpha_e) * cfg.dmr_capacity_bps / (sum(polled.values()) * bits)
 
 
 def offered_monitoring_bps(cfg: ScenarioConfig) -> float:

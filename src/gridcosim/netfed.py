@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 
-from .config import ScenarioConfig, exchange_wire_bits
+from .config import ScenarioConfig, failover_poll_rate_hz
 from .errors import ValidationError
 from .links import FifoQueue, LinkModel, TransportFrame, WfqQueue, segment_sizes
 from .messages import (
@@ -47,20 +48,6 @@ _LTE_FAIL = 0
 _LTE_RESTORE = 1
 _COMPLETION = 2
 _LANDING = 3
-
-
-def rate_adaptation_rate(cfg: ScenarioConfig, n_monitored: int, exchange_bits: int) -> float:
-    """Per-node monitoring rate that fits the DMR budget after failover.
-
-    Keeps the total offered monitoring load at or below
-    (1 - alpha_e) * dmr_capacity.
-    """
-    if exchange_bits <= 0:
-        raise ValidationError("exchange_bits", "must be positive")
-    if n_monitored <= 0:
-        raise ValidationError("n_monitored", "must be positive")
-    usable_bps = (1.0 - cfg.alpha_e) * cfg.dmr_capacity_bps
-    return usable_bps / (n_monitored * exchange_bits)
 
 
 class NetFederate:
@@ -316,19 +303,9 @@ class NetFederate:
 
     # ----------------------------------------------------- rate adaptation
 
-    def failover_exchange_bits(self) -> int:
-        """Budget unit for the adapted rate: the largest monitored exchange.
-
-        Sizing on the maximum keeps the offered load under the budget over
-        any measurement window, not merely on long-run average.
-        """
-        kinds = {n.kind for n in self._monitored}
-        return max(
-            exchange_wire_bits(self.cfg, self.cfg.response_payload_bytes(kind)) for kind in kinds
-        )
-
     def _rate_update_message(self, tick: int) -> SimMessage:
-        rate_hz = rate_adaptation_rate(self.cfg, len(self._monitored), self.failover_exchange_bits())
+        # Counted from this federate's own nodes, which need not be the config's.
+        rate_hz = failover_poll_rate_hz(self.cfg, Counter(n.kind for n in self._monitored))
         # Round the period up: a longer period can only lower the offered load.
         period_ticks = max(1, math.ceil(TICKS_PER_SECOND / rate_hz))
         self.adapted_period_ticks = period_ticks

@@ -5,11 +5,13 @@ delivered-message traces for identical inputs.  The socket transport gives
 each federate one end of its own socket pair and keeps the other end for the
 coordinator; envelopes are newline-delimited JSON arrays carrying only
 integers and strings, read by position, so a federate could equally well
-live in another process or language.  The coordinator's ends stay blocking,
-with each read and write bounded by a kernel socket timeout, so that each is
-one system call.  A federate's JOIN is answered by no frame: once every
-federate has joined, the coordinator is built and the federates read their
-GRANTs, and a refused federate sees its stream end.
+live in another process or language.  The wire alternates strictly, one
+frame each way per granted slot, so one read never holds two frames.  The
+coordinator's ends stay blocking, with each read and write bounded by a
+kernel socket timeout, so that each is one system call.  A federate's JOIN
+is answered by no frame: once every federate has joined, the coordinator is
+built and the federates read their GRANTs, and a refused federate sees its
+stream end.
 """
 
 from __future__ import annotations
@@ -32,16 +34,15 @@ logger = logging.getLogger(__name__)
 DEFAULT_TIMEOUT_S = 30.0
 # Bytes asked of one recv; a frame longer than this takes several.
 _RECV_BYTES = 65536
-# A read or write past its bound: ``settimeout`` raises TimeoutError, a
-# kernel SO_RCVTIMEO or SO_SNDTIMEO the EAGAIN of BlockingIOError.
-_TIMEOUTS = (TimeoutError, BlockingIOError)
 
 
 def _coordinator_pair(timeout_s: float) -> tuple[socket.socket, socket.socket]:
     """A socket pair whose first end, the coordinator's, stays blocking and
     has each ``recv`` and ``send`` call bounded to ``timeout_s`` by the kernel.
 
-    Unlike ``settimeout``, which polls before every call, this leaves one
+    A call past its bound raises the ``BlockingIOError`` (EAGAIN) that
+    ``SocketEndpoint`` and ``run_federation`` name as a ``FederateTimeout``.
+    A Python socket timeout would poll before every call; this leaves one
     system call per read and per write.  A bound applies to one call: a
     ``sendall`` that the peer drains slowly may take several.
     """
@@ -89,48 +90,27 @@ class InprocEndpoint:
 
 
 class _FrameStream:
-    """Line-framed envelope reader/writer over a socket."""
+    """Line-framed envelope reader/writer over a socket; it keeps no bytes
+    between frames, since no peer writes before its last frame is answered."""
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
-        self._buffer = b""  # bytes received past the last whole frame
         self.offset = 0
 
     def send(self, frame: list) -> None:
         """Write one whole frame: the peer waits for every frame."""
-        try:
-            self.sock.sendall(encode_envelope(frame))
-        except _TIMEOUTS as exc:
-            raise FederateTimeout(str(exc)) from exc
+        self.sock.sendall(encode_envelope(frame))
 
     def recv(self) -> list | None:
-        """Next frame, or None at a clean end of stream."""
-        buffer = self._buffer
-        if buffer:
-            end = buffer.find(b"\n") + 1
-        else:
-            try:
-                buffer = self.sock.recv(_RECV_BYTES)
-            except _TIMEOUTS as exc:
-                raise FederateTimeout(str(exc)) from exc
-            end = buffer.find(b"\n") + 1
-            if end == len(buffer):
-                # One read returned exactly one whole frame, or the clean end.
-                if not end:
-                    return None
-                decoded = decode_envelope(buffer, self.offset)
-                self.offset += end
-                return decoded
-        if not end:
+        """The peer's frame, or None at a clean end of stream."""
+        data = self.sock.recv(_RECV_BYTES)
+        end = data.find(b"\n") + 1
+        if data and not end:
             # A frame several reads long is joined once, when its newline comes.
-            chunks = [buffer]
-            size = len(buffer)
+            chunks = [data]
+            size = len(data)
             while not end:
-                try:
-                    chunk = self.sock.recv(_RECV_BYTES)
-                except _TIMEOUTS as exc:
-                    self._buffer = b"".join(chunks)
-                    raise FederateTimeout(str(exc)) from exc
+                chunk = self.sock.recv(_RECV_BYTES)
                 if not chunk:
                     raise DecodeError("truncated frame", self.offset + size)
                 chunks.append(chunk)
@@ -138,10 +118,12 @@ class _FrameStream:
                 if end:
                     end += size
                 size += len(chunk)
-            buffer = b"".join(chunks)
-        # A read holding more than one frame keeps the rest for the next call.
-        line, self._buffer = buffer[:end], buffer[end:]
-        decoded = decode_envelope(line, self.offset)
+            data = b"".join(chunks)
+        if end != len(data):  # the peer wrote ahead of its turn
+            raise DecodeError("bytes past the end of the frame", self.offset + end)
+        if not end:
+            return None
+        decoded = decode_envelope(data, self.offset)
         self.offset += end
         return decoded
 
@@ -167,7 +149,7 @@ class SocketEndpoint:
             self.stream.send(env.grant(slot, slot_end_tick, inbox))
         except ConnectionError as exc:  # the federate hung up before its grant
             raise self._closed() from exc
-        except FederateTimeout as exc:  # the federate stopped reading
+        except BlockingIOError as exc:  # the federate stopped reading
             raise FederateTimeout(
                 f"federate {self.name} did not read its GRANT for slot {slot} "
                 f"within {self.timeout_s:g} s"
@@ -178,7 +160,7 @@ class SocketEndpoint:
             received = self.stream.recv()
         except ConnectionError:  # the federate hung up with its grant unread
             received = None
-        except FederateTimeout as exc:
+        except BlockingIOError as exc:
             raise FederateTimeout(
                 f"federate {self.name} sent no ACK_SLOT for slot {self._slot} "
                 f"within {self.timeout_s:g} s"
@@ -299,7 +281,7 @@ def run_federation(
             threads.append(thread)
             try:
                 joined = stream.recv()
-            except FederateTimeout as exc:  # no name has arrived to call it by
+            except BlockingIOError as exc:  # no name has arrived to call it by
                 raise FederateTimeout(f"federate {position} of {len(federates)} sent no JOIN "
                                       f"within {timeout_s:g} s") from exc
             if joined is None or joined[0] != JOIN:

@@ -2,10 +2,10 @@ import dataclasses
 
 import pytest
 
-from gridcosim.config import ScenarioConfig, exchange_wire_bits
+from gridcosim.config import ScenarioConfig, exchange_wire_bits, failover_poll_rate_hz
 from gridcosim.errors import ValidationError
 from gridcosim.messages import MessageClass, MessageKind, NodeKind, SimMessage
-from gridcosim.netfed import NetFederate, rate_adaptation_rate
+from gridcosim.netfed import NetFederate
 from gridcosim.runner import run_scenario
 from gridcosim.simtime import TICKS_PER_SECOND
 from gridcosim.topology import generate_topology
@@ -307,9 +307,9 @@ def test_rate_update_emitted_once_under_wfq_ra():
     assert update.created_tick == 25_000
     assert update.dst == fed._dms_id
     assert update.poll_period_ticks == fed.adapted_period_ticks
-    # The period covers the worst-case exchange for every monitored node.
+    # The period covers the worst-case exchange, a substation's, for every monitored node.
     usable = (1 - cfg.alpha_e) * cfg.dmr_capacity_bps
-    expected_rate = usable / (335 * fed.failover_exchange_bits())
+    expected_rate = usable / (335 * exchange_wire_bits(cfg, cfg.payload_substation_bytes))
     assert update.poll_period_ticks == pytest.approx(TICKS_PER_SECOND / expected_rate, abs=1)
 
 
@@ -323,28 +323,38 @@ def test_no_rate_update_without_ra_discipline():
 
 def test_rate_adaptation_budget():
     cfg = ScenarioConfig()
-    # Usable budget: (1 - 0.3) * 1920 = 1344 bps.
+    # Usable budget: (1 - 0.3) * 1920 = 1344 bps; a feeder's exchange is 5,792 bits.
     assert (1 - cfg.alpha_e) * cfg.dmr_capacity_bps == 1344.0
-    rate = rate_adaptation_rate(cfg, 335, 5824)
-    assert rate == pytest.approx(1344 / (335 * 5824), rel=1e-12)
+    assert exchange_wire_bits(cfg, cfg.payload_hva_lv_bytes) == 5792
+    rate = failover_poll_rate_hz(cfg, {NodeKind.HVA_LV: 335})
+    assert rate == pytest.approx(1344 / (335 * 5792), rel=1e-12)
     assert rate == pytest.approx(6.9e-4, rel=0.01)
 
 
 def test_rate_adaptation_alpha_zero_uses_full_capacity():
     cfg = dataclasses.replace(ScenarioConfig(), alpha_e=0.0)
-    assert rate_adaptation_rate(cfg, 335, 5824) == pytest.approx(1920 / (335 * 5824), rel=1e-12)
+    rate = failover_poll_rate_hz(cfg, {NodeKind.HVA_LV: 335})
+    assert rate == pytest.approx(1920 / (335 * 5792), rel=1e-12)
 
 
 def test_rate_adaptation_rejects_zero_exchange_bits():
-    with pytest.raises(ValidationError):
-        rate_adaptation_rate(ScenarioConfig(), 335, 0)
+    # An exchange of zero bits would make the rate infinite; a valid config
+    # has no zero payload, so no exchange is ever that small.
+    cfg = dataclasses.replace(ScenarioConfig(), payload_poll_request_bytes=0, payload_hva_lv_bytes=0)
+    with pytest.raises(ValidationError, match="^payload_poll_request_bytes: must be positive"):
+        cfg.validate()
 
 
 def test_rate_adaptation_keeps_offered_load_within_budget():
+    # Every node polled at the rate sized on the largest exchange, a
+    # substation's, offers no more than the budget.
     cfg = ScenarioConfig()
-    bits = exchange_wire_bits(cfg, 500)
-    rate = rate_adaptation_rate(cfg, 335, bits)
-    assert 335 * rate * bits <= (1 - cfg.alpha_e) * cfg.dmr_capacity_bps + 1e-9
+    polled = cfg.monitored_counts()
+    rate = failover_poll_rate_hz(cfg, polled)
+    offered = sum(count * rate * exchange_wire_bits(cfg, cfg.response_payload_bytes(kind))
+                  for kind, count in polled.items())
+    assert offered <= (1 - cfg.alpha_e) * cfg.dmr_capacity_bps + 1e-9
+    assert rate == pytest.approx(1344 / (335 * exchange_wire_bits(cfg, cfg.payload_substation_bytes)))
 
 
 # ------------------------------------------------------------- utilization

@@ -176,6 +176,31 @@ def test_transport_equivalence_on_full_scenario(tmp_path):
     assert {MessageKind.CONTROL_COMMAND, MessageKind.CONTROL_ACK} <= kinds
 
 
+def test_transport_equivalence_with_frames_longer_than_one_read(monkeypatch, tmp_path):
+    # 3,320 feeders polled in 25 s slots put hundreds of messages in a GRANT
+    # or ACK_SLOT, so the largest frames take several reads to arrive.
+    sizes = []
+    real_encode = transport.encode_envelope
+
+    def encode(frame):
+        data = real_encode(frame)
+        sizes.append(len(data))
+        return data
+
+    monkeypatch.setattr(transport, "encode_envelope", encode)
+    cfg = dataclasses.replace(ScenarioConfig(), count_hva_lv=3320, tau_s=25.0, duration_s=100.0)
+    cfg.validate()
+    outputs = []
+    for name in ("inproc", "socket"):
+        result = run_scenario(cfg, transport=name)
+        write_outputs(tmp_path / name, result, exchange_log=True, link_log=True)
+        outputs.append([result.federation.trace_digest] + [
+            (tmp_path / name / csv).read_bytes()
+            for csv in ("reliability.csv", "delay.csv", "link_log.csv", "exchange_log.csv")])
+    assert max(sizes) > transport._RECV_BYTES
+    assert outputs[0] == outputs[1]
+
+
 @st.composite
 def _random_configs(draw):
     """Horizons up to 30 s under each QoS mode and arrival model, with or
@@ -458,11 +483,44 @@ def test_a_grant_the_federate_does_not_read_is_a_named_timeout(monkeypatch):
     with pytest.raises(FederateTimeout,
                        match="^federate deaf did not read its GRANT for slot 1 within 0.3 s$") as err:
         run_federation(1000, 3, [flood, deaf], transport="socket", timeout_s=0.3)
-    assert isinstance(err.value.__cause__.__cause__, BlockingIOError)  # the kernel's bound
+    assert isinstance(err.value.__cause__, BlockingIOError)  # the kernel's bound
     deaf.release.set()
     thread = next(t for t in threading.enumerate() if t.name == "federate-deaf")
     thread.join(timeout=5.0)
     assert not thread.is_alive()
+
+
+class _WritesAhead:
+    """A federate's end of its stream that writes ``extra`` in the same write
+    as its ACK_SLOT for ``slot``, ahead of the coordinator's answer."""
+
+    def __init__(self, sock, slot, extra):
+        self.sock, self.prefix, self.extra = sock, b'["ACK_SLOT",%d,' % slot, extra
+
+    def sendall(self, data):
+        self.sock.sendall(data + self.extra if data.startswith(self.prefix) else data)
+
+    def recv(self, size):
+        return self.sock.recv(size)
+
+    def close(self):
+        self.sock.close()
+
+
+@pytest.mark.parametrize("slot, extra", [
+    (4, b'["ACK_SLOT",4,[],-1]\n'),  # a second answer to the last slot
+    (2, b'["ACK_SLOT",3,[],-1]\n'),  # slot 3's answer, written before its GRANT
+], ids=["after-the-last-slot", "answer-ahead-of-its-grant"])
+def test_a_frame_written_ahead_of_its_turn_is_a_decode_error(monkeypatch, slot, extra):
+    def client(sock, federate):
+        return _real_client(_WritesAhead(sock, slot, extra) if federate.name == "a" else sock, federate)
+
+    monkeypatch.setattr(transport, "run_federate_client", client)
+    offset = len(env.encode_envelope(env.join("a"))) + sum(
+        len(env.encode_envelope(env.ack_slot(s, [], -1))) for s in range(slot + 1))
+    with pytest.raises(DecodeError, match=rf"^bytes past the end of the frame \(byte {offset}\)$"):
+        run_federation(1000, 5, [EchoFederate("a", "b"), EchoFederate("b", "a")], transport="socket",
+                       timeout_s=5.0)
 
 
 # An ACK_SLOT with a field missing or one too many is refused by the decoder;
@@ -749,44 +807,32 @@ _stream_envelopes = st.one_of(
 )
 
 
-_BOUNDS = ("kernel", "settimeout")
-
-
-def _bounded_pair(bound: str, timeout_s: float) -> tuple[socket.socket, socket.socket]:
-    """A writer and a reader whose reads fail after ``timeout_s``: bounded by
-    the kernel, as the coordinator's ends are, or by ``settimeout``."""
-    if bound == "kernel":
-        reader, writer = transport._coordinator_pair(timeout_s)
-    else:
-        writer, reader = socket.socketpair()
-        reader.settimeout(timeout_s)
-    return writer, reader
-
-
 @settings(max_examples=100, deadline=None)
 @given(envelopes=st.lists(_stream_envelopes, min_size=1, max_size=5), data=st.data())
 def test_frames_come_out_whole_however_the_stream_is_split_or_cut(envelopes, data):
-    """Frames written in chunks of any size, from one byte to all at once,
-    and the stream then closed at any byte: every whole frame is read back,
-    ``offset`` moves by each frame's length, and what follows is None at a
-    frame boundary or a truncated frame at the byte of the cut."""
+    """Each frame written in chunks of any size, from one byte to the whole
+    frame, and read before the next is written, as the wire alternates; the
+    stream then closed at any byte: every whole frame is read back, ``offset``
+    moves by each frame's length, and what follows is None at a frame
+    boundary or a truncated frame at the byte of the cut."""
     frames = [env.encode_envelope(e) for e in envelopes]
     blob = b"".join(frames)
     ends = list(itertools.accumulate(map(len, frames)))
     cut = data.draw(st.just(len(blob)) | st.integers(0, len(blob)), label="cut")
     # A read that waited for bytes never sent would fail, not hang.
-    writer, reader = _bounded_pair(data.draw(st.sampled_from(_BOUNDS), label="bound"), 5.0)
+    reader, writer = transport._coordinator_pair(5.0)
     stream = transport._FrameStream(reader)
     received, sent = [], 0
     try:
         while sent < cut:
-            chunk_end = min(cut, sent + data.draw(st.integers(1, len(blob)), label="chunk"))
+            frame_end = ends[len(received)]
+            size = data.draw(st.integers(1, len(frames[len(received)])), label="chunk")
+            chunk_end = min(cut, frame_end, sent + size)
             writer.sendall(blob[sent:chunk_end])
             sent = chunk_end
-            # Read each frame once it is whole, so that no read waits.
-            while len(received) < bisect.bisect_right(ends, sent):
+            if sent == frame_end:  # the frame is whole: read it before the next is written
                 received.append(stream.recv())
-                assert stream.offset == ends[len(received) - 1]
+                assert stream.offset == frame_end
         writer.close()
         if cut in (0, *ends):
             assert stream.recv() is None
@@ -801,30 +847,31 @@ def test_frames_come_out_whole_however_the_stream_is_split_or_cut(envelopes, dat
 
 
 def test_a_frame_longer_than_one_read_comes_out_whole():
-    """A frame spanning several ``recv`` calls, sent in small pieces and
-    followed by a frame cut short: the long frame is read back whole and
+    """A frame spanning several ``recv`` calls, sent in small pieces, and
+    once it is read a frame cut short: the long frame is read back whole and
     the cut is a truncated frame at its byte."""
     long_grant = env.grant(3, 4000, [make_msg(i, i) for i in range(3000)])
     frames = [env.encode_envelope(long_grant), env.encode_envelope(env.join("it"))]
     assert len(frames[0]) > 2 * transport._RECV_BYTES
-    blob = b"".join(frames)[:-5]
-    writer, reader = socket.socketpair()
-    reader.settimeout(5.0)
+    cut = len(frames[0]) + len(frames[1]) - 5
+    reader, writer = transport._coordinator_pair(5.0)
     stream = transport._FrameStream(reader)
 
-    def write():
-        for start in range(0, len(blob), 1000):
-            writer.sendall(blob[start:start + 1000])
-        writer.close()
+    def write():  # more than the socket buffers hold, so written beside the reader
+        for start in range(0, len(frames[0]), 1000):
+            writer.sendall(frames[0][start:start + 1000])
 
     thread = threading.Thread(target=write)
     thread.start()
     try:
         assert stream.recv() == long_grant
         assert stream.offset == len(frames[0])
+        thread.join()
+        writer.sendall(frames[1][:-5])
+        writer.close()
         with pytest.raises(DecodeError) as err:
             stream.recv()
-        assert (str(err.value), err.value.offset) == (f"truncated frame (byte {len(blob)})", len(blob))
+        assert (str(err.value), err.value.offset) == (f"truncated frame (byte {cut})", cut)
     finally:
         thread.join()
         writer.close()
@@ -862,14 +909,54 @@ def test_frames_written_one_at_a_time_are_read_one_at_a_time(envelopes):
         stream.close()
 
 
+class _Reads:
+    """Stands for a socket whose reads return ``chunks`` in turn, then the end of the stream."""
+
+    def __init__(self, chunks):
+        self.chunks = iter(chunks)
+
+    def recv(self, size):
+        chunk = next(self.chunks, b"")
+        assert len(chunk) <= size
+        return chunk
+
+
+@settings(max_examples=100, deadline=None)
+@given(first=_stream_envelopes, envelope=_stream_envelopes, extra=st.binary(min_size=1, max_size=40),
+       data=st.data())
+def test_bytes_past_the_end_of_a_frame_are_a_decode_error(first, envelope, extra, data):
+    """A frame and any bytes after it in the same read, whether the frame
+    came in that read alone or in several: the peer wrote ahead of its turn,
+    and the read is a DecodeError at the byte just past the frame."""
+    head = env.encode_envelope(first)
+    frame = env.encode_envelope(envelope)
+    blob = frame + extra
+    # Reads split the frame anywhere before its newline; the last one holds
+    # the newline and at least one byte after it.
+    cuts = data.draw(st.sets(st.integers(1, len(frame) - 1), max_size=3), label="cuts")
+    bounds = [0, *sorted(cuts), data.draw(st.integers(len(frame) + 1, len(blob)), label="read end")]
+    stream = transport._FrameStream(_Reads([head] + [blob[a:b] for a, b in zip(bounds, bounds[1:])]))
+    assert stream.recv() == first
+    offset = len(head) + len(frame)
+    with pytest.raises(DecodeError) as err:
+        stream.recv()
+    assert (str(err.value), err.value.offset) == (f"bytes past the end of the frame (byte {offset})", offset)
+
+
 def test_a_silent_peer_is_a_federate_timeout():
-    for bound in _BOUNDS:
-        writer, reader = _bounded_pair(bound, 0.05)
-        stream = transport._FrameStream(reader)
-        try:
-            writer.sendall(b'["JOIN",')  # half a frame, then nothing
-            with pytest.raises(FederateTimeout):
-                stream.recv()
-        finally:
-            writer.close()
-            stream.close()
+    """The stream passes on the kernel's bound as it comes, a BlockingIOError,
+    and the coordinator's endpoint names it as a FederateTimeout."""
+    reader, writer = transport._coordinator_pair(0.05)
+    stream = transport._FrameStream(reader)
+    endpoint = transport.SocketEndpoint(stream, "mute", timeout_s=0.05)
+    try:
+        writer.sendall(b'["JOIN",')  # half a frame, then nothing
+        with pytest.raises(BlockingIOError):
+            stream.recv()
+        with pytest.raises(FederateTimeout, match="^federate mute sent no ACK_SLOT for slot 0 "
+                                                  "within 0.05 s$") as err:
+            endpoint.finish_step()
+        assert isinstance(err.value.__cause__, BlockingIOError)
+    finally:
+        writer.close()
+        stream.close()
